@@ -140,6 +140,9 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if not 0 < args.split_ratio < 1:
+        # training picks its checkpoint on dev, so dev must not be empty
+        raise DataError(f"--split-ratio {args.split_ratio} leaves no dev pairs; it must be in (0, 1)")
     kg = graph.load_triples(args.graph, add_inverses=not args.no_inverses)
     stats_rows = []
     for relation in args.relation:
@@ -310,8 +313,7 @@ def cmd_export_rules(args) -> int:
         for rank, j in enumerate(order, start=1):
             lines.append(f"  {rank}. {names[j]} (mean_p={mean[j]:.4f}, seen={int(count[j])})")
     else:
-        for inst in data.test:
-            confidence = game.predict(model, inst)
+        for inst, confidence in zip(data.test, game.score_instances(model, data.test)):
             lines.append(
                 f"{inst.head} -> {inst.tail} label={inst.label} confidence={confidence:.4f}"
             )
@@ -339,6 +341,13 @@ def cmd_export_rules(args) -> int:
 
 def cmd_adapt_deeppath(args) -> int:
     """Convert a DeepPath-style dataset layout into the task format."""
+    test_file = os.path.join(args.task_dir, "sort_test.pairs")
+    if not os.path.exists(test_file):
+        test_file = os.path.join(args.task_dir, "test.pairs")
+    train_file = os.path.join(args.task_dir, "train.pairs")
+    for path in (args.kb, train_file, test_file):
+        if not os.path.exists(path):
+            raise DataError(f"file not found: {path}")
     entities = set()
     triples = []
     with open(args.kb, encoding="utf-8") as fh:
@@ -373,10 +382,7 @@ def cmd_adapt_deeppath(args) -> int:
                 out_lines.append(f"{head}\t{tail}\t{1 if sign == '+' else 0}")
         return out_lines, skipped
 
-    test_file = os.path.join(args.task_dir, "sort_test.pairs")
-    if not os.path.exists(test_file):
-        test_file = os.path.join(args.task_dir, "test.pairs")
-    train_lines, train_skipped = convert_pairs(os.path.join(args.task_dir, "train.pairs"))
+    train_lines, train_skipped = convert_pairs(train_file)
     test_lines, test_skipped = convert_pairs(test_file)
     if train_skipped or test_skipped:
         log.info("skipped %d train / %d test pairs with unknown entities", train_skipped, test_skipped)

@@ -12,7 +12,7 @@ from .game import (
     GameModel,
     TrainConfig,
     TrainResult,
-    predict,
+    score_instances,
     train_fixed_generator,
     train_predictor_only,
     train_task,
@@ -58,7 +58,7 @@ def evaluate_task(
     """
     if not instances:
         raise DataError("empty test set")
-    scores = [predict(model, inst, d) for inst in instances]
+    scores = score_instances(model, instances, d)
     groups = group_results([i.head for i in instances], scores, [i.label for i in instances], group_by)
     rows: list[GroupReport] = []
     aps: list[float] = []

@@ -1,20 +1,22 @@
 """Three-player selection game: generator, predictor, complement predictor.
 
 Per training step the generator samples a hard chain subset for each
-instance; both predictors take one cross-entropy Adam step on the selected
-and complement encodings; the generator then takes a policy-gradient step
-on the bounded reward
+instance of the mini-batch; both predictors take one cross-entropy Adam step
+on the selected and complement encodings; the generator then takes a
+policy-gradient step on the bounded reward
 
     R = acc_predictor - acc_complement - lambda_s * sparsity
 
 with an exponential-moving-average baseline for variance reduction. At
-inference the generator's top-d chains feed the predictor.
+inference the generator's top-d chains feed the predictor. Every network
+pass runs on a (rows, D) matrix: a mini-batch, or a chunk of a split.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .neural import (
     AdamState,
     DenseParams,
     adam_step,
-    add_grads,
     backward,
     clone_params,
     cross_entropy,
@@ -33,9 +34,7 @@ from .neural import (
     init_dense,
     linear_dims,
     mlp_dims,
-    scale_grads,
     softmax,
-    zero_grads,
 )
 from .util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, batches, stream_rng
 
@@ -43,6 +42,9 @@ ARCH_MLP = "mlp"
 ARCH_LINEAR = "linear"
 MODE_GAME = "game"
 MODE_ALL_CHAINS = "d_all"
+# Instances per network pass when scoring, so a large split never sits in
+# memory as one (N, 2D) generator output.
+SCORE_CHUNK = 256
 
 
 @dataclass
@@ -114,12 +116,7 @@ def _predictor_dims(arch: str, input_dim: int) -> list[int]:
 
 
 def build_model(
-    input_dim: int,
-    d: int,
-    lambda_s: float,
-    predictor_arch: str = ARCH_MLP,
-    seed: int = 0,
-    mode: str = MODE_GAME,
+    input_dim: int, d: int, lambda_s: float, predictor_arch: str = ARCH_MLP, seed: int = 0, mode: str = MODE_GAME
 ) -> GameModel:
     """Fresh model; init draws happen generator, predictor, complement in order."""
     if input_dim < 1:
@@ -129,89 +126,64 @@ def build_model(
     if lambda_s < 0:
         raise ValueError("lambda_s must be >= 0")
     rng = stream_rng(seed, STREAM_INIT)
-    generator = complement = None
-    if mode == MODE_GAME:
-        generator = init_dense(mlp_dims(input_dim, 2 * input_dim), rng)
+    is_game = mode == MODE_GAME
+    generator = init_dense(mlp_dims(input_dim, 2 * input_dim), rng) if is_game else None
     predictor = init_dense(_predictor_dims(predictor_arch, input_dim), rng)
-    if mode == MODE_GAME:
-        complement = init_dense(_predictor_dims(predictor_arch, input_dim), rng)
-    return GameModel(
-        input_dim=input_dim,
-        d=d,
-        lambda_s=lambda_s,
-        predictor_arch=predictor_arch,
-        mode=mode,
-        predictor=predictor,
-        generator=generator,
-        complement=complement,
-    )
+    complement = init_dense(_predictor_dims(predictor_arch, input_dim), rng) if is_game else None
+    return GameModel(input_dim, d, lambda_s, predictor_arch, mode, predictor, generator, complement)
 
 
 def clone_model(model: GameModel) -> GameModel:
-    return GameModel(
-        input_dim=model.input_dim,
-        d=model.d,
-        lambda_s=model.lambda_s,
-        predictor_arch=model.predictor_arch,
-        mode=model.mode,
-        predictor=clone_params(model.predictor),
-        generator=clone_params(model.generator) if model.generator else None,
-        complement=clone_params(model.complement) if model.complement else None,
-    )
+    nets = {name: getattr(model, name) for name in ("predictor", "generator", "complement")}
+    return replace(model, **{name: net and clone_params(net) for name, net in nets.items()})
 
 
 # -- generator ------------------------------------------------------------
 
 
 def _generator_forward(model: GameModel, availability: np.ndarray):
-    """Per-chain selection probabilities plus what backward needs.
+    """Per-chain selection probabilities plus what backward needs, for (D,) or (B, D).
 
-    The generator maps the availability vector to 2*D logits, viewed as one
+    The generator maps each availability row to 2*D logits, viewed as one
     (keep-out, select) pair per chain; the selection probability is the
     two-way softmax of each pair, forced to 0 where the chain is unavailable.
     """
     assert model.generator is not None
     out, cache = forward(model.generator, availability)
-    rows = out.reshape(model.input_dim, 2)
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    row_softmax = exp / exp.sum(axis=1, keepdims=True)
-    probs = np.where(availability > 0, row_softmax[:, 1], 0.0)
+    row_softmax = softmax(out.reshape(*availability.shape, 2))
+    probs = np.where(availability > 0, row_softmax[..., 1], 0.0)
     return probs, row_softmax, cache
 
 
 def generator_probs(model: GameModel, instance: Instance) -> np.ndarray:
-    probs, _, _ = _generator_forward(model, instance.availability)
-    return probs
+    return _generator_forward(model, instance.availability)[0]
 
 
-def sample_mask(
-    probs: np.ndarray, availability: np.ndarray, rng: np.random.Generator
-) -> SelectionMask:
-    """Independent Bernoulli draw per position; unavailable chains stay 0."""
-    draws = rng.random(len(probs))
+def sample_mask(probs: np.ndarray, availability: np.ndarray, rng: np.random.Generator) -> SelectionMask:
+    """Independent Bernoulli draw per position; unavailable chains stay 0.
+
+    A (rows, D) batch draws its numbers row by row, as ``rows`` calls on
+    single rows would.
+    """
+    draws = rng.random(probs.shape)
     selected = ((draws < probs) & (availability > 0)).astype(np.float64)
     return mask_from_selected(availability, selected)
 
 
 def select_top_d(probs: np.ndarray, availability: np.ndarray, d: int) -> SelectionMask:
-    """Top-d available positions by probability, ties resolved to lower index."""
-    avail_idx = np.flatnonzero(availability > 0)
+    """Top-d available positions of each row by probability, ties to the lower index."""
+    keys = np.where(availability > 0, -probs, np.inf)
+    top = np.argsort(keys, axis=-1, kind="stable")[..., :d]
     selected = np.zeros_like(availability)
-    if len(avail_idx) <= d:
-        selected[avail_idx] = 1.0
-    else:
-        order = np.argsort(-probs[avail_idx], kind="stable")
-        selected[avail_idx[order[:d]]] = 1.0
+    np.put_along_axis(selected, top, 1.0, axis=-1)
     return mask_from_selected(availability, selected)
 
 
-def sparsity_loss(mask: SelectionMask, d: int) -> float:
-    """max{(|selected| - d) / |available|, 0}; 0 for instances with no chains."""
-    available = mask.n_available
-    if available == 0:
-        return 0.0
-    return max((mask.n_selected - d) / available, 0.0)
+def sparsity_loss(mask: SelectionMask, d: int):
+    """max{(|selected| - d) / |available|, 0} per row; 0 for rows with no chains."""
+    n_selected = mask.selected.sum(axis=-1)
+    n_available = n_selected + mask.complement.sum(axis=-1)
+    return np.maximum(n_selected - d, 0.0) / np.maximum(n_available, 1.0)
 
 
 def selection_log_prob(probs: np.ndarray, availability: np.ndarray, mask: SelectionMask) -> float:
@@ -223,127 +195,153 @@ def selection_log_prob(probs: np.ndarray, availability: np.ndarray, mask: Select
     return total
 
 
-def selection_grad(model: GameModel, instance: Instance, mask: SelectionMask):
-    """Gradient of -log pi(mask) wrt the generator parameters.
+def _selection_dout(row_softmax: np.ndarray, availability: np.ndarray, selected: np.ndarray):
+    """d(-log pi(selected)) wrt the generator logits, shaped like the logits.
 
     Each available chain contributes the two-way softmax cross-entropy
     gradient for its (keep-out, select) logit pair; unavailable chains
     contribute nothing, matching their forced zero probability.
     """
+    choice = (selected > 0)[..., None] == np.array([False, True])
+    dout = np.where((availability > 0)[..., None], row_softmax - choice, 0.0)
+    return dout.reshape(*availability.shape[:-1], -1)
+
+
+def selection_grad(model: GameModel, instance: Instance, mask: SelectionMask):
+    """Gradient of -log pi(mask) wrt the generator parameters, and the probabilities."""
     probs, row_softmax, cache = _generator_forward(model, instance.availability)
-    dout = np.zeros((model.input_dim, 2))
-    for j in np.flatnonzero(instance.availability > 0):
-        choice = 1 if mask.selected[j] > 0 else 0
-        dout[j] = row_softmax[j]
-        dout[j, choice] -= 1.0
-    assert model.generator is not None
-    return backward(model.generator, cache, dout.reshape(-1)), probs
+    dout = _selection_dout(row_softmax, instance.availability, mask.selected)
+    return backward(model.generator, cache, dout), probs
 
 
 # -- training steps --------------------------------------------------------
 
 
-def predictor_step(
-    model: GameModel,
-    batch: list[tuple[Instance, SelectionMask]],
-    state_p: AdamState,
-    state_c: AdamState,
-) -> tuple[float, float, list[int], list[int]]:
-    """One Adam step for each predictor on its side of the masks.
+def _stack(batch: list[Instance]) -> np.ndarray:
+    return np.stack([inst.availability for inst in batch])
 
-    Returns batch-mean losses and per-instance 0/1 accuracy bits (argmax
-    logit equals label), evaluated before the update.
+
+def predictor_step(params: DenseParams, state: AdamState, x: np.ndarray, labels: np.ndarray):
+    """One Adam step on the batch-mean cross-entropy of rows ``x``.
+
+    Returns the mean loss and per-row 0/1 accuracy (argmax logit equals
+    label), both evaluated before the update.
     """
-    assert model.complement is not None
-    grads_p = zero_grads(model.predictor)
-    grads_c = zero_grads(model.complement)
-    loss_p = loss_c = 0.0
-    acc_p: list[int] = []
-    acc_c: list[int] = []
-    for instance, mask in batch:
-        logits, cache = forward(model.predictor, mask.selected)
-        loss, dlogits = cross_entropy(logits, instance.label)
-        loss_p += loss
-        acc_p.append(int(int(np.argmax(logits)) == instance.label))
-        add_grads(grads_p, backward(model.predictor, cache, dlogits))
-
-        logits_c, cache_c = forward(model.complement, mask.complement)
-        loss, dlogits_c = cross_entropy(logits_c, instance.label)
-        loss_c += loss
-        acc_c.append(int(int(np.argmax(logits_c)) == instance.label))
-        add_grads(grads_c, backward(model.complement, cache_c, dlogits_c))
-    n = len(batch)
-    scale_grads(grads_p, 1.0 / n)
-    scale_grads(grads_c, 1.0 / n)
-    adam_step(model.predictor, grads_p, state_p)
-    adam_step(model.complement, grads_c, state_c)
-    return loss_p / n, loss_c / n, acc_p, acc_c
+    logits, cache = forward(params, x)
+    losses, dlogits = cross_entropy(logits, labels)
+    adam_step(params, backward(params, cache, dlogits / len(x)), state)
+    return float(losses.mean()), (logits.argmax(axis=1) == labels).astype(np.float64)
 
 
-def instance_reward(model: GameModel, mask: SelectionMask, acc_p: int, acc_c: int) -> float:
+def instance_reward(model: GameModel, mask: SelectionMask, acc_p, acc_c):
+    """acc_p - acc_c - lambda_s * sparsity, per row of the mask."""
     return acc_p - acc_c - model.lambda_s * sparsity_loss(mask, model.d)
 
 
-def generator_step(
-    model: GameModel,
-    batch: list[tuple[Instance, SelectionMask]],
-    acc_p: list[int],
-    acc_c: list[int],
-    baseline: float,
-    state_g: AdamState,
-    momentum: float,
-) -> tuple[float, float]:
-    """REINFORCE step on the generator; returns (updated baseline, mean reward).
+Step = Callable[[list[Instance]], tuple[float, float, float, float, int]]
 
-    The estimator is -mean_i (R_i - baseline) * grad log pi(mask_i); the
-    baseline is updated afterwards as an EMA of the batch-mean reward.
+
+def _game_step(model: GameModel, config: TrainConfig) -> Step:
+    """Sample masks, update both predictors, then the generator by REINFORCE.
+
+    The estimator is -mean_rows (R - baseline) * grad log pi(mask); the
+    baseline is updated afterwards as an EMA of the batch-mean reward. The
+    sampling forward pass serves the gradient too: only the predictors
+    change in between.
     """
-    assert model.generator is not None
-    total = zero_grads(model.generator)
-    rewards = []
-    for (instance, mask), ap, ac in zip(batch, acc_p, acc_c):
-        reward = instance_reward(model, mask, ap, ac)
-        rewards.append(reward)
-        advantage = reward - baseline
-        if advantage == 0.0:
-            continue
-        grads, _ = selection_grad(model, instance, mask)
-        # selection_grad returns d(-log pi); the loss is -A * log pi.
-        add_grads(total, grads, scale=advantage)
-    scale_grads(total, 1.0 / len(batch))
-    adam_step(model.generator, total, state_g)
-    mean_reward = float(np.mean(rewards))
-    new_baseline = momentum * baseline + (1.0 - momentum) * mean_reward
-    return new_baseline, mean_reward
+    nets = (model.predictor, model.complement, model.generator)
+    state_p, state_c, state_g = (AdamState.for_params(net, config.lr) for net in nets)
+    rng_sample = stream_rng(config.seed, STREAM_SAMPLE)
+    samples = config.mc_samples_per_instance
+    baseline = 0.0
+
+    def step(batch: list[Instance]):
+        nonlocal baseline
+        availability = _stack(batch)
+        probs, row_softmax, cache = _generator_forward(model, availability)
+        # instance-major rows draw the same numbers as one instance at a time
+        availability = np.repeat(availability, samples, axis=0)
+        mask = sample_mask(np.repeat(probs, samples, axis=0), availability, rng_sample)
+        labels = np.repeat([inst.label for inst in batch], samples)
+        loss_p, acc_p = predictor_step(model.predictor, state_p, mask.selected, labels)
+        loss_c, acc_c = predictor_step(model.complement, state_c, mask.complement, labels)
+        rewards = instance_reward(model, mask, acc_p, acc_c)
+        rows = len(rewards)
+        dout = _selection_dout(np.repeat(row_softmax, samples, axis=0), availability, mask.selected)
+        dout *= ((rewards - baseline) / rows)[:, None]
+        grads = backward(model.generator, cache, dout.reshape(len(batch), samples, -1).sum(axis=1))
+        if not (np.isfinite(rewards).all() and all(np.isfinite(g).all() for layer in grads for g in layer)):
+            raise NumericError("non-finite generator reward or gradient")
+        adam_step(model.generator, grads, state_g)
+        mean_reward = float(np.mean(rewards))
+        baseline = config.baseline_momentum * baseline + (1.0 - config.baseline_momentum) * mean_reward
+        return loss_p, loss_c, mean_reward, float(mask.selected.sum()), rows
+
+    return step
+
+
+def _predictor_only_step(model: GameModel, config: TrainConfig) -> Step:
+    """Supervised predictor on its inference-time inputs; no game."""
+    state = AdamState.for_params(model.predictor, config.lr)
+
+    def step(batch: list[Instance]):
+        x = _predictor_inputs(model, _stack(batch), model.d)
+        loss, _ = predictor_step(model.predictor, state, x, np.array([inst.label for inst in batch]))
+        return loss, 0.0, 0.0, float(x.sum()), len(batch)
+
+    return step
 
 
 # -- inference -------------------------------------------------------------
 
 
-def predict(model: GameModel, instance: Instance, d: int | None = None) -> float:
-    """Positive-class confidence from the predictor on the top-d selection.
-
-    In all-chains mode the predictor scores the full availability vector.
-    """
+def _predictor_inputs(model: GameModel, availability: np.ndarray, d: int) -> np.ndarray:
+    """Rows the predictor scores: all available chains, or the generator's top-d."""
     if model.mode == MODE_ALL_CHAINS or model.generator is None:
-        selected = instance.availability
-    else:
-        probs = generator_probs(model, instance)
-        selected = select_top_d(probs, instance.availability, model.d if d is None else d).selected
-    logits, _ = forward(model.predictor, selected)
-    return float(softmax(logits)[1])
+        return availability
+    probs, _, _ = _generator_forward(model, availability)
+    return select_top_d(probs, availability, d).selected
 
 
-def dev_map(
-    model: GameModel,
-    instances: list[Instance],
-    d: int | None = None,
-    group_by: str = "head",
-) -> float:
-    """MAP over dev groups; 0.0 when no group has a positive."""
-    if not instances:
-        return 0.0
-    scores = [predict(model, inst, d) for inst in instances]
+def _row_key(row: np.ndarray) -> bytes:
+    """Exact, compact identity of a sparse row: its nonzero positions and values."""
+    nonzero = np.flatnonzero(row)
+    return nonzero.tobytes() + row[nonzero].tobytes()
+
+
+def _logits(model: GameModel, instances: list[Instance], d: int) -> np.ndarray:
+    """Predictor logits (N, 2), computed SCORE_CHUNK instances at a time.
+
+    BLAS rounds a row differently depending on its place in the batch, and
+    AP breaks exact score ties by input order. So each distinct predictor
+    input is scored once, and instances that share it (duplicated rows, or
+    rows with the same top-d selection) share its logits bit for bit.
+    """
+    by_input: dict[bytes, np.ndarray] = {}
+    keys: list[bytes] = []
+    for start in range(0, len(instances), SCORE_CHUNK):
+        x = _predictor_inputs(model, _stack(instances[start : start + SCORE_CHUNK]), d)
+        chunk_keys = [_row_key(row) for row in x]
+        fresh = {key: i for i, key in enumerate(chunk_keys) if key not in by_input}
+        if fresh:
+            out, _ = forward(model.predictor, x[list(fresh.values())])
+            by_input.update(zip(fresh, out))
+        keys += chunk_keys
+    return np.array([by_input[key] for key in keys]).reshape(-1, 2)
+
+
+def score_instances(model: GameModel, instances: list[Instance], d: int | None = None) -> np.ndarray:
+    """Positive-class confidence per instance from the predictor on the top-d
+    selection; in all-chains mode, on the full availability vector."""
+    return softmax(_logits(model, instances, model.d if d is None else d))[:, 1]
+
+
+def predict(model: GameModel, instance: Instance, d: int | None = None) -> float:
+    """score_instances for one instance."""
+    return float(score_instances(model, [instance], d)[0])
+
+
+def _ranked_map(instances: list[Instance], scores, group_by: str) -> float:
     groups = group_results([i.head for i in instances], scores, [i.label for i in instances], group_by)
     try:
         return map_score(groups)
@@ -351,228 +349,81 @@ def dev_map(
         return 0.0
 
 
-def _dev_quality(
-    model: GameModel, instances: list[Instance], group_by: str
-) -> tuple[float, float]:
-    """(dev MAP, -dev cross-entropy) for checkpoint selection.
+def dev_map(model: GameModel, instances: list[Instance], d: int | None = None, group_by: str = "head") -> float:
+    """MAP over dev groups; 0.0 when no group has a positive."""
+    return _ranked_map(instances, score_instances(model, instances, d), group_by)
+
+
+def _dev_quality(model: GameModel, instances: list[Instance], group_by: str) -> tuple[float, float]:
+    """(dev MAP, -dev cross-entropy) for checkpoint selection, from one scoring pass.
 
     Small dev rankings saturate quickly, so exact MAP ties are common; the
     cross-entropy of the predictor on its inference-time inputs keeps
     discriminating between equally-ranked checkpoints.
     """
-    if not instances:
-        return 0.0, 0.0
-    total = 0.0
-    for inst in instances:
-        if model.mode == MODE_ALL_CHAINS or model.generator is None:
-            selected = inst.availability
-        else:
-            probs = generator_probs(model, inst)
-            selected = select_top_d(probs, inst.availability, model.d).selected
-        logits, _ = forward(model.predictor, selected)
-        loss, _ = cross_entropy(logits, inst.label)
-        total += loss
-    return dev_map(model, instances, group_by=group_by), -total / len(instances)
+    logits = _logits(model, instances, model.d)
+    losses, _ = cross_entropy(logits, np.array([inst.label for inst in instances]))
+    return _ranked_map(instances, softmax(logits)[:, 1], group_by), -float(losses.mean())
 
 
-# -- training loops ---------------------------------------------------------
+# -- training loop ------------------------------------------------------------
 
 
-def _check_trainable(train: list[Instance]) -> None:
-    labels = {inst.label for inst in train}
-    if not train or labels != {0, 1}:
-        raise DataError("training set must contain at least one positive and one negative")
+def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, rng_shuffle) -> TrainResult:
+    """The epoch loop of every mode; returns the best-dev checkpoint.
 
-
-def train_task(
-    data: EncodedTask,
-    config: TrainConfig,
-    d: int,
-    predictor_arch: str = ARCH_MLP,
-    lambda_s: float = 1.0,
-) -> TrainResult:
-    """Full three-player training; returns the best-dev-MAP checkpoint.
-
-    Per epoch: shuffle, then for each mini-batch sample masks from the
-    generator, update both predictors, update the generator. Ties in dev
-    MAP keep the earlier epoch.
+    Per epoch: shuffle, run ``step`` on each mini-batch, then score dev once.
+    ``step`` returns (loss_p, loss_c, mean reward, chains selected, rows).
+    Ties in dev quality keep the earlier epoch.
     """
-    _check_trainable(data.train)
-    model = build_model(data.size, d, lambda_s, predictor_arch, config.seed, MODE_GAME)
-    state_p = AdamState.for_params(model.predictor, config.lr)
-    state_c = AdamState.for_params(model.complement, config.lr)
-    state_g = AdamState.for_params(model.generator, config.lr)
-    rng_shuffle = stream_rng(config.seed, STREAM_SHUFFLE)
-    rng_sample = stream_rng(config.seed, STREAM_SAMPLE)
-
-    baseline = 0.0
+    if {inst.label for inst in data.train} != {0, 1}:
+        raise DataError("training set must contain at least one positive and one negative")
+    if not data.dev:
+        raise DataError("empty dev split: no data to select the checkpoint on")
     best = clone_model(model)
     best_quality = _dev_quality(model, data.dev, config.dev_group_by)
     best_epoch = 0
     log: list[EpochStats] = []
 
     for epoch in range(1, config.epochs + 1):
-        order = rng_shuffle.permutation(len(data.train))
-        sum_lp = sum_lc = sum_reward = sum_selected = 0.0
-        n_steps = n_samples = 0
-        for batch_idx in batches(order.tolist(), config.batch_size):
-            batch: list[tuple[Instance, SelectionMask]] = []
-            for i in batch_idx:
-                instance = data.train[i]
-                probs = generator_probs(model, instance)
-                for _ in range(config.mc_samples_per_instance):
-                    mask = sample_mask(probs, instance.availability, rng_sample)
-                    batch.append((instance, mask))
-            lp, lc, acc_p, acc_c = predictor_step(model, batch, state_p, state_c)
-            if not (np.isfinite(lp) and np.isfinite(lc)):
+        totals = np.zeros(5)
+        n_steps = 0
+        for batch_idx in batches(rng_shuffle.permutation(len(data.train)).tolist(), config.batch_size):
+            stats = step([data.train[i] for i in batch_idx])
+            if not np.isfinite(stats[:2]).all():
                 raise NumericError(f"non-finite predictor loss at epoch {epoch}")
-            baseline, mean_reward = generator_step(
-                model, batch, acc_p, acc_c, baseline, state_g, config.baseline_momentum
-            )
-            sum_lp += lp
-            sum_lc += lc
-            sum_reward += mean_reward
-            sum_selected += sum(mask.n_selected for _, mask in batch)
+            totals += stats
             n_steps += 1
-            n_samples += len(batch)
         quality = _dev_quality(model, data.dev, config.dev_group_by)
-        log.append(
-            EpochStats(
-                epoch=epoch,
-                loss_p=sum_lp / n_steps,
-                loss_c=sum_lc / n_steps,
-                mean_reward=sum_reward / n_steps,
-                mean_selected=sum_selected / n_samples,
-                dev_map=quality[0],
-            )
-        )
+        loss_p, loss_c, mean_reward = (totals[:3] / n_steps).tolist()
+        log.append(EpochStats(epoch, loss_p, loss_c, mean_reward, float(totals[3] / totals[4]), quality[0]))
         if quality > best_quality:
             best = clone_model(model)
             best_quality = quality
             best_epoch = epoch
     return TrainResult(model=best, log=log, best_epoch=best_epoch, best_dev_map=best_quality[0])
+
+
+def train_task(
+    data: EncodedTask, config: TrainConfig, d: int, predictor_arch: str = ARCH_MLP, lambda_s: float = 1.0
+) -> TrainResult:
+    """Full three-player training; returns the best-dev-MAP checkpoint."""
+    model = build_model(data.size, d, lambda_s, predictor_arch, config.seed, MODE_GAME)
+    return _fit(data, config, model, _game_step(model, config), stream_rng(config.seed, STREAM_SHUFFLE))
 
 
 def train_predictor_only(data: EncodedTask, config: TrainConfig) -> TrainResult:
     """All-chains mode: supervised predictor on full availability, no game."""
-    _check_trainable(data.train)
     model = build_model(data.size, 1, 0.0, ARCH_MLP, config.seed, MODE_ALL_CHAINS)
-    state_p = AdamState.for_params(model.predictor, config.lr)
-    rng_shuffle = stream_rng(config.seed, STREAM_SHUFFLE)
-
-    best = clone_model(model)
-    best_quality = _dev_quality(model, data.dev, config.dev_group_by)
-    best_epoch = 0
-    log: list[EpochStats] = []
-
-    for epoch in range(1, config.epochs + 1):
-        order = rng_shuffle.permutation(len(data.train))
-        sum_lp = 0.0
-        sum_avail = 0.0
-        n_steps = 0
-        for batch_idx in batches(order.tolist(), config.batch_size):
-            grads = zero_grads(model.predictor)
-            loss_sum = 0.0
-            for i in batch_idx:
-                instance = data.train[i]
-                logits, cache = forward(model.predictor, instance.availability)
-                loss, dlogits = cross_entropy(logits, instance.label)
-                loss_sum += loss
-                sum_avail += instance.n_available
-                add_grads(grads, backward(model.predictor, cache, dlogits))
-            scale_grads(grads, 1.0 / len(batch_idx))
-            adam_step(model.predictor, grads, state_p)
-            lp = loss_sum / len(batch_idx)
-            if not np.isfinite(lp):
-                raise NumericError(f"non-finite predictor loss at epoch {epoch}")
-            sum_lp += lp
-            n_steps += 1
-        quality = _dev_quality(model, data.dev, config.dev_group_by)
-        log.append(
-            EpochStats(
-                epoch=epoch,
-                loss_p=sum_lp / n_steps,
-                loss_c=0.0,
-                mean_reward=0.0,
-                mean_selected=sum_avail / len(data.train),
-                dev_map=quality[0],
-            )
-        )
-        if quality > best_quality:
-            best = clone_model(model)
-            best_quality = quality
-            best_epoch = epoch
-    return TrainResult(model=best, log=log, best_epoch=best_epoch, best_dev_map=best_quality[0])
+    step = _predictor_only_step(model, config)
+    return _fit(data, config, model, step, stream_rng(config.seed, STREAM_SHUFFLE))
 
 
 def train_fixed_generator(
-    data: EncodedTask,
-    config: TrainConfig,
-    generator: DenseParams,
-    d: int,
-    predictor_arch: str = ARCH_MLP,
+    data: EncodedTask, config: TrainConfig, generator: DenseParams, d: int, predictor_arch: str = ARCH_MLP
 ) -> TrainResult:
     """Train a fresh predictor on deterministic top-d selections from a frozen generator."""
-    _check_trainable(data.train)
-    rng = stream_rng(config.seed, STREAM_INIT, 2)
-    model = GameModel(
-        input_dim=data.size,
-        d=d,
-        lambda_s=0.0,
-        predictor_arch=predictor_arch,
-        mode=MODE_GAME,
-        predictor=init_dense(_predictor_dims(predictor_arch, data.size), rng),
-        generator=clone_params(generator),
-        complement=None,
-    )
-    state_p = AdamState.for_params(model.predictor, config.lr)
-    rng_shuffle = stream_rng(config.seed, STREAM_SHUFFLE, 2)
-
-    selections = [
-        select_top_d(generator_probs(model, inst), inst.availability, d).selected
-        for inst in data.train
-    ]
-
-    best = clone_model(model)
-    best_quality = _dev_quality(model, data.dev, config.dev_group_by)
-    best_epoch = 0
-    log: list[EpochStats] = []
-
-    for epoch in range(1, config.epochs + 1):
-        order = rng_shuffle.permutation(len(data.train))
-        sum_lp = 0.0
-        sum_sel = 0.0
-        n_steps = 0
-        for batch_idx in batches(order.tolist(), config.batch_size):
-            grads = zero_grads(model.predictor)
-            loss_sum = 0.0
-            for i in batch_idx:
-                instance = data.train[i]
-                logits, cache = forward(model.predictor, selections[i])
-                loss, dlogits = cross_entropy(logits, instance.label)
-                loss_sum += loss
-                sum_sel += float(selections[i].sum())
-                add_grads(grads, backward(model.predictor, cache, dlogits))
-            scale_grads(grads, 1.0 / len(batch_idx))
-            adam_step(model.predictor, grads, state_p)
-            lp = loss_sum / len(batch_idx)
-            if not np.isfinite(lp):
-                raise NumericError(f"non-finite predictor loss at epoch {epoch}")
-            sum_lp += lp
-            n_steps += 1
-        quality = _dev_quality(model, data.dev, config.dev_group_by)
-        log.append(
-            EpochStats(
-                epoch=epoch,
-                loss_p=sum_lp / n_steps,
-                loss_c=0.0,
-                mean_reward=0.0,
-                mean_selected=sum_sel / len(data.train),
-                dev_map=quality[0],
-            )
-        )
-        if quality > best_quality:
-            best = clone_model(model)
-            best_quality = quality
-            best_epoch = epoch
-    return TrainResult(model=best, log=log, best_epoch=best_epoch, best_dev_map=best_quality[0])
+    predictor = init_dense(_predictor_dims(predictor_arch, data.size), stream_rng(config.seed, STREAM_INIT, 2))
+    model = GameModel(data.size, d, 0.0, predictor_arch, MODE_GAME, predictor, clone_params(generator))
+    step = _predictor_only_step(model, config)
+    return _fit(data, config, model, step, stream_rng(config.seed, STREAM_SHUFFLE, 2))

@@ -56,33 +56,42 @@ def count_params(params: DenseParams) -> int:
 
 
 def forward(params: DenseParams, x: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Return (logits, cache); the cache holds per-layer inputs and pre-activations."""
-    if x.shape != (params.input_dim,):
+    """Return (logits, cache) for a batch ``x`` of shape (B, D).
+
+    A 1-D ``x`` is a batch of one and gives 1-D logits. The cache holds the
+    per-layer (B, fan_in) inputs and (B, fan_out) pre-activations.
+    """
+    if x.ndim not in (1, 2) or x.shape[-1] != params.input_dim:
         raise ValueError(f"input shape {x.shape} does not match input dim {params.input_dim}")
     cache = []
-    current = x
+    current = np.atleast_2d(x)
     last = len(params.layers) - 1
     for i, (weight, bias) in enumerate(params.layers):
-        z = weight @ current + bias
+        z = current @ weight.T + bias
         cache.append((current, z))
         current = z if i == last else np.maximum(z, 0.0)
-    return current, cache
+    return (current[0] if x.ndim == 1 else current), cache
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
+    """Softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Stabilized -log softmax(logits)[label] and its gradient wrt the logits."""
-    shifted = logits - logits.max()
-    log_norm = np.log(np.exp(shifted).sum())
-    loss = float(log_norm - shifted[label])
-    dlogits = np.exp(shifted - log_norm)
-    dlogits[label] -= 1.0
-    return loss, dlogits
+def cross_entropy(logits: np.ndarray, label: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Stabilized -log softmax(logits)[label] and its gradient wrt the logits.
+
+    One row of logits with an int label gives a float loss; a batch (B, C)
+    with labels (B,) gives the per-row losses.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    label = np.asarray(label)[..., None]
+    loss = -np.take_along_axis(log_probs, label, axis=-1)[..., 0]
+    dlogits = np.exp(log_probs) - (np.arange(logits.shape[-1]) == label)
+    return (float(loss) if logits.ndim == 1 else loss), dlogits
 
 
 def backward(
@@ -90,36 +99,27 @@ def backward(
     cache: list[tuple[np.ndarray, np.ndarray]],
     dlogits: np.ndarray,
 ) -> list[list[np.ndarray]]:
-    """Exact gradients for every weight and bias; ReLU subgradient at 0 is 0."""
-    if dlogits.shape != (params.output_dim,):
-        raise ValueError("dlogits shape does not match the output dimension")
+    """Exact gradients for every weight and bias, summed over the batch.
+
+    ``dlogits`` is (B, out), or 1-D for a batch of one. ReLU subgradient at 0
+    is 0.
+    """
+    dz = np.atleast_2d(dlogits)
+    if dz.shape != (len(cache[0][0]), params.output_dim):
+        raise ValueError("dlogits shape does not match the batch and output dimension")
     grads: list[list[np.ndarray]] = [[] for _ in params.layers]
-    dz = dlogits
     for i in range(len(params.layers) - 1, -1, -1):
         x, _ = cache[i]
         weight, _ = params.layers[i]
-        grads[i] = [np.outer(dz, x), dz.copy()]
+        grads[i] = [dz.T @ x, dz.sum(axis=0)]
         if i > 0:
-            dx = weight.T @ dz
             _, z_prev = cache[i - 1]
-            dz = dx * (z_prev > 0.0)
+            dz = (dz @ weight) * (z_prev > 0.0)
     return grads
 
 
 def zero_grads(params: DenseParams) -> list[list[np.ndarray]]:
     return [[np.zeros_like(w), np.zeros_like(b)] for w, b in params.layers]
-
-
-def add_grads(total: list[list[np.ndarray]], grads: list[list[np.ndarray]], scale: float = 1.0) -> None:
-    for acc, grad in zip(total, grads):
-        acc[0] += scale * grad[0]
-        acc[1] += scale * grad[1]
-
-
-def scale_grads(grads: list[list[np.ndarray]], scale: float) -> None:
-    for grad in grads:
-        grad[0] *= scale
-        grad[1] *= scale
 
 
 @dataclass

@@ -313,3 +313,39 @@ def test_parameter_count_anchors():
     elapsed = time.time() - start
     assert elapsed < 1.0
     report("parameter-count-anchors", f"(mlp {mlp}, linear {linear})")
+
+
+# -- criterion: pipeline determinism ------------------------------------------
+
+
+def test_pipeline_determinism(tmp_path):
+    start = time.time()
+    bench = tmp_path / "bench"
+    assert cli_main([
+        "benchmark", "--kind", "conjunction", "--out", str(bench), "--seed", "7",
+        "--train-groups", "20", "--test-groups", "10",
+    ]) == 0
+
+    def pipeline(art):
+        assert cli_main([
+            "extract", "--graph", str(bench / "graph.tsv"), "--tasks", str(bench / "tasks"),
+            "--relation", "target", "--out", str(art), "--max-hops", "2", "--seed", "7",
+        ]) == 0
+        for mode in ("game_mlp", "d_all"):
+            assert cli_main([
+                "train", "--artifacts", str(art), "--relation", "target", "--mode", mode,
+                "--d", "2", "--epochs", "20", "--lr", "0.01", "--seed", "7",
+            ]) == 0
+        assert cli_main([
+            "eval", "--artifacts", str(art), "--relation", "target", "--mode", "game_mlp",
+            "--mode", "d_all", "--d", "2", "--out", str(art / "report.tsv"),
+        ]) == 0
+        return {p.relative_to(art): p.read_bytes() for p in sorted(art.rglob("*")) if p.is_file()}
+
+    first = pipeline(tmp_path / "run1")
+    second = pipeline(tmp_path / "run2")
+    assert len(first) == 11  # stats, report, vocab, meta, 3 caches, 2 checkpoints, 2 logs
+    assert first == second
+    elapsed = time.time() - start
+    assert elapsed < 60.0
+    report("pipeline-determinism", f"({len(first)} artifacts byte-identical, {elapsed:.1f}s)")

@@ -1,0 +1,348 @@
+"""Batched game against a per-instance reference of the one-row-at-a-time path.
+
+The reference below trains and scores one instance at a time through 1-D
+``neural.forward``/``backward`` calls, as the game did before it ran on
+(rows, D) matrices. Batching only changes the float summation order, so
+parameters agree to 1e-9 after an epoch and the printed epoch stats agree
+exactly.
+"""
+
+import numpy as np
+import pytest
+
+from kgchains import game
+from kgchains.benchmark import BenchmarkSpec, make_benchmark
+from kgchains.chains import EncodedTask, Instance, build_vocabulary, encode_task, mask_from_selected
+from kgchains.errors import DataError, NumericError
+from kgchains.evaluate import evaluate_task
+from kgchains.metrics import group_results, map_score
+from kgchains.neural import (
+    AdamState,
+    adam_step,
+    backward,
+    clone_params,
+    cross_entropy,
+    forward,
+    init_dense,
+    linear_dims,
+    mlp_dims,
+    softmax,
+)
+from kgchains.util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, batches, stream_rng
+
+# -- per-instance reference ---------------------------------------------------
+
+
+def ref_generator(model, avail):
+    out, cache = forward(model.generator, avail)
+    rows = out.reshape(model.input_dim, 2)
+    exp = np.exp(rows - rows.max(axis=1, keepdims=True))
+    row_softmax = exp / exp.sum(axis=1, keepdims=True)
+    return np.where(avail > 0, row_softmax[:, 1], 0.0), row_softmax, cache
+
+
+def ref_top_d(probs, avail, d):
+    avail_idx = np.flatnonzero(avail > 0)
+    selected = np.zeros_like(avail)
+    order = np.argsort(-probs[avail_idx], kind="stable")
+    selected[avail_idx[order[:d]]] = 1.0
+    return selected * avail
+
+
+def ref_inputs(model, avail, d):
+    if model.generator is None:
+        return avail
+    return ref_top_d(ref_generator(model, avail)[0], avail, d)
+
+
+def ref_logits(model, inst, d=None):
+    return forward(model.predictor, ref_inputs(model, inst.availability, model.d if d is None else d))[0]
+
+
+def ref_predict(model, inst, d=None):
+    return float(softmax(ref_logits(model, inst, d))[1])
+
+
+def ref_quality(model, instances, group_by="global"):
+    scores = [ref_predict(model, inst) for inst in instances]
+    groups = group_results([i.head for i in instances], scores, [i.label for i in instances], group_by)
+    loss = sum(cross_entropy(ref_logits(model, inst), inst.label)[0] for inst in instances)
+    return map_score(groups), -loss / len(instances)
+
+
+def ref_sum_grads(params, rows, scale):
+    """Sum of per-row gradients ``scale * dlogits`` over (x, dlogits) rows."""
+    total = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params.layers]
+    for x, dlogits in rows:
+        _, cache = forward(params, x)
+        for acc, grad in zip(total, backward(params, cache, dlogits)):
+            acc[0] += scale * grad[0]
+            acc[1] += scale * grad[1]
+    return total
+
+
+def ref_predictor_step(params, state, rows):
+    """rows: (input, label); returns (mean loss, accuracy bits) before the update."""
+    losses, accs, grads_in = [], [], []
+    for x, label in rows:
+        logits, _ = forward(params, x)
+        loss, dlogits = cross_entropy(logits, label)
+        losses.append(loss)
+        accs.append(int(int(np.argmax(logits)) == label))
+        grads_in.append((x, dlogits))
+    total = ref_sum_grads(params, grads_in, 1.0)
+    for layer in total:
+        layer[0] *= 1.0 / len(rows)
+        layer[1] *= 1.0 / len(rows)
+    adam_step(params, total, state)
+    return sum(losses) / len(rows), accs
+
+
+def ref_epoch(model, data, config, kind):
+    """One epoch of a mode, one instance at a time; returns the log line and dev quality."""
+    if kind == "fixed":
+        rng_shuffle = stream_rng(config.seed, STREAM_SHUFFLE, 2)
+    else:
+        rng_shuffle = stream_rng(config.seed, STREAM_SHUFFLE)
+    rng_sample = stream_rng(config.seed, STREAM_SAMPLE)
+    states = {
+        name: AdamState.for_params(net, config.lr)
+        for name, net in (("p", model.predictor), ("c", model.complement), ("g", model.generator))
+        if net is not None
+    }
+    baseline = 0.0
+    sums = np.zeros(4)
+    steps = samples = 0
+    for idx in batches(rng_shuffle.permutation(len(data.train)).tolist(), config.batch_size):
+        batch = [data.train[i] for i in idx]
+        if kind != "game":
+            rows = [(ref_inputs(model, inst.availability, model.d), inst.label) for inst in batch]
+            lp, _ = ref_predictor_step(model.predictor, states["p"], rows)
+            sums += [lp, 0.0, 0.0, sum(x.sum() for x, _ in rows)]
+            steps += 1
+            samples += len(batch)
+            continue
+        masked = []
+        for inst in batch:
+            probs, _, _ = ref_generator(model, inst.availability)
+            for _ in range(config.mc_samples_per_instance):
+                draws = rng_sample.random(len(probs))
+                sel = ((draws < probs) & (inst.availability > 0)).astype(float)
+                masked.append((inst, mask_from_selected(inst.availability, sel)))
+        lp, acc_p = ref_predictor_step(
+            model.predictor, states["p"], [(m.selected, inst.label) for inst, m in masked]
+        )
+        lc, acc_c = ref_predictor_step(
+            model.complement, states["c"], [(m.complement, inst.label) for inst, m in masked]
+        )
+        rewards, grad_rows = [], []
+        for (inst, mask), ap, ac in zip(masked, acc_p, acc_c):
+            n_avail = mask.n_available
+            sparsity = 0.0 if n_avail == 0 else max((mask.n_selected - model.d) / n_avail, 0.0)
+            reward = ap - ac - model.lambda_s * sparsity
+            rewards.append(reward)
+            _, row_softmax, _ = ref_generator(model, inst.availability)
+            dout = np.zeros((model.input_dim, 2))
+            for j in np.flatnonzero(inst.availability > 0):
+                dout[j] = row_softmax[j]
+                dout[j, 1 if mask.selected[j] > 0 else 0] -= 1.0
+            grad_rows.append((inst.availability, (reward - baseline) * dout.reshape(-1)))
+        total = ref_sum_grads(model.generator, grad_rows, 1.0 / len(masked))
+        adam_step(model.generator, total, states["g"])
+        mean_reward = float(np.mean(rewards))
+        baseline = config.baseline_momentum * baseline + (1 - config.baseline_momentum) * mean_reward
+        sums += [lp, lc, mean_reward, sum(m.n_selected for _, m in masked)]
+        steps += 1
+        samples += len(masked)
+    dev = ref_quality(model, data.dev)
+    stats = game.EpochStats(1, *(sums[:3] / steps), sums[3] / samples, dev[0])
+    return stats.as_line(), dev
+
+
+# -- fixtures -------------------------------------------------------------------
+
+
+def planted(seed=0, n=160, d_input=8):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        label = int(rng.random() < 0.5)
+        avail = (rng.random(d_input) < 0.4).astype(float)
+        avail[0] = float(label)
+        out.append(Instance(head=i // 4, tail=i, label=label, availability=avail))
+    return EncodedTask("planted", d_input, out[: n // 2], out[n // 2 : 3 * n // 4], out[3 * n // 4 :])
+
+
+def conjunction_task():
+    kg, task = make_benchmark(BenchmarkSpec(rule="conjunction", seed=7, train_groups=30, test_groups=20))
+    positives = [(kg.entity_id(p.head), kg.entity_id(p.tail)) for p in task.train if p.label == 1]
+    return encode_task(build_vocabulary(kg, positives, task.target, max_hops=2), kg, task)
+
+
+def params_close(a, b, tol):
+    for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
+        assert np.abs(wa - wb).max() <= tol
+        assert np.abs(ba - bb).max() <= tol
+
+
+# -- (a) batched backward ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [23, 365])
+@pytest.mark.parametrize("arch", [mlp_dims, linear_dims])
+@pytest.mark.parametrize("rows", [1, 7, 20])
+def test_batched_backward_is_sum_of_per_row_backward(dim, arch, rows):
+    rng = np.random.default_rng(dim + rows)
+    params = init_dense(arch(dim), rng)
+    x = rng.normal(size=(rows, dim))
+    dlogits = rng.normal(size=(rows, 2))
+    logits, cache = forward(params, x)
+    batched = backward(params, cache, dlogits)
+    per_row = ref_sum_grads(params, zip(x, dlogits), 1.0)
+    for i, row in enumerate(x):
+        assert np.abs(forward(params, row)[0] - logits[i]).max() <= 1e-12 * np.abs(logits).max()
+    for (bw, bb), (rw, rb) in zip(batched, per_row):
+        for got, want in ((bw, rw), (bb, rb)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# -- (b) one epoch of each mode ------------------------------------------------------
+
+
+@pytest.mark.parametrize("mc_samples", [1, 2])
+def test_game_epoch_matches_per_instance_reference(mc_samples):
+    data = planted()
+    config = game.TrainConfig(epochs=1, seed=4, lr=0.01, mc_samples_per_instance=mc_samples)
+    result = game.train_task(data, config, d=2)
+    ref = game.build_model(data.size, 2, 1.0, "mlp", config.seed)
+    line, dev = ref_epoch(ref, data, config, "game")
+    assert [s.as_line() for s in result.log] == [line]
+    assert result.best_epoch == 1
+    assert result.best_dev_map == pytest.approx(dev[0], abs=1e-12)
+    for name in ("generator", "predictor", "complement"):
+        params_close(getattr(result.model, name), getattr(ref, name), 1e-9)
+
+
+def test_predictor_only_epoch_matches_per_instance_reference():
+    data = planted(1)
+    config = game.TrainConfig(epochs=1, seed=3, lr=0.01)
+    result = game.train_predictor_only(data, config)
+    ref = game.build_model(data.size, 1, 0.0, "mlp", config.seed, game.MODE_ALL_CHAINS)
+    line, _ = ref_epoch(ref, data, config, "d_all")
+    assert [s.as_line() for s in result.log] == [line]
+    assert result.best_epoch == 1
+    params_close(result.model.predictor, ref.predictor, 1e-9)
+
+
+def test_fixed_generator_epoch_matches_per_instance_reference():
+    data = planted(2)
+    config = game.TrainConfig(epochs=1, seed=4, lr=0.01)
+    generator = game.build_model(data.size, 2, 1.0, "mlp", seed=11).generator
+    result = game.train_fixed_generator(data, config, generator, d=2)
+    ref = game.GameModel(
+        input_dim=data.size, d=2, lambda_s=0.0, predictor_arch="mlp", mode=game.MODE_GAME,
+        predictor=init_dense(mlp_dims(data.size), stream_rng(config.seed, STREAM_INIT, 2)),
+        generator=clone_params(generator),
+    )
+    line, _ = ref_epoch(ref, data, config, "fixed")
+    assert [s.as_line() for s in result.log] == [line]
+    assert result.best_epoch == 1
+    params_close(result.model.predictor, ref.predictor, 1e-9)
+
+
+def test_batched_draws_are_the_per_row_draws():
+    probs = np.random.default_rng(0).random((5, 7))
+    avail = np.ones((5, 7))
+    batched = game.sample_mask(probs, avail, stream_rng(1, STREAM_SAMPLE))
+    rng = stream_rng(1, STREAM_SAMPLE)
+    per_row = [game.sample_mask(p, a, rng).selected for p, a in zip(probs, avail)]
+    assert np.array_equal(batched.selected, np.stack(per_row))
+
+
+def test_batched_top_d_matches_per_row():
+    rng = np.random.default_rng(3)
+    probs = np.round(rng.random((50, 12)), 1)  # plenty of ties
+    avail = (rng.random((50, 12)) < 0.5).astype(float)
+    for d in (1, 3, 20):
+        batched = game.select_top_d(probs, avail, d).selected
+        assert np.array_equal(batched, np.stack([ref_top_d(p, a, d) for p, a in zip(probs, avail)]))
+
+
+# -- (c) the chunked scorer ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [game.MODE_GAME, game.MODE_ALL_CHAINS])
+def test_scorer_shares_scores_between_equal_inputs(mode):
+    # at this width BLAS rounds most rows differently at other batch positions
+    width = 204
+    rng = np.random.default_rng(8)
+    model = game.build_model(width, 2, 1.0, "mlp", seed=8, mode=mode)
+    pool = []
+    for i in range(300):
+        avail = np.zeros(width)
+        if i % 2:  # chains 0 and 1 plus one more: often the same top-2 selection
+            avail[[0, 1, rng.integers(2, width)]] = 1.0
+        else:
+            avail[rng.random(width) < 0.05] = 1.0
+        pool.append(avail)
+    # copies of the pool rows, scattered over chunks and positions
+    instances = [
+        Instance(head=0, tail=i, label=i % 2, availability=pool[j].copy())
+        for i, j in enumerate(rng.integers(len(pool), size=3 * game.SCORE_CHUNK + 17))
+    ]
+    scores = game.score_instances(model, instances)
+    by_row, by_input = {}, {}
+    for inst, score in zip(instances, scores):
+        assert score == pytest.approx(ref_predict(model, inst), abs=1e-12)
+        by_row.setdefault(inst.availability.tobytes(), set()).add(float(score))
+        selected = ref_inputs(model, inst.availability, model.d)
+        by_input.setdefault(selected.tobytes(), set()).add(float(score))
+    assert all(len(s) == 1 for s in by_row.values())
+    assert all(len(s) == 1 for s in by_input.values())
+    if mode == game.MODE_GAME:
+        assert len(by_input) < len(by_row)  # distinct rows sharing a top-d selection
+    assert game.predict(model, instances[0]) == pytest.approx(scores[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["game_mlp", "d_all"])
+def test_evaluate_map_equals_per_row_map(mode):
+    data = conjunction_task()
+    config = game.TrainConfig(epochs=5, seed=7, lr=0.01)
+    if mode == "d_all":
+        model = game.train_predictor_only(data, config).model
+    else:
+        model = game.train_task(data, config, d=2).model
+    scores = [ref_predict(model, inst) for inst in data.test]
+    groups = group_results([i.head for i in data.test], scores, [i.label for i in data.test])
+    assert evaluate_task(model, data.test).map == map_score(groups)
+
+
+# -- guards ---------------------------------------------------------------------------
+
+
+def test_empty_dev_split_is_an_error():
+    data = planted()
+    no_dev = EncodedTask("planted", data.size, data.train, [], data.test)
+    config = game.TrainConfig(epochs=1, seed=0)
+    for train in (
+        lambda: game.train_task(no_dev, config, d=1),
+        lambda: game.train_predictor_only(no_dev, config),
+        lambda: game.train_fixed_generator(no_dev, config, game.build_model(8, 1, 1.0).generator, 1),
+    ):
+        with pytest.raises(DataError, match="empty dev split"):
+            train()
+
+
+def test_non_finite_generator_gradient_raises(monkeypatch):
+    build = game.build_model
+
+    def poisoned(*args, **kwargs):
+        model = build(*args, **kwargs)
+        model.generator.layers[0][0][0, 0] = np.inf
+        return model
+
+    monkeypatch.setattr(game, "build_model", poisoned)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="generator"):
+            game.train_task(planted(), game.TrainConfig(epochs=1, seed=0), d=1)

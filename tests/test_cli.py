@@ -135,3 +135,35 @@ def test_rerun_extract_is_byte_identical(tmp_path):
         a = (outs[0] / "target" / rel_file).read_bytes()
         b = (outs[1] / "target" / rel_file).read_bytes()
         assert a == b, rel_file
+
+
+@pytest.mark.parametrize("ratio", ["1.0", "0", "1.5"])
+def test_split_ratio_leaving_dev_empty_is_a_data_error(tmp_path, capsys, ratio):
+    bench = tmp_path / "bench"
+    run(["benchmark", "--kind", "single", "--out", str(bench), "--train-groups", "4", "--test-groups", "2"])
+    code = run([
+        "extract", "--graph", str(bench / "graph.tsv"), "--tasks", str(bench / "tasks"),
+        "--relation", "target", "--out", str(tmp_path / "a"), "--split-ratio", ratio,
+    ])
+    assert code == 2
+    assert "--split-ratio" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def test_adapt_deeppath_missing_inputs_exit_code(tmp_path, capsys):
+    kb = tmp_path / "kb.txt"
+    task_dir = tmp_path / "task"
+    task_dir.mkdir()
+    args = ["adapt-deeppath", "--kb", str(kb), "--task-dir", str(task_dir),
+            "--relation", "r", "--out", str(tmp_path / "out")]
+    assert run(args) == 2
+    assert "kb.txt" in capsys.readouterr().err
+    kb.write_text("a\tr\tb\n")
+    assert run(args) == 2
+    assert "train.pairs" in capsys.readouterr().err
+    (task_dir / "train.pairs").write_text("thing$a,thing$b: +\n")
+    assert run(args) == 2
+    assert "test.pairs" in capsys.readouterr().err
+    (task_dir / "test.pairs").write_text("thing$a,thing$b: -\n")
+    assert run(args) == 0
+    assert (tmp_path / "out" / "tasks" / "r" / "test.pairs").read_text() == "a\tb\t0\n"

@@ -240,14 +240,13 @@ def test_first_batch_loss_is_ln2_with_zero_predictors():
     from kgchains.game import predictor_step
     from kgchains.neural import AdamState
 
-    batch = []
+    batch = data.train[:20]
+    avail = np.stack([inst.availability for inst in batch])
+    labels = np.array([inst.label for inst in batch])
     rng = stream_rng(0, STREAM_SAMPLE)
-    for inst in data.train[:20]:
-        probs = generator_probs(model, inst)
-        batch.append((inst, sample_mask(probs, inst.availability, rng)))
-    lp, lc, acc_p, acc_c = predictor_step(
-        model, batch, AdamState.for_params(model.predictor), AdamState.for_params(model.complement)
-    )
+    mask = sample_mask(np.stack([generator_probs(model, inst) for inst in batch]), avail, rng)
+    lp, _ = predictor_step(model.predictor, AdamState.for_params(model.predictor), mask.selected, labels)
+    lc, _ = predictor_step(model.complement, AdamState.for_params(model.complement), mask.complement, labels)
     assert lp == pytest.approx(np.log(2), abs=1e-12)
     assert lc == pytest.approx(np.log(2), abs=1e-12)
 
