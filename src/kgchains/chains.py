@@ -15,7 +15,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .graph import KnowledgeGraph, TaskDataset
+from .graph import KnowledgeGraph, LabeledPair, TaskDataset
+
+
+MANY = -1  # predecessor of a label prefix that no backtrack ban applies to
 
 
 @dataclass(frozen=True, order=True)
@@ -31,66 +34,65 @@ class RelationChain:
         return "->".join(graph.relation_name(r) for r in self.relations)
 
 
-def enumerate_paths(
-    graph: KnowledgeGraph,
-    head: int,
-    tail: int,
-    max_hops: int,
-    exclude: int | None = None,
-    simple_paths: bool = False,
-) -> set[RelationChain]:
-    """Distinct relation-label sequences of entity paths head -> tail, length <= max_hops.
+def chains_by_pair(
+    graph: KnowledgeGraph, pairs: Iterable[tuple[int, int]], max_hops: int, exclude: int | None = None
+) -> dict[tuple[int, int], set[RelationChain]]:
+    """Per pair, the distinct label sequences of entity walks head -> tail, length <= max_hops.
 
-    Walks may revisit entities except for the immediate backtrack (taking an
-    edge and then its inverse straight back); set ``simple_paths`` to forbid
-    revisiting any entity. A length-1 path labeled ``exclude`` or its inverse
-    between exactly this pair is omitted (leakage guard for the target
-    relation). Two entity paths with the same label sequence yield one chain.
+    Walks may revisit entities except for the immediate backtrack (an edge
+    and then its inverse straight back: Hashimoto's non-backtracking walk).
+    A length-1 walk labeled ``exclude`` or its inverse is omitted (leakage
+    guard for the target relation).
 
-    The search is depth-first, pruned by the exact hop distance to the tail,
-    so only prefixes that can still complete are expanded.
+    Each head grows one frontier: layer ``d`` maps every entity reached in
+    ``d`` hops to its label prefixes, each with the entity it was entered
+    from, or ``MANY`` if from several (then no next step is banned for every
+    walk, so the collapse is exact). The last layer keeps only in-neighbours
+    of the head's tails, and each tail joins every layer over its in-edges.
     """
-    graph.check_entity(head)
-    graph.check_entity(tail)
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
+    tails_of: dict[int, set[int]] = {}
+    for head, tail in pairs:
+        graph.check_entity(head)
+        graph.check_entity(tail)
+        tails_of.setdefault(head, set()).add(tail)
+    inverse = [graph.inverse_relation_id(r) for r in range(graph.n_relations)]
+    excluded = {exclude, graph.inverse_relation_id(exclude)} if exclude is not None else set()
+    found: dict[tuple[int, int], set[tuple[int, ...]]] = {}
+    for head, tails in tails_of.items():
+        near = {node for tail in tails for _, node in graph.incoming(tail)}
+        layers = [{head: {(): MANY}}]
+        for depth in range(1, max_hops):
+            layer: dict[int, dict[tuple[int, ...], int]] = {}
+            for node, prefixes in layers[-1].items():
+                for rel, nxt in graph.neighbors(node):
+                    if depth == max_hops - 1 and nxt not in near:
+                        continue
+                    slot = layer.setdefault(nxt, {})
+                    for prefix, pred in prefixes.items():
+                        if nxt != pred or rel != inverse[prefix[-1]]:
+                            seq = prefix + (rel,)
+                            seen = slot.get(seq)
+                            slot[seq] = node if seen is None or seen == node else MANY
+            layers.append(layer)
+        for tail in tails:
+            seqs = found[(head, tail)] = set()
+            for depth, layer in enumerate(layers):
+                for rel, node in graph.incoming(tail):
+                    if node in layer and (depth > 0 or rel not in excluded):
+                        for prefix, pred in layer[node].items():
+                            if tail != pred or rel != inverse[prefix[-1]]:
+                                seqs.add(prefix + (rel,))
+    chain_of = {seq: RelationChain(seq) for seq in set().union(*found.values())}
+    return {pair: {chain_of[seq] for seq in seqs} for pair, seqs in found.items()}
 
-    excluded: set[int] = set()
-    if exclude is not None:
-        excluded.add(exclude)
-        inv = graph.inverse_relation_id(exclude)
-        if inv >= 0:
-            excluded.add(inv)
 
-    dist = graph.distance_to(tail, max_hops)
-    found: set[tuple[int, ...]] = set()
-    labels: list[int] = []
-    visited = {head}
-
-    def walk(node: int, prev_node: int, banned_rel: int, depth: int) -> None:
-        hops_left = max_hops - depth - 1
-        for rel, nxt in graph.neighbors(node):
-            if nxt == prev_node and rel == banned_rel:
-                continue
-            if simple_paths and nxt in visited and nxt != tail:
-                continue
-            if nxt != tail and dist[nxt] > hops_left:
-                continue
-            labels.append(rel)
-            if nxt == tail:
-                if depth > 0 or rel not in excluded:
-                    found.add(tuple(labels))
-            descend = hops_left > 0 and not (simple_paths and nxt == tail)
-            if descend:
-                if simple_paths:
-                    visited.add(nxt)
-                walk(nxt, node, graph.inverse_relation_id(rel), depth + 1)
-                if simple_paths:
-                    visited.discard(nxt)
-            labels.pop()
-
-    walk(head, -1, -1, 0)
-    return {RelationChain(seq) for seq in found}
+def enumerate_paths(
+    graph: KnowledgeGraph, head: int, tail: int, max_hops: int, exclude: int | None = None
+) -> set[RelationChain]:
+    """The chains of one pair; see ``chains_by_pair``."""
+    return chains_by_pair(graph, [(head, tail)], max_hops, exclude)[(head, tail)]
 
 
 @dataclass
@@ -116,6 +118,12 @@ class ChainVocabulary:
     def size(self) -> int:
         return len(self.chains)
 
+    def availability(self, found: Iterable[RelationChain]) -> np.ndarray:
+        """0/1 vector over the vocabulary: bit j is 1 iff chain j is in ``found``."""
+        bits = np.zeros(self.size, dtype=np.float64)
+        bits[[self.index[chain] for chain in found if chain in self.index]] = 1.0
+        return bits
+
 
 def build_vocabulary(
     graph: KnowledgeGraph,
@@ -124,7 +132,7 @@ def build_vocabulary(
     max_hops: int = 3,
     max_size: int = 10000,
 ) -> ChainVocabulary:
-    """Union of enumerate_paths over positive pairs, filtered to ``max_size``.
+    """Union of the chains of the positive pairs, filtered to ``max_size``.
 
     Support of a chain is the number of positive pairs realizing it. When
     the union exceeds ``max_size``, chains are kept in decreasing support
@@ -135,8 +143,9 @@ def build_vocabulary(
     support: dict[RelationChain, int] = {}
     first_seen: dict[RelationChain, int] = {}
     counter = 0
-    for head, tail in positives:
-        for chain in sorted(enumerate_paths(graph, head, tail, max_hops, exclude=target)):
+    found = chains_by_pair(graph, positives, max_hops, exclude=target)
+    for pair in positives:
+        for chain in sorted(found[pair]):
             if chain not in support:
                 support[chain] = 0
                 first_seen[chain] = counter
@@ -197,12 +206,8 @@ def encode_instance(
     label: int,
 ) -> Instance:
     """Availability bit j is 1 iff vocabulary chain j connects head to tail."""
-    availability = np.zeros(vocab.size, dtype=np.float64)
-    for chain in enumerate_paths(graph, head, tail, vocab.max_hops, exclude=vocab.target):
-        j = vocab.index.get(chain)
-        if j is not None:
-            availability[j] = 1.0
-    return Instance(head=head, tail=tail, label=label, availability=availability)
+    found = enumerate_paths(graph, head, tail, vocab.max_hops, exclude=vocab.target)
+    return Instance(head=head, tail=tail, label=label, availability=vocab.availability(found))
 
 
 def chain_statistics(
@@ -227,11 +232,15 @@ class EncodedTask:
 
 
 def encode_task(vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset) -> EncodedTask:
+    """Encode every split; one ``chains_by_pair`` call serves all three."""
+    def ids(p: LabeledPair) -> tuple[int, int]:
+        return graph.entity_id(p.head), graph.entity_id(p.tail)
+
+    everything = task.train + task.dev + task.test
+    found = chains_by_pair(graph, map(ids, everything), vocab.max_hops, exclude=vocab.target)
+
     def encode_split(pairs) -> list[Instance]:
-        return [
-            encode_instance(vocab, graph, graph.entity_id(p.head), graph.entity_id(p.tail), p.label)
-            for p in pairs
-        ]
+        return [Instance(*ids(p), p.label, vocab.availability(found[ids(p)])) for p in pairs]
 
     return EncodedTask(
         relation=task.relation,
@@ -307,7 +316,7 @@ def write_instances(path: str, instances: Sequence[Instance], graph: KnowledgeGr
 
     with open(path, "w", encoding="utf-8") as fh:
         for inst in instances:
-            bits = "".join("1" if b else "0" for b in inst.availability > 0)
+            bits = ((inst.availability > 0).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
             fh.write(f"{name(inst.head)}\t{name(inst.tail)}\t{inst.label}\t{bits}\n")
 
 
@@ -324,13 +333,15 @@ def read_instances(path: str, expected_size: int | None = None) -> list[Instance
             fields = line.split("\t")
             if len(fields) != 4 or fields[2] not in ("0", "1"):
                 raise DataError(f"{path}:{lineno}: malformed instance line")
-            if set(fields[3]) - {"0", "1"}:
+            # uint8 wraps below "0", so every character but "0"/"1" reads > 1
+            bits = np.frombuffer(fields[3].encode("ascii", "replace"), np.uint8) - ord("0")
+            if (bits > 1).any():
                 raise DataError(f"{path}:{lineno}: availability must be a 0/1 string")
             if expected_size is not None and len(fields[3]) != expected_size:
                 raise DataError(
                     f"{path}:{lineno}: availability length {len(fields[3])} != vocabulary size {expected_size}"
                 )
-            availability = np.array([float(c) for c in fields[3]], dtype=np.float64)
+            availability = bits.astype(np.float64)
             instances.append(
                 Instance(head=fields[0], tail=fields[1], label=int(fields[2]), availability=availability)
             )

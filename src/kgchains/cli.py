@@ -105,8 +105,12 @@ def _read_meta(path: str) -> dict:
 
 
 def _load_encoded_task(artifacts: str, relation: str) -> tuple[chains.EncodedTask, dict]:
-    meta = _read_meta(_meta_path(artifacts, relation))
-    size = int(meta["vocab_size"])
+    path = _meta_path(artifacts, relation)
+    meta = _read_meta(path)
+    try:
+        size = int(meta["vocab_size"])
+    except (KeyError, ValueError):
+        raise DataError(f"{path}: vocab_size is missing or not an integer") from None
     splits = {
         split: chains.read_instances(_instances_path(artifacts, relation, split), size)
         for split in ("train", "dev", "test")

@@ -161,11 +161,16 @@ class KnowledgeGraph:
         self.check_entity(eid)
         return self._adj[eid]
 
+    def incoming(self, eid: int) -> list[tuple[int, int]]:
+        """Incoming (relation-id, entity-id) pairs: ``m -r-> eid`` gives ``(r, m)``."""
+        self.check_entity(eid)
+        return self._radj[eid]
+
     def distance_to(self, target: int, cap: int) -> np.ndarray:
         """Shortest hop count from every entity to ``target``, capped by BFS depth.
 
         Runs backwards over incoming edges; entities further than ``cap``
-        (or unreachable) get UNREACHABLE. Used to prune path enumeration.
+        (or unreachable) get UNREACHABLE.
         """
         self.check_entity(target)
         dist = np.full(self.n_entities, UNREACHABLE, dtype=np.int64)
@@ -269,7 +274,7 @@ def split_train_dev(
 ) -> tuple[list[LabeledPair], list[LabeledPair]]:
     """Seeded shuffle then prefix split; train gets floor(ratio * n) pairs."""
     if not 0 < ratio <= 1:
-        raise ValueError("split ratio must be in (0, 1]")
+        raise DataError(f"split ratio {ratio} must be in (0, 1]")
     perm = rng.permutation(len(pairs))
     cut = int(math.floor(ratio * len(pairs)))
     train = [pairs[i] for i in perm[:cut]]

@@ -251,9 +251,21 @@ def test_path_enumeration_oracle():
         mine = chains.enumerate_paths(g, head, tail, max_hops, exclude=exclude)
         ref = _oracle_paths(g, head, tail, max_hops, exclude=exclude)
         assert mine == ref
+    # Hub-shaped graphs at k=3: both endpoints drawn with weight rank**-1,
+    # so heads and tails are often hubs with many walks between them.
+    weights = 1.0 / np.arange(1, 31)
+    weights /= weights.sum()
+    for trial in range(40):
+        ends = rng.choice(30, size=(80, 2), p=weights)
+        triples = [(f"e{h}", f"r{rng.integers(4)}", f"e{t}") for h, t in ends.tolist()]
+        g = graph.KnowledgeGraph.from_triples(triples, add_inverses=True)
+        head, tail = (g.entity_id(f"e{e}") for e in rng.choice(ends.ravel(), size=2).tolist())
+        exclude = int(rng.integers(g.n_relations)) if trial % 2 == 0 else None
+        mine = chains.enumerate_paths(g, head, tail, 3, exclude=exclude)
+        assert mine == _oracle_paths(g, head, tail, 3, exclude=exclude)
     elapsed = time.time() - start
     assert elapsed < 60.0
-    report("path-enumeration-oracle", f"(200 random graphs, {elapsed:.1f}s)")
+    report("path-enumeration-oracle", f"(200 random graphs, 40 hub graphs at k=3, {elapsed:.1f}s)")
 
 
 # -- criterion: MAP oracle ----------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kgchains.chains import (
     ChainVocabulary,
+    Instance,
     RelationChain,
     build_vocabulary,
     chain_statistics,
@@ -115,12 +116,6 @@ def test_revisits_allowed_when_not_immediate():
     found = enumerate_paths(g, g.entity_id("a"), g.entity_id("b"), 3)
     assert "r->s_inv->r" in names(g, found)
     assert "r->s_inv->s" not in names(g, found)
-
-
-def test_simple_paths_mode_forbids_revisits():
-    g = graph_of(("a", "r", "b"), ("a", "s", "b"))
-    found = enumerate_paths(g, g.entity_id("a"), g.entity_id("b"), 3, simple_paths=True)
-    assert names(g, found) == ["r", "s"]
 
 
 def test_matches_oracle_on_random_graphs():
@@ -271,6 +266,32 @@ def test_instances_round_trip(tmp_path):
         assert np.array_equal(back.availability, orig.availability)
     with pytest.raises(DataError):
         read_instances(str(path), vocab.size + 1)
+
+
+@pytest.mark.parametrize(
+    "bits, message",
+    [
+        ("0120", "availability must be a 0/1 string"),
+        ("01 0", "availability must be a 0/1 string"),
+        ("01/0", "availability must be a 0/1 string"),
+        ("01é0", "availability must be a 0/1 string"),
+        ("010", "availability length 3 != vocabulary size 4"),
+        ("01010", "availability length 5 != vocabulary size 4"),
+    ],
+)
+def test_read_instances_rejects_bad_bits(tmp_path, bits, message):
+    path = tmp_path / "cache.inst"
+    path.write_text(f"h\tt\t1\t0110\nh\tt\t0\t{bits}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"cache.inst:2: {message}"):
+        read_instances(str(path), 4)
+
+
+def test_write_instances_bit_string(tmp_path):
+    inst = Instance("h", "t", 1, np.array([0.0, 1.0, 0.5, 0.0, 1.0]))
+    path = tmp_path / "cache.inst"
+    write_instances(str(path), [inst], None)
+    assert path.read_bytes() == b"h\tt\t1\t01101\n"
+    assert read_instances(str(path), 5)[0].availability.tolist() == [0, 1, 1, 0, 1]
 
 
 @settings(max_examples=30, deadline=None)

@@ -117,6 +117,23 @@ def test_eval_checkpoint_vocab_mismatch(tmp_path, capsys):
     assert "data error" in err
 
 
+@pytest.mark.parametrize("bad", ["vocab_size = abc", ""])
+def test_corrupt_meta_is_a_data_error(tmp_path, capsys, bad):
+    art = pipeline(tmp_path, epochs=1)
+    meta_path = art / "target" / "meta.txt"
+    lines = [
+        bad if line.startswith("vocab_size = ") else line
+        for line in meta_path.read_text().splitlines()
+    ]
+    meta_path.write_text("\n".join(lines) + "\n")
+    code = run([
+        "train", "--artifacts", str(art), "--relation", "target",
+        "--mode", "game_mlp", "--d", "2", "--epochs", "1",
+    ])
+    assert code == 2
+    assert "vocab_size" in capsys.readouterr().err
+
+
 def test_rerun_extract_is_byte_identical(tmp_path):
     bench = tmp_path / "bench"
     run([

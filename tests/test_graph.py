@@ -150,6 +150,14 @@ def test_load_task_deterministic(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5])
+def test_load_task_split_ratio_out_of_range_is_a_data_error(tmp_path, ratio):
+    g = graph_with_relation(tmp_path)
+    tasks = make_task_dir(tmp_path, "works", ["e0\te1\t1", "e1\te2\t0"], ["e0\te1\t1"])
+    with pytest.raises(DataError, match="split ratio"):
+        load_task(str(tasks), "works", g, split_ratio=ratio)
+
+
 def test_load_task_unknown_relation(tmp_path):
     g = graph_with_relation(tmp_path)
     make_task_dir(tmp_path, "works", ["e0\te1\t1"], ["e0\te1\t1"])
