@@ -1,33 +1,10 @@
 """kgchains: multi-chain multi-hop rule learning for knowledge-graph completion."""
 
 from .benchmark import BenchmarkSpec, make_benchmark
-from .chains import (
-    ChainVocabulary,
-    EncodedTask,
-    Instance,
-    RelationChain,
-    SelectionMask,
-    build_vocabulary,
-    chain_statistics,
-    encode_instance,
-    encode_task,
-    enumerate_paths,
-)
+from .chains import build_vocabulary, encode_task
 from .errors import DataError, KgchainsError, NumericError, UsageError
-from .evaluate import evaluate_task, run_mode, train_mode
-from .game import (
-    GameModel,
-    TrainConfig,
-    build_model,
-    generator_probs,
-    predict,
-    sample_mask,
-    select_top_d,
-    sparsity_loss,
-    train_task,
-)
-from .graph import KnowledgeGraph, TaskDataset, downsample_negatives, load_task, load_triples
-from .metrics import average_precision, map_score, paired_permutation_test
-from .neural import adam_step, backward, cross_entropy, forward, param_count
+from .evaluate import run_mode
+from .game import TrainConfig
+from .graph import load_task, load_triples
 
 __version__ = "0.1.0"

@@ -198,18 +198,6 @@ def mask_from_selected(availability: np.ndarray, selected: np.ndarray) -> Select
     return SelectionMask(selected=selected, complement=availability * (1.0 - selected))
 
 
-def encode_instance(
-    vocab: ChainVocabulary,
-    graph: KnowledgeGraph,
-    head: int,
-    tail: int,
-    label: int,
-) -> Instance:
-    """Availability bit j is 1 iff vocabulary chain j connects head to tail."""
-    found = enumerate_paths(graph, head, tail, vocab.max_hops, exclude=vocab.target)
-    return Instance(head=head, tail=tail, label=label, availability=vocab.availability(found))
-
-
 def chain_statistics(
     vocab: ChainVocabulary, instances: Sequence[Instance]
 ) -> tuple[int, float]:
@@ -261,31 +249,6 @@ def write_vocabulary(path: str, vocab: ChainVocabulary, graph: KnowledgeGraph) -
             fh.write(f"{j}\t{vocab.supports[j]}\t{chain.names(graph)}\n")
 
 
-def read_vocabulary(
-    path: str, graph: KnowledgeGraph, target: int, max_hops: int
-) -> ChainVocabulary:
-    if not os.path.exists(path):
-        raise DataError(f"vocabulary file not found: {path}")
-    chains: list[RelationChain] = []
-    supports: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: expected index TAB support TAB chain")
-            if int(fields[0]) != len(chains):
-                raise DataError(f"{path}:{lineno}: indices must be contiguous from 0")
-            rel_ids = tuple(graph.relation_id(name) for name in fields[2].split("->"))
-            chains.append(RelationChain(rel_ids))
-            supports.append(int(fields[1]))
-    if not chains:
-        raise DataError(f"empty vocabulary file: {path}")
-    return ChainVocabulary(target=target, max_hops=max_hops, chains=chains, supports=supports)
-
-
 def read_vocabulary_names(path: str) -> tuple[list[str], list[int]]:
     """Chain display names and supports without needing the graph (for reports)."""
     if not os.path.exists(path):
@@ -293,13 +256,13 @@ def read_vocabulary_names(path: str) -> tuple[list[str], list[int]]:
     names: list[str] = []
     supports: list[int] = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"malformed vocabulary file: {path}")
+            if len(fields) != 3 or not fields[1].isdecimal():
+                raise DataError(f"{path}:{lineno}: expected index TAB support TAB chain")
             names.append(fields[2])
             supports.append(int(fields[1]))
     return names, supports

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DataError
 from .game import GameModel
 from .neural import DenseParams
+from .util import read_fields, write_fields
 
 HEADER = "# kgchains checkpoint v1"
 
@@ -45,8 +46,7 @@ def save_checkpoint(path: str, model: GameModel, meta: dict | None = None) -> No
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(HEADER + "\n")
         fh.write("[meta]\n")
-        for key in sorted(record):
-            fh.write(f"{key} = {record[key]}\n")
+        write_fields(fh, record)
         if model.generator is not None:
             _write_net(fh, "generator", model.generator)
         _write_net(fh, "predictor", model.predictor)
@@ -59,6 +59,8 @@ def _parse_net(lines: list[str], pos: int) -> tuple[DenseParams, int]:
     if not lines[pos].startswith("layers = "):
         raise DataError(f"checkpoint: expected layer count at line {pos + 1}")
     n_layers = int(lines[pos].split("=")[1])
+    if n_layers < 1:
+        raise DataError(f"checkpoint: a network needs at least one layer at line {pos + 1}")
     pos += 1
     layers = []
     for _ in range(n_layers):
@@ -85,24 +87,33 @@ def _parse_net(lines: list[str], pos: int) -> tuple[DenseParams, int]:
 
 
 def load_checkpoint(path: str) -> tuple[GameModel, dict]:
+    """Every malformed or truncated file is a ``DataError``."""
     if not os.path.exists(path):
         raise DataError(f"checkpoint not found: {path}")
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != HEADER:
         raise DataError(f"not a kgchains checkpoint: {path}")
+    try:
+        return _parse_checkpoint(lines, path)
+    except IndexError:  # a section ran past the last line
+        raise DataError(f"truncated checkpoint: {path}") from None
+    except ValueError as err:  # a count, dimension or number that does not parse
+        raise DataError(f"corrupt checkpoint {path}: {err}") from None
 
+
+def _parse_checkpoint(lines: list[str], path: str) -> tuple[GameModel, dict]:
     meta: dict[str, str] = {}
     nets: dict[str, DenseParams] = {}
     pos = 1
     while pos < len(lines):
         line = lines[pos]
         if line == "[meta]":
-            pos += 1
-            while pos < len(lines) and not lines[pos].startswith("["):
-                key, _, value = lines[pos].partition(" = ")
-                meta[key] = value
-                pos += 1
+            end = pos + 1
+            while end < len(lines) and not lines[end].startswith("["):
+                end += 1
+            meta.update(read_fields(lines[pos + 1 : end], path, pos + 2))
+            pos = end
         elif line.startswith("[net "):
             name = line[len("[net ") : -1]
             params, pos = _parse_net(lines, pos + 1)
@@ -110,7 +121,9 @@ def load_checkpoint(path: str) -> tuple[GameModel, dict]:
         elif line == "[end]":
             break
         else:
-            pos += 1
+            raise DataError(f"{path}:{pos + 1}: expected a section header")
+    else:
+        raise DataError(f"truncated checkpoint (no [end]): {path}")
 
     for key in _REQUIRED_META:
         if key not in meta:
@@ -127,6 +140,8 @@ def load_checkpoint(path: str) -> tuple[GameModel, dict]:
         generator=nets.get("generator"),
         complement=nets.get("complement"),
     )
-    if model.predictor.input_dim != model.input_dim:
-        raise DataError("checkpoint input_dim does not match the predictor network")
+    output_dims = {"generator": 2 * model.input_dim, "predictor": 2, "complement": 2}
+    for name, net in nets.items():
+        if (net.input_dim, net.output_dim) != (model.input_dim, output_dims.get(name)):
+            raise DataError(f"checkpoint {name} network does not fit input_dim {model.input_dim}: {path}")
     return model, meta

@@ -15,6 +15,7 @@ import sys
 from . import benchmark as bench
 from . import chains, checkpoint, evaluate, game, graph
 from .errors import DataError, NumericError, UsageError
+from .util import read_fields, write_fields
 
 log = logging.getLogger(__name__)
 
@@ -87,26 +88,12 @@ def _trainlog_path(artifacts: str, relation: str, mode: str, d: int) -> str:
     return os.path.join(_relation_dir(artifacts, relation), f"trainlog.{mode}.d{d}.tsv")
 
 
-def _write_meta(path: str, meta: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(meta):
-            fh.write(f"{key} = {meta[key]}\n")
-
-
-def _read_meta(path: str) -> dict:
-    if not os.path.exists(path):
-        raise DataError(f"extraction metadata not found: {path}")
-    meta = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition(" = ")
-            meta[key] = value
-    return meta
-
-
 def _load_encoded_task(artifacts: str, relation: str) -> tuple[chains.EncodedTask, dict]:
     path = _meta_path(artifacts, relation)
-    meta = _read_meta(path)
+    if not os.path.exists(path):
+        raise DataError(f"extraction metadata not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        meta = read_fields((line.rstrip("\n") for line in fh), path)
     try:
         size = int(meta["vocab_size"])
     except (KeyError, ValueError):
@@ -168,18 +155,19 @@ def cmd_extract(args) -> int:
             chains.write_instances(
                 _instances_path(args.out, relation, split), getattr(data, split), kg
             )
-        _write_meta(
-            _meta_path(args.out, relation),
-            {
-                "relation": relation,
-                "vocab_size": vocab.size,
-                "max_hops": args.max_hops,
-                "max_chains": args.max_chains,
-                "split_ratio": args.split_ratio,
-                "seed": args.seed,
-                "neg_ratio": args.neg_ratio if args.neg_ratio is not None else "none",
-            },
-        )
+        with open(_meta_path(args.out, relation), "w", encoding="utf-8") as fh:
+            write_fields(
+                fh,
+                {
+                    "relation": relation,
+                    "vocab_size": vocab.size,
+                    "max_hops": args.max_hops,
+                    "max_chains": args.max_chains,
+                    "split_ratio": args.split_ratio,
+                    "seed": args.seed,
+                    "neg_ratio": args.neg_ratio if args.neg_ratio is not None else "none",
+                },
+            )
         everything = data.train + data.dev + data.test
         total, mean = chains.chain_statistics(vocab, everything)
         stats_rows.append((relation, total, mean))
@@ -240,7 +228,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_checked(artifacts: str, relation: str, path: str) -> game.GameModel:
+def _load_model_checked(artifacts: str, relation: str, path: str) -> tuple[game.GameModel, list[str]]:
+    """The checkpoint's model and the chain names of the vocabulary it was trained on."""
     model, _ = checkpoint.load_checkpoint(path)
     names, _ = chains.read_vocabulary_names(_vocab_path(artifacts, relation))
     if len(names) != model.input_dim:
@@ -248,7 +237,7 @@ def _load_model_checked(artifacts: str, relation: str, path: str) -> game.GameMo
             f"checkpoint/vocabulary mismatch for {relation}: "
             f"model expects {model.input_dim} chains, vocabulary has {len(names)}"
         )
-    return model
+    return model, names
 
 
 def cmd_eval(args) -> int:
@@ -258,7 +247,7 @@ def cmd_eval(args) -> int:
         for relation in args.relation:
             data, _ = _load_encoded_task(args.artifacts, relation)
             ck_path = args.checkpoint or _checkpoint_path(args.artifacts, relation, mode, d)
-            model = _load_model_checked(args.artifacts, relation, ck_path)
+            model, _ = _load_model_checked(args.artifacts, relation, ck_path)
             instances = data.dev if args.split == "dev" else data.test
             report = evaluate.evaluate_task(model, instances, group_by=args.group_by)
             per_relation[relation] = report
@@ -295,8 +284,7 @@ def cmd_export_rules(args) -> int:
     relation = args.relation
     data, _ = _load_encoded_task(args.artifacts, relation)
     ck_path = args.checkpoint or _checkpoint_path(args.artifacts, relation, args.mode, args.d)
-    model = _load_model_checked(args.artifacts, relation, ck_path)
-    names, _ = chains.read_vocabulary_names(_vocab_path(args.artifacts, relation))
+    model, names = _load_model_checked(args.artifacts, relation, ck_path)
     top_n = min(args.top_n, model.input_dim)
 
     lines: list[str] = []

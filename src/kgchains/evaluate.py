@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chains import EncodedTask, Instance
 from .errors import DataError
@@ -17,7 +17,7 @@ from .game import (
     train_predictor_only,
     train_task,
 )
-from .metrics import NoPositives, RankedResult, average_precision, group_results
+from .metrics import NoPositives, average_precision, group_results
 
 MODE_GAME_MLP = "game_mlp"
 MODE_GAME_LINEAR = "game_linear"
@@ -27,22 +27,9 @@ ALL_MODES = (MODE_GAME_MLP, MODE_GAME_LINEAR, MODE_D_ALL, MODE_SINGLE_CHAIN_GEN)
 
 
 @dataclass
-class GroupReport:
-    key: object
-    ap: float | None
-    n_items: int
-    n_positive: int
-
-
-@dataclass
 class EvalReport:
     map: float
-    groups: list[GroupReport] = field(default_factory=list)
     skipped: int = 0
-
-    @property
-    def n_groups_scored(self) -> int:
-        return len(self.groups) - self.skipped
 
 
 def evaluate_task(
@@ -60,25 +47,15 @@ def evaluate_task(
         raise DataError("empty test set")
     scores = score_instances(model, instances, d)
     groups = group_results([i.head for i in instances], scores, [i.label for i in instances], group_by)
-    rows: list[GroupReport] = []
     aps: list[float] = []
-    skipped = 0
     for group in groups:
-        n_pos = sum(label for _, label in group.items)
         try:
-            ap = average_precision(group.items)
-            aps.append(ap)
+            aps.append(average_precision(group.items))
         except NoPositives:
-            ap = None
-            skipped += 1
-        rows.append(GroupReport(key=group.key, ap=ap, n_items=len(group.items), n_positive=n_pos))
+            pass
     if not aps:
         raise DataError("no group with a positive item; MAP undefined")
-    return EvalReport(map=sum(aps) / len(aps), groups=rows, skipped=skipped)
-
-
-def group_aps(report: EvalReport) -> list[float]:
-    return [row.ap for row in report.groups if row.ap is not None]
+    return EvalReport(map=sum(aps) / len(aps), skipped=len(groups) - len(aps))
 
 
 @dataclass

@@ -45,6 +45,11 @@ MODE_ALL_CHAINS = "d_all"
 # Instances per network pass when scoring, so a large split never sits in
 # memory as one (N, 2D) generator output.
 SCORE_CHUNK = 256
+# Grouping for the per-epoch dev ranking used to pick the checkpoint.
+# Instance-level splitting scatters head groups, leaving mostly
+# singletons whose AP is 1 regardless of the model; a global ranking
+# keeps the selection signal informative.
+DEV_GROUP_BY = "global"
 
 
 @dataclass
@@ -67,12 +72,6 @@ class TrainConfig:
     seed: int = 0
     baseline_momentum: float = 0.9
     mc_samples_per_instance: int = 1
-    split_ratio: float = 0.8
-    # Grouping for the per-epoch dev ranking used to pick the checkpoint.
-    # Instance-level splitting scatters head groups, leaving mostly
-    # singletons whose AP is 1 regardless of the model; a global ranking
-    # keeps the selection signal informative.
-    dev_group_by: str = "global"
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -381,7 +380,7 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
     if not data.dev:
         raise DataError("empty dev split: no data to select the checkpoint on")
     best = clone_model(model)
-    best_quality = _dev_quality(model, data.dev, config.dev_group_by)
+    best_quality = _dev_quality(model, data.dev, DEV_GROUP_BY)
     best_epoch = 0
     log: list[EpochStats] = []
 
@@ -394,7 +393,7 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
                 raise NumericError(f"non-finite predictor loss at epoch {epoch}")
             totals += stats
             n_steps += 1
-        quality = _dev_quality(model, data.dev, config.dev_group_by)
+        quality = _dev_quality(model, data.dev, DEV_GROUP_BY)
         loss_p, loss_c, mean_reward = (totals[:3] / n_steps).tolist()
         log.append(EpochStats(epoch, loss_p, loss_c, mean_reward, float(totals[3] / totals[4]), quality[0]))
         if quality > best_quality:

@@ -36,13 +36,6 @@ def inverse_name(name: str) -> str:
     return name + INVERSE_SUFFIX
 
 
-@dataclass(frozen=True)
-class Triple:
-    head: int
-    relation: int
-    tail: int
-
-
 class KnowledgeGraph:
     """Immutable after construction; safe for unlimited concurrent readers."""
 
@@ -54,7 +47,7 @@ class KnowledgeGraph:
         self._adj: list[list[tuple[int, int]]] = []
         self._radj: list[list[tuple[int, int]]] = []
         self._edges: set[tuple[int, int, int]] = set()
-        self._originals: list[Triple] = []
+        self._originals: list[tuple[int, int, int]] = []
         self._inverse_ids: list[int] | None = None
 
     @classmethod
@@ -72,7 +65,7 @@ class KnowledgeGraph:
             if not graph._add_edge(h, r, t):
                 duplicates += 1
                 continue
-            graph._originals.append(Triple(h, r, t))
+            graph._originals.append((h, r, t))
             if add_inverses:
                 graph._add_edge(t, graph.inverse_relation_id(r), h)
         if count == 0:
@@ -126,9 +119,6 @@ class KnowledgeGraph:
         if not 0 <= rid < len(self._relation_names):
             raise DataError(f"unknown relation id: {rid}")
         return self._relation_names[rid]
-
-    def has_entity(self, name: str) -> bool:
-        return name in self._entity_ids
 
     def check_entity(self, eid: int) -> None:
         if not 0 <= eid < len(self._entity_names):
@@ -211,12 +201,8 @@ class KnowledgeGraph:
                 yield (self._entity_names[h], self._relation_names[r], self._entity_names[t])
 
     def original_triples(self) -> Iterator[tuple[str, str, str]]:
-        for tr in self._originals:
-            yield (
-                self._entity_names[tr.head],
-                self._relation_names[tr.relation],
-                self._entity_names[tr.tail],
-            )
+        for h, r, t in self._originals:
+            yield (self._entity_names[h], self._relation_names[r], self._entity_names[t])
 
 
 def load_triples(path: str, add_inverses: bool = True) -> KnowledgeGraph:

@@ -64,21 +64,3 @@ def group_results(
     for key, score, label in zip(keys, scores, labels):
         buckets.setdefault(key, []).append((float(score), int(label)))
     return [RankedResult(key=k, items=v) for k, v in buckets.items()]
-
-
-def paired_permutation_test(
-    aps_a: Sequence[float], aps_b: Sequence[float], rounds: int = 10000, seed: int = 0
-) -> float:
-    """Two-sided sign-flip permutation test on paired per-group AP differences.
-
-    Returns the add-one-smoothed p-value for the observed mean difference.
-    """
-    if len(aps_a) != len(aps_b):
-        raise ValueError("paired score lists must have equal length")
-    diffs = np.asarray(aps_a, dtype=np.float64) - np.asarray(aps_b, dtype=np.float64)
-    observed = abs(diffs.mean())
-    rng = np.random.default_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size=(rounds, len(diffs)))
-    perm_means = np.abs((signs * diffs).mean(axis=1))
-    exceed = int((perm_means >= observed - 1e-12).sum())
-    return (exceed + 1) / (rounds + 1)

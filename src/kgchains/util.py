@@ -7,9 +7,11 @@ stream without replaying the rest of the pipeline.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, TypeVar
+from typing import IO, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
+
+from .errors import DataError
 
 # Named sub-stream tags. Never renumber: stream identity is part of the
 # reproducibility contract for saved artifacts.
@@ -37,3 +39,22 @@ def batches(items: Sequence[T], size: int) -> Iterator[list[T]]:
         raise ValueError("batch size must be >= 1")
     for start in range(0, len(items), size):
         yield list(items[start : start + size])
+
+
+def write_fields(fh: IO[str], fields: dict) -> None:
+    """``key = value`` lines in key order (``meta.txt``, a checkpoint's ``[meta]``)."""
+    for key in sorted(fields):
+        fh.write(f"{key} = {fields[key]}\n")
+
+
+def read_fields(lines: Iterable[str], path: str, first_lineno: int = 1) -> dict[str, str]:
+    """Inverse of ``write_fields``; blank lines are skipped."""
+    fields = {}
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if not line:
+            continue
+        key, sep, value = line.partition(" = ")
+        if not sep:
+            raise DataError(f"{path}:{lineno}: expected 'key = value'")
+        fields[key] = value
+    return fields

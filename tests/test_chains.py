@@ -9,11 +9,10 @@ from kgchains.chains import (
     RelationChain,
     build_vocabulary,
     chain_statistics,
-    encode_instance,
     enumerate_paths,
     mask_from_selected,
     read_instances,
-    read_vocabulary,
+    read_vocabulary_names,
     write_instances,
     write_vocabulary,
 )
@@ -27,6 +26,11 @@ def graph_of(*triples, add_inverses=True):
 
 def names(graph, chain_set):
     return sorted(c.names(graph) for c in chain_set)
+
+
+def encode(vocab, graph, head, tail, label):
+    found = enumerate_paths(graph, head, tail, vocab.max_hops, exclude=vocab.target)
+    return Instance(head, tail, label, vocab.availability(found))
 
 
 def oracle_paths(graph, head, tail, max_hops, exclude=None):
@@ -199,7 +203,7 @@ def test_vocabulary_empty_union_errors():
 def test_encode_instance_bits():
     g, pairs = build_support_graph()
     vocab = build_vocabulary(g, pairs, g.relation_id("anchor"), max_hops=3)
-    inst = encode_instance(vocab, g, pairs[0][0], pairs[0][1], 1)
+    inst = encode(vocab, g, pairs[0][0], pairs[0][1], 1)
     present = enumerate_paths(g, pairs[0][0], pairs[0][1], 3, exclude=g.relation_id("anchor"))
     for chain, j in vocab.index.items():
         assert inst.availability[j] == (1.0 if chain in present else 0.0)
@@ -219,7 +223,7 @@ def test_all_zero_and_all_one_availability():
     vocab = build_vocabulary(g, pairs, g.relation_id("anchor"), max_hops=3)
     lonely = KnowledgeGraph.from_triples([("x", "anchor", "y")])
     # no vocabulary chain connects the pair in a graph with only the target edge
-    inst = encode_instance(vocab, lonely, lonely.entity_id("x"), lonely.entity_id("y"), 0)
+    inst = encode(vocab, lonely, lonely.entity_id("x"), lonely.entity_id("y"), 0)
     assert inst.n_available == 0
 
 
@@ -243,19 +247,18 @@ def test_vocabulary_round_trip(tmp_path):
     vocab = build_vocabulary(g, pairs, g.relation_id("anchor"), max_hops=3)
     path = tmp_path / "vocab.tsv"
     write_vocabulary(str(path), vocab, g)
-    reloaded = read_vocabulary(str(path), g, vocab.target, vocab.max_hops)
-    assert reloaded.chains == vocab.chains
-    assert reloaded.supports == vocab.supports
-    # byte-identical on rewrite
-    path2 = tmp_path / "vocab2.tsv"
-    write_vocabulary(str(path2), reloaded, g)
-    assert path.read_bytes() == path2.read_bytes()
+    names, supports = read_vocabulary_names(str(path))
+    assert names == [chain.names(g) for chain in vocab.chains]
+    assert supports == vocab.supports
+    # the file is exactly index, support and names, one chain per line
+    rows = [f"{j}\t{s}\t{n}\n" for j, (s, n) in enumerate(zip(supports, names))]
+    assert path.read_text(encoding="utf-8") == "".join(rows)
 
 
 def test_instances_round_trip(tmp_path):
     g, pairs = build_support_graph()
     vocab = build_vocabulary(g, pairs, g.relation_id("anchor"), max_hops=3)
-    instances = [encode_instance(vocab, g, h, t, i % 2) for i, (h, t) in enumerate(pairs)]
+    instances = [encode(vocab, g, h, t, i % 2) for i, (h, t) in enumerate(pairs)]
     path = tmp_path / "cache.inst"
     write_instances(str(path), instances, g)
     reloaded = read_instances(str(path), vocab.size)

@@ -10,7 +10,6 @@ from kgchains.metrics import (
     average_precision,
     group_results,
     map_score,
-    paired_permutation_test,
 )
 
 
@@ -129,17 +128,3 @@ def test_group_results_by_head_and_global():
 def test_non_finite_score_rejected():
     with pytest.raises(DataError):
         average_precision([(float("nan"), 1)])
-
-
-def test_permutation_test_identical_scores():
-    aps = [0.5, 0.6, 0.7, 0.8]
-    p = paired_permutation_test(aps, aps, rounds=500, seed=0)
-    assert p == pytest.approx(1.0)
-
-
-def test_permutation_test_detects_shift():
-    rng = np.random.default_rng(1)
-    a = rng.uniform(0.7, 1.0, size=40).tolist()
-    b = [x - 0.25 for x in a]
-    p = paired_permutation_test(a, b, rounds=2000, seed=0)
-    assert p < 0.01
