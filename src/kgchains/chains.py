@@ -251,7 +251,7 @@ def write_vocabulary(path: str, vocab: ChainVocabulary, graph: KnowledgeGraph) -
 
 def read_vocabulary_names(path: str) -> tuple[list[str], list[int]]:
     """Chain display names and supports without needing the graph (for reports)."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"vocabulary file not found: {path}")
     names: list[str] = []
     supports: list[int] = []
@@ -285,7 +285,7 @@ def write_instances(path: str, instances: Sequence[Instance], graph: KnowledgeGr
 
 def read_instances(path: str, expected_size: int | None = None) -> list[Instance]:
     """Reload an instance cache; heads and tails come back as names."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"instance cache not found: {path}")
     instances: list[Instance] = []
     with open(path, encoding="utf-8") as fh:

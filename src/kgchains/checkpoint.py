@@ -88,7 +88,7 @@ def _parse_net(lines: list[str], pos: int) -> tuple[DenseParams, int]:
 
 def load_checkpoint(path: str) -> tuple[GameModel, dict]:
     """Every malformed or truncated file is a ``DataError``."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"checkpoint not found: {path}")
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]

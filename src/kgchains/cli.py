@@ -8,9 +8,12 @@ identical inputs and seeds reproduce them byte for byte. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
+
+import numpy as np
 
 from . import benchmark as bench
 from . import chains, checkpoint, evaluate, game, graph
@@ -30,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(path: str) -> list[str]:
     """key=value lines become leading flags; explicit flags override them."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
     injected: list[str] = []
     with open(path, encoding="utf-8") as fh:
@@ -88,22 +91,27 @@ def _trainlog_path(artifacts: str, relation: str, mode: str, d: int) -> str:
     return os.path.join(_relation_dir(artifacts, relation), f"trainlog.{mode}.d{d}.tsv")
 
 
-def _load_encoded_task(artifacts: str, relation: str) -> tuple[chains.EncodedTask, dict]:
+def _read_meta(artifacts: str, relation: str) -> tuple[dict, int]:
+    """``meta.txt``'s fields and the vocabulary size it records."""
     path = _meta_path(artifacts, relation)
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"extraction metadata not found: {path}")
     with open(path, encoding="utf-8") as fh:
         meta = read_fields((line.rstrip("\n") for line in fh), path)
     try:
-        size = int(meta["vocab_size"])
+        return meta, int(meta["vocab_size"])
     except (KeyError, ValueError):
         raise DataError(f"{path}: vocab_size is missing or not an integer") from None
-    splits = {
-        split: chains.read_instances(_instances_path(artifacts, relation, split), size)
-        for split in ("train", "dev", "test")
-    }
-    data = chains.EncodedTask(relation=relation, size=size, **splits)
-    return data, meta
+
+
+def _read_split(artifacts: str, relation: str, split: str, size: int) -> list[chains.Instance]:
+    return chains.read_instances(_instances_path(artifacts, relation, split), size)
+
+
+def _load_encoded_task(artifacts: str, relation: str) -> tuple[chains.EncodedTask, dict]:
+    meta, size = _read_meta(artifacts, relation)
+    splits = {split: _read_split(artifacts, relation, split, size) for split in ("train", "dev", "test")}
+    return chains.EncodedTask(relation=relation, size=size, **splits), meta
 
 
 # -- subcommands ------------------------------------------------------------
@@ -228,45 +236,41 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_checked(artifacts: str, relation: str, path: str) -> tuple[game.GameModel, list[str]]:
-    """The checkpoint's model and the chain names of the vocabulary it was trained on."""
+def _load_model(args, relation: str, mode: str, d: int, names: list[str]) -> game.GameModel:
+    """The checkpoint's model, checked against the chain names of the vocabulary."""
+    path = args.checkpoint or _checkpoint_path(args.artifacts, relation, mode, d)
     model, _ = checkpoint.load_checkpoint(path)
-    names, _ = chains.read_vocabulary_names(_vocab_path(artifacts, relation))
     if len(names) != model.input_dim:
         raise DataError(
             f"checkpoint/vocabulary mismatch for {relation}: "
             f"model expects {model.input_dim} chains, vocabulary has {len(names)}"
         )
-    return model, names
+    return model
 
 
 def cmd_eval(args) -> int:
-    columns = []
-    for mode, d in zip(args.mode, args.d):
-        per_relation = {}
-        for relation in args.relation:
-            data, _ = _load_encoded_task(args.artifacts, relation)
-            ck_path = args.checkpoint or _checkpoint_path(args.artifacts, relation, mode, d)
-            model, _ = _load_model_checked(args.artifacts, relation, ck_path)
-            instances = data.dev if args.split == "dev" else data.test
-            report = evaluate.evaluate_task(model, instances, group_by=args.group_by)
-            per_relation[relation] = report
-        columns.append((f"{mode}.d{d}", per_relation))
-
-    header = ["relation"] + [name for name, _ in columns]
-    rows = []
+    modes = list(zip(args.mode, args.d))
+    reports = {}
     for relation in args.relation:
-        row = [relation] + [f"{col[relation].map:.6f}" for _, col in columns]
-        rows.append(row)
+        _, size = _read_meta(args.artifacts, relation)
+        instances = _read_split(args.artifacts, relation, args.split, size)
+        names, _ = chains.read_vocabulary_names(_vocab_path(args.artifacts, relation))
+        reports[relation] = [
+            evaluate.evaluate_task(_load_model(args, relation, mode, d, names), instances, group_by=args.group_by)
+            for mode, d in modes
+        ]
+
+    header = ["relation"] + [f"{mode}.d{d}" for mode, d in modes]
+    rows = [[relation] + [f"{report.map:.6f}" for report in reports[relation]] for relation in args.relation]
     averages = ["Average"] + [
-        f"{sum(col[r].map for r in args.relation) / len(args.relation):.6f}"
-        for _, col in columns
+        f"{sum(reports[r][col].map for r in args.relation) / len(args.relation):.6f}"
+        for col in range(len(modes))
     ]
 
     width = max(len(cell) for row in [header] + rows + [averages] for cell in row) + 2
     for row in [header] + rows + [averages]:
         print("".join(cell.ljust(width) for cell in row).rstrip())
-    skipped = sum(col[r].skipped for _, col in columns for r in args.relation)
+    skipped = sum(report.skipped for r in args.relation for report in reports[r])
     if skipped:
         print(f"(skipped {skipped} group(s) without positives)")
 
@@ -281,45 +285,39 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_rules(args) -> int:
+    if args.top_n < 0:
+        raise UsageError("--top-n must be >= 0")
     relation = args.relation
-    data, _ = _load_encoded_task(args.artifacts, relation)
-    ck_path = args.checkpoint or _checkpoint_path(args.artifacts, relation, args.mode, args.d)
-    model, names = _load_model_checked(args.artifacts, relation, ck_path)
+    _, size = _read_meta(args.artifacts, relation)
+    test = _read_split(args.artifacts, relation, "test", size)
+    names, _ = chains.read_vocabulary_names(_vocab_path(args.artifacts, relation))
+    model = _load_model(args, relation, args.mode, args.d, names)
     top_n = min(args.top_n, model.input_dim)
 
     lines: list[str] = []
     if args.aggregate:
-        import numpy as np
-
         weight = np.zeros(model.input_dim)
         count = np.zeros(model.input_dim)
-        for inst in data.test:
-            if model.generator is not None:
-                weight += game.generator_probs(model, inst)
-            else:
-                weight += inst.availability
-            count += inst.availability
+        for availability in game.chunked(test):
+            weight += game.selection_probs(model, availability).sum(axis=0)
+            count += availability.sum(axis=0)
         mean = np.divide(weight, count, out=np.zeros_like(weight), where=count > 0)
         order = np.argsort(-mean, kind="stable")[:top_n]
         lines.append(f"{relation}: top {top_n} chains by mean selection probability")
         for rank, j in enumerate(order, start=1):
             lines.append(f"  {rank}. {names[j]} (mean_p={mean[j]:.4f}, seen={int(count[j])})")
     else:
-        for inst, confidence in zip(data.test, game.score_instances(model, data.test)):
-            lines.append(
-                f"{inst.head} -> {inst.tail} label={inst.label} confidence={confidence:.4f}"
-            )
+        chosen = []  # per row: its top-n available chains by probability, ties to the lower index
+        for availability in game.chunked(test):
+            probs = game.selection_probs(model, availability)
+            order = np.argsort(np.where(availability > 0, -probs, np.inf), axis=1, kind="stable")
+            for row, p, n in zip(order, probs, availability.sum(axis=1).astype(int)):
+                chosen.append([(j, p[j]) for j in row[: min(top_n, n)]])
+        for inst, confidence, top in zip(test, game.score_instances(model, test), chosen):
+            lines.append(f"{inst.head} -> {inst.tail} label={inst.label} confidence={confidence:.4f}")
             if inst.n_available == 0:
                 lines.append("  (no chains)")
-                continue
-            if model.generator is not None:
-                probs = game.generator_probs(model, inst)
-                mask = game.select_top_d(probs, inst.availability, top_n)
-                chosen = [(probs[j], j) for j in range(model.input_dim) if mask.selected[j] > 0]
-                chosen.sort(key=lambda item: (-item[0], item[1]))
-            else:
-                chosen = [(1.0, j) for j in range(model.input_dim) if inst.availability[j] > 0][:top_n]
-            for rank, (p, j) in enumerate(chosen, start=1):
+            for rank, (j, p) in enumerate(top, start=1):
                 lines.append(f"  {rank}. {names[j]} (p={p:.4f})")
 
     text = "\n".join(lines) + "\n"
@@ -334,11 +332,11 @@ def cmd_export_rules(args) -> int:
 def cmd_adapt_deeppath(args) -> int:
     """Convert a DeepPath-style dataset layout into the task format."""
     test_file = os.path.join(args.task_dir, "sort_test.pairs")
-    if not os.path.exists(test_file):
+    if not os.path.isfile(test_file):
         test_file = os.path.join(args.task_dir, "test.pairs")
     train_file = os.path.join(args.task_dir, "train.pairs")
     for path in (args.kb, train_file, test_file):
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise DataError(f"file not found: {path}")
     entities = set()
     triples = []
@@ -394,7 +392,9 @@ def cmd_adapt_deeppath(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process; each parse returns a fresh namespace."""
     parser = _Parser(prog="kgchains", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -493,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except DataError as err:
+    except (DataError, UnicodeDecodeError) as err:  # an input file that is not UTF-8 is bad data
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except NumericError as err:

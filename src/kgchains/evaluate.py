@@ -17,7 +17,7 @@ from .game import (
     train_predictor_only,
     train_task,
 )
-from .metrics import NoPositives, average_precision, group_results
+from .metrics import group_results, map_score
 
 MODE_GAME_MLP = "game_mlp"
 MODE_GAME_LINEAR = "game_linear"
@@ -32,12 +32,7 @@ class EvalReport:
     skipped: int = 0
 
 
-def evaluate_task(
-    model: GameModel,
-    instances: list[Instance],
-    d: int | None = None,
-    group_by: str = "head",
-) -> EvalReport:
+def evaluate_task(model: GameModel, instances: list[Instance], group_by: str = "head") -> EvalReport:
     """Score every instance with the model and report MAP over query groups.
 
     Groups without a positive are excluded from the mean and counted in
@@ -45,17 +40,10 @@ def evaluate_task(
     """
     if not instances:
         raise DataError("empty test set")
-    scores = score_instances(model, instances, d)
+    scores = score_instances(model, instances)
     groups = group_results([i.head for i in instances], scores, [i.label for i in instances], group_by)
-    aps: list[float] = []
-    for group in groups:
-        try:
-            aps.append(average_precision(group.items))
-        except NoPositives:
-            pass
-    if not aps:
-        raise DataError("no group with a positive item; MAP undefined")
-    return EvalReport(map=sum(aps) / len(aps), skipped=len(groups) - len(aps))
+    skipped = sum(1 for group in groups if not any(label for _, label in group.items))
+    return EvalReport(map=map_score(groups), skipped=skipped)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -284,7 +284,7 @@ def _predictor_only_step(model: GameModel, config: TrainConfig) -> Step:
     state = AdamState.for_params(model.predictor, config.lr)
 
     def step(batch: list[Instance]):
-        x = _predictor_inputs(model, _stack(batch), model.d)
+        x = _predictor_inputs(model, _stack(batch))
         loss, _ = predictor_step(model.predictor, state, x, np.array([inst.label for inst in batch]))
         return loss, 0.0, 0.0, float(x.sum()), len(batch)
 
@@ -294,12 +294,25 @@ def _predictor_only_step(model: GameModel, config: TrainConfig) -> Step:
 # -- inference -------------------------------------------------------------
 
 
-def _predictor_inputs(model: GameModel, availability: np.ndarray, d: int) -> np.ndarray:
+def chunked(instances: list[Instance]) -> Iterator[np.ndarray]:
+    """(rows, D) availability matrices of SCORE_CHUNK consecutive instances."""
+    for start in range(0, len(instances), SCORE_CHUNK):
+        yield _stack(instances[start : start + SCORE_CHUNK])
+
+
+def selection_probs(model: GameModel, availability: np.ndarray) -> np.ndarray:
+    """Per-chain selection probabilities of (rows, D) availability rows: the
+    generator's, or the availability itself for a model with no generator."""
+    if model.generator is None:
+        return availability
+    return _generator_forward(model, availability)[0]
+
+
+def _predictor_inputs(model: GameModel, availability: np.ndarray) -> np.ndarray:
     """Rows the predictor scores: all available chains, or the generator's top-d."""
     if model.mode == MODE_ALL_CHAINS or model.generator is None:
         return availability
-    probs, _, _ = _generator_forward(model, availability)
-    return select_top_d(probs, availability, d).selected
+    return select_top_d(selection_probs(model, availability), availability, model.d).selected
 
 
 def _row_key(row: np.ndarray) -> bytes:
@@ -308,8 +321,8 @@ def _row_key(row: np.ndarray) -> bytes:
     return nonzero.tobytes() + row[nonzero].tobytes()
 
 
-def _logits(model: GameModel, instances: list[Instance], d: int) -> np.ndarray:
-    """Predictor logits (N, 2), computed SCORE_CHUNK instances at a time.
+def _logits(model: GameModel, instances: list[Instance]) -> np.ndarray:
+    """Predictor logits (N, 2), computed one chunk of instances at a time.
 
     BLAS rounds a row differently depending on its place in the batch, and
     AP breaks exact score ties by input order. So each distinct predictor
@@ -318,8 +331,8 @@ def _logits(model: GameModel, instances: list[Instance], d: int) -> np.ndarray:
     """
     by_input: dict[bytes, np.ndarray] = {}
     keys: list[bytes] = []
-    for start in range(0, len(instances), SCORE_CHUNK):
-        x = _predictor_inputs(model, _stack(instances[start : start + SCORE_CHUNK]), d)
+    for availability in chunked(instances):
+        x = _predictor_inputs(model, availability)
         chunk_keys = [_row_key(row) for row in x]
         fresh = {key: i for i, key in enumerate(chunk_keys) if key not in by_input}
         if fresh:
@@ -329,40 +342,34 @@ def _logits(model: GameModel, instances: list[Instance], d: int) -> np.ndarray:
     return np.array([by_input[key] for key in keys]).reshape(-1, 2)
 
 
-def score_instances(model: GameModel, instances: list[Instance], d: int | None = None) -> np.ndarray:
+def score_instances(model: GameModel, instances: list[Instance]) -> np.ndarray:
     """Positive-class confidence per instance from the predictor on the top-d
     selection; in all-chains mode, on the full availability vector."""
-    return softmax(_logits(model, instances, model.d if d is None else d))[:, 1]
+    return softmax(_logits(model, instances))[:, 1]
 
 
-def predict(model: GameModel, instance: Instance, d: int | None = None) -> float:
+def predict(model: GameModel, instance: Instance) -> float:
     """score_instances for one instance."""
-    return float(score_instances(model, [instance], d)[0])
+    return float(score_instances(model, [instance])[0])
 
 
-def _ranked_map(instances: list[Instance], scores, group_by: str) -> float:
-    groups = group_results([i.head for i in instances], scores, [i.label for i in instances], group_by)
-    try:
-        return map_score(groups)
-    except DataError:
-        return 0.0
-
-
-def dev_map(model: GameModel, instances: list[Instance], d: int | None = None, group_by: str = "head") -> float:
-    """MAP over dev groups; 0.0 when no group has a positive."""
-    return _ranked_map(instances, score_instances(model, instances, d), group_by)
-
-
-def _dev_quality(model: GameModel, instances: list[Instance], group_by: str) -> tuple[float, float]:
+def _dev_quality(model: GameModel, instances: list[Instance]) -> tuple[float, float]:
     """(dev MAP, -dev cross-entropy) for checkpoint selection, from one scoring pass.
 
-    Small dev rankings saturate quickly, so exact MAP ties are common; the
-    cross-entropy of the predictor on its inference-time inputs keeps
-    discriminating between equally-ranked checkpoints.
+    MAP is 0.0 when no dev group has a positive. Small dev rankings saturate
+    quickly, so exact MAP ties are common; the cross-entropy of the
+    predictor on its inference-time inputs keeps discriminating between
+    equally-ranked checkpoints.
     """
-    logits = _logits(model, instances, model.d)
-    losses, _ = cross_entropy(logits, np.array([inst.label for inst in instances]))
-    return _ranked_map(instances, softmax(logits)[:, 1], group_by), -float(losses.mean())
+    logits = _logits(model, instances)
+    labels = [inst.label for inst in instances]
+    losses, _ = cross_entropy(logits, np.array(labels))
+    groups = group_results([i.head for i in instances], softmax(logits)[:, 1], labels, DEV_GROUP_BY)
+    try:
+        dev_map = map_score(groups)
+    except DataError:
+        dev_map = 0.0
+    return dev_map, -float(losses.mean())
 
 
 # -- training loop ------------------------------------------------------------
@@ -380,7 +387,7 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
     if not data.dev:
         raise DataError("empty dev split: no data to select the checkpoint on")
     best = clone_model(model)
-    best_quality = _dev_quality(model, data.dev, DEV_GROUP_BY)
+    best_quality = _dev_quality(model, data.dev)
     best_epoch = 0
     log: list[EpochStats] = []
 
@@ -393,7 +400,7 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
                 raise NumericError(f"non-finite predictor loss at epoch {epoch}")
             totals += stats
             n_steps += 1
-        quality = _dev_quality(model, data.dev, DEV_GROUP_BY)
+        quality = _dev_quality(model, data.dev)
         loss_p, loss_c, mean_reward = (totals[:3] / n_steps).tolist()
         log.append(EpochStats(epoch, loss_p, loss_c, mean_reward, float(totals[3] / totals[4]), quality[0]))
         if quality > best_quality:

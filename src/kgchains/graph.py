@@ -211,7 +211,7 @@ def load_triples(path: str, add_inverses: bool = True) -> KnowledgeGraph:
     Lines starting with ``#`` are ignored. A malformed line aborts with an
     error naming the line number; a file with no triples is an error.
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"triples file not found: {path}")
 
     def parse() -> Iterator[tuple[str, str, str]]:
@@ -269,7 +269,7 @@ def split_train_dev(
 
 
 def _read_pairs(path: str) -> list[LabeledPair]:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"pairs file not found: {path}")
     pairs = []
     with open(path, encoding="utf-8") as fh:

@@ -40,7 +40,10 @@ def average_precision(items: Sequence[tuple[float, int]]) -> float:
 
 
 def map_score(groups: Sequence[RankedResult]) -> float:
-    """Unweighted mean AP over groups that contain at least one positive."""
+    """Unweighted mean AP over groups that contain at least one positive.
+
+    The mean is a left-to-right sum of the APs in group order.
+    """
     aps = []
     for group in groups:
         try:
@@ -49,7 +52,7 @@ def map_score(groups: Sequence[RankedResult]) -> float:
             continue
     if not aps:
         raise DataError("no group with a positive item; MAP undefined")
-    return float(np.mean(aps))
+    return sum(aps) / len(aps)
 
 
 def group_results(

@@ -1,7 +1,9 @@
 import os
 
+import numpy as np
 import pytest
 
+from kgchains import chains, checkpoint, cli, game
 from kgchains.cli import main
 
 
@@ -65,6 +67,117 @@ def test_export_rules(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "top" in out
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Artifacts with game_mlp and d_all checkpoints at d = 2."""
+    root = tmp_path_factory.mktemp("trained")
+    art = pipeline(root, seed=5, epochs=4)
+    assert run([
+        "train", "--artifacts", str(art), "--relation", "target",
+        "--mode", "d_all", "--d", "2", "--epochs", "4", "--seed", "5",
+    ]) == 0
+    return art
+
+
+def reference_rules(art, mode, top_n, aggregate):
+    """export-rules text computed one test instance at a time."""
+    rel = art / "target"
+    model, _ = checkpoint.load_checkpoint(str(rel / f"checkpoint.{mode}.d2.txt"))
+    names, _ = chains.read_vocabulary_names(str(rel / "vocab.tsv"))
+    test = chains.read_instances(str(rel / "test.inst"))
+    top_n = min(top_n, model.input_dim)
+    lines = []
+    if aggregate:
+        weight = np.zeros(model.input_dim)
+        count = np.zeros(model.input_dim)
+        for inst in test:
+            if model.generator is not None:
+                weight += game.generator_probs(model, inst)
+            else:
+                weight += inst.availability
+            count += inst.availability
+        mean = np.divide(weight, count, out=np.zeros_like(weight), where=count > 0)
+        order = np.argsort(-mean, kind="stable")[:top_n]
+        lines.append(f"target: top {top_n} chains by mean selection probability")
+        for rank, j in enumerate(order, start=1):
+            lines.append(f"  {rank}. {names[j]} (mean_p={mean[j]:.4f}, seen={int(count[j])})")
+        return "\n".join(lines) + "\n"
+    for inst, confidence in zip(test, game.score_instances(model, test)):
+        lines.append(f"{inst.head} -> {inst.tail} label={inst.label} confidence={confidence:.4f}")
+        if inst.n_available == 0:
+            lines.append("  (no chains)")
+            continue
+        if model.generator is not None:
+            probs = game.generator_probs(model, inst)
+            mask = game.select_top_d(probs, inst.availability, top_n)
+            chosen = [(probs[j], j) for j in range(model.input_dim) if mask.selected[j] > 0]
+            chosen.sort(key=lambda item: (-item[0], item[1]))
+        else:
+            chosen = [(1.0, j) for j in range(model.input_dim) if inst.availability[j] > 0][:top_n]
+        for rank, (p, j) in enumerate(chosen, start=1):
+            lines.append(f"  {rank}. {names[j]} (p={p:.4f})")
+    return "\n".join(lines) + "\n"
+
+
+def export_rules(art, mode, top_n, aggregate, capsys):
+    args = [
+        "export-rules", "--artifacts", str(art), "--relation", "target",
+        "--mode", mode, "--d", "2", "--top-n", str(top_n),
+    ]
+    assert run(args + (["--aggregate"] if aggregate else [])) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("aggregate", [False, True])
+@pytest.mark.parametrize("mode", ["game_mlp", "d_all"])
+def test_export_rules_matches_the_per_instance_reference(trained, capsys, mode, aggregate):
+    test = chains.read_instances(str(trained / "target" / "test.inst"))
+    available = sorted({inst.n_available for inst in test})
+    # below the smallest non-empty row, within the range, and above every row
+    for top_n in (1, available[len(available) // 2], available[-1] + 1):
+        out = export_rules(trained, mode, top_n, aggregate, capsys)
+        assert out == reference_rules(trained, mode, top_n, aggregate), (mode, top_n)
+    assert available[-1] > 1
+
+
+def test_export_rules_does_not_score_per_instance(trained, capsys, monkeypatch):
+    def per_instance(*_):
+        raise AssertionError("per-instance generator pass")
+
+    expected = export_rules(trained, "game_mlp", 2, False, capsys)
+    monkeypatch.setattr(game, "generator_probs", per_instance)
+    assert export_rules(trained, "game_mlp", 2, False, capsys) == expected
+    assert export_rules(trained, "game_mlp", 2, True, capsys)
+
+
+def test_two_mode_eval_reads_each_artifact_once(trained, monkeypatch, capsys):
+    calls = []
+    for name in ("read_vocabulary_names", "read_instances"):
+        read = getattr(chains, name)
+        monkeypatch.setattr(
+            chains, name, lambda path, *rest, read=read: calls.append(os.path.basename(path)) or read(path, *rest)
+        )
+    assert run([
+        "eval", "--artifacts", str(trained), "--relation", "target",
+        "--mode", "game_mlp", "--mode", "d_all", "--d", "2",
+    ]) == 0
+    assert sorted(calls) == ["test.inst", "vocab.tsv"]
+    assert "game_mlp.d2" in capsys.readouterr().out
+
+
+def test_cached_parser_keeps_no_state_between_calls(trained, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        (["--mode", "game_mlp", "--d", "2", "--mode", "d_all", "--d", "2"], ["game_mlp.d2", "d_all.d2"]),
+        (["--mode", "d_all", "--d", "2"], ["d_all.d2"]),
+        (["--mode", "d_all", "--mode", "game_mlp", "--d", "2"], ["d_all.d2", "game_mlp.d2"]),
+    ]
+    for i, (flags, columns) in enumerate(calls):
+        out = tmp_path / f"report{i}.tsv"
+        assert run(["eval", "--artifacts", str(trained), "--relation", "target", *flags, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split("\t") == ["relation", *columns]
 
 
 def test_missing_task_directory_exit_code(tmp_path, capsys):

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from kgchains.chains import EncodedTask, Instance, SelectionMask, mask_from_selected
 from kgchains.errors import DataError
+from kgchains.evaluate import evaluate_task
 from kgchains.game import (
     GameModel,
     TrainConfig,
     build_model,
-    dev_map,
     generator_probs,
     instance_reward,
     predict,
@@ -218,7 +218,7 @@ def test_zero_epochs_returns_initial_model():
     fresh = build_model(data.size, 1, 1.0, "mlp", seed=1)
     for (w1, _), (w2, _) in zip(result.model.predictor.layers, fresh.predictor.layers):
         assert np.array_equal(w1, w2)
-    assert result.best_dev_map == pytest.approx(dev_map(fresh, data.dev, group_by="global"))
+    assert result.best_dev_map == pytest.approx(evaluate_task(fresh, data.dev, group_by="global").map)
 
 
 def test_training_is_deterministic():
