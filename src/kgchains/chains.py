@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import KnowledgeGraph, LabeledPair, TaskDataset
+from .util import open_text
 
 
 MANY = -1  # predecessor of a label prefix that no backtrack ban applies to
@@ -255,7 +256,7 @@ def read_vocabulary_names(path: str) -> tuple[list[str], list[int]]:
         raise DataError(f"vocabulary file not found: {path}")
     names: list[str] = []
     supports: list[int] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
@@ -288,7 +289,7 @@ def read_instances(path: str, expected_size: int | None = None) -> list[Instance
     if not os.path.isfile(path):
         raise DataError(f"instance cache not found: {path}")
     instances: list[Instance] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:

@@ -1,13 +1,18 @@
 """Sectioned text checkpoints for trained models.
 
 The envelope is plain UTF-8: a ``[meta]`` section of ``key = value`` lines
-followed by one ``[net ...]`` section per present network, each layer as a
-shape header plus row-major float64 values printed with full round-trip
-precision. Reloading reproduces bit-identical predictions.
+followed by one ``[net ...]`` section per present network and ``[end]``.
+Each layer is a ``layer i out in`` shape header, then a ``weight`` and a
+``bias`` line, each holding the base64 of the row-major little-endian
+float64 bytes (v2). Reloading reproduces the weights bit for bit.
+
+Version 1 files, which print one decimal row per weight row and the bias as
+decimals, still load; only v2 is written.
 """
 
 from __future__ import annotations
 
+import base64
 import os
 
 import numpy as np
@@ -15,11 +20,16 @@ import numpy as np
 from .errors import DataError
 from .game import GameModel
 from .neural import DenseParams
-from .util import read_fields, write_fields
+from .util import open_text, read_fields, write_fields
 
-HEADER = "# kgchains checkpoint v1"
+HEADER = "# kgchains checkpoint v2"
+_DECIMAL_HEADER = "# kgchains checkpoint v1"
 
 _REQUIRED_META = ("input_dim", "d", "lambda_s", "predictor_arch", "mode")
+
+
+def _encode(values: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(values, "<f8").tobytes()).decode("ascii")
 
 
 def _write_net(fh, name: str, params: DenseParams) -> None:
@@ -28,9 +38,8 @@ def _write_net(fh, name: str, params: DenseParams) -> None:
     for i, (weight, bias) in enumerate(params.layers):
         out_dim, in_dim = weight.shape
         fh.write(f"layer {i} {out_dim} {in_dim}\n")
-        for row in weight:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        fh.write("bias " + " ".join(repr(float(v)) for v in bias) + "\n")
+        fh.write(f"weight {_encode(weight)}\n")
+        fh.write(f"bias {_encode(bias)}\n")
 
 
 def save_checkpoint(path: str, model: GameModel, meta: dict | None = None) -> None:
@@ -55,7 +64,29 @@ def save_checkpoint(path: str, model: GameModel, meta: dict | None = None) -> No
         fh.write("[end]\n")
 
 
-def _parse_net(lines: list[str], pos: int) -> tuple[DenseParams, int]:
+def _payload(line: str, key: str, lineno: int) -> str:
+    if not line.startswith(key + " "):
+        raise DataError(f"checkpoint: expected {key} at line {lineno}")
+    return line[len(key) + 1 :]
+
+
+def _decode(text: str, n: int, binary: bool, lineno: int) -> np.ndarray:
+    """``n`` finite float64 values: base64 little-endian bytes (v2) or decimals (v1)."""
+    if binary:
+        raw = base64.b64decode(text, validate=True)
+        if len(raw) != 8 * n:
+            raise DataError(f"checkpoint: {len(raw)} payload bytes at line {lineno}, expected {8 * n}")
+        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    else:
+        values = np.array([float(v) for v in text.split()], dtype=np.float64)
+        if values.shape != (n,):
+            raise DataError(f"checkpoint: expected {n} values at line {lineno}")
+    if not np.isfinite(values).all():
+        raise DataError(f"checkpoint: non-finite value at line {lineno}")
+    return values
+
+
+def _parse_net(lines: list[str], pos: int, binary: bool) -> tuple[DenseParams, int]:
     if not lines[pos].startswith("layers = "):
         raise DataError(f"checkpoint: expected layer count at line {pos + 1}")
     n_layers = int(lines[pos].split("=")[1])
@@ -68,21 +99,18 @@ def _parse_net(lines: list[str], pos: int) -> tuple[DenseParams, int]:
         if len(fields) != 4 or fields[0] != "layer":
             raise DataError(f"checkpoint: malformed layer header at line {pos + 1}")
         out_dim, in_dim = int(fields[2]), int(fields[3])
+        if out_dim < 1 or in_dim < 1:
+            raise DataError(f"checkpoint: layer shape must be positive at line {pos + 1}")
         pos += 1
-        rows = []
-        for _ in range(out_dim):
-            row = np.array([float(v) for v in lines[pos].split()], dtype=np.float64)
-            if row.shape != (in_dim,):
-                raise DataError(f"checkpoint: row length mismatch at line {pos + 1}")
-            rows.append(row)
+        if binary:
+            weight = _decode(_payload(lines[pos], "weight", pos + 1), out_dim * in_dim, True, pos + 1)
             pos += 1
-        if not lines[pos].startswith("bias "):
-            raise DataError(f"checkpoint: expected bias at line {pos + 1}")
-        bias = np.array([float(v) for v in lines[pos].split()[1:]], dtype=np.float64)
-        if bias.shape != (out_dim,):
-            raise DataError(f"checkpoint: bias length mismatch at line {pos + 1}")
+        else:
+            weight = np.concatenate([_decode(lines[pos + r], in_dim, False, pos + r + 1) for r in range(out_dim)])
+            pos += out_dim
+        bias = _decode(_payload(lines[pos], "bias", pos + 1), out_dim, binary, pos + 1)
         pos += 1
-        layers.append([np.vstack(rows), bias])
+        layers.append([weight.reshape(out_dim, in_dim), bias])
     return DenseParams(layers=layers), pos
 
 
@@ -90,19 +118,19 @@ def load_checkpoint(path: str) -> tuple[GameModel, dict]:
     """Every malformed or truncated file is a ``DataError``."""
     if not os.path.isfile(path):
         raise DataError(f"checkpoint not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0] != HEADER:
+    if not lines or lines[0] not in (HEADER, _DECIMAL_HEADER):
         raise DataError(f"not a kgchains checkpoint: {path}")
     try:
-        return _parse_checkpoint(lines, path)
+        return _parse_checkpoint(lines, path, binary=lines[0] == HEADER)
     except IndexError:  # a section ran past the last line
         raise DataError(f"truncated checkpoint: {path}") from None
-    except ValueError as err:  # a count, dimension or number that does not parse
+    except ValueError as err:  # a count, dimension, number or base64 payload that does not parse
         raise DataError(f"corrupt checkpoint {path}: {err}") from None
 
 
-def _parse_checkpoint(lines: list[str], path: str) -> tuple[GameModel, dict]:
+def _parse_checkpoint(lines: list[str], path: str, binary: bool) -> tuple[GameModel, dict]:
     meta: dict[str, str] = {}
     nets: dict[str, DenseParams] = {}
     pos = 1
@@ -116,7 +144,7 @@ def _parse_checkpoint(lines: list[str], path: str) -> tuple[GameModel, dict]:
             pos = end
         elif line.startswith("[net "):
             name = line[len("[net ") : -1]
-            params, pos = _parse_net(lines, pos + 1)
+            params, pos = _parse_net(lines, pos + 1, binary)
             nets[name] = params
         elif line == "[end]":
             break

@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from . import benchmark as bench
-from . import chains, checkpoint, evaluate, game, graph
+from . import chains, checkpoint, evaluate, game, graph, neural
 from .errors import DataError, NumericError, UsageError
-from .util import read_fields, write_fields
+from .util import open_text, read_fields, write_fields
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +36,7 @@ def _read_config_file(path: str) -> list[str]:
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
     injected: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -96,7 +96,7 @@ def _read_meta(artifacts: str, relation: str) -> tuple[dict, int]:
     path = _meta_path(artifacts, relation)
     if not os.path.isfile(path):
         raise DataError(f"extraction metadata not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         meta = read_fields((line.rstrip("\n") for line in fh), path)
     try:
         return meta, int(meta["vocab_size"])
@@ -308,12 +308,14 @@ def cmd_export_rules(args) -> int:
             lines.append(f"  {rank}. {names[j]} (mean_p={mean[j]:.4f}, seen={int(count[j])})")
     else:
         chosen = []  # per row: its top-n available chains by probability, ties to the lower index
-        for availability in game.chunked(test):
-            probs = game.selection_probs(model, availability)
+        logits = []
+        for availability, probs, chunk_logits in game.score_chunks(model, test):
             order = np.argsort(np.where(availability > 0, -probs, np.inf), axis=1, kind="stable")
             for row, p, n in zip(order, probs, availability.sum(axis=1).astype(int)):
                 chosen.append([(j, p[j]) for j in row[: min(top_n, n)]])
-        for inst, confidence, top in zip(test, game.score_instances(model, test), chosen):
+            logits.append(chunk_logits)
+        confidences = neural.softmax(np.concatenate(logits))[:, 1] if logits else []
+        for inst, confidence, top in zip(test, confidences, chosen):
             lines.append(f"{inst.head} -> {inst.tail} label={inst.label} confidence={confidence:.4f}")
             if inst.n_available == 0:
                 lines.append("  (no chains)")
@@ -340,7 +342,7 @@ def cmd_adapt_deeppath(args) -> int:
             raise DataError(f"file not found: {path}")
     entities = set()
     triples = []
-    with open(args.kb, encoding="utf-8") as fh:
+    with open_text(args.kb) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -351,10 +353,12 @@ def cmd_adapt_deeppath(args) -> int:
             triples.append(fields)
             entities.add(fields[0])
             entities.add(fields[2])
+    if not triples:
+        raise DataError(f"no triples in {args.kb}")
 
     def convert_pairs(path: str) -> tuple[list[str], int]:
         out_lines, skipped = [], 0
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for raw in fh:
                 line = raw.strip()
                 if not line:
@@ -374,6 +378,9 @@ def cmd_adapt_deeppath(args) -> int:
 
     train_lines, train_skipped = convert_pairs(train_file)
     test_lines, test_skipped = convert_pairs(test_file)
+    for path, lines, skipped in ((train_file, train_lines, train_skipped), (test_file, test_lines, test_skipped)):
+        if not lines:  # extract would fail on the empty split; fail before writing anything
+            raise DataError(f"no pairs left in {path} ({skipped} with entities missing from {args.kb})")
     if train_skipped or test_skipped:
         log.info("skipped %d train / %d test pairs with unknown entities", train_skipped, test_skipped)
 
@@ -493,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (DataError, UnicodeDecodeError) as err:  # an input file that is not UTF-8 is bad data
+    except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except NumericError as err:

@@ -14,7 +14,6 @@ pass runs on a (rows, D) matrix: a mini-batch, or a chunk of a split.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
@@ -185,15 +184,6 @@ def sparsity_loss(mask: SelectionMask, d: int):
     return np.maximum(n_selected - d, 0.0) / np.maximum(n_available, 1.0)
 
 
-def selection_log_prob(probs: np.ndarray, availability: np.ndarray, mask: SelectionMask) -> float:
-    """log pi(mask | probs) summed over available positions."""
-    total = 0.0
-    for j in np.flatnonzero(availability > 0):
-        p = probs[j]
-        total += math.log(p) if mask.selected[j] > 0 else math.log(1.0 - p)
-    return total
-
-
 def _selection_dout(row_softmax: np.ndarray, availability: np.ndarray, selected: np.ndarray):
     """d(-log pi(selected)) wrt the generator logits, shaped like the logits.
 
@@ -204,13 +194,6 @@ def _selection_dout(row_softmax: np.ndarray, availability: np.ndarray, selected:
     choice = (selected > 0)[..., None] == np.array([False, True])
     dout = np.where((availability > 0)[..., None], row_softmax - choice, 0.0)
     return dout.reshape(*availability.shape[:-1], -1)
-
-
-def selection_grad(model: GameModel, instance: Instance, mask: SelectionMask):
-    """Gradient of -log pi(mask) wrt the generator parameters, and the probabilities."""
-    probs, row_softmax, cache = _generator_forward(model, instance.availability)
-    dout = _selection_dout(row_softmax, instance.availability, mask.selected)
-    return backward(model.generator, cache, dout), probs
 
 
 # -- training steps --------------------------------------------------------
@@ -284,7 +267,8 @@ def _predictor_only_step(model: GameModel, config: TrainConfig) -> Step:
     state = AdamState.for_params(model.predictor, config.lr)
 
     def step(batch: list[Instance]):
-        x = _predictor_inputs(model, _stack(batch))
+        availability = _stack(batch)
+        x = _predictor_inputs(model, availability, selection_probs(model, availability))
         loss, _ = predictor_step(model.predictor, state, x, np.array([inst.label for inst in batch]))
         return loss, 0.0, 0.0, float(x.sum()), len(batch)
 
@@ -308,11 +292,12 @@ def selection_probs(model: GameModel, availability: np.ndarray) -> np.ndarray:
     return _generator_forward(model, availability)[0]
 
 
-def _predictor_inputs(model: GameModel, availability: np.ndarray) -> np.ndarray:
-    """Rows the predictor scores: all available chains, or the generator's top-d."""
+def _predictor_inputs(model: GameModel, availability: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Rows the predictor scores: all available chains, or the top-d by the
+    selection probabilities ``probs``."""
     if model.mode == MODE_ALL_CHAINS or model.generator is None:
         return availability
-    return select_top_d(selection_probs(model, availability), availability, model.d).selected
+    return select_top_d(probs, availability, model.d).selected
 
 
 def _row_key(row: np.ndarray) -> bytes:
@@ -321,8 +306,11 @@ def _row_key(row: np.ndarray) -> bytes:
     return nonzero.tobytes() + row[nonzero].tobytes()
 
 
-def _logits(model: GameModel, instances: list[Instance]) -> np.ndarray:
-    """Predictor logits (N, 2), computed one chunk of instances at a time.
+def score_chunks(
+    model: GameModel, instances: list[Instance]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(availability, selection probabilities, predictor logits) per chunk of
+    SCORE_CHUNK consecutive instances, from one generator pass per chunk.
 
     BLAS rounds a row differently depending on its place in the batch, and
     AP breaks exact score ties by input order. So each distinct predictor
@@ -330,16 +318,20 @@ def _logits(model: GameModel, instances: list[Instance]) -> np.ndarray:
     rows with the same top-d selection) share its logits bit for bit.
     """
     by_input: dict[bytes, np.ndarray] = {}
-    keys: list[bytes] = []
     for availability in chunked(instances):
-        x = _predictor_inputs(model, availability)
-        chunk_keys = [_row_key(row) for row in x]
-        fresh = {key: i for i, key in enumerate(chunk_keys) if key not in by_input}
+        probs = selection_probs(model, availability)
+        x = _predictor_inputs(model, availability, probs)
+        keys = [_row_key(row) for row in x]
+        fresh = {key: i for i, key in enumerate(keys) if key not in by_input}
         if fresh:
             out, _ = forward(model.predictor, x[list(fresh.values())])
             by_input.update(zip(fresh, out))
-        keys += chunk_keys
-    return np.array([by_input[key] for key in keys]).reshape(-1, 2)
+        yield availability, probs, np.array([by_input[key] for key in keys])
+
+
+def _logits(model: GameModel, instances: list[Instance]) -> np.ndarray:
+    """Predictor logits (N, 2), one chunk of instances at a time."""
+    return np.concatenate([logits for _, _, logits in score_chunks(model, instances)] or [np.empty((0, 2))])
 
 
 def score_instances(model: GameModel, instances: list[Instance]) -> np.ndarray:

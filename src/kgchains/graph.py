@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError
-from .util import STREAM_DOWNSAMPLE, STREAM_SPLIT, stream_rng
+from .util import STREAM_DOWNSAMPLE, STREAM_SPLIT, open_text, stream_rng
 
 log = logging.getLogger(__name__)
 
@@ -215,7 +215,7 @@ def load_triples(path: str, add_inverses: bool = True) -> KnowledgeGraph:
         raise DataError(f"triples file not found: {path}")
 
     def parse() -> Iterator[tuple[str, str, str]]:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
                 if not line or line.startswith("#"):
@@ -272,7 +272,7 @@ def _read_pairs(path: str) -> list[LabeledPair]:
     if not os.path.isfile(path):
         raise DataError(f"pairs file not found: {path}")
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):

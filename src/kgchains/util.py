@@ -7,6 +7,7 @@ stream without replaying the rest of the pipeline.
 
 from __future__ import annotations
 
+import contextlib
 from typing import IO, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -39,6 +40,17 @@ def batches(items: Sequence[T], size: int) -> Iterator[list[T]]:
         raise ValueError("batch size must be >= 1")
     for start in range(0, len(items), size):
         yield list(items[start : start + size])
+
+
+@contextlib.contextmanager
+def open_text(path: str) -> Iterator[IO[str]]:
+    """Open an input file as UTF-8 text; a byte that does not decode is a
+    ``DataError`` that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})") from None
 
 
 def write_fields(fh: IO[str], fields: dict) -> None:

@@ -16,6 +16,8 @@ from kgchains.chains import Instance
 from kgchains.cli import main as cli_main
 from kgchains.util import STREAM_SAMPLE, stream_rng
 
+from selection_oracle import selection_grad
+
 
 def report(name, detail=""):
     print(f"ACCEPTANCE {name}: PASS {detail}".rstrip())
@@ -146,7 +148,7 @@ def test_reinforce_unbiasedness():
 
     estimates = {}
     for bits in all_masks:
-        grads, _ = game.selection_grad(model, inst, masks[bits])
+        grads, _ = selection_grad(model, inst, masks[bits])
         flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in grads])
         estimates[bits] = flat * (rewards[bits] - baseline)
 
@@ -325,6 +327,33 @@ def test_parameter_count_anchors():
     elapsed = time.time() - start
     assert elapsed < 1.0
     report("parameter-count-anchors", f"(mlp {mlp}, linear {linear})")
+
+
+def _built_parameter_count(D, arch):
+    """The README's count of the game model ``build_model`` builds."""
+    h1, h2 = max(2, D // 2), max(2, D // 4)
+    hidden = D * h1 + h1 + h1 * h2 + h2  # D -> D/2 -> D/4, weights and biases
+    generator = hidden + h2 * 2 * D + 2 * D  # D/4 -> 2D: one logit pair per chain
+    predictor = hidden + h2 * 2 + 2 if arch == "mlp" else D * 2 + 2
+    return generator + 2 * predictor  # the predictor and the complement
+
+
+def test_built_model_parameter_count():
+    start = time.time()
+    counts = {}
+    for D in (4, 23, 200, 300, 365):
+        for arch in ("mlp", "linear"):
+            model = game.build_model(D, 2, 1.0, arch)
+            built = sum(neural.count_params(net) for net in (model.generator, model.predictor, model.complement))
+            assert built == _built_parameter_count(D, arch), (D, arch)
+            counts[D, arch] = built
+    assert (counts[365, "mlp"], counts[365, "linear"]) == (317_323, 151_889)
+    # the anchor counts the generator's last layer as D/4 -> 2
+    for arch in ("mlp", "linear"):
+        assert counts[365, arch] - neural.param_count(365, arch, 3) == (365 // 4 + 1) * (2 * 365 - 2)
+    elapsed = time.time() - start
+    assert elapsed < 1.0
+    report("built-model-parameter-count", f"(mlp {counts[365, 'mlp']}, linear {counts[365, 'linear']})")
 
 
 # -- criterion: pipeline determinism ------------------------------------------

@@ -2,9 +2,10 @@
 
 Every file that ``extract``, ``eval`` and ``adapt-deeppath`` read is, in
 turn, given a byte that is not UTF-8 or replaced by a directory; the
-command must exit 2 with a ``data error:`` message. The ``adapt-deeppath``
-KB and pairs files are also fuzzed line by line; those runs must exit 0 or
-2, never raise.
+command must exit 2 with a ``data error:`` message that names the file. The
+``adapt-deeppath`` KB and pairs files are also fuzzed line by line; those
+runs must exit 0 or 2, never raise. An empty KB, or a split whose pairs all
+name entities missing from the KB, must exit 2 before any file is written.
 """
 
 import shutil
@@ -91,7 +92,8 @@ def test_bad_input_file_is_a_data_error(inputs, tmp_path, capsys, corrupt, args,
     capsys.readouterr()
     corrupt(root / name)
     assert main(args(root)) == 2
-    assert "data error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error: " in err and str(root / name) in err
 
 
 def line_variants(text):
@@ -112,7 +114,15 @@ def line_variants(text):
             yield "".join(lines[:i] + [bad + "\n"] + lines[i + 1 :])
 
 
-@pytest.mark.parametrize("name", ["kb.txt", "task/train.pairs", "task/test.pairs"])
+# per input file: contents that leave the adapted graph or a split empty
+EMPTY_RESULTS = {
+    "kb.txt": ["", "x\tr\ty\n"],
+    "task/train.pairs": ["", "thing$a,thing$x: +\nthing$y,thing$b: -\n"],
+    "task/test.pairs": ["", "thing$a,thing$x: +\nthing$y,thing$b: -\n"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_RESULTS))
 def test_adapt_deeppath_fuzz_exits_0_or_2(inputs, tmp_path, capsys, name):
     root = tmp_path / "copy"
     shutil.copytree(inputs / "deeppath", root / "deeppath")
@@ -121,3 +131,9 @@ def test_adapt_deeppath_fuzz_exits_0_or_2(inputs, tmp_path, capsys, name):
         path.write_text(text)
         assert main(adapt_args(root)) in (0, 2), text
     assert "data error: " in capsys.readouterr().err
+    for text in EMPTY_RESULTS[name]:
+        shutil.rmtree(root / "adapted", ignore_errors=True)
+        path.write_text(text)
+        assert main(adapt_args(root)) == 2, text
+        assert not (root / "adapted").exists()
+        assert "data error: " in capsys.readouterr().err

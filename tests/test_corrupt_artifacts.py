@@ -5,6 +5,7 @@ epoch by ``kgchains train``) is cut at every line count and has one token
 replaced per line; ``kgchains eval`` must then exit 0 or 2.
 """
 
+import base64
 import re
 
 import numpy as np
@@ -94,6 +95,18 @@ def swap(old, new):
     return corrupt
 
 
+def first_weight(edit):
+    """Re-encode the first layer's weight payload after ``edit`` on its float64 values."""
+
+    def corrupt(text):
+        head, sep, rest = text.partition("\nweight ")
+        payload, newline, tail = rest.partition("\n")
+        values = edit(np.frombuffer(base64.b64decode(payload), "<f8"))
+        return head + sep + base64.b64encode(values.tobytes()).decode("ascii") + newline + tail
+
+    return corrupt
+
+
 # each applied to the d_all checkpoint (D = 4: layers 4 -> 2 -> 2 -> 2, d = 1)
 CORRUPTIONS = {
     "no_end": cut_lines(-1),
@@ -104,6 +117,11 @@ CORRUPTIONS = {
     "weight_x": swap("\nlayer 0 2 4\n", "\nlayer 0 2 4\nx"),
     "d_two": swap("\nd = 1\n", "\nd = two\n"),
     "meta_without_equals": swap("\nd = 1\n", "\nd: 1\n"),
+    "weight_bad_base64": swap("\nweight ", "\nweight *"),
+    "weight_8_bytes_short": first_weight(lambda values: values[:-1]),
+    "weight_nan": first_weight(lambda values: np.r_[np.nan, values[1:]]),
+    "weight_inf": first_weight(lambda values: np.r_[-np.inf, values[1:]]),
+    "no_weight_line": lambda text: re.sub(r"\nweight [^\n]*", "", text, count=1),
 }
 
 

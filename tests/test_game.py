@@ -15,14 +15,14 @@ from kgchains.game import (
     predict,
     sample_mask,
     select_top_d,
-    selection_grad,
-    selection_log_prob,
     sparsity_loss,
     train_predictor_only,
     train_task,
 )
 from kgchains.neural import DenseParams, forward
 from kgchains.util import STREAM_SAMPLE, stream_rng
+
+from selection_oracle import selection_grad, selection_log_prob
 
 
 def instance(avail, label=1, head=0, tail=1):
