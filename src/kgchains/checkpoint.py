@@ -13,12 +13,13 @@ decimals, still load; only v2 is written.
 from __future__ import annotations
 
 import base64
+import math
 import os
 
 import numpy as np
 
 from .errors import DataError
-from .game import GameModel
+from .game import ARCH_LINEAR, ARCH_MLP, MODE_ALL_CHAINS, MODE_GAME, GameModel
 from .neural import DenseParams
 from .util import open_text, read_fields, write_fields
 
@@ -64,51 +65,52 @@ def save_checkpoint(path: str, model: GameModel, meta: dict | None = None) -> No
         fh.write("[end]\n")
 
 
-def _payload(line: str, key: str, lineno: int) -> str:
+def _payload(line: str, key: str, path: str, lineno: int) -> str:
     if not line.startswith(key + " "):
-        raise DataError(f"checkpoint: expected {key} at line {lineno}")
+        raise DataError(f"{path}:{lineno}: expected {key}")
     return line[len(key) + 1 :]
 
 
-def _decode(text: str, n: int, binary: bool, lineno: int) -> np.ndarray:
+def _decode(text: str, n: int, binary: bool, path: str, lineno: int) -> np.ndarray:
     """``n`` finite float64 values: base64 little-endian bytes (v2) or decimals (v1)."""
     if binary:
         raw = base64.b64decode(text, validate=True)
         if len(raw) != 8 * n:
-            raise DataError(f"checkpoint: {len(raw)} payload bytes at line {lineno}, expected {8 * n}")
+            raise DataError(f"{path}:{lineno}: {len(raw)} payload bytes, expected {8 * n}")
         values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     else:
         values = np.array([float(v) for v in text.split()], dtype=np.float64)
         if values.shape != (n,):
-            raise DataError(f"checkpoint: expected {n} values at line {lineno}")
+            raise DataError(f"{path}:{lineno}: expected {n} values")
     if not np.isfinite(values).all():
-        raise DataError(f"checkpoint: non-finite value at line {lineno}")
+        raise DataError(f"{path}:{lineno}: non-finite value")
     return values
 
 
-def _parse_net(lines: list[str], pos: int, binary: bool) -> tuple[DenseParams, int]:
+def _parse_net(lines: list[str], pos: int, binary: bool, path: str) -> tuple[DenseParams, int]:
     if not lines[pos].startswith("layers = "):
-        raise DataError(f"checkpoint: expected layer count at line {pos + 1}")
+        raise DataError(f"{path}:{pos + 1}: expected the layer count")
     n_layers = int(lines[pos].split("=")[1])
     if n_layers < 1:
-        raise DataError(f"checkpoint: a network needs at least one layer at line {pos + 1}")
+        raise DataError(f"{path}:{pos + 1}: a network needs at least one layer")
     pos += 1
     layers = []
     for _ in range(n_layers):
         fields = lines[pos].split()
         if len(fields) != 4 or fields[0] != "layer":
-            raise DataError(f"checkpoint: malformed layer header at line {pos + 1}")
+            raise DataError(f"{path}:{pos + 1}: malformed layer header")
         out_dim, in_dim = int(fields[2]), int(fields[3])
         if out_dim < 1 or in_dim < 1:
-            raise DataError(f"checkpoint: layer shape must be positive at line {pos + 1}")
+            raise DataError(f"{path}:{pos + 1}: layer shape must be positive")
         pos += 1
         if binary:
-            weight = _decode(_payload(lines[pos], "weight", pos + 1), out_dim * in_dim, True, pos + 1)
+            weight = _decode(_payload(lines[pos], "weight", path, pos + 1), out_dim * in_dim, True, path, pos + 1)
             pos += 1
         else:
-            weight = np.concatenate([_decode(lines[pos + r], in_dim, False, pos + r + 1) for r in range(out_dim)])
+            rows = [_decode(lines[pos + r], in_dim, False, path, pos + r + 1) for r in range(out_dim)]
+            weight = np.concatenate(rows)
             pos += out_dim
-        bias = _decode(_payload(lines[pos], "bias", pos + 1), out_dim, binary, pos + 1)
+        bias = _decode(_payload(lines[pos], "bias", path, pos + 1), out_dim, binary, path, pos + 1)
         pos += 1
         layers.append([weight.reshape(out_dim, in_dim), bias])
     return DenseParams(layers=layers), pos
@@ -144,7 +146,7 @@ def _parse_checkpoint(lines: list[str], path: str, binary: bool) -> tuple[GameMo
             pos = end
         elif line.startswith("[net "):
             name = line[len("[net ") : -1]
-            params, pos = _parse_net(lines, pos + 1, binary)
+            params, pos = _parse_net(lines, pos + 1, binary, path)
             nets[name] = params
         elif line == "[end]":
             break
@@ -168,6 +170,15 @@ def _parse_checkpoint(lines: list[str], path: str, binary: bool) -> tuple[GameMo
         generator=nets.get("generator"),
         complement=nets.get("complement"),
     )
+    valid = {
+        "d": (model.d >= 1, "an integer >= 1"),
+        "lambda_s": (math.isfinite(model.lambda_s) and model.lambda_s >= 0, "a finite number >= 0"),
+        "predictor_arch": (model.predictor_arch in (ARCH_MLP, ARCH_LINEAR), f"{ARCH_MLP} or {ARCH_LINEAR}"),
+        "mode": (model.mode in (MODE_GAME, MODE_ALL_CHAINS), f"{MODE_GAME} or {MODE_ALL_CHAINS}"),
+    }
+    for key, (ok, expected) in valid.items():
+        if not ok:
+            raise DataError(f"checkpoint meta {key} = {meta[key]} must be {expected}: {path}")
     output_dims = {"generator": 2 * model.input_dim, "predictor": 2, "complement": 2}
     for name, net in nets.items():
         if (net.input_dim, net.output_dim) != (model.input_dim, output_dims.get(name)):

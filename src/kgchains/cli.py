@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import os
 import sys
 
@@ -29,6 +30,26 @@ STATS_SCHEMA = "# kgchains extract stats v1"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise UsageError(message)
+
+
+def _checked(kind, ok, requirement: str):
+    """An argparse type: ``kind`` of the flag's text, a usage error unless ``ok`` holds."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} must be {requirement}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+MOMENTUM = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 def _read_config_file(path: str) -> list[str]:
@@ -243,7 +264,7 @@ def _load_model(args, relation: str, mode: str, d: int, names: list[str]) -> gam
     if len(names) != model.input_dim:
         raise DataError(
             f"checkpoint/vocabulary mismatch for {relation}: "
-            f"model expects {model.input_dim} chains, vocabulary has {len(names)}"
+            f"{path} expects {model.input_dim} chains, vocabulary has {len(names)}"
         )
     return model
 
@@ -408,7 +429,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("benchmark", help="generate a synthetic planted-rule dataset")
     p.add_argument("--kind", choices=["single", "conjunction", "noisy-weak"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     p.add_argument("--entities", type=int, default=300)
     p.add_argument("--relations", type=int, default=26)
     p.add_argument("--noise", type=float, default=0.0)
@@ -426,11 +447,11 @@ def build_parser() -> _Parser:
     p.add_argument("--tasks", required=True)
     p.add_argument("--relation", action="append", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-hops", type=int, default=3)
-    p.add_argument("--max-chains", type=int, default=10000)
+    p.add_argument("--max-hops", type=POSITIVE_INT, default=3)
+    p.add_argument("--max-chains", type=POSITIVE_INT, default=10000)
     p.add_argument("--split-ratio", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--neg-ratio", type=float, default=None)
+    p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
+    p.add_argument("--neg-ratio", type=POSITIVE, default=None)
     p.add_argument("--no-inverses", action="store_true")
     p.set_defaults(func=cmd_extract)
 
@@ -438,14 +459,14 @@ def build_parser() -> _Parser:
     p.add_argument("--artifacts", required=True)
     p.add_argument("--relation", action="append", required=True)
     p.add_argument("--mode", choices=list(evaluate.ALL_MODES), default=evaluate.MODE_GAME_MLP)
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=20)
-    p.add_argument("--lambda-s", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--baseline-momentum", type=float, default=0.9)
-    p.add_argument("--mc-samples", type=int, default=1)
+    p.add_argument("--d", type=POSITIVE_INT, default=5)
+    p.add_argument("--epochs", type=POSITIVE_INT, required=True)
+    p.add_argument("--lr", type=POSITIVE, default=0.001)
+    p.add_argument("--batch-size", type=POSITIVE_INT, default=20)
+    p.add_argument("--lambda-s", type=NON_NEGATIVE, default=1.0)
+    p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
+    p.add_argument("--baseline-momentum", type=MOMENTUM, default=0.9)
+    p.add_argument("--mc-samples", type=POSITIVE_INT, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
 

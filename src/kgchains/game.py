@@ -252,7 +252,7 @@ def _game_step(model: GameModel, config: TrainConfig) -> Step:
         dout = _selection_dout(np.repeat(row_softmax, samples, axis=0), availability, mask.selected)
         dout *= ((rewards - baseline) / rows)[:, None]
         grads = backward(model.generator, cache, dout.reshape(len(batch), samples, -1).sum(axis=1))
-        if not (np.isfinite(rewards).all() and all(np.isfinite(g).all() for layer in grads for g in layer)):
+        if not (np.isfinite(rewards).all() and np.isfinite(grads.flat).all()):
             raise NumericError("non-finite generator reward or gradient")
         adam_step(model.generator, grads, state_g)
         mean_reward = float(np.mean(rewards))

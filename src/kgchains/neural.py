@@ -6,16 +6,24 @@ two-class softmax cross-entropy, exact analytic gradients, and Adam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
 class DenseParams:
-    """Stack of (weight, bias) pairs; ReLU between layers, none after the last."""
+    """(weight, bias) pairs with ReLU between layers, as views into one float64 buffer ``flat``:
+    each weight row-major, then its bias. ``layers`` is copied into a new buffer, or laid over ``flat``."""
 
-    layers: list[list[np.ndarray]]
+    def __init__(self, layers: list[list[np.ndarray]], flat: np.ndarray | None = None) -> None:
+        if flat is None:
+            flat = np.concatenate([np.ravel(a) for layer in layers for a in layer], dtype=np.float64)
+        self.flat, self.layers, start = flat, [], 0
+        for weight, _ in layers:
+            out_dim, in_dim = np.shape(weight)
+            end = start + out_dim * in_dim
+            self.layers.append([flat[start:end].reshape(out_dim, in_dim), flat[end : end + out_dim]])
+            start = end + out_dim
 
     @property
     def input_dim(self) -> int:
@@ -48,11 +56,11 @@ def init_dense(dims: list[int], rng: np.random.Generator) -> DenseParams:
 
 
 def clone_params(params: DenseParams) -> DenseParams:
-    return DenseParams(layers=[[w.copy(), b.copy()] for w, b in params.layers])
+    return DenseParams(params.layers, params.flat.copy())
 
 
 def count_params(params: DenseParams) -> int:
-    return sum(w.size + b.size for w, b in params.layers)
+    return params.flat.size
 
 
 def forward(params: DenseParams, x: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
@@ -98,8 +106,8 @@ def backward(
     params: DenseParams,
     cache: list[tuple[np.ndarray, np.ndarray]],
     dlogits: np.ndarray,
-) -> list[list[np.ndarray]]:
-    """Exact gradients for every weight and bias, summed over the batch.
+) -> DenseParams:
+    """Exact gradients of every weight and bias, summed over the batch, laid out as ``params``.
 
     ``dlogits`` is (B, out), or 1-D for a batch of one. ReLU subgradient at 0
     is 0.
@@ -107,53 +115,44 @@ def backward(
     dz = np.atleast_2d(dlogits)
     if dz.shape != (len(cache[0][0]), params.output_dim):
         raise ValueError("dlogits shape does not match the batch and output dimension")
-    grads: list[list[np.ndarray]] = [[] for _ in params.layers]
+    grads = DenseParams(params.layers, np.empty_like(params.flat))
     for i in range(len(params.layers) - 1, -1, -1):
         x, _ = cache[i]
-        weight, _ = params.layers[i]
-        grads[i] = [dz.T @ x, dz.sum(axis=0)]
+        np.matmul(dz.T, x, out=grads.layers[i][0])
+        dz.sum(axis=0, out=grads.layers[i][1])
         if i > 0:
             _, z_prev = cache[i - 1]
-            dz = (dz @ weight) * (z_prev > 0.0)
+            dz = (dz @ params.layers[i][0]) * (z_prev > 0.0)
     return grads
 
 
-def zero_grads(params: DenseParams) -> list[list[np.ndarray]]:
-    return [[np.zeros_like(w), np.zeros_like(b)] for w, b in params.layers]
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class AdamState:
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: float
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: list[list[np.ndarray]] = field(default_factory=list)
-    v: list[list[np.ndarray]] = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params: DenseParams, lr: float = 0.001) -> "AdamState":
-        state = cls(lr=lr)
-        state.m = zero_grads(params)
-        state.v = zero_grads(params)
-        return state
+        return cls(lr, np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_step(params: DenseParams, grads: list[list[np.ndarray]], state: AdamState) -> None:
-    """One in-place Adam update with bias correction."""
+def adam_step(params: DenseParams, grads: DenseParams, state: AdamState) -> None:
+    """One in-place Adam update with bias correction, on the whole buffer."""
+    if [w.shape for w, _ in grads.layers] != [w.shape for w, _ in params.layers]:
+        raise ValueError("gradient layout does not match the parameters")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
-    for layer, grad, m, v in zip(params.layers, grads, state.m, state.v):
-        for k in range(2):
-            if grad[k].shape != layer[k].shape:
-                raise ValueError("gradient shape does not match parameter shape")
-            m[k] *= state.beta1
-            m[k] += (1.0 - state.beta1) * grad[k]
-            v[k] *= state.beta2
-            v[k] += (1.0 - state.beta2) * (grad[k] * grad[k])
-            layer[k] -= state.lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + state.epsilon)
+    bc1 = 1.0 - BETA1**state.step
+    bc2 = 1.0 - BETA2**state.step
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grads.flat
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * (grads.flat * grads.flat)
+    params.flat -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + EPSILON)
 
 
 def param_count(input_dim: int, arch: str, submodels: int = 3) -> int:

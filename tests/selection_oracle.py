@@ -23,7 +23,7 @@ def selection_log_prob(probs: np.ndarray, availability: np.ndarray, mask: Select
 
 
 def selection_grad(model: GameModel, instance: Instance, mask: SelectionMask):
-    """Gradient of -log pi(mask) wrt the generator parameters, and the probabilities."""
+    """Gradient of -log pi(mask) wrt the generator parameters, in their layout, and the probabilities."""
     probs, row_softmax, cache = _generator_forward(model, instance.availability)
     dout = _selection_dout(row_softmax, instance.availability, mask.selected)
     return backward(model.generator, cache, dout), probs

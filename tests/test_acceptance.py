@@ -89,7 +89,7 @@ def test_gradient_fidelity():
         _, dlogits = neural.cross_entropy(logits, label)
         analytic = neural.backward(params, cache, dlogits)
         numeric = _finite_difference_grads(params, x, label)
-        for (aw, ab), (nw, nb) in zip(analytic, numeric):
+        for (aw, ab), (nw, nb) in zip(analytic.layers, numeric):
             for a, n in ((aw, nw), (ab, nb)):
                 mask = (np.abs(a) > 1e-7) | (np.abs(n) > 1e-7)
                 if mask.any():
@@ -149,7 +149,7 @@ def test_reinforce_unbiasedness():
     estimates = {}
     for bits in all_masks:
         grads, _ = selection_grad(model, inst, masks[bits])
-        flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in grads])
+        flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in grads.layers])
         estimates[bits] = flat * (rewards[bits] - baseline)
 
     exhaustive = np.sum([pi * estimates[bits] for pi, bits in zip(pis, all_masks)], axis=0)

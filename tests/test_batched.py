@@ -18,6 +18,7 @@ from kgchains.evaluate import evaluate_task
 from kgchains.metrics import group_results, map_score
 from kgchains.neural import (
     AdamState,
+    DenseParams,
     adam_step,
     backward,
     clone_params,
@@ -72,10 +73,10 @@ def ref_quality(model, instances, group_by="global"):
 
 def ref_sum_grads(params, rows, scale):
     """Sum of per-row gradients ``scale * dlogits`` over (x, dlogits) rows."""
-    total = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params.layers]
+    total = DenseParams(params.layers, np.zeros_like(params.flat))
     for x, dlogits in rows:
         _, cache = forward(params, x)
-        for acc, grad in zip(total, backward(params, cache, dlogits)):
+        for acc, grad in zip(total.layers, backward(params, cache, dlogits).layers):
             acc[0] += scale * grad[0]
             acc[1] += scale * grad[1]
     return total
@@ -91,7 +92,7 @@ def ref_predictor_step(params, state, rows):
         accs.append(int(int(np.argmax(logits)) == label))
         grads_in.append((x, dlogits))
     total = ref_sum_grads(params, grads_in, 1.0)
-    for layer in total:
+    for layer in total.layers:
         layer[0] *= 1.0 / len(rows)
         layer[1] *= 1.0 / len(rows)
     adam_step(params, total, state)
@@ -201,7 +202,7 @@ def test_batched_backward_is_sum_of_per_row_backward(dim, arch, rows):
     per_row = ref_sum_grads(params, zip(x, dlogits), 1.0)
     for i, row in enumerate(x):
         assert np.abs(forward(params, row)[0] - logits[i]).max() <= 1e-12 * np.abs(logits).max()
-    for (bw, bb), (rw, rb) in zip(batched, per_row):
+    for (bw, bb), (rw, rb) in zip(batched.layers, per_row.layers):
         for got, want in ((bw, rw), (bb, rb)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -336,13 +337,17 @@ def test_empty_dev_split_is_an_error():
 
 def test_non_finite_generator_gradient_raises(monkeypatch):
     build = game.build_model
+    poison = None
 
     def poisoned(*args, **kwargs):
         model = build(*args, **kwargs)
-        model.generator.layers[0][0][0, 0] = np.inf
+        layer, k, index = poison
+        model.generator.layers[layer][k][index] = np.inf
         return model
 
     monkeypatch.setattr(game, "build_model", poisoned)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericError, match="generator"):
-            game.train_task(planted(), game.TrainConfig(epochs=1, seed=0), d=1)
+    # the first weight and the last bias: both ends of the generator's flat buffer
+    for poison in ((0, 0, (0, 0)), (-1, 1, -1)):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="generator"):
+                game.train_task(planted(), game.TrainConfig(epochs=1, seed=0), d=1)

@@ -197,6 +197,47 @@ def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 1
 
 
+TRAIN = ["train", "--artifacts", "a", "--relation", "target", "--epochs", "1"]
+EXTRACT = ["extract", "--graph", "g.tsv", "--tasks", "tasks", "--relation", "target", "--out", "a"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        TRAIN + ["--d", "0"],
+        TRAIN + ["--batch-size", "0"],
+        TRAIN + ["--lambda-s", "-1"],
+        TRAIN + ["--lambda-s", "nan"],
+        TRAIN + ["--mc-samples", "0"],
+        TRAIN + ["--baseline-momentum", "1"],
+        TRAIN + ["--epochs", "-3"],
+        TRAIN + ["--lr", "-0.5"],
+        TRAIN + ["--lr", "inf"],
+        TRAIN + ["--seed", "-1"],
+        EXTRACT + ["--max-hops", "0"],
+        EXTRACT + ["--neg-ratio", "0"],
+        EXTRACT + ["--max-chains", "0"],
+        ["benchmark", "--kind", "single", "--out", "b", "--seed", "-1"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and argv[-2] in err and "Traceback" not in err
+    assert not os.listdir(tmp_path)
+
+
+def test_range_checked_flags_accept_their_bounds():
+    args = cli.build_parser().parse_args(
+        TRAIN + ["--d", "1", "--lambda-s", "0", "--baseline-momentum", "0", "--lr", "1e-9", "--seed", "0"]
+    )
+    assert (args.d, args.lambda_s, args.baseline_momentum, args.lr, args.seed) == (1, 0.0, 0.0, 1e-9, 0)
+    args = cli.build_parser().parse_args(EXTRACT + ["--max-hops", "1", "--max-chains", "1", "--neg-ratio", "0.5"])
+    assert (args.max_hops, args.max_chains, args.neg_ratio) == (1, 1, 0.5)
+
+
 def test_config_file_supplies_defaults(tmp_path):
     bench = tmp_path / "bench"
     cfg = tmp_path / "run.cfg"

@@ -2,7 +2,8 @@
 
 A tiny artifact set (D = 4, hand-written caches, checkpoints trained for one
 epoch by ``kgchains train``) is cut at every line count and has one token
-replaced per line; ``kgchains eval`` must then exit 0 or 2.
+replaced per line; ``kgchains eval`` must then exit 0 or 2. A checkpoint's
+data errors name the checkpoint file.
 """
 
 import base64
@@ -64,10 +65,16 @@ def variants(text):
 def test_checkpoint_fuzz_exits_0_or_2(art, tmp_path, capsys):
     # the game checkpoint has every section: meta, generator, predictor, complement
     bad = tmp_path / "ck.txt"
+    failed = 0
     for text in variants(checkpoint_path(art, "game_mlp").read_text()):
         bad.write_text(text)
-        assert eval_code(art, bad) in (0, 2), text
-    assert "data error: " in capsys.readouterr().err
+        code = eval_code(art, bad)
+        err = capsys.readouterr().err
+        assert code in (0, 2), text
+        if code == 2:
+            assert "data error: " in err and str(bad) in err, (text, err)
+            failed += 1
+    assert failed
 
 
 @pytest.mark.parametrize("name", ["vocab.tsv", "meta.txt", "test.inst"])
@@ -122,6 +129,13 @@ CORRUPTIONS = {
     "weight_nan": first_weight(lambda values: np.r_[np.nan, values[1:]]),
     "weight_inf": first_weight(lambda values: np.r_[-np.inf, values[1:]]),
     "no_weight_line": lambda text: re.sub(r"\nweight [^\n]*", "", text, count=1),
+    "d_zero": swap("\nd = 1\n", "\nd = 0\n"),
+    "d_negative": swap("\nd = 1\n", "\nd = -1\n"),
+    "mode_bogus": swap("\nmode = d_all\n", "\nmode = bogus\n"),
+    "predictor_arch_bogus": swap("\npredictor_arch = mlp\n", "\npredictor_arch = rnn\n"),
+    "lambda_s_negative": swap("\nlambda_s = 0.0\n", "\nlambda_s = -0.5\n"),
+    "lambda_s_nan": swap("\nlambda_s = 0.0\n", "\nlambda_s = nan\n"),
+    "lambda_s_inf": swap("\nlambda_s = 0.0\n", "\nlambda_s = inf\n"),
 }
 
 
@@ -130,7 +144,8 @@ def test_corrupt_checkpoint_is_a_data_error(art, tmp_path, capsys, case):
     bad = tmp_path / "ck.txt"
     bad.write_text(CORRUPTIONS[case](checkpoint_path(art, "d_all").read_text()))
     assert eval_code(art, bad) == 2
-    assert "data error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error: " in err and str(bad) in err
 
 
 def test_non_integer_vocabulary_support_is_a_data_error(art, capsys):

@@ -180,7 +180,7 @@ def test_selection_grad_matches_finite_differences():
             )
             flat[k] = old
             numeric = -(up - down) / (2 * h)  # selection_grad returns d(-log pi)
-            assert grads[li][0].reshape(-1)[k] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+            assert grads.layers[li][0].reshape(-1)[k] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
 
 def test_predict_zero_weights_gives_half():

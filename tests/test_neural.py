@@ -10,6 +10,7 @@ from kgchains.neural import (
     DenseParams,
     adam_step,
     backward,
+    clone_params,
     count_params,
     cross_entropy,
     forward,
@@ -18,7 +19,6 @@ from kgchains.neural import (
     mlp_dims,
     param_count,
     softmax,
-    zero_grads,
 )
 
 
@@ -45,7 +45,7 @@ def finite_difference(params, x, label, h=1e-5):
 
 def max_rel_error(analytic, numeric):
     worst = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
+    for (aw, ab), (nw, nb) in zip(analytic.layers, numeric):
         for a, n in ((aw, nw), (ab, nb)):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
             mask = (np.abs(a) > 1e-7) | (np.abs(n) > 1e-7)
@@ -91,7 +91,7 @@ def test_backward_zero_dlogits():
     params = init_dense(mlp_dims(6), rng)
     _, cache = forward(params, rng.normal(size=6))
     grads = backward(params, cache, np.zeros(2))
-    for gw, gb in grads:
+    for gw, gb in grads.layers:
         assert not gw.any()
         assert not gb.any()
 
@@ -102,8 +102,8 @@ def test_linear_weight_gradient_is_outer_product():
     _, cache = forward(params, x)
     g = np.array([0.3, -0.7])
     grads = backward(params, cache, g)
-    assert np.allclose(grads[0][0], np.outer(g, x))
-    assert np.allclose(grads[0][1], g)
+    assert np.allclose(grads.layers[0][0], np.outer(g, x))
+    assert np.allclose(grads.layers[0][1], g)
 
 
 def test_gradients_match_finite_differences():
@@ -124,7 +124,7 @@ def test_adam_zero_gradient_keeps_params():
     params = init_dense(linear_dims(3), rng)
     before = [w.copy() for w, _ in params.layers]
     state = AdamState.for_params(params)
-    adam_step(params, zero_grads(params), state)
+    adam_step(params, DenseParams(params.layers, np.zeros_like(params.flat)), state)
     assert state.step == 1
     for (w, _), old in zip(params.layers, before):
         assert np.array_equal(w, old)
@@ -133,7 +133,7 @@ def test_adam_zero_gradient_keeps_params():
 def test_adam_first_step_is_minus_lr():
     params = DenseParams(layers=[[np.array([[0.0]]), np.zeros(1)]])
     state = AdamState.for_params(params, lr=0.001)
-    grads = [[np.array([[1.0]]), np.zeros(1)]]
+    grads = DenseParams(layers=[[np.array([[1.0]]), np.zeros(1)]])
     adam_step(params, grads, state)
     # bias-corrected first step moves by ~lr against the gradient
     assert params.layers[0][0][0, 0] == pytest.approx(-0.001, rel=1e-6)
@@ -142,13 +142,97 @@ def test_adam_first_step_is_minus_lr():
 def test_adam_constant_gradient_limit():
     params = DenseParams(layers=[[np.array([[0.0]]), np.zeros(1)]])
     state = AdamState.for_params(params, lr=0.01)
-    grads = [[np.array([[2.5]]), np.zeros(1)]]
+    grads = DenseParams(layers=[[np.array([[2.5]]), np.zeros(1)]])
     prev = 0.0
     for _ in range(500):
         prev = params.layers[0][0][0, 0]
         adam_step(params, grads, state)
     step = prev - params.layers[0][0][0, 0]
     assert step == pytest.approx(0.01, rel=1e-3)
+
+
+def old_adam_step(layers, grads, state):
+    """The per-layer Adam loop that preceded the flat buffer, on nested lists."""
+    state["step"] += 1
+    bc1 = 1.0 - 0.9 ** state["step"]
+    bc2 = 1.0 - 0.999 ** state["step"]
+    for layer, grad, m, v in zip(layers, grads, state["m"], state["v"]):
+        for k in range(2):
+            m[k] *= 0.9
+            m[k] += (1.0 - 0.9) * grad[k]
+            v[k] *= 0.999
+            v[k] += (1.0 - 0.999) * (grad[k] * grad[k])
+            layer[k] -= state["lr"] * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8)
+
+
+@pytest.mark.parametrize("dims", [mlp_dims(23), linear_dims(23), mlp_dims(7, 14)])
+def test_flat_adam_matches_per_layer_loop_bit_for_bit(dims):
+    rng = np.random.default_rng(len(dims) + dims[-1])
+    params = init_dense(dims, rng)
+    old = [[w.copy(), b.copy()] for w, b in params.layers]
+    state = AdamState.for_params(params, lr=0.01)
+
+    def zeros():
+        return [[np.zeros_like(a) for a in layer] for layer in old]
+
+    old_state = {"lr": 0.01, "step": 0, "m": zeros(), "v": zeros()}
+    for _ in range(6):
+        x = rng.normal(size=(5, dims[0]))
+        logits, cache = forward(params, x)
+        _, dlogits = cross_entropy(logits, rng.integers(2, size=5))
+        grads = backward(params, cache, dlogits)
+        old_step_grads = [[g.copy() for g in layer] for layer in grads.layers]
+        adam_step(params, grads, state)
+        old_adam_step(old, old_step_grads, old_state)
+        for (w, b), (ow, ob) in zip(params.layers, old):
+            assert np.array_equal(w.view(np.int64), ow.view(np.int64))
+            assert np.array_equal(b.view(np.int64), ob.view(np.int64))
+    assert state.step == old_state["step"] == 6
+
+
+def test_adam_rejects_a_gradient_of_another_layout_with_the_same_size():
+    params = DenseParams(layers=[[np.zeros((2, 4)), np.zeros(2)]])
+    grads = DenseParams(layers=[[np.zeros((5, 1)), np.zeros(5)]])
+    assert grads.flat.size == params.flat.size
+    with pytest.raises(ValueError, match="layout"):
+        adam_step(params, grads, AdamState.for_params(params))
+
+
+def test_layers_are_views_into_the_flat_buffer():
+    params = init_dense(mlp_dims(9), np.random.default_rng(2))
+    assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+    assert params.flat.size == sum(w.size + b.size for w, b in params.layers)
+    start = 0
+    for i, (w, b) in enumerate(params.layers):
+        params.layers[i][0][-1, -1] = 100.0 + i
+        params.layers[i][1][-1] = -100.0 - i
+        assert params.flat[start + w.size - 1] == 100.0 + i
+        assert params.flat[start + w.size + b.size - 1] == -100.0 - i
+        assert np.array_equal(params.flat[start : start + w.size], w.reshape(-1))
+        start += w.size + b.size
+
+
+def test_clone_params_shares_no_memory():
+    params = init_dense(mlp_dims(9), np.random.default_rng(3))
+    clone = clone_params(params)
+    assert not np.shares_memory(clone.flat, params.flat)
+    for (w, b), (cw, cb) in zip(params.layers, clone.layers):
+        assert not np.shares_memory(cw, params.flat) and not np.shares_memory(cb, params.flat)
+        assert np.array_equal(w, cw) and np.array_equal(b, cb)
+    assert np.shares_memory(clone.layers[0][0], clone.flat)
+
+
+@pytest.mark.parametrize("dims", [mlp_dims(12), linear_dims(12), mlp_dims(12, 24)])
+def test_backward_gradients_have_the_parameter_layout(dims):
+    rng = np.random.default_rng(4)
+    params = init_dense(dims, rng)
+    logits, cache = forward(params, rng.normal(size=(3, dims[0])))
+    grads = backward(params, cache, np.ones_like(logits))
+    assert grads.flat.shape == params.flat.shape
+    assert not np.shares_memory(grads.flat, params.flat)
+    for (w, b), (gw, gb) in zip(params.layers, grads.layers):
+        assert (gw.shape, gb.shape) == (w.shape, b.shape)
+        assert np.shares_memory(gw, grads.flat) and np.shares_memory(gb, grads.flat)
 
 
 def test_param_count_small_example():
