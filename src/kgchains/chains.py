@@ -2,15 +2,15 @@
 
 A relation chain is the ordered label sequence of some entity path between
 a head and a tail; intermediate entities are discarded. Chains are the
-feature space for everything downstream: an instance is encoded as the
-0/1 availability vector over the task vocabulary.
+feature space for everything downstream: a split is encoded as one 0/1
+availability matrix over the task vocabulary, one row per query pair.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,10 +119,11 @@ class ChainVocabulary:
     def size(self) -> int:
         return len(self.chains)
 
-    def availability(self, found: Iterable[RelationChain]) -> np.ndarray:
-        """0/1 vector over the vocabulary: bit j is 1 iff chain j is in ``found``."""
-        bits = np.zeros(self.size, dtype=np.float64)
-        bits[[self.index[chain] for chain in found if chain in self.index]] = 1.0
+    def availability(self, found: Sequence[Iterable[RelationChain]]) -> np.ndarray:
+        """(N, D) 0/1 matrix: bit (i, j) is 1 iff chain j is in ``found[i]``."""
+        bits = np.zeros((len(found), self.size), dtype=np.float64)
+        for row, chains in zip(bits, found):
+            row[[self.index[chain] for chain in chains if chain in self.index]] = 1.0
         return bits
 
 
@@ -166,7 +167,7 @@ def build_vocabulary(
 
 @dataclass
 class Instance:
-    """One query pair with its 0/1 chain-availability vector over the vocabulary."""
+    """One row of a split: a query pair, its label and its availability row."""
 
     head: int | str
     tail: int | str
@@ -199,14 +200,23 @@ def mask_from_selected(availability: np.ndarray, selected: np.ndarray) -> Select
     return SelectionMask(selected=selected, complement=availability * (1.0 - selected))
 
 
-def chain_statistics(
-    vocab: ChainVocabulary, instances: Sequence[Instance]
-) -> tuple[int, float]:
-    """(total vocabulary chains, mean distinct chains realized per instance)."""
-    if not instances:
-        raise DataError("no instances to compute chain statistics on")
-    mean = float(np.mean([inst.n_available for inst in instances]))
-    return vocab.size, mean
+@dataclass
+class Split:
+    """One split as columns: query pairs (entity ids after ``encode_task``, names
+    after ``read_instances``), labels, and one C-contiguous float64 (N, D) 0/1
+    availability matrix, the rows that ``len()`` counts and iteration yields."""
+
+    heads: list
+    tails: list
+    labels: np.ndarray
+    availability: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[Instance]:
+        for row in zip(self.heads, self.tails, self.labels.tolist(), self.availability):
+            yield Instance(*row)
 
 
 @dataclass
@@ -215,9 +225,9 @@ class EncodedTask:
 
     relation: str
     size: int
-    train: list[Instance]
-    dev: list[Instance]
-    test: list[Instance]
+    train: Split
+    dev: Split
+    test: Split
 
 
 def encode_task(vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset) -> EncodedTask:
@@ -228,8 +238,10 @@ def encode_task(vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset
     everything = task.train + task.dev + task.test
     found = chains_by_pair(graph, map(ids, everything), vocab.max_hops, exclude=vocab.target)
 
-    def encode_split(pairs) -> list[Instance]:
-        return [Instance(*ids(p), p.label, vocab.availability(found[ids(p)])) for p in pairs]
+    def encode_split(pairs: list[LabeledPair]) -> Split:
+        keys = [ids(p) for p in pairs]
+        labels = np.array([p.label for p in pairs], dtype=np.int64)
+        return Split([h for h, _ in keys], [t for _, t in keys], labels, vocab.availability([found[k] for k in keys]))
 
     return EncodedTask(
         relation=task.relation,
@@ -269,7 +281,7 @@ def read_vocabulary_names(path: str) -> tuple[list[str], list[int]]:
     return names, supports
 
 
-def write_instances(path: str, instances: Sequence[Instance], graph: KnowledgeGraph | None) -> None:
+def write_instances(path: str, split: Split, graph: KnowledgeGraph | None) -> None:
     """head TAB tail TAB label TAB availability bits as a 0/1 string."""
 
     def name(value: int | str) -> str:
@@ -278,17 +290,20 @@ def write_instances(path: str, instances: Sequence[Instance], graph: KnowledgeGr
         assert graph is not None, "graph required to name integer entity ids"
         return graph.entity_name(value)
 
+    width = split.availability.shape[1]
+    bits = ((split.availability > 0).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
     with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            bits = ((inst.availability > 0).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
-            fh.write(f"{name(inst.head)}\t{name(inst.tail)}\t{inst.label}\t{bits}\n")
+        for i, (head, tail, label) in enumerate(zip(split.heads, split.tails, split.labels.tolist())):
+            fh.write(f"{name(head)}\t{name(tail)}\t{label}\t{bits[i * width : (i + 1) * width]}\n")
 
 
-def read_instances(path: str, expected_size: int | None = None) -> list[Instance]:
-    """Reload an instance cache; heads and tails come back as names."""
+def read_instances(path: str, expected_size: int | None = None) -> Split:
+    """Reload an instance cache; heads and tails come back as names. Every row
+    must be ``expected_size`` wide or, without it, as wide as the first."""
     if not os.path.isfile(path):
         raise DataError(f"instance cache not found: {path}")
-    instances: list[Instance] = []
+    rows: list[list[str]] = []
+    width = expected_size
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -297,16 +312,14 @@ def read_instances(path: str, expected_size: int | None = None) -> list[Instance
             fields = line.split("\t")
             if len(fields) != 4 or fields[2] not in ("0", "1"):
                 raise DataError(f"{path}:{lineno}: malformed instance line")
-            # uint8 wraps below "0", so every character but "0"/"1" reads > 1
-            bits = np.frombuffer(fields[3].encode("ascii", "replace"), np.uint8) - ord("0")
-            if (bits > 1).any():
+            if fields[3].strip("01"):
                 raise DataError(f"{path}:{lineno}: availability must be a 0/1 string")
-            if expected_size is not None and len(fields[3]) != expected_size:
-                raise DataError(
-                    f"{path}:{lineno}: availability length {len(fields[3])} != vocabulary size {expected_size}"
-                )
-            availability = bits.astype(np.float64)
-            instances.append(
-                Instance(head=fields[0], tail=fields[1], label=int(fields[2]), availability=availability)
-            )
-    return instances
+            width = len(fields[3]) if width is None else width
+            if len(fields[3]) != width:
+                against = "first row's length" if expected_size is None else "vocabulary size"
+                raise DataError(f"{path}:{lineno}: availability length {len(fields[3])} != {against} {width}")
+            rows.append(fields)
+    heads, tails, labels, bits = map(list, zip(*rows)) if rows else ([], [], [], [])
+    flat = np.frombuffer("".join(bits).encode("ascii"), np.uint8) - ord("0")
+    availability = flat.reshape(len(rows), width or 0).astype(np.float64)
+    return Split(heads, tails, np.array(labels, dtype=np.int64), availability)

@@ -49,7 +49,9 @@ POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
-MOMENTUM = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+RATIO = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+BELOW_ONE = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+PROBABILITY = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 def _read_config_file(path: str) -> list[str]:
@@ -125,7 +127,7 @@ def _read_meta(artifacts: str, relation: str) -> tuple[dict, int]:
         raise DataError(f"{path}: vocab_size is missing or not an integer") from None
 
 
-def _read_split(artifacts: str, relation: str, split: str, size: int) -> list[chains.Instance]:
+def _read_split(artifacts: str, relation: str, split: str, size: int) -> chains.Split:
     return chains.read_instances(_instances_path(artifacts, relation, split), size)
 
 
@@ -160,9 +162,6 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    if not 0 < args.split_ratio < 1:
-        # training picks its checkpoint on dev, so dev must not be empty
-        raise DataError(f"--split-ratio {args.split_ratio} leaves no dev pairs; it must be in (0, 1)")
     kg = graph.load_triples(args.graph, add_inverses=not args.no_inverses)
     stats_rows = []
     for relation in args.relation:
@@ -197,10 +196,10 @@ def cmd_extract(args) -> int:
                     "neg_ratio": args.neg_ratio if args.neg_ratio is not None else "none",
                 },
             )
-        everything = data.train + data.dev + data.test
-        total, mean = chains.chain_statistics(vocab, everything)
-        stats_rows.append((relation, total, mean))
-        print(f"extracted {relation}: chains={total} mean_per_instance={mean:.2f}")
+        row_sums = np.concatenate([split.availability.sum(axis=1) for split in (data.train, data.dev, data.test)])
+        mean = float(row_sums.mean())
+        stats_rows.append((relation, vocab.size, mean))
+        print(f"extracted {relation}: chains={vocab.size} mean_per_instance={mean:.2f}")
 
     with open(os.path.join(args.out, "stats.tsv"), "w", encoding="utf-8") as fh:
         fh.write(STATS_SCHEMA + "\n")
@@ -306,8 +305,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_rules(args) -> int:
-    if args.top_n < 0:
-        raise UsageError("--top-n must be >= 0")
     relation = args.relation
     _, size = _read_meta(args.artifacts, relation)
     test = _read_split(args.artifacts, relation, "test", size)
@@ -318,27 +315,27 @@ def cmd_export_rules(args) -> int:
     lines: list[str] = []
     if args.aggregate:
         weight = np.zeros(model.input_dim)
-        count = np.zeros(model.input_dim)
-        for availability in game.chunked(test):
-            weight += game.selection_probs(model, availability).sum(axis=0)
-            count += availability.sum(axis=0)
+        for start in range(0, len(test), game.SCORE_CHUNK):
+            weight += game.selection_probs(model, test.availability[start : start + game.SCORE_CHUNK]).sum(axis=0)
+        count = test.availability.sum(axis=0)
         mean = np.divide(weight, count, out=np.zeros_like(weight), where=count > 0)
         order = np.argsort(-mean, kind="stable")[:top_n]
         lines.append(f"{relation}: top {top_n} chains by mean selection probability")
         for rank, j in enumerate(order, start=1):
             lines.append(f"  {rank}. {names[j]} (mean_p={mean[j]:.4f}, seen={int(count[j])})")
     else:
-        chosen = []  # per row: its top-n available chains by probability, ties to the lower index
+        chosen = []  # per row: (available chains, its top-n by probability, ties to the lower index)
         logits = []
-        for availability, probs, chunk_logits in game.score_chunks(model, test):
+        for availability, probs, chunk_logits in game.score_chunks(model, test.availability):
             order = np.argsort(np.where(availability > 0, -probs, np.inf), axis=1, kind="stable")
             for row, p, n in zip(order, probs, availability.sum(axis=1).astype(int)):
-                chosen.append([(j, p[j]) for j in row[: min(top_n, n)]])
+                chosen.append((n, [(j, p[j]) for j in row[: min(top_n, n)]]))
             logits.append(chunk_logits)
         confidences = neural.softmax(np.concatenate(logits))[:, 1] if logits else []
-        for inst, confidence, top in zip(test, confidences, chosen):
-            lines.append(f"{inst.head} -> {inst.tail} label={inst.label} confidence={confidence:.4f}")
-            if inst.n_available == 0:
+        rows = zip(test.heads, test.tails, test.labels.tolist(), confidences, chosen)
+        for head, tail, label, confidence, (n, top) in rows:
+            lines.append(f"{head} -> {tail} label={label} confidence={confidence:.4f}")
+            if n == 0:
                 lines.append("  (no chains)")
             for rank, (j, p) in enumerate(top, start=1):
                 lines.append(f"  {rank}. {names[j]} (p={p:.4f})")
@@ -430,16 +427,16 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=["single", "conjunction", "noisy-weak"], required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
-    p.add_argument("--entities", type=int, default=300)
-    p.add_argument("--relations", type=int, default=26)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--max-hops", type=int, default=2)
-    p.add_argument("--train-groups", type=int, default=50)
-    p.add_argument("--test-groups", type=int, default=25)
-    p.add_argument("--negatives-per-group", type=int, default=3)
-    p.add_argument("--distractor-rate", type=float, default=0.3)
-    p.add_argument("--weak-pos-rate", type=float, default=0.75)
-    p.add_argument("--weak-neg-rate", type=float, default=0.25)
+    p.add_argument("--entities", type=POSITIVE_INT, default=300)
+    p.add_argument("--relations", type=POSITIVE_INT, default=26)
+    p.add_argument("--noise", type=BELOW_ONE, default=0.0)
+    p.add_argument("--max-hops", type=POSITIVE_INT, default=2)
+    p.add_argument("--train-groups", type=POSITIVE_INT, default=50)
+    p.add_argument("--test-groups", type=POSITIVE_INT, default=25)
+    p.add_argument("--negatives-per-group", type=POSITIVE_INT, default=3)
+    p.add_argument("--distractor-rate", type=PROBABILITY, default=0.3)
+    p.add_argument("--weak-pos-rate", type=PROBABILITY, default=0.75)
+    p.add_argument("--weak-neg-rate", type=PROBABILITY, default=0.25)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("extract", help="build chain vocabularies and encoded instances")
@@ -449,7 +446,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--max-hops", type=POSITIVE_INT, default=3)
     p.add_argument("--max-chains", type=POSITIVE_INT, default=10000)
-    p.add_argument("--split-ratio", type=float, default=0.8)
+    # training picks its checkpoint on dev, so a ratio of 1 (no dev pairs) is out of range
+    p.add_argument("--split-ratio", type=RATIO, default=0.8)
     p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     p.add_argument("--neg-ratio", type=POSITIVE, default=None)
     p.add_argument("--no-inverses", action="store_true")
@@ -465,7 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-size", type=POSITIVE_INT, default=20)
     p.add_argument("--lambda-s", type=NON_NEGATIVE, default=1.0)
     p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
-    p.add_argument("--baseline-momentum", type=MOMENTUM, default=0.9)
+    p.add_argument("--baseline-momentum", type=BELOW_ONE, default=0.9)
     p.add_argument("--mc-samples", type=POSITIVE_INT, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
@@ -487,7 +485,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", default=evaluate.MODE_GAME_MLP)
     p.add_argument("--d", type=int, default=5)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--top-n", type=int, default=5)
+    p.add_argument("--top-n", type=NON_NEGATIVE_INT, default=5)
     p.add_argument("--aggregate", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export_rules)

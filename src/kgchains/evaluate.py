@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import EncodedTask, Instance
+from .chains import EncodedTask, Split
 from .errors import DataError
 from .game import (
     ARCH_LINEAR,
@@ -32,16 +32,16 @@ class EvalReport:
     skipped: int = 0
 
 
-def evaluate_task(model: GameModel, instances: list[Instance], group_by: str = "head") -> EvalReport:
-    """Score every instance with the model and report MAP over query groups.
+def evaluate_task(model: GameModel, split: Split, group_by: str = "head") -> EvalReport:
+    """Score every row of the split with the model and report MAP over query groups.
 
     Groups without a positive are excluded from the mean and counted in
     the report.
     """
-    if not instances:
+    if not split:
         raise DataError("empty test set")
-    scores = score_instances(model, instances)
-    groups = group_results([i.head for i in instances], scores, [i.label for i in instances], group_by)
+    scores = score_instances(model, split.availability)
+    groups = group_results(split.heads, scores, split.labels, group_by)
     skipped = sum(1 for group in groups if not any(label for _, label in group.items))
     return EvalReport(map=map_score(groups), skipped=skipped)
 

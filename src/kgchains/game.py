@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .chains import EncodedTask, Instance, SelectionMask, mask_from_selected
+from .chains import EncodedTask, Instance, SelectionMask, Split, mask_from_selected
 from .errors import DataError, NumericError
 from .metrics import group_results, map_score
 from .neural import (
@@ -41,7 +41,7 @@ ARCH_MLP = "mlp"
 ARCH_LINEAR = "linear"
 MODE_GAME = "game"
 MODE_ALL_CHAINS = "d_all"
-# Instances per network pass when scoring, so a large split never sits in
+# Rows per network pass when scoring, so a large split never sits in
 # memory as one (N, 2D) generator output.
 SCORE_CHUNK = 256
 # Grouping for the per-epoch dev ranking used to pick the checkpoint.
@@ -199,10 +199,6 @@ def _selection_dout(row_softmax: np.ndarray, availability: np.ndarray, selected:
 # -- training steps --------------------------------------------------------
 
 
-def _stack(batch: list[Instance]) -> np.ndarray:
-    return np.stack([inst.availability for inst in batch])
-
-
 def predictor_step(params: DenseParams, state: AdamState, x: np.ndarray, labels: np.ndarray):
     """One Adam step on the batch-mean cross-entropy of rows ``x``.
 
@@ -220,7 +216,7 @@ def instance_reward(model: GameModel, mask: SelectionMask, acc_p, acc_c):
     return acc_p - acc_c - model.lambda_s * sparsity_loss(mask, model.d)
 
 
-Step = Callable[[list[Instance]], tuple[float, float, float, float, int]]
+Step = Callable[[np.ndarray, np.ndarray], tuple[float, float, float, float, int]]
 
 
 def _game_step(model: GameModel, config: TrainConfig) -> Step:
@@ -237,21 +233,20 @@ def _game_step(model: GameModel, config: TrainConfig) -> Step:
     samples = config.mc_samples_per_instance
     baseline = 0.0
 
-    def step(batch: list[Instance]):
+    def step(availability: np.ndarray, labels: np.ndarray):
         nonlocal baseline
-        availability = _stack(batch)
         probs, row_softmax, cache = _generator_forward(model, availability)
         # instance-major rows draw the same numbers as one instance at a time
         availability = np.repeat(availability, samples, axis=0)
         mask = sample_mask(np.repeat(probs, samples, axis=0), availability, rng_sample)
-        labels = np.repeat([inst.label for inst in batch], samples)
+        labels = np.repeat(labels, samples)
         loss_p, acc_p = predictor_step(model.predictor, state_p, mask.selected, labels)
         loss_c, acc_c = predictor_step(model.complement, state_c, mask.complement, labels)
         rewards = instance_reward(model, mask, acc_p, acc_c)
         rows = len(rewards)
         dout = _selection_dout(np.repeat(row_softmax, samples, axis=0), availability, mask.selected)
         dout *= ((rewards - baseline) / rows)[:, None]
-        grads = backward(model.generator, cache, dout.reshape(len(batch), samples, -1).sum(axis=1))
+        grads = backward(model.generator, cache, dout.reshape(len(probs), samples, -1).sum(axis=1))
         if not (np.isfinite(rewards).all() and np.isfinite(grads.flat).all()):
             raise NumericError("non-finite generator reward or gradient")
         adam_step(model.generator, grads, state_g)
@@ -266,22 +261,15 @@ def _predictor_only_step(model: GameModel, config: TrainConfig) -> Step:
     """Supervised predictor on its inference-time inputs; no game."""
     state = AdamState.for_params(model.predictor, config.lr)
 
-    def step(batch: list[Instance]):
-        availability = _stack(batch)
+    def step(availability: np.ndarray, labels: np.ndarray):
         x = _predictor_inputs(model, availability, selection_probs(model, availability))
-        loss, _ = predictor_step(model.predictor, state, x, np.array([inst.label for inst in batch]))
-        return loss, 0.0, 0.0, float(x.sum()), len(batch)
+        loss, _ = predictor_step(model.predictor, state, x, labels)
+        return loss, 0.0, 0.0, float(x.sum()), len(labels)
 
     return step
 
 
 # -- inference -------------------------------------------------------------
-
-
-def chunked(instances: list[Instance]) -> Iterator[np.ndarray]:
-    """(rows, D) availability matrices of SCORE_CHUNK consecutive instances."""
-    for start in range(0, len(instances), SCORE_CHUNK):
-        yield _stack(instances[start : start + SCORE_CHUNK])
 
 
 def selection_probs(model: GameModel, availability: np.ndarray) -> np.ndarray:
@@ -307,45 +295,46 @@ def _row_key(row: np.ndarray) -> bytes:
 
 
 def score_chunks(
-    model: GameModel, instances: list[Instance]
+    model: GameModel, availability: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(availability, selection probabilities, predictor logits) per chunk of
-    SCORE_CHUNK consecutive instances, from one generator pass per chunk.
+    """(availability, selection probabilities, predictor logits) per slice of
+    SCORE_CHUNK rows of an (N, D) availability matrix, one generator pass each.
 
     BLAS rounds a row differently depending on its place in the batch, and
     AP breaks exact score ties by input order. So each distinct predictor
-    input is scored once, and instances that share it (duplicated rows, or
-    rows with the same top-d selection) share its logits bit for bit.
+    input is scored once, and rows that share it (duplicated rows, or rows
+    with the same top-d selection) share its logits bit for bit.
     """
     by_input: dict[bytes, np.ndarray] = {}
-    for availability in chunked(instances):
-        probs = selection_probs(model, availability)
-        x = _predictor_inputs(model, availability, probs)
+    for start in range(0, len(availability), SCORE_CHUNK):
+        chunk = availability[start : start + SCORE_CHUNK]
+        probs = selection_probs(model, chunk)
+        x = _predictor_inputs(model, chunk, probs)
         keys = [_row_key(row) for row in x]
         fresh = {key: i for i, key in enumerate(keys) if key not in by_input}
         if fresh:
             out, _ = forward(model.predictor, x[list(fresh.values())])
             by_input.update(zip(fresh, out))
-        yield availability, probs, np.array([by_input[key] for key in keys])
+        yield chunk, probs, np.array([by_input[key] for key in keys])
 
 
-def _logits(model: GameModel, instances: list[Instance]) -> np.ndarray:
-    """Predictor logits (N, 2), one chunk of instances at a time."""
-    return np.concatenate([logits for _, _, logits in score_chunks(model, instances)] or [np.empty((0, 2))])
+def _logits(model: GameModel, availability: np.ndarray) -> np.ndarray:
+    """Predictor logits (N, 2) of (N, D) availability rows, one chunk at a time."""
+    return np.concatenate([logits for _, _, logits in score_chunks(model, availability)] or [np.empty((0, 2))])
 
 
-def score_instances(model: GameModel, instances: list[Instance]) -> np.ndarray:
-    """Positive-class confidence per instance from the predictor on the top-d
-    selection; in all-chains mode, on the full availability vector."""
-    return softmax(_logits(model, instances))[:, 1]
+def score_instances(model: GameModel, availability: np.ndarray) -> np.ndarray:
+    """Positive-class confidence per row of an (N, D) availability matrix from
+    the predictor on the top-d selection; in all-chains mode, on the full row."""
+    return softmax(_logits(model, availability))[:, 1]
 
 
 def predict(model: GameModel, instance: Instance) -> float:
-    """score_instances for one instance."""
-    return float(score_instances(model, [instance])[0])
+    """score_instances for one row."""
+    return float(score_instances(model, instance.availability[None])[0])
 
 
-def _dev_quality(model: GameModel, instances: list[Instance]) -> tuple[float, float]:
+def _dev_quality(model: GameModel, split: Split) -> tuple[float, float]:
     """(dev MAP, -dev cross-entropy) for checkpoint selection, from one scoring pass.
 
     MAP is 0.0 when no dev group has a positive. Small dev rankings saturate
@@ -353,10 +342,9 @@ def _dev_quality(model: GameModel, instances: list[Instance]) -> tuple[float, fl
     predictor on its inference-time inputs keeps discriminating between
     equally-ranked checkpoints.
     """
-    logits = _logits(model, instances)
-    labels = [inst.label for inst in instances]
-    losses, _ = cross_entropy(logits, np.array(labels))
-    groups = group_results([i.head for i in instances], softmax(logits)[:, 1], labels, DEV_GROUP_BY)
+    logits = _logits(model, split.availability)
+    losses, _ = cross_entropy(logits, split.labels)
+    groups = group_results(split.heads, softmax(logits)[:, 1], split.labels, DEV_GROUP_BY)
     try:
         dev_map = map_score(groups)
     except DataError:
@@ -370,11 +358,11 @@ def _dev_quality(model: GameModel, instances: list[Instance]) -> tuple[float, fl
 def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, rng_shuffle) -> TrainResult:
     """The epoch loop of every mode; returns the best-dev checkpoint.
 
-    Per epoch: shuffle, run ``step`` on each mini-batch, then score dev once.
-    ``step`` returns (loss_p, loss_c, mean reward, chains selected, rows).
-    Ties in dev quality keep the earlier epoch.
+    Per epoch: shuffle, run ``step`` on each mini-batch's availability rows
+    and labels, then score dev once. ``step`` returns (loss_p, loss_c, mean
+    reward, chains selected, rows). Ties in dev quality keep the earlier epoch.
     """
-    if {inst.label for inst in data.train} != {0, 1}:
+    if set(data.train.labels.tolist()) != {0, 1}:
         raise DataError("training set must contain at least one positive and one negative")
     if not data.dev:
         raise DataError("empty dev split: no data to select the checkpoint on")
@@ -386,8 +374,8 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
     for epoch in range(1, config.epochs + 1):
         totals = np.zeros(5)
         n_steps = 0
-        for batch_idx in batches(rng_shuffle.permutation(len(data.train)).tolist(), config.batch_size):
-            stats = step([data.train[i] for i in batch_idx])
+        for rows in batches(rng_shuffle.permutation(len(data.train)).tolist(), config.batch_size):
+            stats = step(data.train.availability[rows], data.train.labels[rows])
             if not np.isfinite(stats[:2]).all():
                 raise NumericError(f"non-finite predictor loss at epoch {epoch}")
             totals += stats

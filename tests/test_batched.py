@@ -31,6 +31,8 @@ from kgchains.neural import (
 )
 from kgchains.util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, batches, stream_rng
 
+from splits import split_of
+
 # -- per-instance reference ---------------------------------------------------
 
 
@@ -114,8 +116,9 @@ def ref_epoch(model, data, config, kind):
     baseline = 0.0
     sums = np.zeros(4)
     steps = samples = 0
-    for idx in batches(rng_shuffle.permutation(len(data.train)).tolist(), config.batch_size):
-        batch = [data.train[i] for i in idx]
+    train = list(data.train)
+    for idx in batches(rng_shuffle.permutation(len(train)).tolist(), config.batch_size):
+        batch = [train[i] for i in idx]
         if kind != "game":
             rows = [(ref_inputs(model, inst.availability, model.d), inst.label) for inst in batch]
             lp, _ = ref_predictor_step(model.predictor, states["p"], rows)
@@ -171,7 +174,9 @@ def planted(seed=0, n=160, d_input=8):
         avail = (rng.random(d_input) < 0.4).astype(float)
         avail[0] = float(label)
         out.append(Instance(head=i // 4, tail=i, label=label, availability=avail))
-    return EncodedTask("planted", d_input, out[: n // 2], out[n // 2 : 3 * n // 4], out[3 * n // 4 :])
+    return EncodedTask(
+        "planted", d_input, split_of(out[: n // 2]), split_of(out[n // 2 : 3 * n // 4]), split_of(out[3 * n // 4 :])
+    )
 
 
 def conjunction_task():
@@ -292,7 +297,7 @@ def test_scorer_shares_scores_between_equal_inputs(mode):
         Instance(head=0, tail=i, label=i % 2, availability=pool[j].copy())
         for i, j in enumerate(rng.integers(len(pool), size=3 * game.SCORE_CHUNK + 17))
     ]
-    scores = game.score_instances(model, instances)
+    scores = game.score_instances(model, split_of(instances).availability)
     by_row, by_input = {}, {}
     for inst, score in zip(instances, scores):
         assert score == pytest.approx(ref_predict(model, inst), abs=1e-12)
@@ -324,7 +329,7 @@ def test_evaluate_map_equals_per_row_map(mode):
 
 def test_empty_dev_split_is_an_error():
     data = planted()
-    no_dev = EncodedTask("planted", data.size, data.train, [], data.test)
+    no_dev = EncodedTask("planted", data.size, data.train, split_of([], data.size), data.test)
     config = game.TrainConfig(epochs=1, seed=0)
     for train in (
         lambda: game.train_task(no_dev, config, d=1),

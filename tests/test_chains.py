@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgchains.benchmark import BenchmarkSpec, make_benchmark
 from kgchains.chains import (
-    ChainVocabulary,
     Instance,
     RelationChain,
     build_vocabulary,
-    chain_statistics,
+    encode_task,
     enumerate_paths,
     mask_from_selected,
     read_instances,
@@ -18,6 +18,8 @@ from kgchains.chains import (
 )
 from kgchains.errors import DataError
 from kgchains.graph import KnowledgeGraph
+
+from splits import split_of
 
 
 def graph_of(*triples, add_inverses=True):
@@ -30,7 +32,7 @@ def names(graph, chain_set):
 
 def encode(vocab, graph, head, tail, label):
     found = enumerate_paths(graph, head, tail, vocab.max_hops, exclude=vocab.target)
-    return Instance(head, tail, label, vocab.availability(found))
+    return Instance(head, tail, label, vocab.availability([found])[0])
 
 
 def oracle_paths(graph, head, tail, max_hops, exclude=None):
@@ -227,21 +229,6 @@ def test_all_zero_and_all_one_availability():
     assert inst.n_available == 0
 
 
-def test_chain_statistics():
-    vocab = ChainVocabulary(0, 3, [RelationChain((1,)), RelationChain((2,))], [2, 1])
-    from kgchains.chains import Instance
-
-    insts = [
-        Instance(0, 1, 1, np.array([1.0, 1.0])),
-        Instance(0, 2, 0, np.array([1.0, 0.0])),
-    ]
-    total, mean = chain_statistics(vocab, insts)
-    assert total == 2
-    assert mean == 1.5
-    with pytest.raises(DataError):
-        chain_statistics(vocab, [])
-
-
 def test_vocabulary_round_trip(tmp_path):
     g, pairs = build_support_graph()
     vocab = build_vocabulary(g, pairs, g.relation_id("anchor"), max_hops=3)
@@ -260,7 +247,7 @@ def test_instances_round_trip(tmp_path):
     vocab = build_vocabulary(g, pairs, g.relation_id("anchor"), max_hops=3)
     instances = [encode(vocab, g, h, t, i % 2) for i, (h, t) in enumerate(pairs)]
     path = tmp_path / "cache.inst"
-    write_instances(str(path), instances, g)
+    write_instances(str(path), split_of(instances), g)
     reloaded = read_instances(str(path), vocab.size)
     assert len(reloaded) == len(instances)
     for orig, back in zip(instances, reloaded):
@@ -292,9 +279,71 @@ def test_read_instances_rejects_bad_bits(tmp_path, bits, message):
 def test_write_instances_bit_string(tmp_path):
     inst = Instance("h", "t", 1, np.array([0.0, 1.0, 0.5, 0.0, 1.0]))
     path = tmp_path / "cache.inst"
-    write_instances(str(path), [inst], None)
+    write_instances(str(path), split_of([inst]), None)
     assert path.read_bytes() == b"h\tt\t1\t01101\n"
-    assert read_instances(str(path), 5)[0].availability.tolist() == [0, 1, 1, 0, 1]
+    assert read_instances(str(path), 5).availability.tolist() == [[0, 1, 1, 0, 1]]
+
+
+def test_encoded_splits_round_trip_through_the_cache(tmp_path):
+    kg, task = make_benchmark(BenchmarkSpec(rule="conjunction", seed=3, train_groups=10, test_groups=5))
+    positives = [(kg.entity_id(p.head), kg.entity_id(p.tail)) for p in task.train if p.label == 1]
+    vocab = build_vocabulary(kg, positives, task.target, max_hops=2)
+    data = encode_task(vocab, kg, task)
+    for name, pairs in (("train", task.train), ("dev", task.dev), ("test", task.test)):
+        split = getattr(data, name)
+        assert split.availability.shape == (len(pairs), vocab.size)
+        assert split.labels.tolist() == [p.label for p in pairs]
+        path = tmp_path / f"{name}.inst"
+        write_instances(str(path), split, kg)
+        for back in (read_instances(str(path), vocab.size), read_instances(str(path))):
+            assert back.availability.dtype == np.float64 and back.availability.flags.c_contiguous
+            assert np.array_equal(back.availability, split.availability)
+            assert np.array_equal(back.labels, split.labels)
+            assert back.heads == [p.head for p in pairs] == [kg.entity_name(h) for h in split.heads]
+            assert back.tails == [p.tail for p in pairs] == [kg.entity_name(t) for t in split.tails]
+
+
+def test_split_rows_are_instances(tmp_path):
+    path = tmp_path / "cache.inst"
+    path.write_text("h1\tt1\t1\t0110\n\nh2\tt2\t0\t0000\nh1\tt3\t0\t1111\n", encoding="utf-8")
+    split = read_instances(str(path), 4)
+    assert len(split) == 3
+    rows = list(split)
+    assert [(r.head, r.tail, r.label, r.n_available) for r in rows] == [
+        ("h1", "t1", 1, 2), ("h2", "t2", 0, 0), ("h1", "t3", 0, 4)
+    ]
+    for i, row in enumerate(rows):
+        assert isinstance(row.label, int)
+        assert row.availability.shape == (4,)
+        assert np.shares_memory(row.availability, split.availability)
+        assert np.array_equal(row.availability, split.availability[i])
+
+
+@pytest.mark.parametrize("size", [4, None])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a blank line is skipped but still counted
+        ("h\tt\t1\t0110\n\nh\tt\t0\t01x0\n", "cache.inst:3: availability must be a 0/1 string"),
+        ("h\tt\t1\t0110\n\n\nh\tt\t0\t0110\nh\tt\t0\t0 10\n", "cache.inst:5: availability must be a 0/1 string"),
+        # the first bad line wins, and a bad bit before a bad length on the same line
+        ("h\tt\t1\t01x0\nnot an instance\n", "cache.inst:1: availability must be a 0/1 string"),
+        ("h\tt\t1\t0110\n\nh\tt\t1\t01x\n", "cache.inst:3: availability must be a 0/1 string"),
+    ],
+)
+def test_read_instances_names_the_first_bad_line(tmp_path, text, message, size):
+    path = tmp_path / "cache.inst"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        read_instances(str(path), size)
+
+
+def test_rows_wider_or_narrower_than_the_first_are_an_error(tmp_path):
+    path = tmp_path / "cache.inst"
+    for bits in ("010", "01010"):
+        path.write_text(f"h\tt\t1\t0110\n\nh\tt\t0\t{bits}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"cache.inst:3: availability length {len(bits)} != first row's length 4"):
+            read_instances(str(path))
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,14 +7,16 @@ from kgchains.errors import DataError
 from kgchains.game import build_model, predict
 from kgchains.util import write_fields
 
+from splits import split_of
+
 
 def probes(d_input, n=100, seed=0):
     rng = np.random.default_rng(seed)
-    return [
+    return split_of(
         Instance(head=i, tail=i, label=int(rng.integers(2)),
                  availability=(rng.random(d_input) < 0.5).astype(float))
         for i in range(n)
-    ]
+    )
 
 
 def write_v1(path, model, meta):

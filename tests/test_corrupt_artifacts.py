@@ -16,6 +16,8 @@ from kgchains import chains
 from kgchains.chains import Instance
 from kgchains.cli import main
 
+from splits import split_of
+
 D = 4
 REL = "target"
 
@@ -32,7 +34,7 @@ def art(tmp_path_factory):
             bits = (rng.random(D) < 0.5).astype(float)
             bits[0] = i % 2
             instances.append(Instance(f"h{i // 3}", f"t{i}", i % 2, bits))
-        chains.write_instances(str(rel / f"{split}.inst"), instances, None)
+        chains.write_instances(str(rel / f"{split}.inst"), split_of(instances), None)
     (rel / "vocab.tsv").write_text("".join(f"{j}\t{D - j}\tr{j}->s{j}\n" for j in range(D)))
     (rel / "meta.txt").write_text(f"max_hops = 2\nrelation = {REL}\nvocab_size = {D}\n")
     for mode in ("game_mlp", "d_all"):

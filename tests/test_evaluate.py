@@ -13,6 +13,8 @@ from kgchains.evaluate import (
 from kgchains.game import GameModel, TrainConfig, build_model
 from kgchains.neural import DenseParams
 
+from splits import split_of
+
 
 def scripted_model(score_of):
     """GameModel whose predict() is driven by a hand-made linear predictor."""
@@ -42,7 +44,7 @@ def test_perfect_scorer_gives_map_one():
     instances = [
         inst("a", 1, [0]), inst("a", 0, [1]), inst("b", 1, [0, 2]), inst("b", 0, [3]),
     ]
-    report = evaluate_task(model, instances)
+    report = evaluate_task(model, split_of(instances))
     assert report.map == 1.0
     assert report.skipped == 0
 
@@ -53,7 +55,7 @@ def test_constant_scorer_matches_stable_order_oracle():
         inst("a", 0, [1]), inst("a", 1, [0]),
         inst("b", 1, [2]), inst("b", 0, [3]), inst("b", 1, [1]),
     ]
-    report = evaluate_task(model, instances)
+    report = evaluate_task(model, split_of(instances))
     # constant scores keep input order: group a has its positive second,
     # group b has positives at ranks 1 and 3
     expected_a = 1 / 2
@@ -64,7 +66,7 @@ def test_constant_scorer_matches_stable_order_oracle():
 def test_groups_without_positives_are_skipped_and_counted():
     model = scripted_model([1.0, 0.0, 0.0, 0.0])
     instances = [inst("a", 1, [0]), inst("b", 0, [1]), inst("b", 0, [2])]
-    report = evaluate_task(model, instances)
+    report = evaluate_task(model, split_of(instances))
     assert report.skipped == 1
     assert report.map == 1.0
 
@@ -72,13 +74,13 @@ def test_groups_without_positives_are_skipped_and_counted():
 def test_empty_test_set_errors():
     model = scripted_model([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(DataError, match="empty test set"):
-        evaluate_task(model, [])
+        evaluate_task(model, split_of([], 4))
 
 
 def test_global_grouping():
     model = scripted_model([1.0, 0.0, 0.0, 0.0])
     instances = [inst("a", 1, [0]), inst("b", 0, [1])]
-    report = evaluate_task(model, instances, group_by="global")
+    report = evaluate_task(model, split_of(instances), group_by="global")
     assert report.skipped == 0  # one group; by head, "b" would be skipped
     assert report.map == 1.0
 
@@ -91,7 +93,7 @@ def make_task(seed=0, n=120, d_input=8):
         avail = (rng.random(d_input) < 0.4).astype(float)
         avail[0] = float(label)
         out.append(Instance(head=i // 4, tail=i, label=label, availability=avail))
-    return EncodedTask("synthetic", d_input, out[:72], out[72:96], out[96:])
+    return EncodedTask("synthetic", d_input, split_of(out[:72]), split_of(out[72:96]), split_of(out[96:]))
 
 
 def test_unknown_mode_rejected():

@@ -23,6 +23,7 @@ from kgchains.neural import DenseParams, forward
 from kgchains.util import STREAM_SAMPLE, stream_rng
 
 from selection_oracle import selection_grad, selection_log_prob
+from splits import split_of
 
 
 def instance(avail, label=1, head=0, tail=1):
@@ -207,7 +208,9 @@ def make_planted_task(seed=0, n=160, d_input=8):
         avail = (rng.random(d_input) < 0.4).astype(float)
         avail[0] = float(label)
         out.append(Instance(head=i // 4, tail=i, label=label, availability=avail))
-    return EncodedTask("planted", d_input, out[: n // 2], out[n // 2 : n // 2 + n // 4], out[-n // 4 :])
+    return EncodedTask(
+        "planted", d_input, split_of(out[: n // 2]), split_of(out[n // 2 : n // 2 + n // 4]), split_of(out[-n // 4 :])
+    )
 
 
 def test_zero_epochs_returns_initial_model():
@@ -240,7 +243,7 @@ def test_first_batch_loss_is_ln2_with_zero_predictors():
     from kgchains.game import predictor_step
     from kgchains.neural import AdamState
 
-    batch = data.train[:20]
+    batch = list(data.train)[:20]
     avail = np.stack([inst.availability for inst in batch])
     labels = np.array([inst.label for inst in batch])
     rng = stream_rng(0, STREAM_SAMPLE)
@@ -271,7 +274,7 @@ def test_predictor_only_mode():
 def test_single_class_training_set_rejected():
     data = make_planted_task()
     only_pos = EncodedTask(
-        "bad", data.size, [i for i in data.train if i.label == 1], data.dev, data.test
+        "bad", data.size, split_of(i for i in data.train if i.label == 1), data.dev, data.test
     )
     with pytest.raises(DataError):
         train_task(only_pos, TrainConfig(epochs=1, seed=0), d=1)
