@@ -1,7 +1,7 @@
 """kgchains: multi-chain multi-hop rule learning for knowledge-graph completion."""
 
 from .benchmark import BenchmarkSpec, make_benchmark
-from .chains import build_vocabulary, encode_task
+from .chains import extract_task
 from .errors import DataError, KgchainsError, NumericError, UsageError
 from .evaluate import run_mode
 from .game import TrainConfig

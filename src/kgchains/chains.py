@@ -127,6 +127,25 @@ class ChainVocabulary:
         return bits
 
 
+def _vocabulary(found: dict, positives: Sequence[tuple[int, int]], target: int, max_hops: int, max_size: int) -> ChainVocabulary:
+    """Count each chain over the positive pairs in order, each pair's chains
+    sorted; the stable sort on support keeps ties in first-sighting order."""
+    support: dict[RelationChain, int] = {}
+    for pair in positives:
+        for chain in sorted(found[pair]):
+            support[chain] = support.get(chain, 0) + 1
+    if not support:
+        raise DataError("no candidate chains")
+    kept = sorted(support, key=lambda c: -support[c])[:max_size]
+    return ChainVocabulary(target=target, max_hops=max_hops, chains=kept, supports=[support[c] for c in kept])
+
+
+def _require_positives(positives: Sequence[tuple[int, int]]) -> Sequence[tuple[int, int]]:
+    if not positives:
+        raise DataError("no positive pairs to build a vocabulary from")
+    return positives
+
+
 def build_vocabulary(
     graph: KnowledgeGraph,
     positives: Sequence[tuple[int, int]],
@@ -140,29 +159,8 @@ def build_vocabulary(
     the union exceeds ``max_size``, chains are kept in decreasing support
     (ties by earlier first occurrence); indices are assigned in that order.
     """
-    if not positives:
-        raise DataError("no positive pairs to build a vocabulary from")
-    support: dict[RelationChain, int] = {}
-    first_seen: dict[RelationChain, int] = {}
-    counter = 0
-    found = chains_by_pair(graph, positives, max_hops, exclude=target)
-    for pair in positives:
-        for chain in sorted(found[pair]):
-            if chain not in support:
-                support[chain] = 0
-                first_seen[chain] = counter
-                counter += 1
-            support[chain] += 1
-    if not support:
-        raise DataError("no candidate chains")
-    order = sorted(support, key=lambda c: (-support[c], first_seen[c]))
-    kept = order[:max_size]
-    return ChainVocabulary(
-        target=target,
-        max_hops=max_hops,
-        chains=kept,
-        supports=[support[c] for c in kept],
-    )
+    found = chains_by_pair(graph, _require_positives(positives), max_hops, exclude=target)
+    return _vocabulary(found, positives, target, max_hops, max_size)
 
 
 @dataclass
@@ -230,26 +228,37 @@ class EncodedTask:
     test: Split
 
 
-def encode_task(vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset) -> EncodedTask:
-    """Encode every split; one ``chains_by_pair`` call serves all three."""
-    def ids(p: LabeledPair) -> tuple[int, int]:
-        return graph.entity_id(p.head), graph.entity_id(p.tail)
+def _ids(graph: KnowledgeGraph, pairs: Sequence[LabeledPair]) -> list[tuple[int, int]]:
+    return [(graph.entity_id(p.head), graph.entity_id(p.tail)) for p in pairs]
 
-    everything = task.train + task.dev + task.test
-    found = chains_by_pair(graph, map(ids, everything), vocab.max_hops, exclude=vocab.target)
 
+def _encode(vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset, found: dict) -> EncodedTask:
+    """Every split against ``vocab``, its pairs' chains looked up in ``found``."""
     def encode_split(pairs: list[LabeledPair]) -> Split:
-        keys = [ids(p) for p in pairs]
+        keys = _ids(graph, pairs)
         labels = np.array([p.label for p in pairs], dtype=np.int64)
         return Split([h for h, _ in keys], [t for _, t in keys], labels, vocab.availability([found[k] for k in keys]))
 
-    return EncodedTask(
-        relation=task.relation,
-        size=vocab.size,
-        train=encode_split(task.train),
-        dev=encode_split(task.dev),
-        test=encode_split(task.test),
-    )
+    train, dev, test = map(encode_split, (task.train, task.dev, task.test))
+    return EncodedTask(relation=task.relation, size=vocab.size, train=train, dev=dev, test=test)
+
+
+def encode_task(vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset) -> EncodedTask:
+    """Encode every split; one ``chains_by_pair`` call serves all three."""
+    pairs = _ids(graph, task.train + task.dev + task.test)
+    return _encode(vocab, graph, task, chains_by_pair(graph, pairs, vocab.max_hops, exclude=vocab.target))
+
+
+def extract_task(
+    graph: KnowledgeGraph, task: TaskDataset, max_hops: int, max_size: int
+) -> tuple[ChainVocabulary, EncodedTask]:
+    """``build_vocabulary`` over the train positives, then ``encode_task`` with
+    that vocabulary, from one ``chains_by_pair`` walk over every split's pairs."""
+    pairs = _ids(graph, task.train + task.dev + task.test)
+    positives = _require_positives([pair for pair, p in zip(pairs, task.train) if p.label == 1])
+    found = chains_by_pair(graph, pairs, max_hops, exclude=task.target)
+    vocab = _vocabulary(found, positives, task.target, max_hops, max_size)
+    return vocab, _encode(vocab, graph, task, found)
 
 
 # -- persistence ---------------------------------------------------------

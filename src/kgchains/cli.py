@@ -166,15 +166,10 @@ def cmd_extract(args) -> int:
     stats_rows = []
     for relation in args.relation:
         task = graph.load_task(args.tasks, relation, kg, args.split_ratio, args.seed)
-        train_pairs = task.train
         if args.neg_ratio is not None:
-            train_pairs = graph.downsample_negatives(train_pairs, args.neg_ratio, args.seed)
+            train_pairs = graph.downsample_negatives(task.train, args.neg_ratio, args.seed)
             task = graph.TaskDataset(task.target, task.relation, train_pairs, task.dev, task.test)
-        positives = [
-            (kg.entity_id(p.head), kg.entity_id(p.tail)) for p in train_pairs if p.label == 1
-        ]
-        vocab = chains.build_vocabulary(kg, positives, task.target, args.max_hops, args.max_chains)
-        data = chains.encode_task(vocab, kg, task)
+        vocab, data = chains.extract_task(kg, task, args.max_hops, args.max_chains)
 
         rel_dir = _relation_dir(args.out, relation)
         os.makedirs(rel_dir, exist_ok=True)

@@ -9,6 +9,7 @@ the original name, so chains may traverse any edge backwards.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
@@ -39,65 +40,72 @@ def inverse_name(name: str) -> str:
 class KnowledgeGraph:
     """Immutable after construction; safe for unlimited concurrent readers."""
 
-    def __init__(self) -> None:
-        self._entity_ids: dict[str, int] = {}
-        self._entity_names: list[str] = []
-        self._relation_ids: dict[str, int] = {}
-        self._relation_names: list[str] = []
-        self._adj: list[list[tuple[int, int]]] = []
-        self._radj: list[list[tuple[int, int]]] = []
-        self._edges: set[tuple[int, int, int]] = set()
-        self._originals: list[tuple[int, int, int]] = []
-        self._inverse_ids: list[int] | None = None
+    def __init__(
+        self,
+        entity_ids: dict[str, int],
+        relation_ids: dict[str, int],
+        adj: list[list[tuple[int, int]]],
+        radj: list[list[tuple[int, int]]],
+        originals: list[tuple[int, int, int]],
+        n_edges: int,
+    ) -> None:
+        self._entity_ids = entity_ids
+        self._entity_names = list(entity_ids)
+        self._relation_ids = relation_ids
+        self._relation_names = list(relation_ids)
+        self._adj = adj
+        self._radj = radj
+        self._originals = originals
+        self._n_edges = n_edges
+        self._inverse_ids = [relation_ids.get(inverse_name(name), -1) for name in relation_ids]
 
     @classmethod
     def from_triples(
         cls, triples: Iterable[tuple[str, str, str]], add_inverses: bool = True
     ) -> "KnowledgeGraph":
-        graph = cls()
+        """Intern names, drop repeated edges and fill both adjacency tables in one pass.
+
+        Ids follow first sighting, an inverse relation right after its own;
+        a line whose edge is already stored, as an edge or as another line's
+        augmented inverse, is a duplicate.
+        """
+        entity_ids: dict[str, int] = {}
+        relation_ids: dict[str, int] = {}
+        inverse_of: dict[str, int] = {}
+        adj: list[list[tuple[int, int]]] = []
+        radj: list[list[tuple[int, int]]] = []
+        edges: set[tuple[int, int, int]] = set()
+        originals: list[tuple[int, int, int]] = []
         duplicates = 0
-        count = 0
         for head, rel, tail in triples:
-            count += 1
-            h = graph._intern_entity(head)
-            r = graph._intern_relation(rel, add_inverses)
-            t = graph._intern_entity(tail)
-            if not graph._add_edge(h, r, t):
+            h = entity_ids.setdefault(head, len(entity_ids))
+            t = entity_ids.setdefault(tail, len(entity_ids))
+            while len(adj) < len(entity_ids):
+                adj.append([])
+                radj.append([])
+            r = relation_ids.setdefault(rel, len(relation_ids))
+            if add_inverses:
+                ri = inverse_of.get(rel)
+                if ri is None:
+                    ri = inverse_of[rel] = relation_ids.setdefault(inverse_name(rel), len(relation_ids))
+            if (h, r, t) in edges:
                 duplicates += 1
                 continue
-            graph._originals.append((h, r, t))
-            if add_inverses:
-                graph._add_edge(t, graph.inverse_relation_id(r), h)
-        if count == 0:
+            originals.append((h, r, t))
+            edges.add((h, r, t))
+            adj[h].append((r, t))
+            radj[t].append((r, h))
+            if add_inverses and (t, ri, h) not in edges:
+                edges.add((t, ri, h))
+                adj[t].append((ri, h))
+                radj[h].append((ri, t))
+        if not originals:
             raise DataError("no triples")
         if duplicates:
             log.info("deduplicated %d duplicate triples", duplicates)
-        return graph
+        return cls(entity_ids, relation_ids, adj, radj, originals, len(edges))
 
     # -- symbol tables -------------------------------------------------
-
-    def _intern_entity(self, name: str) -> int:
-        eid = self._entity_ids.get(name)
-        if eid is None:
-            eid = len(self._entity_names)
-            self._entity_ids[name] = eid
-            self._entity_names.append(name)
-            self._adj.append([])
-            self._radj.append([])
-        return eid
-
-    def _intern_relation(self, name: str, with_inverse: bool) -> int:
-        rid = self._relation_ids.get(name)
-        if rid is None:
-            rid = len(self._relation_names)
-            self._relation_ids[name] = rid
-            self._relation_names.append(name)
-            self._inverse_ids = None
-            if with_inverse:
-                # Intern the partner right away so inverse ids are assigned
-                # in first-seen order alongside their originals.
-                self._intern_relation(inverse_name(name), False)
-        return rid
 
     def entity_id(self, name: str) -> int:
         eid = self._entity_ids.get(name)
@@ -126,25 +134,11 @@ class KnowledgeGraph:
 
     def inverse_relation_id(self, rid: int) -> int:
         """Id of the name-level inverse, or -1 if it was never interned."""
-        if self._inverse_ids is None or len(self._inverse_ids) != len(self._relation_names):
-            self._inverse_ids = [
-                self._relation_ids.get(inverse_name(name), -1)
-                for name in self._relation_names
-            ]
         if not 0 <= rid < len(self._inverse_ids):
             raise DataError(f"unknown relation id: {rid}")
         return self._inverse_ids[rid]
 
     # -- edges ----------------------------------------------------------
-
-    def _add_edge(self, h: int, r: int, t: int) -> bool:
-        key = (h, r, t)
-        if key in self._edges:
-            return False
-        self._edges.add(key)
-        self._adj[h].append((r, t))
-        self._radj[t].append((r, h))
-        return True
 
     def neighbors(self, eid: int) -> list[tuple[int, int]]:
         """Outgoing (relation-id, entity-id) pairs in stable insertion order."""
@@ -187,7 +181,7 @@ class KnowledgeGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return self._n_edges
 
     @property
     def n_triples(self) -> int:
@@ -225,12 +219,11 @@ def load_triples(path: str, add_inverses: bool = True) -> KnowledgeGraph:
                     raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
                 yield (fields[0], fields[1], fields[2])
 
-    try:
-        return KnowledgeGraph.from_triples(parse(), add_inverses=add_inverses)
-    except DataError as err:
-        if str(err) == "no triples":
-            raise DataError(f"no triples in {path}") from None
-        raise
+    triples = parse()
+    first = next(triples, None)
+    if first is None:
+        raise DataError(f"no triples in {path}")
+    return KnowledgeGraph.from_triples(itertools.chain([first], triples), add_inverses=add_inverses)
 
 
 def write_triples(graph: KnowledgeGraph, path: str) -> None:

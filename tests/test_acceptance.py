@@ -17,6 +17,7 @@ from kgchains.cli import main as cli_main
 from kgchains.util import STREAM_SAMPLE, stream_rng
 
 from selection_oracle import selection_grad
+from walk_oracle import oracle_paths
 
 
 def report(name, detail=""):
@@ -203,33 +204,6 @@ def test_reinforce_unbiasedness():
 # -- criterion: path-enumeration oracle --------------------------------------
 
 
-def _oracle_paths(g, head, tail, max_hops, exclude=None):
-    banned = set()
-    if exclude is not None:
-        banned.add(exclude)
-        inv = g.inverse_relation_id(exclude)
-        if inv >= 0:
-            banned.add(inv)
-    found = set()
-    frontier = [(head, (), None, None)]
-    for _ in range(max_hops):
-        nxt = []
-        for node, labels, prev_node, prev_rel in frontier:
-            for rel, dest in g.neighbors(node):
-                if (
-                    prev_rel is not None
-                    and dest == prev_node
-                    and g.inverse_relation_id(rel) == prev_rel
-                ):
-                    continue
-                seq = labels + (rel,)
-                if dest == tail and not (len(seq) == 1 and rel in banned):
-                    found.add(seq)
-                nxt.append((dest, seq, node, rel))
-        frontier = nxt
-    return {chains.RelationChain(seq) for seq in found}
-
-
 def test_path_enumeration_oracle():
     start = time.time()
     rng = np.random.default_rng(77)
@@ -251,7 +225,7 @@ def test_path_enumeration_oracle():
         max_hops = int(rng.integers(1, 4))
         exclude = int(rng.integers(g.n_relations)) if trial % 3 == 0 else None
         mine = chains.enumerate_paths(g, head, tail, max_hops, exclude=exclude)
-        ref = _oracle_paths(g, head, tail, max_hops, exclude=exclude)
+        ref = oracle_paths(g, head, tail, max_hops, exclude=exclude)
         assert mine == ref
     # Hub-shaped graphs at k=3: both endpoints drawn with weight rank**-1,
     # so heads and tails are often hubs with many walks between them.
@@ -264,7 +238,7 @@ def test_path_enumeration_oracle():
         head, tail = (g.entity_id(f"e{e}") for e in rng.choice(ends.ravel(), size=2).tolist())
         exclude = int(rng.integers(g.n_relations)) if trial % 2 == 0 else None
         mine = chains.enumerate_paths(g, head, tail, 3, exclude=exclude)
-        assert mine == _oracle_paths(g, head, tail, 3, exclude=exclude)
+        assert mine == oracle_paths(g, head, tail, 3, exclude=exclude)
     elapsed = time.time() - start
     assert elapsed < 60.0
     report("path-enumeration-oracle", f"(200 random graphs, 40 hub graphs at k=3, {elapsed:.1f}s)")
@@ -390,3 +364,27 @@ def test_pipeline_determinism(tmp_path):
     elapsed = time.time() - start
     assert elapsed < 60.0
     report("pipeline-determinism", f"({len(first)} artifacts byte-identical, {elapsed:.1f}s)")
+
+
+# -- criterion: multi-chain rules beat single-chain rules ----------------------
+
+
+def test_multi_chain_beats_single_chain():
+    """On the planted conjunction, where no single chain decides the label, the
+    game with d=2 ranks test pairs at least as well as with d=1 on every seed,
+    and its mean lead clears two standard errors of the per-seed leads."""
+    start = time.time()
+    maps = {}
+    for seed in range(1, 9):
+        kg, task = benchmark.make_benchmark(benchmark.BenchmarkSpec(rule="conjunction", seed=seed))
+        _, data = chains.extract_task(kg, task, max_hops=2, max_size=10000)
+        config = game.TrainConfig(epochs=100, lr=0.01, seed=seed)
+        maps[seed] = [evaluate.run_mode(data, config, "game_mlp", d).test_map for d in (1, 2)]
+        print(f"ACCEPTANCE multi-chain seed {seed}: test MAP d=1 {maps[seed][0]:.3f} d=2 {maps[seed][1]:.3f}")
+    gaps = np.array([d2 - d1 for d1, d2 in maps.values()])
+    margin = 2 * gaps.std(ddof=1) / np.sqrt(len(gaps))
+    assert all(d2 >= d1 for d1, d2 in maps.values())
+    assert gaps.mean() > margin
+    elapsed = time.time() - start
+    assert elapsed < 60.0
+    report("multi-chain-beats-single-chain", f"(8 seeds, mean lead {gaps.mean():.3f} > margin {margin:.3f}, {elapsed:.1f}s)")

@@ -9,8 +9,15 @@ distance to the tail, one pair at a time.
 import numpy as np
 import pytest
 
-from kgchains.chains import RelationChain, build_vocabulary, chains_by_pair, enumerate_paths
-from kgchains.graph import KnowledgeGraph
+from kgchains.chains import (
+    RelationChain,
+    build_vocabulary,
+    chains_by_pair,
+    encode_task,
+    enumerate_paths,
+    extract_task,
+)
+from kgchains.graph import KnowledgeGraph, LabeledPair, TaskDataset
 
 
 def dfs_paths(graph, head, tail, max_hops, exclude=None):
@@ -144,6 +151,44 @@ def test_vocabulary_order_matches_per_pair_walks():
     vocab = build_vocabulary(graph, positives, 0, max_hops=3)
     assert vocab.chains == expected
     assert vocab.supports == [support[c] for c in expected]
+
+
+def hub_task(graph, rng, target):
+    """Labeled name pairs over ``query_pairs``, with one positive repeated in
+    train; dev asks three train pairs again and test one."""
+    pairs = [
+        LabeledPair(graph.entity_name(h), graph.entity_name(t), int(i % 3 != 2))
+        for i, (h, t) in enumerate(query_pairs(graph, rng, n_heads=8))
+        if h != t
+    ]
+    third = len(pairs) // 3
+    train = pairs[: 2 * third] + [pairs[0]]
+    test = pairs[2 * third :] + [pairs[1]]
+    return TaskDataset(target=target, relation=graph.relation_name(target), train=train, dev=pairs[3:6], test=test)
+
+
+@pytest.mark.parametrize("max_hops", [1, 2, 3])
+def test_extract_task_equals_build_vocabulary_then_encode_task(max_hops):
+    """One walk over every split gives what a walk over the positives and a walk over every split gave."""
+    graph, rng = hub_graph(13)
+    task = hub_task(graph, rng, target=1)
+    positives = [(graph.entity_id(p.head), graph.entity_id(p.tail)) for p in task.train if p.label == 1]
+    assert positives[0] == positives[-1]
+    supports = build_vocabulary(graph, positives, task.target, max_hops).supports
+    # the first cut that keeps one chain of a support tie and drops the other
+    cut = next(j for j in range(1, len(supports)) if supports[j - 1] == supports[j])
+    for max_size in (10000, cut):
+        vocab, data = extract_task(graph, task, max_hops, max_size)
+        ref_vocab = build_vocabulary(graph, positives, task.target, max_hops, max_size)
+        ref = encode_task(ref_vocab, graph, task)
+        assert (vocab.chains, vocab.supports) == (ref_vocab.chains, ref_vocab.supports)
+        assert (vocab.target, vocab.max_hops, data.relation, data.size) == (task.target, max_hops, ref.relation, ref.size)
+        for name in ("train", "dev", "test"):
+            split, ref_split = getattr(data, name), getattr(ref, name)
+            assert (split.heads, split.tails) == (ref_split.heads, ref_split.tails)
+            assert np.array_equal(split.labels, ref_split.labels)
+            assert np.array_equal(split.availability, ref_split.availability)
+    assert vocab.size == cut < len(supports)
 
 
 def names(graph, chain_set):

@@ -20,6 +20,7 @@ from kgchains.errors import DataError
 from kgchains.graph import KnowledgeGraph
 
 from splits import split_of
+from walk_oracle import oracle_paths
 
 
 def graph_of(*triples, add_inverses=True):
@@ -33,34 +34,6 @@ def names(graph, chain_set):
 def encode(vocab, graph, head, tail, label):
     found = enumerate_paths(graph, head, tail, vocab.max_hops, exclude=vocab.target)
     return Instance(head, tail, label, vocab.availability([found])[0])
-
-
-def oracle_paths(graph, head, tail, max_hops, exclude=None):
-    """Independent oracle: breadth-first expansion of explicit walks."""
-    banned = set()
-    if exclude is not None:
-        banned.add(exclude)
-        inv = graph.inverse_relation_id(exclude)
-        if inv >= 0:
-            banned.add(inv)
-    found = set()
-    frontier = [(head, (), None, None)]  # node, labels, prev node, prev relation
-    for _ in range(max_hops):
-        nxt_frontier = []
-        for node, labels, prev_node, prev_rel in frontier:
-            for rel, nxt in graph.neighbors(node):
-                if (
-                    prev_rel is not None
-                    and nxt == prev_node
-                    and graph.inverse_relation_id(rel) == prev_rel
-                ):
-                    continue
-                seq = labels + (rel,)
-                if nxt == tail and not (len(seq) == 1 and rel in banned):
-                    found.add(seq)
-                nxt_frontier.append((nxt, seq, node, rel))
-        frontier = nxt_frontier
-    return {RelationChain(seq) for seq in found}
 
 
 def random_graph(rng, n_entities=12, n_relations=4, n_edges=24):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,10 +31,11 @@ def test_load_two_line_graph(tmp_path):
 
 
 def test_empty_file_errors(tmp_path):
-    path = tmp_path / "g.tsv"
-    write(path, [])
-    with pytest.raises(DataError, match="no triples"):
-        load_triples(str(path))
+    for name, lines in (("empty.tsv", []), ("comments.tsv", ["# only a comment", ""])):
+        path = tmp_path / name
+        write(path, lines)
+        with pytest.raises(DataError, match=f"^no triples in {re.escape(str(path))}$"):
+            load_triples(str(path))
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -98,6 +101,111 @@ def test_inverse_closure(triples):
     edges = set(g.edges())
     for h, r, t in edges:
         assert (t, inverse_name(r), h) in edges
+
+
+def test_inverse_of_a_name_that_does_not_invert_back():
+    # inverse_name("x_inv_inv") is "x_inv", whose inverse is "x", not "x_inv_inv".
+    # Every relation a line uses still gets its inverse interned, and the last
+    # line's augmented edge, already stored by the line before, is stored once.
+    g = KnowledgeGraph.from_triples(
+        [("a", "x_inv_inv", "b"), ("c", "x_inv", "d"), ("f", "x_inv", "e"), ("e", "x_inv_inv", "f")]
+    )
+    assert [g.relation_name(r) for r in range(g.n_relations)] == ["x_inv_inv", "x_inv", "x"]
+    assert [g.inverse_relation_id(r) for r in range(g.n_relations)] == [1, 2, 1]
+    assert list(g.edges()) == [
+        ("a", "x_inv_inv", "b"),
+        ("b", "x_inv", "a"),
+        ("c", "x_inv", "d"),
+        ("d", "x", "c"),
+        ("f", "x_inv", "e"),
+        ("e", "x", "f"),
+        ("e", "x_inv_inv", "f"),
+    ]
+    assert (g.n_edges, g.n_triples) == (7, 4)
+
+
+class IncrementalGraph:
+    """The constructor ``KnowledgeGraph.from_triples`` replaced, kept as the reference:
+    names interned, edges deduplicated and added one triple at a time through
+    mutator methods, with the inverse table a cache that interning invalidates."""
+
+    def __init__(self, triples, add_inverses):
+        self._entity_ids, self._entity_names = {}, []
+        self._relation_ids, self._relation_names = {}, []
+        self._adj, self._radj = [], []
+        self._edges, self._originals = set(), []
+        self._inverse_ids = None
+        for head, rel, tail in triples:
+            h = self._intern_entity(head)
+            r = self._intern_relation(rel, add_inverses)
+            t = self._intern_entity(tail)
+            if not self._add_edge(h, r, t):
+                continue
+            self._originals.append((h, r, t))
+            if add_inverses:
+                self._add_edge(t, self.inverse_relation_id(r), h)
+
+    def _intern_entity(self, name):
+        eid = self._entity_ids.get(name)
+        if eid is None:
+            eid = self._entity_ids[name] = len(self._entity_names)
+            self._entity_names.append(name)
+            self._adj.append([])
+            self._radj.append([])
+        return eid
+
+    def _intern_relation(self, name, with_inverse):
+        rid = self._relation_ids.get(name)
+        if rid is None:
+            rid = self._relation_ids[name] = len(self._relation_names)
+            self._relation_names.append(name)
+            self._inverse_ids = None
+            if with_inverse:
+                self._intern_relation(inverse_name(name), False)
+        return rid
+
+    def inverse_relation_id(self, rid):
+        if self._inverse_ids is None or len(self._inverse_ids) != len(self._relation_names):
+            self._inverse_ids = [self._relation_ids.get(inverse_name(n), -1) for n in self._relation_names]
+        return self._inverse_ids[rid]
+
+    def _add_edge(self, h, r, t):
+        if (h, r, t) in self._edges:
+            return False
+        self._edges.add((h, r, t))
+        self._adj[h].append((r, t))
+        self._radj[t].append((r, h))
+        return True
+
+    def original_triples(self):
+        return [(self._entity_names[h], self._relation_names[r], self._entity_names[t]) for h, r, t in self._originals]
+
+
+# Explicit ``r_inv`` lines, and lines repeating another line's augmented inverse
+# (``b r a`` after ``a r_inv b``), both occur among these draws.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("abcd"), st.sampled_from(["r", "r_inv", "s"]), st.sampled_from("abcd")),
+        min_size=1,
+        max_size=25,
+    ),
+    st.booleans(),
+)
+def test_one_pass_constructor_matches_incremental_reference(triples, add_inverses):
+    g = KnowledgeGraph.from_triples(triples, add_inverses=add_inverses)
+    ref = IncrementalGraph(triples, add_inverses)
+    assert [g.relation_name(r) for r in range(g.n_relations)] == ref._relation_names
+    assert [g.entity_name(e) for e in range(g.n_entities)] == ref._entity_names
+    assert [g.inverse_relation_id(r) for r in range(g.n_relations)] == [
+        ref.inverse_relation_id(r) for r in range(len(ref._relation_names))
+    ]
+    for e in range(g.n_entities):
+        assert g.neighbors(e) == ref._adj[e]
+        assert g.incoming(e) == ref._radj[e]
+    assert g.n_edges == len(ref._edges)
+    assert g.n_triples == len(ref._originals)
+    assert list(g.original_triples()) == ref.original_triples()
 
 
 def test_round_trip_preserves_edge_set(tmp_path):
