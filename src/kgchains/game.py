@@ -288,10 +288,12 @@ def _predictor_inputs(model: GameModel, availability: np.ndarray, probs: np.ndar
     return select_top_d(probs, availability, model.d).selected
 
 
-def _row_key(row: np.ndarray) -> bytes:
-    """Exact, compact identity of a sparse row: its nonzero positions and values."""
-    nonzero = np.flatnonzero(row)
-    return nonzero.tobytes() + row[nonzero].tobytes()
+def _row_keys(x: np.ndarray) -> list[bytes]:
+    """Exact, compact identity of each sparse row: its nonzero positions' bytes, then their values'."""
+    flat = np.flatnonzero(x != 0)  # as np.nonzero: NaN counts, -0.0 does not
+    cols, values = (flat % x.shape[1]).tobytes(), x.ravel()[flat].tobytes()  # intp, float64: 8 bytes each
+    ends = (np.searchsorted(flat, np.arange(1, len(x) + 1) * x.shape[1]) * 8).tolist()
+    return [cols[a:b] + values[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def score_chunks(
@@ -310,7 +312,7 @@ def score_chunks(
         chunk = availability[start : start + SCORE_CHUNK]
         probs = selection_probs(model, chunk)
         x = _predictor_inputs(model, chunk, probs)
-        keys = [_row_key(row) for row in x]
+        keys = _row_keys(x)
         fresh = {key: i for i, key in enumerate(keys) if key not in by_input}
         if fresh:
             out, _ = forward(model.predictor, x[list(fresh.values())])

@@ -25,13 +25,14 @@ from .util import STREAM_DOWNSAMPLE, STREAM_SPLIT, open_text, stream_rng
 log = logging.getLogger(__name__)
 
 INVERSE_SUFFIX = "_inv"
+NOT_INVOLUTIVE = INVERSE_SUFFIX * 2  # a name's inverse's inverse is another name: a data error
 
 # Sentinel distance for entities that cannot reach the BFS source.
 UNREACHABLE = np.iinfo(np.int32).max
 
 
 def inverse_name(name: str) -> str:
-    """Name of the inverse relation; involutive (stripping undoes suffixing)."""
+    """Name of the inverse relation; involutive on names that do not end in NOT_INVOLUTIVE."""
     if name.endswith(INVERSE_SUFFIX):
         return name[: -len(INVERSE_SUFFIX)]
     return name + INVERSE_SUFFIX
@@ -101,6 +102,9 @@ class KnowledgeGraph:
                 radj[h].append((ri, t))
         if not originals:
             raise DataError("no triples")
+        for name in relation_ids:
+            if name.endswith(NOT_INVOLUTIVE):
+                raise DataError(f"relation {name!r} ends in {NOT_INVOLUTIVE!r}")
         if duplicates:
             log.info("deduplicated %d duplicate triples", duplicates)
         return cls(entity_ids, relation_ids, adj, radj, originals, len(edges))
@@ -202,8 +206,8 @@ class KnowledgeGraph:
 def load_triples(path: str, add_inverses: bool = True) -> KnowledgeGraph:
     """Load a tab-separated triples file (head TAB relation TAB tail).
 
-    Lines starting with ``#`` are ignored. A malformed line aborts with an
-    error naming the line number; a file with no triples is an error.
+    Lines starting with ``#`` are ignored. A malformed line, or a relation name ending in
+    NOT_INVOLUTIVE, aborts with an error naming the line number; a file with no triples is an error.
     """
     if not os.path.isfile(path):
         raise DataError(f"triples file not found: {path}")
@@ -217,6 +221,8 @@ def load_triples(path: str, add_inverses: bool = True) -> KnowledgeGraph:
                 fields = line.split("\t")
                 if len(fields) != 3 or not all(fields):
                     raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+                if fields[1].endswith(NOT_INVOLUTIVE):
+                    raise DataError(f"{path}:{lineno}: relation {fields[1]!r} ends in {NOT_INVOLUTIVE!r}")
                 yield (fields[0], fields[1], fields[2])
 
     triples = parse()

@@ -81,24 +81,39 @@ def forward(params: DenseParams, x: np.ndarray) -> tuple[np.ndarray, list[tuple[
     return (current[0] if x.ndim == 1 else current), cache
 
 
+def _shifted(logits: np.ndarray) -> np.ndarray:
+    """A new array of the logits minus their row max, over a last axis that must have length 2.
+    Numpy reduces and broadcasts along a length-2 axis slowly, so the two columns go one at a time."""
+    if logits.shape[-1] != 2:
+        raise ValueError(f"expected a last axis of 2 logits, got shape {logits.shape}")
+    peak, shifted = np.maximum(logits[..., 0], logits[..., 1]), np.empty(logits.shape)
+    for j in (0, 1):
+        np.subtract(logits[..., j], peak, out=shifted[..., j])
+    return shifted
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """Two-way softmax over the last axis; bit-equal to numpy's max and sum reduction form on NaN-free logits."""
+    probs = _shifted(logits)
+    np.exp(probs, out=probs)
+    total = probs[..., 0] + probs[..., 1]
+    for j in (0, 1):
+        probs[..., j] /= total
+    return probs
 
 
 def cross_entropy(logits: np.ndarray, label: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Stabilized -log softmax(logits)[label] and its gradient wrt the logits.
 
-    One row of logits with an int label gives a float loss; a batch (B, C)
+    One pair of logits with an int label gives a float loss; a batch (B, 2)
     with labels (B,) gives the per-row losses.
     """
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = _shifted(logits)
+    exp = np.exp(shifted)
+    log_probs = shifted - np.log(exp[..., 0] + exp[..., 1])[..., None]
     label = np.asarray(label)[..., None]
     loss = -np.take_along_axis(log_probs, label, axis=-1)[..., 0]
-    dlogits = np.exp(log_probs) - (np.arange(logits.shape[-1]) == label)
+    dlogits = np.exp(log_probs) - (np.arange(2) == label)
     return (float(loss) if logits.ndim == 1 else loss), dlogits
 
 
@@ -136,23 +151,30 @@ class AdamState:
     v: np.ndarray
     step: int = 0
 
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+
     @classmethod
     def for_params(cls, params: DenseParams, lr: float = 0.001) -> "AdamState":
         return cls(lr, np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_step(params: DenseParams, grads: DenseParams, state: AdamState) -> None:
-    """One in-place Adam update with bias correction, on the whole buffer."""
+    """One in-place Adam update with bias correction, on the whole buffer. The temporaries of
+    lr * (m / bc1) / (sqrt(v / bc2) + eps) live in ``state.scratch``, made in the same order, so the bits match."""
     if [w.shape for w, _ in grads.layers] != [w.shape for w, _ in params.layers]:
         raise ValueError("gradient layout does not match the parameters")
     state.step += 1
     bc1 = 1.0 - BETA1**state.step
     bc2 = 1.0 - BETA2**state.step
+    a, b = state.scratch
     state.m *= BETA1
-    state.m += (1.0 - BETA1) * grads.flat
+    state.m += np.multiply(grads.flat, 1.0 - BETA1, out=a)
     state.v *= BETA2
-    state.v += (1.0 - BETA2) * (grads.flat * grads.flat)
-    params.flat -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + EPSILON)
+    state.v += np.multiply(np.square(grads.flat, out=a), 1.0 - BETA2, out=a)
+    np.multiply(np.divide(state.m, bc1, out=a), state.lr, out=a)
+    np.add(np.sqrt(np.divide(state.v, bc2, out=b), out=b), EPSILON, out=b)
+    params.flat -= np.divide(a, b, out=a)
 
 
 def param_count(input_dim: int, arch: str, submodels: int = 3) -> int:

@@ -360,3 +360,18 @@ def test_adapt_deeppath_missing_inputs_exit_code(tmp_path, capsys):
     (task_dir / "test.pairs").write_text("thing$a,thing$b: -\n")
     assert run(args) == 0
     assert (tmp_path / "out" / "tasks" / "r" / "test.pairs").read_text() == "a\tb\t0\n"
+
+
+def test_extract_rejects_a_relation_name_that_does_not_invert_back(tmp_path, capsys):
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("a\tx_inv_inv\tb\n")
+    task = tmp_path / "tasks" / "x_inv_inv"
+    task.mkdir(parents=True)
+    for name in ("train.pairs", "test.pairs"):
+        (task / name).write_text("a\tb\t1\n")
+    args = ["extract", "--graph", str(graph), "--tasks", str(tmp_path / "tasks"),
+            "--relation", "x_inv_inv", "--out", str(tmp_path / "art"), "--max-hops", "2"]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {graph}:1: relation 'x_inv_inv' ends in '_inv_inv'" in err
+    assert not (tmp_path / "art").exists()

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgchains import game
 from kgchains.chains import EncodedTask, Instance, SelectionMask, mask_from_selected
 from kgchains.errors import DataError
 from kgchains.evaluate import evaluate_task
 from kgchains.game import (
+    MODE_ALL_CHAINS,
+    MODE_GAME,
     GameModel,
     TrainConfig,
     build_model,
@@ -285,3 +288,39 @@ def test_sparsity_pressure_reduces_selection():
     result = train_task(data, TrainConfig(epochs=6, seed=4, lr=0.01), d=1, lambda_s=4.0)
     sizes = [s.mean_selected for s in result.log]
     assert sizes[-1] <= sizes[0] + 0.2
+
+
+def old_row_key(row):
+    """The per-row key that ``game._row_keys`` replaced, kept as the reference."""
+    nonzero = np.flatnonzero(row)
+    return nonzero.tobytes() + row[nonzero].tobytes()
+
+
+@pytest.mark.parametrize("rows, width", [(0, 5), (1, 1), (7, 3), (256, 40), (300, 200)])
+def test_chunk_wide_row_keys_equal_the_per_row_keys(rows, width):
+    rng = np.random.default_rng(rows + width)
+    for _ in range(5):
+        values = rng.choice([1.0, 0.5, -0.0, np.nan, -np.inf, 3e-310], size=(rows, width))
+        x = np.where(rng.random((rows, width)) < 0.1, values, 0.0)
+        x[rng.random(rows) < 0.2] = 0.0  # all-zero rows
+        assert game._row_keys(x) == [old_row_key(row) for row in x]
+
+
+@pytest.mark.parametrize("mode", [MODE_GAME, MODE_ALL_CHAINS])
+def test_score_chunks_logits_equal_the_per_row_key_path(mode, monkeypatch):
+    rng = np.random.default_rng(5)
+    availability = (rng.random((2 * game.SCORE_CHUNK + 40, 30)) < 0.15).astype(float)
+    boundary = game.SCORE_CHUNK
+    availability[[3, boundary + 20, 2 * boundary + 1]] = 0.0
+    availability[boundary - 6 : boundary + 6] = availability[:12]  # duplicates on both sides of the cut
+    model = build_model(30, 2, 1.0, "mlp", seed=8, mode=mode)
+
+    def logits():
+        return np.concatenate([out for _, _, out in game.score_chunks(model, availability)])
+
+    new = logits()
+    monkeypatch.setattr(game, "_row_keys", lambda x: [old_row_key(row) for row in x])
+    old = logits()
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    for i in range(12):
+        assert np.array_equal(new[boundary - 6 + i].view(np.int64), new[i].view(np.int64))

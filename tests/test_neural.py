@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kgchains.neural import (
     AdamState,
@@ -84,6 +86,66 @@ def test_cross_entropy_values():
 
     loss, _ = cross_entropy(np.array([1.0, -1.0]), 0)
     assert loss == pytest.approx(math.log(1 + math.exp(-2)), abs=1e-12)
+
+
+def old_softmax(logits):
+    """The reduction form softmax replaced, kept as the reference."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def old_cross_entropy(logits, label):
+    """The reduction form cross_entropy replaced, kept as the reference."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    label = np.asarray(label)[..., None]
+    loss = -np.take_along_axis(log_probs, label, axis=-1)[..., 0]
+    dlogits = np.exp(log_probs) - (np.arange(logits.shape[-1]) == label)
+    return (float(loss) if logits.ndim == 1 else loss), dlogits
+
+
+def bits(values, nan_payloads):
+    """The float64 bits of ``values``; without ``nan_payloads`` every NaN is the canonical NaN."""
+    values = np.array(values, dtype=np.float64)
+    if not nan_payloads:
+        values[np.isnan(values)] = np.nan
+    return values.view(np.uint64)
+
+
+logit_values = st.one_of(st.floats(), st.sampled_from([np.inf, -np.inf, np.nan, 1e300, -1e300, 0.0, -0.0]))
+pair_shapes = st.one_of(
+    st.just((2,)),
+    st.tuples(st.integers(1, 6), st.just(2)),
+    st.tuples(st.integers(1, 4), st.integers(1, 5), st.just(2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, pair_shapes, elements=logit_values), st.data())
+def test_two_column_softmax_and_cross_entropy_match_the_reductions_bit_for_bit(logits, data):
+    if logits.ndim == 1:
+        label = data.draw(st.integers(0, 1))
+    else:
+        label = data.draw(arrays(np.int64, logits.shape[:-1], elements=st.integers(0, 1)))
+    # A NaN logit may come out as another NaN: for a NaN in the first column numpy's max
+    # reduction returns the canonical NaN and np.maximum returns that NaN. Every other bit,
+    # the NaNs that inf - inf makes included, is the same.
+    payloads = not np.isnan(logits).any()
+    with np.errstate(all="ignore"):
+        assert np.array_equal(bits(softmax(logits), payloads), bits(old_softmax(logits), payloads))
+        (loss, dlogits), (old_loss, old_dlogits) = cross_entropy(logits, label), old_cross_entropy(logits, label)
+    assert np.array_equal(bits(loss, payloads), bits(old_loss, payloads))
+    assert np.array_equal(bits(dlogits, payloads), bits(old_dlogits, payloads))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,), (4, 1), (2, 3, 5), (2, 0)])
+def test_softmax_and_cross_entropy_reject_a_last_axis_other_than_2(shape):
+    logits = np.zeros(shape)
+    with pytest.raises(ValueError, match="last axis of 2"):
+        softmax(logits)
+    with pytest.raises(ValueError, match="last axis of 2"):
+        cross_entropy(logits, np.zeros(shape[:-1], dtype=np.int64))
 
 
 def test_backward_zero_dlogits():
@@ -179,8 +241,9 @@ def test_flat_adam_matches_per_layer_loop_bit_for_bit(dims):
     for _ in range(6):
         x = rng.normal(size=(5, dims[0]))
         logits, cache = forward(params, x)
-        _, dlogits = cross_entropy(logits, rng.integers(2, size=5))
-        grads = backward(params, cache, dlogits)
+        pairs = logits.reshape(5, -1, 2)  # 2 * D outputs are D two-way pairs, as in the generator
+        _, dlogits = cross_entropy(pairs, rng.integers(2, size=pairs.shape[:-1]))
+        grads = backward(params, cache, dlogits.reshape(logits.shape))
         old_step_grads = [[g.copy() for g in layer] for layer in grads.layers]
         adam_step(params, grads, state)
         old_adam_step(old, old_step_grads, old_state)
@@ -188,6 +251,21 @@ def test_flat_adam_matches_per_layer_loop_bit_for_bit(dims):
             assert np.array_equal(w.view(np.int64), ow.view(np.int64))
             assert np.array_equal(b.view(np.int64), ob.view(np.int64))
     assert state.step == old_state["step"] == 6
+
+
+def test_adam_step_at_steady_state_allocates_less_than_one_parameter_buffer():
+    rng = np.random.default_rng(0)
+    params = init_dense(mlp_dims(200, 400), rng)  # the generator at D = 200
+    grads = DenseParams(params.layers, rng.normal(size=params.flat.size))
+    state = AdamState.for_params(params)
+    adam_step(params, grads, state)
+    tracemalloc.start()
+    try:
+        adam_step(params, grads, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.flat.nbytes
 
 
 def test_adam_rejects_a_gradient_of_another_layout_with_the_same_size():
