@@ -184,14 +184,6 @@ class SelectionMask:
     selected: np.ndarray
     complement: np.ndarray
 
-    @property
-    def n_selected(self) -> int:
-        return int(self.selected.sum())
-
-    @property
-    def n_available(self) -> int:
-        return int(self.selected.sum() + self.complement.sum())
-
 
 def mask_from_selected(availability: np.ndarray, selected: np.ndarray) -> SelectionMask:
     selected = selected * availability

@@ -467,7 +467,7 @@ def build_parser() -> _Parser:
     p.add_argument("--artifacts", required=True)
     p.add_argument("--relation", action="append", required=True)
     p.add_argument("--mode", action="append", default=None)
-    p.add_argument("--d", type=int, action="append", default=None)
+    p.add_argument("--d", type=POSITIVE_INT, action="append", default=None)
     p.add_argument("--checkpoint", default=None, help="explicit checkpoint path (single relation/mode)")
     p.add_argument("--split", choices=["test", "dev"], default="test")
     p.add_argument("--group-by", choices=["head", "global"], default="head")
@@ -478,7 +478,7 @@ def build_parser() -> _Parser:
     p.add_argument("--artifacts", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--mode", default=evaluate.MODE_GAME_MLP)
-    p.add_argument("--d", type=int, default=5)
+    p.add_argument("--d", type=POSITIVE_INT, default=5)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--top-n", type=NON_NEGATIVE_INT, default=5)
     p.add_argument("--aggregate", action="store_true")

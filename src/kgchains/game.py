@@ -199,16 +199,13 @@ def _selection_dout(row_softmax: np.ndarray, availability: np.ndarray, selected:
 # -- training steps --------------------------------------------------------
 
 
-def predictor_step(params: DenseParams, state: AdamState, x: np.ndarray, labels: np.ndarray):
-    """One Adam step on the batch-mean cross-entropy of rows ``x``.
-
-    Returns the mean loss and per-row 0/1 accuracy (argmax logit equals
-    label), both evaluated before the update.
-    """
+def predictor_gradient(params: DenseParams, grads: DenseParams, x: np.ndarray, labels: np.ndarray):
+    """The gradient of the batch-mean cross-entropy of rows ``x``, (B, D) or stacked (S, B, D), into ``grads``;
+    returns the mean loss, per network of a stack, and per-row 0/1 accuracy (argmax logit equals label)."""
     logits, cache = forward(params, x)
     losses, dlogits = cross_entropy(logits, labels)
-    adam_step(params, backward(params, cache, dlogits / len(x)), state)
-    return float(losses.mean()), (logits.argmax(axis=1) == labels).astype(np.float64)
+    backward(params, cache, dlogits / x.shape[-2], grads)
+    return losses.mean(axis=-1), (logits.argmax(axis=-1) == labels).astype(np.float64)
 
 
 def instance_reward(model: GameModel, mask: SelectionMask, acc_p, acc_c):
@@ -220,15 +217,23 @@ Step = Callable[[np.ndarray, np.ndarray], tuple[float, float, float, float, int]
 
 
 def _game_step(model: GameModel, config: TrainConfig) -> Step:
-    """Sample masks, update both predictors, then the generator by REINFORCE.
+    """Sample masks, take both predictors' gradients and the generator's by REINFORCE, then one Adam step.
 
-    The estimator is -mean_rows (R - baseline) * grad log pi(mask); the
-    baseline is updated afterwards as an EMA of the batch-mean reward. The
-    sampling forward pass serves the gradient too: only the predictors
-    change in between.
+    The networks are rebound as views into one buffer [generator | predictor | complement],
+    the predictor pair as one (2, P) stack. Adam is elementwise and the generator's gradient
+    does not read the predictors, so the one step is the three networks' own. The estimator
+    is -mean_rows (R - baseline) * grad log pi(mask); the baseline is updated afterwards as
+    an EMA of the batch-mean reward.
     """
-    nets = (model.predictor, model.complement, model.generator)
-    state_p, state_c, state_g = (AdamState.for_params(net, config.lr) for net in nets)
+    gen, pair, cut = model.generator.layers, model.predictor.layers, model.generator.flat.size
+    store = DenseParams(gen + pair + model.complement.layers)
+    grads = DenseParams(store.layers, np.empty_like(store.flat))
+    (model.generator, stack), (grads_g, grads_pair) = (
+        (DenseParams(gen, flat[:cut]), DenseParams(pair, flat[cut:].reshape(2, -1)))
+        for flat in (store.flat, grads.flat)
+    )
+    model.predictor, model.complement = (DenseParams(pair, row) for row in stack.flat)
+    state = AdamState.for_params(store, config.lr)
     rng_sample = stream_rng(config.seed, STREAM_SAMPLE)
     samples = config.mc_samples_per_instance
     baseline = 0.0
@@ -240,19 +245,18 @@ def _game_step(model: GameModel, config: TrainConfig) -> Step:
         availability = np.repeat(availability, samples, axis=0)
         mask = sample_mask(np.repeat(probs, samples, axis=0), availability, rng_sample)
         labels = np.repeat(labels, samples)
-        loss_p, acc_p = predictor_step(model.predictor, state_p, mask.selected, labels)
-        loss_c, acc_c = predictor_step(model.complement, state_c, mask.complement, labels)
-        rewards = instance_reward(model, mask, acc_p, acc_c)
+        losses, accs = predictor_gradient(stack, grads_pair, np.array((mask.selected, mask.complement)), labels)
+        rewards = instance_reward(model, mask, *accs)
         rows = len(rewards)
         dout = _selection_dout(np.repeat(row_softmax, samples, axis=0), availability, mask.selected)
         dout *= ((rewards - baseline) / rows)[:, None]
-        grads = backward(model.generator, cache, dout.reshape(len(probs), samples, -1).sum(axis=1))
-        if not (np.isfinite(rewards).all() and np.isfinite(grads.flat).all()):
+        backward(model.generator, cache, dout.reshape(len(probs), samples, -1).sum(axis=1), grads_g)
+        if not (np.isfinite(rewards).all() and np.isfinite(grads_g.flat).all()):
             raise NumericError("non-finite generator reward or gradient")
-        adam_step(model.generator, grads, state_g)
+        adam_step(store, grads, state)
         mean_reward = float(np.mean(rewards))
         baseline = config.baseline_momentum * baseline + (1.0 - config.baseline_momentum) * mean_reward
-        return loss_p, loss_c, mean_reward, float(mask.selected.sum()), rows
+        return *losses.tolist(), mean_reward, float(mask.selected.sum()), rows
 
     return step
 
@@ -260,11 +264,13 @@ def _game_step(model: GameModel, config: TrainConfig) -> Step:
 def _predictor_only_step(model: GameModel, config: TrainConfig) -> Step:
     """Supervised predictor on its inference-time inputs; no game."""
     state = AdamState.for_params(model.predictor, config.lr)
+    grads = DenseParams(model.predictor.layers, np.empty_like(model.predictor.flat))
 
     def step(availability: np.ndarray, labels: np.ndarray):
         x = _predictor_inputs(model, availability, selection_probs(model, availability))
-        loss, _ = predictor_step(model.predictor, state, x, labels)
-        return loss, 0.0, 0.0, float(x.sum()), len(labels)
+        loss, _ = predictor_gradient(model.predictor, grads, x, labels)
+        adam_step(model.predictor, grads, state)
+        return float(loss), 0.0, 0.0, float(x.sum()), len(labels)
 
     return step
 

@@ -187,11 +187,6 @@ class KnowledgeGraph:
     def n_edges(self) -> int:
         return self._n_edges
 
-    @property
-    def n_triples(self) -> int:
-        """Count of stored input triples (excludes augmented inverse edges)."""
-        return len(self._originals)
-
     def edges(self) -> Iterator[tuple[str, str, str]]:
         """All directed edges (including augmented ones) as name triples."""
         for h in range(self.n_entities):

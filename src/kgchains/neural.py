@@ -12,26 +12,28 @@ import numpy as np
 
 
 class DenseParams:
-    """(weight, bias) pairs with ReLU between layers, as views into one float64 buffer ``flat``:
-    each weight row-major, then its bias. ``layers`` is copied into a new buffer, or laid over ``flat``."""
+    """(weight, bias) pairs with ReLU between layers, as views into one float64 buffer ``flat``, (P,) or (S, P)
+    for a stack of S networks: each weight row-major, then its bias. ``layers`` is copied, or laid over ``flat``."""
 
     def __init__(self, layers: list[list[np.ndarray]], flat: np.ndarray | None = None) -> None:
         if flat is None:
             flat = np.concatenate([np.ravel(a) for layer in layers for a in layer], dtype=np.float64)
         self.flat, self.layers, start = flat, [], 0
         for weight, _ in layers:
-            out_dim, in_dim = np.shape(weight)
+            out_dim, in_dim = np.shape(weight)[-2:]
             end = start + out_dim * in_dim
-            self.layers.append([flat[start:end].reshape(out_dim, in_dim), flat[end : end + out_dim]])
+            view = flat[..., start:end].reshape(*flat.shape[:-1], out_dim, in_dim)
+            self.layers.append([view, flat[..., end : end + out_dim]])
             start = end + out_dim
+        self.shapes = [weight.shape for weight, _ in self.layers]
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0][0].shape[1]
+        return self.layers[0][0].shape[-1]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1][0].shape[0]
+        return self.layers[-1][0].shape[-2]
 
 
 def mlp_dims(input_dim: int, output_dim: int = 2) -> list[int]:
@@ -64,21 +66,22 @@ def count_params(params: DenseParams) -> int:
 
 
 def forward(params: DenseParams, x: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Return (logits, cache) for a batch ``x`` of shape (B, D).
+    """Return (logits, cache) for a batch ``x`` of shape (B, D), or (S, B, D) for a stack of S networks.
 
-    A 1-D ``x`` is a batch of one and gives 1-D logits. The cache holds the
-    per-layer (B, fan_in) inputs and (B, fan_out) pre-activations.
+    An ``x`` without the B axis is a batch of one and gives logits without it. The cache
+    holds the per-layer (..., B, fan_in) inputs and (..., B, fan_out) pre-activations.
     """
-    if x.ndim not in (1, 2) or x.shape[-1] != params.input_dim:
+    batched = params.flat.ndim + 1
+    if x.ndim not in (batched - 1, batched) or x.shape[-1] != params.input_dim:
         raise ValueError(f"input shape {x.shape} does not match input dim {params.input_dim}")
     cache = []
-    current = np.atleast_2d(x)
+    current = x if x.ndim == batched else x[..., None, :]
     last = len(params.layers) - 1
     for i, (weight, bias) in enumerate(params.layers):
-        z = current @ weight.T + bias
+        z = current @ weight.swapaxes(-1, -2) + bias[..., None, :]
         cache.append((current, z))
         current = z if i == last else np.maximum(z, 0.0)
-    return (current[0] if x.ndim == 1 else current), cache
+    return (current if x.ndim == batched else current[..., 0, :]), cache
 
 
 def _shifted(logits: np.ndarray) -> np.ndarray:
@@ -111,9 +114,9 @@ def cross_entropy(logits: np.ndarray, label: int | np.ndarray) -> tuple[float | 
     shifted = _shifted(logits)
     exp = np.exp(shifted)
     log_probs = shifted - np.log(exp[..., 0] + exp[..., 1])[..., None]
-    label = np.asarray(label)[..., None]
-    loss = -np.take_along_axis(log_probs, label, axis=-1)[..., 0]
-    dlogits = np.exp(log_probs) - (np.arange(2) == label)
+    label = np.asarray(label)
+    loss = -np.where(label == 1, log_probs[..., 1], log_probs[..., 0])
+    dlogits = np.exp(log_probs) - (np.arange(2) == label[..., None])
     return (float(loss) if logits.ndim == 1 else loss), dlogits
 
 
@@ -121,20 +124,20 @@ def backward(
     params: DenseParams,
     cache: list[tuple[np.ndarray, np.ndarray]],
     dlogits: np.ndarray,
+    grads: DenseParams | None = None,
 ) -> DenseParams:
-    """Exact gradients of every weight and bias, summed over the batch, laid out as ``params``.
+    """Exact gradients of every weight and bias, summed over the batch, into ``grads`` or a new one like ``params``.
 
-    ``dlogits`` is (B, out), or 1-D for a batch of one. ReLU subgradient at 0
-    is 0.
+    ``dlogits`` is (..., B, out), or without the B axis for a batch of one. ReLU subgradient at 0 is 0.
     """
-    dz = np.atleast_2d(dlogits)
-    if dz.shape != (len(cache[0][0]), params.output_dim):
+    dz = dlogits if dlogits.ndim == cache[0][0].ndim else dlogits[..., None, :]
+    if dz.shape != (*cache[0][0].shape[:-1], params.output_dim):
         raise ValueError("dlogits shape does not match the batch and output dimension")
-    grads = DenseParams(params.layers, np.empty_like(params.flat))
+    grads = grads or DenseParams(params.layers, np.empty_like(params.flat))
     for i in range(len(params.layers) - 1, -1, -1):
         x, _ = cache[i]
-        np.matmul(dz.T, x, out=grads.layers[i][0])
-        dz.sum(axis=0, out=grads.layers[i][1])
+        np.matmul(dz.swapaxes(-1, -2), x, out=grads.layers[i][0])
+        dz.sum(axis=-2, out=grads.layers[i][1])
         if i > 0:
             _, z_prev = cache[i - 1]
             dz = (dz @ params.layers[i][0]) * (z_prev > 0.0)
@@ -142,6 +145,7 @@ def backward(
 
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+ADAM_CHUNK = 32768  # elements per Adam pass: the scratch pair stays this small whatever the model's size
 
 
 @dataclass
@@ -152,7 +156,9 @@ class AdamState:
     step: int = 0
 
     def __post_init__(self) -> None:
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        self.scratch = (np.empty(min(ADAM_CHUNK, self.m.size)), np.empty(min(ADAM_CHUNK, self.m.size)))
+        starts = range(0, self.m.size, ADAM_CHUNK)
+        self.chunks = [(slice(s, s + ADAM_CHUNK), *(x[: self.m.size - s] for x in self.scratch)) for s in starts]
 
     @classmethod
     def for_params(cls, params: DenseParams, lr: float = 0.001) -> "AdamState":
@@ -160,21 +166,22 @@ class AdamState:
 
 
 def adam_step(params: DenseParams, grads: DenseParams, state: AdamState) -> None:
-    """One in-place Adam update with bias correction, on the whole buffer. The temporaries of
+    """One in-place Adam update with bias correction, ADAM_CHUNK elements at a time. The temporaries of
     lr * (m / bc1) / (sqrt(v / bc2) + eps) live in ``state.scratch``, made in the same order, so the bits match."""
-    if [w.shape for w, _ in grads.layers] != [w.shape for w, _ in params.layers]:
-        raise ValueError("gradient layout does not match the parameters")
+    if grads.shapes != params.shapes or state.m.shape != params.flat.shape:
+        raise ValueError("gradient or Adam state layout does not match the parameters")
     state.step += 1
     bc1 = 1.0 - BETA1**state.step
     bc2 = 1.0 - BETA2**state.step
-    a, b = state.scratch
-    state.m *= BETA1
-    state.m += np.multiply(grads.flat, 1.0 - BETA1, out=a)
-    state.v *= BETA2
-    state.v += np.multiply(np.square(grads.flat, out=a), 1.0 - BETA2, out=a)
-    np.multiply(np.divide(state.m, bc1, out=a), state.lr, out=a)
-    np.add(np.sqrt(np.divide(state.v, bc2, out=b), out=b), EPSILON, out=b)
-    params.flat -= np.divide(a, b, out=a)
+    for span, a, b in state.chunks:
+        p, g, m, v = params.flat[span], grads.flat[span], state.m[span], state.v[span]
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=a)
+        v *= BETA2
+        v += np.multiply(np.square(g, out=a), 1.0 - BETA2, out=a)
+        np.multiply(np.divide(m, bc1, out=a), state.lr, out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), EPSILON, out=b)
+        p -= np.divide(a, b, out=a)
 
 
 def param_count(input_dim: int, arch: str, submodels: int = 3) -> int:

@@ -4,7 +4,8 @@ The reference below trains and scores one instance at a time through 1-D
 ``neural.forward``/``backward`` calls, as the game did before it ran on
 (rows, D) matrices. Batching only changes the float summation order, so
 parameters agree to 1e-9 after an epoch and the printed epoch stats agree
-exactly.
+exactly. Section (d) keeps the game step as it was before the three networks
+shared one buffer, and the shared-buffer step must match it bit for bit.
 """
 
 import numpy as np
@@ -31,6 +32,7 @@ from kgchains.neural import (
 )
 from kgchains.util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, batches, stream_rng
 
+from adam_oracle import whole_buffer_adam_step
 from splits import split_of
 
 # -- per-instance reference ---------------------------------------------------
@@ -141,8 +143,9 @@ def ref_epoch(model, data, config, kind):
         )
         rewards, grad_rows = [], []
         for (inst, mask), ap, ac in zip(masked, acc_p, acc_c):
-            n_avail = mask.n_available
-            sparsity = 0.0 if n_avail == 0 else max((mask.n_selected - model.d) / n_avail, 0.0)
+            n_selected = int(mask.selected.sum())
+            n_avail = n_selected + int(mask.complement.sum())
+            sparsity = 0.0 if n_avail == 0 else max((n_selected - model.d) / n_avail, 0.0)
             reward = ap - ac - model.lambda_s * sparsity
             rewards.append(reward)
             _, row_softmax, _ = ref_generator(model, inst.availability)
@@ -155,7 +158,7 @@ def ref_epoch(model, data, config, kind):
         adam_step(model.generator, total, states["g"])
         mean_reward = float(np.mean(rewards))
         baseline = config.baseline_momentum * baseline + (1 - config.baseline_momentum) * mean_reward
-        sums += [lp, lc, mean_reward, sum(m.n_selected for _, m in masked)]
+        sums += [lp, lc, mean_reward, sum(int(m.selected.sum()) for _, m in masked)]
         steps += 1
         samples += len(masked)
     dev = ref_quality(model, data.dev)
@@ -324,6 +327,91 @@ def test_evaluate_map_equals_per_row_map(mode):
     assert evaluate_task(model, data.test).map == map_score(groups)
 
 
+# -- (d) the one-store game step ------------------------------------------------------
+
+
+def three_network_game_step(model, config):
+    """The game step before the one parameter store: three networks in their own buffers,
+    three AdamStates, and three Adam updates, the predictors' before the generator's check."""
+    nets = (model.predictor, model.complement, model.generator)
+    state_p, state_c, state_g = (AdamState.for_params(net, config.lr) for net in nets)
+    rng_sample = stream_rng(config.seed, STREAM_SAMPLE)
+    samples = config.mc_samples_per_instance
+    baseline = 0.0
+
+    def predictor_step(params, state, x, labels):
+        logits, cache = forward(params, x)
+        losses, dlogits = cross_entropy(logits, labels)
+        whole_buffer_adam_step(params, backward(params, cache, dlogits / len(x)), state)
+        return float(losses.mean()), (logits.argmax(axis=1) == labels).astype(np.float64)
+
+    def step(availability, labels):
+        nonlocal baseline
+        probs, row_softmax, cache = game._generator_forward(model, availability)
+        availability = np.repeat(availability, samples, axis=0)
+        mask = game.sample_mask(np.repeat(probs, samples, axis=0), availability, rng_sample)
+        labels = np.repeat(labels, samples)
+        loss_p, acc_p = predictor_step(model.predictor, state_p, mask.selected, labels)
+        loss_c, acc_c = predictor_step(model.complement, state_c, mask.complement, labels)
+        rewards = game.instance_reward(model, mask, acc_p, acc_c)
+        rows = len(rewards)
+        dout = game._selection_dout(np.repeat(row_softmax, samples, axis=0), availability, mask.selected)
+        dout *= ((rewards - baseline) / rows)[:, None]
+        grads = backward(model.generator, cache, dout.reshape(len(probs), samples, -1).sum(axis=1))
+        if not (np.isfinite(rewards).all() and np.isfinite(grads.flat).all()):
+            raise NumericError("non-finite generator reward or gradient")
+        whole_buffer_adam_step(model.generator, grads, state_g)
+        mean_reward = float(np.mean(rewards))
+        baseline = config.baseline_momentum * baseline + (1.0 - config.baseline_momentum) * mean_reward
+        return loss_p, loss_c, mean_reward, float(mask.selected.sum()), rows
+
+    return step
+
+
+@pytest.mark.parametrize("dim", [7, 23, 196])
+@pytest.mark.parametrize("arch", [game.ARCH_MLP, game.ARCH_LINEAR])
+@pytest.mark.parametrize("mc_samples", [1, 2])
+def test_one_store_game_step_matches_the_three_network_step_bit_for_bit(dim, arch, mc_samples):
+    data = planted(dim, d_input=dim)
+    config = game.TrainConfig(epochs=4, seed=dim, lr=0.01, mc_samples_per_instance=mc_samples)
+    runs = []
+    for make_step in (game._game_step, three_network_game_step):
+        model = game.build_model(data.size, 2, 1.0, arch, config.seed)
+        result = game._fit(data, config, model, make_step(model, config), stream_rng(config.seed, STREAM_SHUFFLE))
+        runs.append((model, result))
+    (model, result), (ref, ref_result) = runs
+    assert [s.as_line() for s in result.log] == [s.as_line() for s in ref_result.log]
+    assert (result.best_epoch, result.best_dev_map) == (ref_result.best_epoch, ref_result.best_dev_map)
+    for name in ("generator", "predictor", "complement"):
+        # the networks as trained, and the best-dev copies a checkpoint is written from
+        for got, want in ((model, ref), (result.model, ref_result.model)):
+            assert getattr(got, name).flat.tobytes() == getattr(want, name).flat.tobytes()
+
+
+@pytest.mark.parametrize("dim", [7, 23, 196, 300])
+@pytest.mark.parametrize("rows", [1, 20, 256])
+@pytest.mark.parametrize("arch", [mlp_dims, linear_dims])
+def test_stacked_pair_passes_match_the_per_network_passes_bit_for_bit(dim, rows, arch):
+    rng = np.random.default_rng(dim * rows)
+    generator = init_dense(mlp_dims(dim, 2 * dim), rng)
+    pair = [init_dense(arch(dim), rng) for _ in range(2)]
+    # laid out as the game lays them: [generator | predictor | complement], the pair a (2, P) view
+    store = DenseParams(generator.layers + pair[0].layers + pair[1].layers)
+    grads = np.full_like(store.flat, np.nan)
+    cut = generator.flat.size
+    stack = DenseParams(pair[0].layers, store.flat[cut:].reshape(2, -1))
+    stack_grads = DenseParams(pair[0].layers, grads[cut:].reshape(2, -1))
+    x = (rng.random((2, rows, dim)) < 0.3).astype(np.float64)
+    dlogits = rng.normal(size=(2, rows, 2)) / rows
+    logits, cache = forward(stack, x)
+    backward(stack, cache, dlogits, stack_grads)
+    for s, net in enumerate(pair):
+        want, want_cache = forward(net, x[s])
+        assert logits[s].tobytes() == want.tobytes()
+        assert stack_grads.flat[s].tobytes() == backward(net, want_cache, dlogits[s]).flat.tobytes()
+    assert np.isnan(grads[:cut]).all()
+
+
 # -- guards ---------------------------------------------------------------------------
 
 
@@ -343,11 +431,13 @@ def test_empty_dev_split_is_an_error():
 def test_non_finite_generator_gradient_raises(monkeypatch):
     build = game.build_model
     poison = None
+    built = []
 
     def poisoned(*args, **kwargs):
         model = build(*args, **kwargs)
         layer, k, index = poison
         model.generator.layers[layer][k][index] = np.inf
+        built.append((model, build(*args, **kwargs)))
         return model
 
     monkeypatch.setattr(game, "build_model", poisoned)
@@ -356,3 +446,6 @@ def test_non_finite_generator_gradient_raises(monkeypatch):
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="generator"):
                 game.train_task(planted(), game.TrainConfig(epochs=1, seed=0), d=1)
+        model, fresh = built[-1]
+        for name in ("predictor", "complement"):
+            assert getattr(model, name).flat.tobytes() == getattr(fresh, name).flat.tobytes()

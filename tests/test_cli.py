@@ -229,6 +229,9 @@ BENCHMARK = ["benchmark", "--kind", "single", "--out", "b"]
         EXTRACT + ["--neg-ratio", "0"],
         EXTRACT + ["--max-chains", "0"],
         ["export-rules", "--artifacts", "a", "--relation", "target", "--top-n", "-1"],
+        ["export-rules", "--artifacts", "a", "--relation", "target", "--d", "0"],
+        ["eval", "--artifacts", "a", "--relation", "target", "--d", "0"],
+        ["eval", "--artifacts", "a", "--relation", "target", "--d", "-1"],
         # training picks its checkpoint on dev, which a ratio of 1 leaves empty
         EXTRACT + ["--split-ratio", "1.0"],
         EXTRACT + ["--split-ratio", "0"],

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from adam_oracle import whole_buffer_adam_step
 from kgchains.neural import (
+    ADAM_CHUNK,
     AdamState,
     DenseParams,
     adam_step,
@@ -268,12 +270,47 @@ def test_adam_step_at_steady_state_allocates_less_than_one_parameter_buffer():
     assert peak < params.flat.nbytes
 
 
+def buffer_of(size, rng):
+    """One layer holding ``size`` parameters: a (1, size - 1) weight and one bias."""
+    return DenseParams([[rng.normal(size=(1, size - 1)), rng.normal(size=1)]])
+
+
+@pytest.mark.parametrize("size", [1, ADAM_CHUNK - 1, ADAM_CHUNK, 2 * ADAM_CHUNK + 5])
+def test_chunked_adam_matches_the_whole_buffer_update_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    params = buffer_of(size, rng)
+    ref = clone_params(params)
+    state, ref_state = AdamState.for_params(params, lr=0.01), AdamState.for_params(ref, lr=0.01)
+    for _ in range(30):
+        scale = rng.choice([0.0, 1e-6, 1.0, 1e3], size=size)
+        grads = DenseParams(params.layers, rng.normal(size=size) * scale)
+        adam_step(params, grads, state)
+        whole_buffer_adam_step(ref, grads, ref_state)
+        assert params.flat.tobytes() == ref.flat.tobytes()
+    assert state.m.tobytes() == ref_state.m.tobytes() and state.v.tobytes() == ref_state.v.tobytes()
+    assert state.step == ref_state.step == 30
+
+
+@pytest.mark.parametrize("size", [1, ADAM_CHUNK, 3 * ADAM_CHUNK + 1])
+def test_adam_scratch_holds_at_most_two_chunks(size):
+    state = AdamState.for_params(buffer_of(size, np.random.default_rng(0)))
+    assert sum(buffer.size for buffer in state.scratch) <= 2 * ADAM_CHUNK
+
+
 def test_adam_rejects_a_gradient_of_another_layout_with_the_same_size():
     params = DenseParams(layers=[[np.zeros((2, 4)), np.zeros(2)]])
     grads = DenseParams(layers=[[np.zeros((5, 1)), np.zeros(5)]])
     assert grads.flat.size == params.flat.size
     with pytest.raises(ValueError, match="layout"):
         adam_step(params, grads, AdamState.for_params(params))
+
+
+def test_adam_rejects_a_state_made_for_another_buffer():
+    # one chunk of state over two chunks of parameters would leave the second chunk unmoved
+    params = buffer_of(2 * ADAM_CHUNK, np.random.default_rng(0))
+    state = AdamState.for_params(buffer_of(ADAM_CHUNK, np.random.default_rng(1)))
+    with pytest.raises(ValueError, match="layout"):
+        adam_step(params, clone_params(params), state)
 
 
 def test_layers_are_views_into_the_flat_buffer():
