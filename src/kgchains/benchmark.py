@@ -182,9 +182,8 @@ def _generate(spec: BenchmarkSpec) -> _Generated:
 
         pairs = []
         for tail, label in group:
-            for rel in distractors:
-                if rng.random() < spec.distractor_rate:
-                    triples.append((head, rel, tail))
+            hits = rng.random(len(distractors)) < spec.distractor_rate
+            triples.extend((head, rel, tail) for rel, hit in zip(distractors, hits.tolist()) if hit)
             if spec.noise > 0 and rng.random() < spec.noise:
                 label = 1 - label
             pairs.append(LabeledPair(head=head, tail=tail, label=label))

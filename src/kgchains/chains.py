@@ -22,17 +22,22 @@ from .util import open_text
 MANY = -1  # predecessor of a label prefix that no backtrack ban applies to
 
 
-@dataclass(frozen=True, order=True)
-class RelationChain:
-    """Ordered relation-id sequence; equality and hashing by the full tuple."""
+class RelationChain(tuple):
+    """Ordered relation-id sequence, a ``tuple`` of ids: ``len()`` is the hop
+    count, and hashing, equality and ordering are the tuple's own, so a chain
+    hashes and compares equal to its raw tuple and sorts as that tuple does."""
 
-    relations: tuple[int, ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.relations)
+    @property
+    def relations(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"RelationChain({tuple(self)!r})"
 
     def names(self, graph: KnowledgeGraph) -> str:
-        return "->".join(graph.relation_name(r) for r in self.relations)
+        return "->".join(graph.relation_name(r) for r in self)
 
 
 def chains_by_pair(
@@ -44,6 +49,14 @@ def chains_by_pair(
     and then its inverse straight back: Hashimoto's non-backtracking walk).
     A length-1 walk labeled ``exclude`` or its inverse is omitted (leakage
     guard for the target relation).
+    """
+    return {pair: set(map(RelationChain, seqs)) for pair, seqs in _walks(graph, pairs, max_hops, exclude).items()}
+
+
+def _walks(
+    graph: KnowledgeGraph, pairs: Iterable[tuple[int, int]], max_hops: int, exclude: int | None
+) -> dict[tuple[int, int], set[tuple[int, ...]]]:
+    """``chains_by_pair`` as raw relation-id tuples.
 
     Each head grows one frontier: layer ``d`` maps every entity reached in
     ``d`` hops to its label prefixes, each with the entity it was entered
@@ -85,8 +98,7 @@ def chains_by_pair(
                         for prefix, pred in layer[node].items():
                             if tail != pred or rel != inverse[prefix[-1]]:
                                 seqs.add(prefix + (rel,))
-    chain_of = {seq: RelationChain(seq) for seq in set().union(*found.values())}
-    return {pair: {chain_of[seq] for seq in seqs} for pair, seqs in found.items()}
+    return found
 
 
 def enumerate_paths(
@@ -102,12 +114,15 @@ class ChainVocabulary:
 
     Chains are unique and ordered by decreasing positive-pair support with
     ties broken by first occurrence; indices 0..D-1 are stable and persisted.
+    ``union_size`` counts the distinct positive-pair chains before the cap.
+    ``index`` can be probed with raw relation-id tuples.
     """
 
     target: int
     max_hops: int
     chains: list[RelationChain]
     supports: list[int]
+    union_size: int
     index: dict[RelationChain, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -119,7 +134,7 @@ class ChainVocabulary:
     def size(self) -> int:
         return len(self.chains)
 
-    def availability(self, found: Sequence[Iterable[RelationChain]]) -> np.ndarray:
+    def availability(self, found: Sequence[Iterable[tuple[int, ...]]]) -> np.ndarray:
         """(N, D) 0/1 matrix: bit (i, j) is 1 iff chain j is in ``found[i]``."""
         bits = np.zeros((len(found), self.size), dtype=np.float64)
         for row, chains in zip(bits, found):
@@ -130,14 +145,15 @@ class ChainVocabulary:
 def _vocabulary(found: dict, positives: Sequence[tuple[int, int]], target: int, max_hops: int, max_size: int) -> ChainVocabulary:
     """Count each chain over the positive pairs in order, each pair's chains
     sorted; the stable sort on support keeps ties in first-sighting order."""
-    support: dict[RelationChain, int] = {}
+    support: dict[tuple[int, ...], int] = {}
     for pair in positives:
         for chain in sorted(found[pair]):
             support[chain] = support.get(chain, 0) + 1
     if not support:
         raise DataError("no candidate chains")
     kept = sorted(support, key=lambda c: -support[c])[:max_size]
-    return ChainVocabulary(target=target, max_hops=max_hops, chains=kept, supports=[support[c] for c in kept])
+    chains = [RelationChain(c) for c in kept]
+    return ChainVocabulary(target, max_hops, chains, supports=[support[c] for c in kept], union_size=len(support))
 
 
 def _require_positives(positives: Sequence[tuple[int, int]]) -> Sequence[tuple[int, int]]:
@@ -159,7 +175,7 @@ def build_vocabulary(
     the union exceeds ``max_size``, chains are kept in decreasing support
     (ties by earlier first occurrence); indices are assigned in that order.
     """
-    found = chains_by_pair(graph, _require_positives(positives), max_hops, exclude=target)
+    found = _walks(graph, _require_positives(positives), max_hops, target)
     return _vocabulary(found, positives, target, max_hops, max_size)
 
 
@@ -236,19 +252,19 @@ def _encode(vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset, fo
 
 
 def encode_task(vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset) -> EncodedTask:
-    """Encode every split; one ``chains_by_pair`` call serves all three."""
+    """Encode every split; one chain walk serves all three."""
     pairs = _ids(graph, task.train + task.dev + task.test)
-    return _encode(vocab, graph, task, chains_by_pair(graph, pairs, vocab.max_hops, exclude=vocab.target))
+    return _encode(vocab, graph, task, _walks(graph, pairs, vocab.max_hops, vocab.target))
 
 
 def extract_task(
     graph: KnowledgeGraph, task: TaskDataset, max_hops: int, max_size: int
 ) -> tuple[ChainVocabulary, EncodedTask]:
     """``build_vocabulary`` over the train positives, then ``encode_task`` with
-    that vocabulary, from one ``chains_by_pair`` walk over every split's pairs."""
+    that vocabulary, from one chain walk over every split's pairs."""
     pairs = _ids(graph, task.train + task.dev + task.test)
     positives = _require_positives([pair for pair, p in zip(pairs, task.train) if p.label == 1])
-    found = chains_by_pair(graph, pairs, max_hops, exclude=task.target)
+    found = _walks(graph, pairs, max_hops, task.target)
     vocab = _vocabulary(found, positives, task.target, max_hops, max_size)
     return vocab, _encode(vocab, graph, task, found)
 

@@ -24,7 +24,7 @@ from .util import open_text, read_fields, write_fields
 log = logging.getLogger(__name__)
 
 EVAL_SCHEMA = "# kgchains eval report v1"
-STATS_SCHEMA = "# kgchains extract stats v1"
+STATS_SCHEMA = "# kgchains extract stats v2"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,14 +193,14 @@ def cmd_extract(args) -> int:
             )
         row_sums = np.concatenate([split.availability.sum(axis=1) for split in (data.train, data.dev, data.test)])
         mean = float(row_sums.mean())
-        stats_rows.append((relation, vocab.size, mean))
+        stats_rows.append((relation, vocab.size, mean, vocab.union_size))
         print(f"extracted {relation}: chains={vocab.size} mean_per_instance={mean:.2f}")
 
     with open(os.path.join(args.out, "stats.tsv"), "w", encoding="utf-8") as fh:
         fh.write(STATS_SCHEMA + "\n")
-        fh.write("relation\tchains\tmean_chains_per_instance\n")
-        for relation, total, mean in stats_rows:
-            fh.write(f"{relation}\t{total}\t{mean:.6f}\n")
+        fh.write("relation\tchains\tmean_chains_per_instance\tchains_before_cap\n")
+        for relation, total, mean, union in stats_rows:
+            fh.write(f"{relation}\t{total}\t{mean:.6f}\t{union}\n")
     return 0
 
 

@@ -1,0 +1,110 @@
+"""The benchmark generator as it drew distractors before the draw went vectorised.
+
+``per_draw_generate`` is the earlier ``benchmark._generate``: one
+``rng.random()`` per distractor relation and tail. It is kept as the
+reference that the one-call draw must match byte for byte.
+"""
+
+from kgchains.benchmark import (
+    RULE_CONJUNCTION,
+    RULE_NOISY_WEAK,
+    RULE_SINGLE,
+    BenchmarkSpec,
+    _Generated,
+)
+from kgchains.graph import LabeledPair
+from kgchains.util import STREAM_BENCHMARK, stream_rng
+
+
+def per_draw_generate(spec: BenchmarkSpec) -> _Generated:
+    spec.validate()
+    rng = stream_rng(spec.seed, STREAM_BENCHMARK)
+    chains = spec.chains()
+    distractors = [f"s{i}" for i in range(spec.n_distractors)]
+
+    n_groups = spec.train_groups + spec.test_groups
+    group_size = 1 + spec.negatives_per_group
+    pool_size = max(spec.entities - n_groups - 2, group_size)
+
+    # The target relation must exist in the symbol table; one edge between
+    # auxiliary entities disconnected from every query keeps it leak-free.
+    triples: list[tuple[str, str, str]] = [("_aux_h", spec.target_name, "_aux_t")]
+    mid_counter = 0
+    marked: set[str] = set()
+
+    def mark(entity: str) -> None:
+        # Every query entity gets one edge to a fresh leaf so it always
+        # exists in the graph, even if no chain or distractor touches it.
+        # Leaves are dead ends, so no head-tail path can run through them.
+        if entity not in marked:
+            marked.add(entity)
+            triples.append((entity, "is_node", f"n_{entity}"))
+
+    def realize(head: str, tail: str, chain: tuple[str, ...]) -> None:
+        nonlocal mid_counter
+        nodes = [head]
+        for _ in range(len(chain) - 1):
+            nodes.append(f"m{mid_counter}")
+            mid_counter += 1
+        nodes.append(tail)
+        for rel, src, dst in zip(chain, nodes[:-1], nodes[1:]):
+            triples.append((src, rel, dst))
+
+    def chains_for_role(role: str) -> list[tuple[str, ...]]:
+        if spec.rule == RULE_CONJUNCTION:
+            return {
+                "pos": list(chains),
+                "neg_a": [chains[0]],
+                "neg_b": [chains[1]],
+                "neg_none": [],
+            }[role]
+        if spec.rule == RULE_SINGLE:
+            return list(chains) if role == "pos" else []
+        raise AssertionError(role)
+
+    train_pairs: list[LabeledPair] = []
+    test_pairs: list[LabeledPair] = []
+
+    for g in range(n_groups):
+        head = f"h{g}"
+        tails = [f"e{i}" for i in rng.choice(pool_size, size=group_size, replace=False)]
+        mark(head)
+        for tail in tails:
+            mark(tail)
+        if spec.rule == RULE_NOISY_WEAK:
+            labels = [1] + [0] * spec.negatives_per_group
+            group = []
+            for tail, label in zip(tails, labels):
+                rate = spec.weak_pos_rate if label == 1 else spec.weak_neg_rate
+                for chain in chains:
+                    if rng.random() < rate:
+                        realize(head, tail, chain)
+                group.append((tail, label))
+        else:
+            roles = ["pos"]
+            negative_cycle = (
+                ["neg_a", "neg_b", "neg_none"] if spec.rule == RULE_CONJUNCTION else ["neg_none"]
+            )
+            for i in range(spec.negatives_per_group):
+                roles.append(negative_cycle[i % len(negative_cycle)])
+            group = []
+            for tail, role in zip(tails, roles):
+                for chain in chains_for_role(role):
+                    realize(head, tail, chain)
+                group.append((tail, 1 if role == "pos" else 0))
+
+        pairs = []
+        for tail, label in group:
+            for rel in distractors:
+                if rng.random() < spec.distractor_rate:
+                    triples.append((head, rel, tail))
+            if spec.noise > 0 and rng.random() < spec.noise:
+                label = 1 - label
+            pairs.append(LabeledPair(head=head, tail=tail, label=label))
+        # Shuffle within the group so score ties never systematically favor
+        # the positive item at evaluation time.
+        order = rng.permutation(len(pairs))
+        shuffled = [pairs[i] for i in order]
+        (train_pairs if g < spec.train_groups else test_pairs).extend(shuffled)
+
+    return _Generated(triples=triples, train_pairs=train_pairs, test_pairs=test_pairs)

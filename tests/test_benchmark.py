@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from kgchains import benchmark
 from kgchains.benchmark import BenchmarkSpec, make_benchmark, write_benchmark
 from kgchains.chains import RelationChain, enumerate_paths
 from kgchains.errors import DataError
+
+from benchmark_oracle import per_draw_generate
 
 
 def chain_names(graph, head, tail, max_hops, exclude):
@@ -115,6 +118,37 @@ def test_write_benchmark_layout(tmp_path):
     assert (tmp_path / "tasks" / "target" / "test.pairs").exists()
     lines = (tmp_path / "tasks" / "target" / "train.pairs").read_text().splitlines()
     assert len(lines) == 16
+
+
+def written(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(rule="single"),
+        dict(rule="conjunction"),
+        dict(rule="noisy_weak"),
+        dict(rule="conjunction", noise=0.3),
+        dict(rule="noisy_weak", noise=0.2, distractor_rate=0.5),
+        dict(rule="single", distractor_rate=0.0),
+        dict(rule="conjunction", distractor_rate=1.0),
+        dict(rule="conjunction", relations=3),
+    ],
+)
+def test_one_call_distractor_draw_writes_what_per_draw_wrote(tmp_path, monkeypatch, overrides):
+    """Byte-identical inputs whether a tail's distractors are drawn in one call or one at a time."""
+    spec = BenchmarkSpec(**{"entities": 80, "relations": 12, "seed": 4, "train_groups": 6, "test_groups": 4, **overrides})
+    write_benchmark(spec, str(tmp_path / "one_call"))
+    with monkeypatch.context() as patch:
+        patch.setattr(benchmark, "_generate", per_draw_generate)
+        write_benchmark(spec, str(tmp_path / "per_draw"))
+    expected = written(tmp_path / "per_draw")
+    assert written(tmp_path / "one_call") == expected
+    assert len(expected) == 3
+    if overrides.get("relations") == 3:
+        assert spec.n_distractors == 0
 
 
 def test_single_rule_d1_game_reaches_high_map():

@@ -19,6 +19,8 @@ from kgchains.chains import (
 )
 from kgchains.graph import KnowledgeGraph, LabeledPair, TaskDataset
 
+from walk_oracle import DataclassChain
+
 
 def dfs_paths(graph, head, tail, max_hops, exclude=None):
     graph.check_entity(head)
@@ -138,19 +140,24 @@ def test_batched_tails_equal_one_pair_calls():
         assert found[(head, tail)] == dfs_paths(graph, head, tail, 3, exclude=1)
 
 
+def reference_vocabulary(graph, positives, target, max_hops):
+    """Relation tuples in vocabulary order and their supports, from per-pair walks
+    counted in order, each pair's chains sorted in the dataclass chain's order."""
+    support, first_seen = {}, {}
+    for head, tail in positives:
+        for chain in sorted(DataclassChain(c.relations) for c in dfs_paths(graph, head, tail, max_hops, target)):
+            first_seen.setdefault(chain, len(first_seen))
+            support[chain] = support.get(chain, 0) + 1
+    order = sorted(support, key=lambda c: (-support[c], first_seen[c]))
+    return [c.relations for c in order], [support[c] for c in order]
+
+
 def test_vocabulary_order_matches_per_pair_walks():
     """Support first, then first sighting: positives in order, each pair's chains sorted."""
     graph, rng = hub_graph(11)
     positives = [pair for pair in query_pairs(graph, rng, n_heads=6) if pair[0] != pair[1]]
-    support, first_seen = {}, {}
-    for head, tail in positives:
-        for chain in sorted(dfs_paths(graph, head, tail, 3, exclude=0)):
-            first_seen.setdefault(chain, len(first_seen))
-            support[chain] = support.get(chain, 0) + 1
-    expected = sorted(support, key=lambda c: (-support[c], first_seen[c]))
     vocab = build_vocabulary(graph, positives, 0, max_hops=3)
-    assert vocab.chains == expected
-    assert vocab.supports == [support[c] for c in expected]
+    assert ([c.relations for c in vocab.chains], vocab.supports) == reference_vocabulary(graph, positives, 0, 3)
 
 
 def hub_task(graph, rng, target):
@@ -167,28 +174,38 @@ def hub_task(graph, rng, target):
     return TaskDataset(target=target, relation=graph.relation_name(target), train=train, dev=pairs[3:6], test=test)
 
 
+# Zipf degrees at about 200 chains a positive pair, as on a NELL-like hub graph
+HUB = dict(seed=21, n_entities=120, n_relations=6, n_edges=500)
+
+
 @pytest.mark.parametrize("max_hops", [1, 2, 3])
 def test_extract_task_equals_build_vocabulary_then_encode_task(max_hops):
-    """One walk over every split gives what a walk over the positives and a walk over every split gave."""
-    graph, rng = hub_graph(13)
-    task = hub_task(graph, rng, target=1)
-    positives = [(graph.entity_id(p.head), graph.entity_id(p.tail)) for p in task.train if p.label == 1]
-    assert positives[0] == positives[-1]
-    supports = build_vocabulary(graph, positives, task.target, max_hops).supports
-    # the first cut that keeps one chain of a support tie and drops the other
-    cut = next(j for j in range(1, len(supports)) if supports[j - 1] == supports[j])
-    for max_size in (10000, cut):
-        vocab, data = extract_task(graph, task, max_hops, max_size)
-        ref_vocab = build_vocabulary(graph, positives, task.target, max_hops, max_size)
-        ref = encode_task(ref_vocab, graph, task)
-        assert (vocab.chains, vocab.supports) == (ref_vocab.chains, ref_vocab.supports)
-        assert (vocab.target, vocab.max_hops, data.relation, data.size) == (task.target, max_hops, ref.relation, ref.size)
-        for name in ("train", "dev", "test"):
-            split, ref_split = getattr(data, name), getattr(ref, name)
-            assert (split.heads, split.tails) == (ref_split.heads, ref_split.tails)
-            assert np.array_equal(split.labels, ref_split.labels)
-            assert np.array_equal(split.availability, ref_split.availability)
-    assert vocab.size == cut < len(supports)
+    """One walk over every split gives what a walk over the positives and a walk
+    over every split gave; at k=3 also on a hub-shaped graph. Caps that keep one
+    chain of a support tie and drop the other pin the first-sighting tie order."""
+    for shape in [dict(seed=13)] + [HUB] * (max_hops == 3):
+        graph, rng = hub_graph(**shape)
+        task = hub_task(graph, rng, target=1)
+        positives = [(graph.entity_id(p.head), graph.entity_id(p.tail)) for p in task.train if p.label == 1]
+        assert positives[0] == positives[-1]
+        chains, supports = reference_vocabulary(graph, positives, task.target, max_hops)
+        ties = [j for j in range(1, len(supports)) if supports[j - 1] == supports[j]]
+        for max_size in (10000, ties[0], ties[len(ties) // 2]):
+            vocab, data = extract_task(graph, task, max_hops, max_size)
+            ref_vocab = build_vocabulary(graph, positives, task.target, max_hops, max_size)
+            ref = encode_task(ref_vocab, graph, task)
+            assert (vocab.chains, vocab.supports) == (ref_vocab.chains, ref_vocab.supports)
+            assert ([c.relations for c in vocab.chains], vocab.supports) == (chains[:max_size], supports[:max_size])
+            assert vocab.union_size == ref_vocab.union_size == len(chains)
+            assert (vocab.target, vocab.max_hops, data.relation, data.size) == (task.target, max_hops, ref.relation, ref.size)
+            for name in ("train", "dev", "test"):
+                split, ref_split = getattr(data, name), getattr(ref, name)
+                assert (split.heads, split.tails) == (ref_split.heads, ref_split.tails)
+                assert np.array_equal(split.labels, ref_split.labels)
+                assert np.array_equal(split.availability, ref_split.availability)
+        assert vocab.size == ties[len(ties) // 2] < len(chains)
+        if shape is HUB:
+            assert len(chains) > 1000
 
 
 def names(graph, chain_set):

@@ -20,7 +20,7 @@ from kgchains.errors import DataError
 from kgchains.graph import KnowledgeGraph
 
 from splits import split_of
-from walk_oracle import oracle_paths
+from walk_oracle import DataclassChain, oracle_paths
 
 
 def graph_of(*triples, add_inverses=True):
@@ -119,6 +119,30 @@ def test_monotone_in_max_hops():
             cur = enumerate_paths(g, int(head), int(tail), hops)
             assert prev <= cur
             prev = cur
+
+
+relation_ids = st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(relation_ids, max_size=30), st.lists(relation_ids, max_size=10))
+def test_tuple_chain_matches_the_dataclass_it_replaced(seqs, probes):
+    """Same sort order, set and dict membership, ``relations``, ``len()`` and ``names()``;
+    and a chain hashes and compares equal to its raw tuple, so raw tuples probe it."""
+    graph = graph_of(*[(f"e{r}", f"r{r}", f"e{r + 1}") for r in range(4)])
+    assert graph.n_relations == 8
+    new, old = [RelationChain(s) for s in seqs], [DataclassChain(s) for s in seqs]
+    assert [c.relations for c in sorted(new)] == [c.relations for c in sorted(old)]
+    new_index, old_index = {c: j for j, c in enumerate(new)}, {c: j for j, c in enumerate(old)}
+    assert len(set(new)) == len(set(old)) == len(new_index) == len(old_index)
+    for seq in seqs + probes:
+        assert (RelationChain(seq) in set(new)) == (DataclassChain(seq) in set(old))
+        assert new_index.get(RelationChain(seq)) == new_index.get(seq) == old_index.get(DataclassChain(seq))
+    for chain, ref in zip(new, old):
+        assert type(chain.relations) is tuple and chain.relations == ref.relations
+        assert (len(chain), chain.names(graph)) == (len(ref), ref.names(graph))
+        assert hash(chain) == hash(ref.relations) and chain == ref.relations
+    assert repr(RelationChain((3, 1))) == "RelationChain((3, 1))"
 
 
 def build_support_graph():

@@ -59,8 +59,24 @@ def test_extract_stats_report_mean_chains_per_instance(tmp_path, capsys):
     sizes = [row.n_available for split in splits for row in split]
     names, _ = chains.read_vocabulary_names(str(art / "target" / "vocab.tsv"))
     lines = (art / "stats.tsv").read_text().splitlines()
-    assert lines[1:] == ["relation\tchains\tmean_chains_per_instance", f"target\t{len(names)}\t{sum(sizes) / len(sizes):.6f}"]
+    header = "relation\tchains\tmean_chains_per_instance\tchains_before_cap"
+    assert lines == [cli.STATS_SCHEMA, header, f"target\t{len(names)}\t{sum(sizes) / len(sizes):.6f}\t{len(names)}"]
+    assert cli.STATS_SCHEMA == "# kgchains extract stats v2"
     assert f"chains={len(names)} mean_per_instance={sum(sizes) / len(sizes):.2f}" in capsys.readouterr().out
+
+
+def test_extract_stats_report_how_much_the_cap_cut(tmp_path):
+    """``chains_before_cap`` is the train positives' chain union that ``--max-chains`` cut."""
+    art = pipeline(tmp_path, epochs=1)
+    bench, capped = tmp_path / "bench", tmp_path / "capped"
+    union, _ = chains.read_vocabulary_names(str(art / "target" / "vocab.tsv"))
+    assert len(union) > 3
+    assert run([
+        "extract", "--graph", str(bench / "graph.tsv"), "--tasks", str(bench / "tasks"),
+        "--relation", "target", "--out", str(capped), "--max-hops", "2", "--seed", "4", "--max-chains", "3",
+    ]) == 0
+    row = (capped / "stats.tsv").read_text().splitlines()[2].split("\t")
+    assert (row[0], row[1], row[3]) == ("target", "3", str(len(union)))
 
 
 def test_export_rules(tmp_path, capsys):

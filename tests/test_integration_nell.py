@@ -2,7 +2,7 @@
 
 Point KGCHAINS_NELL_DIR at a directory in the task format (graph.tsv plus
 tasks/<relation>/{train,test}.pairs, e.g. produced by `kgchains
-adapt-deeppath`). These runs take hours on the full KB and are skipped by
+adapt-deeppath`). The dataset is not bundled, so these runs are skipped by
 default.
 """
 

@@ -3,9 +3,29 @@
 Every walk of up to ``max_hops`` edges from the head is kept whole, with the
 entity and relation it came by, so the backtrack ban and the leakage guard
 are checked walk by walk instead of on the shared label frontier.
+
+``DataclassChain`` is ``RelationChain`` as a frozen dataclass, as it was
+before it became a tuple: the reference for its ordering, hashing and
+accessors, and for the vocabulary's tie order.
 """
 
+from dataclasses import dataclass
+
 from kgchains.chains import RelationChain
+from kgchains.graph import KnowledgeGraph
+
+
+@dataclass(frozen=True, order=True)
+class DataclassChain:
+    """Ordered relation-id sequence; equality and hashing by the full tuple."""
+
+    relations: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.relations)
+
+    def names(self, graph: KnowledgeGraph) -> str:
+        return "->".join(graph.relation_name(r) for r in self.relations)
 
 
 def oracle_paths(graph, head, tail, max_hops, exclude=None):
