@@ -73,6 +73,7 @@ def _walks(
         tails_of.setdefault(head, set()).add(tail)
     inverse = [graph.inverse_relation_id(r) for r in range(graph.n_relations)]
     excluded = {exclude, graph.inverse_relation_id(exclude)} if exclude is not None else set()
+    out_ptr, out_rels, out_ends = graph.out_table
     found: dict[tuple[int, int], set[tuple[int, ...]]] = {}
     for head, tails in tails_of.items():
         near = {node for tail in tails for _, node in graph.incoming(tail)}
@@ -80,7 +81,8 @@ def _walks(
         for depth in range(1, max_hops):
             layer: dict[int, dict[tuple[int, ...], int]] = {}
             for node, prefixes in layers[-1].items():
-                for rel, nxt in graph.neighbors(node):
+                a, b = out_ptr[node], out_ptr[node + 1]
+                for rel, nxt in zip(out_rels[a:b], out_ends[a:b]):
                     if depth == max_hops - 1 and nxt not in near:
                         continue
                     slot = layer.setdefault(nxt, {})
@@ -92,8 +94,9 @@ def _walks(
             layers.append(layer)
         for tail in tails:
             seqs = found[(head, tail)] = set()
+            into = graph.incoming(tail)
             for depth, layer in enumerate(layers):
-                for rel, node in graph.incoming(tail):
+                for rel, node in into:
                     if node in layer and (depth > 0 or rel not in excluded):
                         for prefix, pred in layer[node].items():
                             if tail != pred or rel != inverse[prefix[-1]]:

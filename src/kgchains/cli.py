@@ -319,21 +319,19 @@ def cmd_export_rules(args) -> int:
         for rank, j in enumerate(order, start=1):
             lines.append(f"  {rank}. {names[j]} (mean_p={mean[j]:.4f}, seen={int(count[j])})")
     else:
-        chosen = []  # per row: (available chains, its top-n by probability, ties to the lower index)
-        logits = []
-        for availability, probs, chunk_logits in game.score_chunks(model, test.availability):
-            order = np.argsort(np.where(availability > 0, -probs, np.inf), axis=1, kind="stable")
-            for row, p, n in zip(order, probs, availability.sum(axis=1).astype(int)):
-                chosen.append((n, [(j, p[j]) for j in row[: min(top_n, n)]]))
-            logits.append(chunk_logits)
-        confidences = neural.softmax(np.concatenate(logits))[:, 1] if logits else []
-        rows = zip(test.heads, test.tails, test.labels.tolist(), confidences, chosen)
-        for head, tail, label, confidence, (n, top) in rows:
-            lines.append(f"{head} -> {tail} label={label} confidence={confidence:.4f}")
-            if n == 0:
-                lines.append("  (no chains)")
-            for rank, (j, p) in enumerate(top, start=1):
-                lines.append(f"  {rank}. {names[j]} (p={p:.4f})")
+        rows = zip(test.heads, test.tails, test.labels.tolist())
+        for availability, probs, logits in game.score_chunks(model, test.availability):
+            # each row's available chains by probability, ties to the lower index
+            order = np.argsort(np.where(availability > 0, -probs, np.inf), axis=1, kind="stable")[:, :top_n]
+            top_p = np.take_along_axis(probs, order, axis=1)
+            counts = availability.sum(axis=1).astype(int)
+            chunk = zip(neural.softmax(logits)[:, 1].tolist(), counts.tolist(), order.tolist(), top_p.tolist(), rows)
+            for confidence, n, top, ps, (head, tail, label) in chunk:  # rows last: a chunk's end draws no row
+                lines.append(f"{head} -> {tail} label={label} confidence={confidence:.4f}")
+                if n == 0:
+                    lines.append("  (no chains)")
+                for rank, j, p in zip(range(1, n + 1), top, ps):
+                    lines.append(f"  {rank}. {names[j]} (p={p:.4f})")
 
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -4,7 +4,9 @@ Entities and relations are interned to dense integer ids in first-seen
 order. With augmentation on (the default), every stored edge (h, r, t)
 also yields (t, r_inv, h) where ``r_inv`` is a distinct relation whose
 name carries the ``_inv`` suffix; applying the suffix rule twice returns
-the original name, so chains may traverse any edge backwards.
+the original name, except on names ending in ``_inv_inv`` (a data error),
+so chains may traverse any edge backwards. The edges are two CSR tables,
+out and in, built in bulk with numpy; each entity's slice is in input order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -38,76 +40,91 @@ def inverse_name(name: str) -> str:
     return name + INVERSE_SUFFIX
 
 
-class KnowledgeGraph:
-    """Immutable after construction; safe for unlimited concurrent readers."""
+class Adjacency(NamedTuple):
+    """A CSR table: entity ``e``'s edges are ``zip(rels[a:b], ends[a:b])``, ``a, b = indptr[e], indptr[e + 1]``.
+    Lists of ints, so the chain walk slices and iterates them without numpy scalars."""
 
-    def __init__(
-        self,
-        entity_ids: dict[str, int],
-        relation_ids: dict[str, int],
-        adj: list[list[tuple[int, int]]],
-        radj: list[list[tuple[int, int]]],
-        originals: list[tuple[int, int, int]],
-        n_edges: int,
-    ) -> None:
+    indptr: list[int]
+    rels: list[int]
+    ends: list[int]
+
+    def of(self, eid: int) -> list[tuple[int, int]]:
+        a, b = self.indptr[eid], self.indptr[eid + 1]
+        return list(zip(self.rels[a:b], self.ends[a:b]))
+
+
+def _csr(keys: np.ndarray, rels: np.ndarray, ends: np.ndarray, n: int) -> Adjacency:
+    """Edges grouped by ``keys`` in input order: ``key * len + position`` is unique, so any sort is stable."""
+    order = np.argsort(keys * len(keys) + np.arange(len(keys)))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    return Adjacency(indptr.tolist(), rels[order].tolist(), ends[order].tolist())
+
+
+class KnowledgeGraph:
+    """Immutable after construction; safe for unlimited concurrent readers.
+
+    ``out_table`` holds each entity's outgoing ``(relation, tail)`` edges and ``in_table`` its incoming
+    ``(relation, head)`` edges, as CSR tables: every kept line's edge, then its inverse, in line order."""
+
+    def __init__(self, entity_ids: dict[str, int], relation_ids: dict[str, int], inverse_ids: list[int],
+                 out_table: Adjacency, in_table: Adjacency, originals: np.ndarray) -> None:
         self._entity_ids = entity_ids
         self._entity_names = list(entity_ids)
         self._relation_ids = relation_ids
         self._relation_names = list(relation_ids)
-        self._adj = adj
-        self._radj = radj
+        self._inverse_ids = inverse_ids
+        self.out_table = out_table
+        self.in_table = in_table
         self._originals = originals
-        self._n_edges = n_edges
-        self._inverse_ids = [relation_ids.get(inverse_name(name), -1) for name in relation_ids]
 
     @classmethod
-    def from_triples(
-        cls, triples: Iterable[tuple[str, str, str]], add_inverses: bool = True
-    ) -> "KnowledgeGraph":
-        """Intern names, drop repeated edges and fill both adjacency tables in one pass.
+    def from_triples(cls, triples: Iterable[tuple[str, str, str]], add_inverses: bool = True) -> "KnowledgeGraph":
+        """Intern names, drop repeated edges and build both adjacency tables.
 
         Ids follow first sighting, an inverse relation right after its own;
         a line whose edge is already stored, as an edge or as another line's
         augmented inverse, is a duplicate.
         """
-        entity_ids: dict[str, int] = {}
-        relation_ids: dict[str, int] = {}
-        inverse_of: dict[str, int] = {}
-        adj: list[list[tuple[int, int]]] = []
-        radj: list[list[tuple[int, int]]] = []
-        edges: set[tuple[int, int, int]] = set()
-        originals: list[tuple[int, int, int]] = []
-        duplicates = 0
-        for head, rel, tail in triples:
-            h = entity_ids.setdefault(head, len(entity_ids))
-            t = entity_ids.setdefault(tail, len(entity_ids))
-            while len(adj) < len(entity_ids):
-                adj.append([])
-                radj.append([])
-            r = relation_ids.setdefault(rel, len(relation_ids))
-            if add_inverses:
-                ri = inverse_of.get(rel)
-                if ri is None:
-                    ri = inverse_of[rel] = relation_ids.setdefault(inverse_name(rel), len(relation_ids))
-            if (h, r, t) in edges:
-                duplicates += 1
-                continue
-            originals.append((h, r, t))
-            edges.add((h, r, t))
-            adj[h].append((r, t))
-            radj[t].append((r, h))
-            if add_inverses and (t, ri, h) not in edges:
-                edges.add((t, ri, h))
-                adj[t].append((ri, h))
-                radj[h].append((ri, t))
-        if not originals:
+        heads, rels, tails = list(zip(*triples)) or ((), (), ())
+        return cls._from_columns(heads, rels, tails, add_inverses)
+
+    @classmethod
+    def _from_columns(
+        cls, heads: Sequence[str], rels: Sequence[str], tails: Sequence[str], add_inverses: bool
+    ) -> "KnowledgeGraph":
+        """``from_triples`` on columns; an edge and its inverse share a key, the smaller of their two."""
+        if not heads:
             raise DataError("no triples")
-        for name in relation_ids:
+        names = dict.fromkeys(rels)
+        for name in names:
             if name.endswith(NOT_INVOLUTIVE):
                 raise DataError(f"relation {name!r} ends in {NOT_INVOLUTIVE!r}")
-        if duplicates:
-            log.info("deduplicated %d duplicate triples", duplicates)
-        return cls(entity_ids, relation_ids, adj, radj, originals, len(edges))
+        if add_inverses:
+            names = dict.fromkeys(x for name in names for x in (name, inverse_name(name)))
+        relation_ids = dict(zip(names, itertools.count()))
+        entity_ids = dict(zip(dict.fromkeys(itertools.chain.from_iterable(zip(heads, tails))), itertools.count()))
+        inverse_ids = [relation_ids.get(inverse_name(name), -1) for name in relation_ids]
+        n_ent, n_rel = len(entity_ids), len(relation_ids)
+        if n_ent * n_rel * n_ent > 2**63:
+            raise DataError(f"{n_ent} entities and {n_rel} relations overflow the 64-bit edge keys")
+        h, r, t = (
+            np.fromiter(map(ids.__getitem__, column), np.int64, len(column))
+            for ids, column in ((entity_ids, heads), (relation_ids, rels), (entity_ids, tails))
+        )
+        key = (h * n_rel + r) * n_ent + t
+        if add_inverses:
+            ri = np.array(inverse_ids)[r]
+            key = np.minimum(key, (t * n_rel + ri) * n_ent + h)
+        kept = np.sort(np.unique(key, return_index=True)[1])
+        if len(kept) < len(heads):
+            log.info("deduplicated %d duplicate triples", len(heads) - len(kept))
+        originals = np.stack((h, r, t), axis=1)[kept]
+        src, rel, dst = originals.T
+        if add_inverses:
+            src, rel, dst = (np.stack(pair, axis=1).ravel() for pair in ((src, dst), (rel, ri[kept]), (dst, src)))
+        out_table, in_table = _csr(src, rel, dst, n_ent), _csr(dst, rel, src, n_ent)
+        return cls(entity_ids, relation_ids, inverse_ids, out_table, in_table, originals)
 
     # -- symbol tables -------------------------------------------------
 
@@ -147,12 +164,12 @@ class KnowledgeGraph:
     def neighbors(self, eid: int) -> list[tuple[int, int]]:
         """Outgoing (relation-id, entity-id) pairs in stable insertion order."""
         self.check_entity(eid)
-        return self._adj[eid]
+        return self.out_table.of(eid)
 
     def incoming(self, eid: int) -> list[tuple[int, int]]:
         """Incoming (relation-id, entity-id) pairs: ``m -r-> eid`` gives ``(r, m)``."""
         self.check_entity(eid)
-        return self._radj[eid]
+        return self.in_table.of(eid)
 
     def distance_to(self, target: int, cap: int) -> np.ndarray:
         """Shortest hop count from every entity to ``target``, capped by BFS depth.
@@ -161,6 +178,7 @@ class KnowledgeGraph:
         (or unreachable) get UNREACHABLE.
         """
         self.check_entity(target)
+        indptr, _, heads = self.in_table
         dist = np.full(self.n_entities, UNREACHABLE, dtype=np.int64)
         dist[target] = 0
         queue = deque([target])
@@ -169,7 +187,7 @@ class KnowledgeGraph:
             d = dist[node]
             if d >= cap:
                 continue
-            for _, prev in self._radj[node]:
+            for prev in heads[indptr[node] : indptr[node + 1]]:
                 if dist[prev] > d + 1:
                     dist[prev] = d + 1
                     queue.append(prev)
@@ -185,46 +203,57 @@ class KnowledgeGraph:
 
     @property
     def n_edges(self) -> int:
-        return self._n_edges
+        return len(self.out_table.rels)
 
     def edges(self) -> Iterator[tuple[str, str, str]]:
         """All directed edges (including augmented ones) as name triples."""
         for h in range(self.n_entities):
-            for r, t in self._adj[h]:
+            for r, t in self.out_table.of(h):
                 yield (self._entity_names[h], self._relation_names[r], self._entity_names[t])
 
     def original_triples(self) -> Iterator[tuple[str, str, str]]:
-        for h, r, t in self._originals:
+        for h, r, t in self._originals.tolist():
             yield (self._entity_names[h], self._relation_names[r], self._entity_names[t])
 
 
 def load_triples(path: str, add_inverses: bool = True) -> KnowledgeGraph:
     """Load a tab-separated triples file (head TAB relation TAB tail).
 
-    Lines starting with ``#`` are ignored. A malformed line, or a relation name ending in
-    NOT_INVOLUTIVE, aborts with an error naming the line number; a file with no triples is an error.
+    Lines starting with ``#`` and blank lines are ignored. A malformed line, or a relation name ending in
+    NOT_INVOLUTIVE, aborts with an error naming the line number; a file with no triples is an error. The
+    file is split and checked in bulk, and rescanned line by line only to name its first error.
     """
     if not os.path.isfile(path):
         raise DataError(f"triples file not found: {path}")
-
-    def parse() -> Iterator[tuple[str, str, str]]:
-        with open_text(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3 or not all(fields):
-                    raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-                if fields[1].endswith(NOT_INVOLUTIVE):
-                    raise DataError(f"{path}:{lineno}: relation {fields[1]!r} ends in {NOT_INVOLUTIVE!r}")
-                yield (fields[0], fields[1], fields[2])
-
-    triples = parse()
-    first = next(triples, None)
-    if first is None:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line in fh.read().split("\n") if line and line[0] != "#"]
+    except UnicodeDecodeError:
+        _raise_first_error(path)
+    if not lines:
         raise DataError(f"no triples in {path}")
-    return KnowledgeGraph.from_triples(itertools.chain([first], triples), add_inverses=add_inverses)
+    fields = "\t".join(lines).split("\t")
+    heads, rels, tails = fields[0::3], fields[1::3], fields[2::3]
+    tabs = set(map(str.count, lines, itertools.repeat("\t")))
+    if tabs != {2} or "" in fields or any(name.endswith(NOT_INVOLUTIVE) for name in dict.fromkeys(rels)):
+        _raise_first_error(path)
+    del lines, fields
+    return KnowledgeGraph._from_columns(heads, rels, tails, add_inverses)
+
+
+def _raise_first_error(path: str) -> NoReturn:
+    """Scan ``path`` line by line and raise the error of its first bad line."""
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3 or not all(fields):
+                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            if fields[1].endswith(NOT_INVOLUTIVE):
+                raise DataError(f"{path}:{lineno}: relation {fields[1]!r} ends in {NOT_INVOLUTIVE!r}")
+    raise RuntimeError(f"{path} failed a bulk check that no line fails")
 
 
 def write_triples(graph: KnowledgeGraph, path: str) -> None:

@@ -1,7 +1,8 @@
+import logging
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kgchains.errors import DataError
@@ -36,6 +37,10 @@ def test_empty_file_errors(tmp_path):
         write(path, lines)
         with pytest.raises(DataError, match=f"^no triples in {re.escape(str(path))}$"):
             load_triples(str(path))
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(b"# a\tr\tb\r\n\r\n\n#\r\n")
+    with pytest.raises(DataError, match=f"^no triples in {re.escape(str(path))}$"):
+        load_triples(str(path))
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -43,6 +48,14 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     write(path, ["# header", "", "a\tr\tb"])
     g = load_triples(str(path))
     assert list(g.original_triples()) == [("a", "r", "b")]
+
+
+def test_only_newlines_end_lines(tmp_path):
+    # str.splitlines would also break at these characters
+    path = tmp_path / "g.tsv"
+    path.write_bytes("a\x0cb\tr s\tc\x1cd\x85\n".encode())
+    g = load_triples(str(path))
+    assert list(g.original_triples()) == [("a\x0cb", "r s", "c\x1cd\x85")]
 
 
 def test_duplicate_lines_deduplicated(tmp_path):
@@ -57,6 +70,32 @@ def test_malformed_line_names_line_number(tmp_path):
     path = tmp_path / "g.tsv"
     write(path, ["a\tr\tb", "broken line"])
     with pytest.raises(DataError, match=":2"):
+        load_triples(str(path))
+
+
+EXPECTED_3 = "{path}:5: expected 3 tab-separated fields"
+NOT_UTF8 = "{path}: not UTF-8 text (byte 0xff: invalid start byte)"
+
+
+# Line 5 follows a comment, blank lines and CRLF endings. The line-by-line reader
+# decodes a small file whole before it reads a line, so a bad byte anywhere wins.
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (b"a\tr", EXPECTED_3),
+        (b"a\tr\tb\tc", EXPECTED_3),
+        (b"a\t\tb", EXPECTED_3),
+        (b"a\tr\t", EXPECTED_3),
+        (b" ", EXPECTED_3),
+        (b"a\tx_inv_inv\tb", "{path}:5: relation 'x_inv_inv' ends in '_inv_inv'"),
+        (b"a\tr\t\xffb", NOT_UTF8),
+        (b"a\tr\r\nb\ts\t\xffc", NOT_UTF8),
+    ],
+)
+def test_malformed_line_after_skipped_lines(tmp_path, bad, message):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(b"# header\r\n\r\na\tr\tb\r\n\n" + bad + b"\r\nb\ts\tc\n")
+    with pytest.raises(DataError, match=f"^{re.escape(message.format(path=path))}$"):
         load_triples(str(path))
 
 
@@ -149,11 +188,13 @@ class IncrementalGraph:
         self._adj, self._radj = [], []
         self._edges, self._originals = set(), []
         self._inverse_ids = None
+        self.duplicates = 0
         for head, rel, tail in triples:
             h = self._intern_entity(head)
             r = self._intern_relation(rel, add_inverses)
             t = self._intern_entity(tail)
             if not self._add_edge(h, r, t):
+                self.duplicates += 1
                 continue
             self._originals.append((h, r, t))
             if add_inverses:
@@ -195,20 +236,7 @@ class IncrementalGraph:
         return [(self._entity_names[h], self._relation_names[r], self._entity_names[t]) for h, r, t in self._originals]
 
 
-# Explicit ``r_inv`` lines, and lines repeating another line's augmented inverse
-# (``b r a`` after ``a r_inv b``), both occur among these draws.
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from("abcd"), st.sampled_from(["r", "r_inv", "s"]), st.sampled_from("abcd")),
-        min_size=1,
-        max_size=25,
-    ),
-    st.booleans(),
-)
-def test_one_pass_constructor_matches_incremental_reference(triples, add_inverses):
-    g = KnowledgeGraph.from_triples(triples, add_inverses=add_inverses)
-    ref = IncrementalGraph(triples, add_inverses)
+def assert_same_graph(g, ref):
     assert [g.relation_name(r) for r in range(g.n_relations)] == ref._relation_names
     assert [g.entity_name(e) for e in range(g.n_entities)] == ref._entity_names
     assert [g.inverse_relation_id(r) for r in range(g.n_relations)] == [
@@ -220,6 +248,44 @@ def test_one_pass_constructor_matches_incremental_reference(triples, add_inverse
     assert g.n_edges == len(ref._edges)
     assert len(list(g.original_triples())) == len(ref._originals)
     assert list(g.original_triples()) == ref.original_triples()
+
+
+# Explicit ``r_inv`` lines, and lines repeating another line's augmented inverse
+# (``b r a`` after ``a r_inv b``), both occur among these draws.
+small_triples = st.tuples(st.sampled_from("abcd"), st.sampled_from(["r", "r_inv", "s"]), st.sampled_from("abcd"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_triples, min_size=1, max_size=25), st.booleans())
+def test_one_pass_constructor_matches_incremental_reference(triples, add_inverses):
+    g = KnowledgeGraph.from_triples(triples, add_inverses=add_inverses)
+    assert_same_graph(g, IncrementalGraph(triples, add_inverses))
+
+
+# Each triple's line follows up to two skipped lines, blank or comments, and ends in LF or CRLF.
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(["", "#", "# a\tr\tb"]), max_size=2), small_triples, st.sampled_from(["\n", "\r\n"])
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    st.booleans(),
+    st.booleans(),
+)
+def test_load_triples_matches_incremental_reference(tmp_path, caplog, lines, add_inverses, last_newline):
+    text = "".join("".join(skip + end for skip in skipped) + "\t".join(triple) + end for skipped, triple, end in lines)
+    path = tmp_path / "g.tsv"
+    path.write_bytes((text if last_newline else text.rstrip("\r\n")).encode())
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="kgchains.graph"):
+        g = load_triples(str(path), add_inverses=add_inverses)
+    ref = IncrementalGraph([triple for _, triple, _ in lines], add_inverses)
+    assert_same_graph(g, ref)
+    deduplicated = [f"deduplicated {ref.duplicates} duplicate triples"] if ref.duplicates else []
+    assert [record.getMessage() for record in caplog.records] == deduplicated
 
 
 def test_round_trip_preserves_edge_set(tmp_path):
