@@ -8,9 +8,10 @@ availability matrix over the task vocabulary, one row per query pair.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -319,10 +320,33 @@ def write_instances(path: str, split: Split, graph: KnowledgeGraph | None) -> No
 
 def read_instances(path: str, expected_size: int | None = None) -> Split:
     """Reload an instance cache; heads and tails come back as names. Every row
-    must be ``expected_size`` wide or, without it, as wide as the first."""
+    must be ``expected_size`` wide or, without it, as wide as the first. The file
+    is split and checked in bulk, and rescanned line by line only to name its first error."""
     if not os.path.isfile(path):
         raise DataError(f"instance cache not found: {path}")
-    rows: list[list[str]] = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line in fh.read().split("\n") if line]
+    except UnicodeDecodeError:
+        _raise_first_error(path, expected_size)
+    if set(map(str.count, lines, itertools.repeat("\t"))) - {3}:
+        _raise_first_error(path, expected_size)
+    fields = "\t".join(lines).split("\t") if lines else []
+    heads, tails, labels, bits = fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+    width = expected_size if expected_size is not None else len(bits[0]) if bits else 0
+    if set(labels) - {"0", "1"} or set(map(len, bits)) - {width}:
+        _raise_first_error(path, expected_size)
+    # a character other than 0 or 1, non-ASCII ones encoded as "?", is above 1 after the shift
+    flat = np.frombuffer("".join(bits).encode("ascii", "replace"), np.uint8) - ord("0")
+    if (flat > 1).any():
+        _raise_first_error(path, expected_size)
+    availability = flat.reshape(len(lines), width).astype(np.float64)
+    label_column = np.frombuffer("".join(labels).encode("ascii"), np.uint8).astype(np.int64) - ord("0")
+    return Split(heads, tails, label_column, availability)
+
+
+def _raise_first_error(path: str, expected_size: int | None) -> NoReturn:
+    """Scan ``path`` line by line and raise the error of its first bad line."""
     width = expected_size
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -338,8 +362,4 @@ def read_instances(path: str, expected_size: int | None = None) -> Split:
             if len(fields[3]) != width:
                 against = "first row's length" if expected_size is None else "vocabulary size"
                 raise DataError(f"{path}:{lineno}: availability length {len(fields[3])} != {against} {width}")
-            rows.append(fields)
-    heads, tails, labels, bits = map(list, zip(*rows)) if rows else ([], [], [], [])
-    flat = np.frombuffer("".join(bits).encode("ascii"), np.uint8) - ord("0")
-    availability = flat.reshape(len(rows), width or 0).astype(np.float64)
-    return Split(heads, tails, np.array(labels, dtype=np.int64), availability)
+    raise RuntimeError(f"{path} failed a bulk check that no line fails")

@@ -1,18 +1,20 @@
-"""Sectioned text checkpoints for trained models.
+"""Checkpoints for trained models: a UTF-8 text header, then raw float64 bytes.
 
-The envelope is plain UTF-8: a ``[meta]`` section of ``key = value`` lines
-followed by one ``[net ...]`` section per present network and ``[end]``.
-Each layer is a ``layer i out in`` shape header, then a ``weight`` and a
-``bias`` line, each holding the base64 of the row-major little-endian
-float64 bytes (v2). Reloading reproduces the weights bit for bit.
+The header (v3) is a ``[meta]`` section of ``key = value`` lines, one
+``[net ...]`` section per present network giving ``layers = n`` and one
+``layer i out in`` shape line per layer, and ``[end]``. After ``[end]`` come
+the little-endian float64 bytes of each network's flat buffer (each layer's
+row-major weight, then its bias), in section order: generator, predictor,
+complement. Reloading reproduces the weights bit for bit.
 
-Version 1 files, which print one decimal row per weight row and the bias as
-decimals, still load; only v2 is written.
+Version 2 files, which carry each weight and bias as a base64 line under its
+``layer`` line, still load; only v3 is written.
 """
 
 from __future__ import annotations
 
 import base64
+import io
 import math
 import os
 
@@ -21,26 +23,13 @@ import numpy as np
 from .errors import DataError
 from .game import ARCH_LINEAR, ARCH_MLP, MODE_ALL_CHAINS, MODE_GAME, GameModel
 from .neural import DenseParams
-from .util import open_text, read_fields, write_fields
+from .util import read_fields, write_fields
 
-HEADER = "# kgchains checkpoint v2"
-_DECIMAL_HEADER = "# kgchains checkpoint v1"
+HEADER = "# kgchains checkpoint v3"
+_BASE64_HEADER = "# kgchains checkpoint v2"
+_END = b"\n[end]\n"
 
 _REQUIRED_META = ("input_dim", "d", "lambda_s", "predictor_arch", "mode")
-
-
-def _encode(values: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(values, "<f8").tobytes()).decode("ascii")
-
-
-def _write_net(fh, name: str, params: DenseParams) -> None:
-    fh.write(f"[net {name}]\n")
-    fh.write(f"layers = {len(params.layers)}\n")
-    for i, (weight, bias) in enumerate(params.layers):
-        out_dim, in_dim = weight.shape
-        fh.write(f"layer {i} {out_dim} {in_dim}\n")
-        fh.write(f"weight {_encode(weight)}\n")
-        fh.write(f"bias {_encode(bias)}\n")
 
 
 def save_checkpoint(path: str, model: GameModel, meta: dict | None = None) -> None:
@@ -53,48 +42,38 @@ def save_checkpoint(path: str, model: GameModel, meta: dict | None = None) -> No
     }
     if meta:
         record.update(meta)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(HEADER + "\n")
-        fh.write("[meta]\n")
-        write_fields(fh, record)
-        if model.generator is not None:
-            _write_net(fh, "generator", model.generator)
-        _write_net(fh, "predictor", model.predictor)
-        if model.complement is not None:
-            _write_net(fh, "complement", model.complement)
-        fh.write("[end]\n")
+    nets = [(name, getattr(model, name)) for name in ("generator", "predictor", "complement")]
+    nets = [(name, net) for name, net in nets if net is not None]
+    header = io.StringIO()
+    header.write(HEADER + "\n[meta]\n")
+    write_fields(header, record)
+    for name, net in nets:
+        header.write(f"[net {name}]\nlayers = {len(net.layers)}\n")
+        header.writelines(f"layer {i} {out_dim} {in_dim}\n" for i, (out_dim, in_dim) in enumerate(net.shapes))
+    header.write("[end]\n")
+    with open(path, "wb") as fh:
+        fh.writelines([header.getvalue().encode("utf-8"), *(np.ascontiguousarray(net.flat, "<f8") for _, net in nets)])
 
 
-def _payload(line: str, key: str, path: str, lineno: int) -> str:
+def _decode(line: str, key: str, n: int, path: str, lineno: int) -> bytes:
+    """The ``8 * n`` bytes of a v2 ``weight`` or ``bias`` line."""
     if not line.startswith(key + " "):
         raise DataError(f"{path}:{lineno}: expected {key}")
-    return line[len(key) + 1 :]
+    raw = base64.b64decode(line[len(key) + 1 :], validate=True)
+    if len(raw) != 8 * n:
+        raise DataError(f"{path}:{lineno}: {len(raw)} payload bytes, expected {8 * n}")
+    return raw
 
 
-def _decode(text: str, n: int, binary: bool, path: str, lineno: int) -> np.ndarray:
-    """``n`` finite float64 values: base64 little-endian bytes (v2) or decimals (v1)."""
-    if binary:
-        raw = base64.b64decode(text, validate=True)
-        if len(raw) != 8 * n:
-            raise DataError(f"{path}:{lineno}: {len(raw)} payload bytes, expected {8 * n}")
-        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    else:
-        values = np.array([float(v) for v in text.split()], dtype=np.float64)
-        if values.shape != (n,):
-            raise DataError(f"{path}:{lineno}: expected {n} values")
-    if not np.isfinite(values).all():
-        raise DataError(f"{path}:{lineno}: non-finite value")
-    return values
-
-
-def _parse_net(lines: list[str], pos: int, binary: bool, path: str) -> tuple[DenseParams, int]:
+def _parse_net(lines: list[str], pos: int, chunks: list[bytes] | None, path: str) -> tuple[list, int]:
+    """A ``[net]`` section's layer shapes; a v2 section's weight and bias bytes go to ``chunks``."""
     if not lines[pos].startswith("layers = "):
         raise DataError(f"{path}:{pos + 1}: expected the layer count")
     n_layers = int(lines[pos].split("=")[1])
     if n_layers < 1:
         raise DataError(f"{path}:{pos + 1}: a network needs at least one layer")
     pos += 1
-    layers = []
+    shapes = []
     for _ in range(n_layers):
         fields = lines[pos].split()
         if len(fields) != 4 or fields[0] != "layer":
@@ -102,39 +81,44 @@ def _parse_net(lines: list[str], pos: int, binary: bool, path: str) -> tuple[Den
         out_dim, in_dim = int(fields[2]), int(fields[3])
         if out_dim < 1 or in_dim < 1:
             raise DataError(f"{path}:{pos + 1}: layer shape must be positive")
+        shapes.append((out_dim, in_dim))
         pos += 1
-        if binary:
-            weight = _decode(_payload(lines[pos], "weight", path, pos + 1), out_dim * in_dim, True, path, pos + 1)
-            pos += 1
-        else:
-            rows = [_decode(lines[pos + r], in_dim, False, path, pos + r + 1) for r in range(out_dim)]
-            weight = np.concatenate(rows)
-            pos += out_dim
-        bias = _decode(_payload(lines[pos], "bias", path, pos + 1), out_dim, binary, path, pos + 1)
-        pos += 1
-        layers.append([weight.reshape(out_dim, in_dim), bias])
-    return DenseParams(layers=layers), pos
+        if chunks is not None:
+            for key, n in (("weight", out_dim * in_dim), ("bias", out_dim)):
+                chunks.append(_decode(lines[pos], key, n, path, pos + 1))
+                pos += 1
+    return shapes, pos
 
 
 def load_checkpoint(path: str) -> tuple[GameModel, dict]:
     """Every malformed or truncated file is a ``DataError``."""
     if not os.path.isfile(path):
         raise DataError(f"checkpoint not found: {path}")
-    with open_text(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0] not in (HEADER, _DECIMAL_HEADER):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    end = raw.find(_END) if raw.startswith(HEADER.encode() + b"\n") else -1
+    cut = end + len(_END) if end >= 0 else len(raw)
+    try:
+        lines = raw[:cut].decode("utf-8").replace("\r\n", "\n").removesuffix("\n").split("\n")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})") from None
+    if lines[0] not in (HEADER, _BASE64_HEADER):
+        if lines[0].startswith("# kgchains checkpoint v"):  # v1 (decimal weights) no longer loads
+            raise DataError(f"unsupported {lines[0][2:]}: {path}")
         raise DataError(f"not a kgchains checkpoint: {path}")
     try:
-        return _parse_checkpoint(lines, path, binary=lines[0] == HEADER)
+        return _parse_checkpoint(lines, path, memoryview(raw)[cut:] if lines[0] == HEADER else None)
     except IndexError:  # a section ran past the last line
         raise DataError(f"truncated checkpoint: {path}") from None
     except ValueError as err:  # a count, dimension, number or base64 payload that does not parse
         raise DataError(f"corrupt checkpoint {path}: {err}") from None
 
 
-def _parse_checkpoint(lines: list[str], path: str, binary: bool) -> tuple[GameModel, dict]:
+def _parse_checkpoint(lines: list[str], path: str, payload: memoryview | None) -> tuple[GameModel, dict]:
+    """``payload`` holds the networks' bytes after a v3 header; ``None`` reads them from v2 lines."""
     meta: dict[str, str] = {}
-    nets: dict[str, DenseParams] = {}
+    sections: list[tuple[str, list]] = []
+    chunks: list[bytes] | None = [] if payload is None else None
     pos = 1
     while pos < len(lines):
         line = lines[pos]
@@ -145,15 +129,27 @@ def _parse_checkpoint(lines: list[str], path: str, binary: bool) -> tuple[GameMo
             meta.update(read_fields(lines[pos + 1 : end], path, pos + 2))
             pos = end
         elif line.startswith("[net "):
-            name = line[len("[net ") : -1]
-            params, pos = _parse_net(lines, pos + 1, binary, path)
-            nets[name] = params
+            shapes, pos = _parse_net(lines, pos + 1, chunks, path)
+            sections.append((line[len("[net ") : -1], shapes))
         elif line == "[end]":
             break
         else:
             raise DataError(f"{path}:{pos + 1}: expected a section header")
     else:
         raise DataError(f"truncated checkpoint (no [end]): {path}")
+
+    payload = memoryview(b"".join(chunks)) if chunks is not None else payload
+    sizes = [sum(out_dim * in_dim + out_dim for out_dim, in_dim in shapes) for _, shapes in sections]
+    if 8 * sum(sizes) != len(payload):
+        raise DataError(f"checkpoint payload has {len(payload)} bytes, its layer shapes need {8 * sum(sizes)}: {path}")
+    nets: dict[str, DenseParams] = {}
+    offset = 0
+    for (name, shapes), size in zip(sections, sizes):
+        flat = np.frombuffer(payload, "<f8", size, offset).astype(np.float64)
+        offset += 8 * size
+        if not np.isfinite(flat).all():
+            raise DataError(f"checkpoint {name} network has a non-finite value: {path}")
+        nets[name] = DenseParams([[np.broadcast_to(0.0, shape), None] for shape in shapes], flat)  # shapes only
 
     for key in _REQUIRED_META:
         if key not in meta:

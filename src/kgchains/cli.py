@@ -131,10 +131,12 @@ def _read_split(artifacts: str, relation: str, split: str, size: int) -> chains.
     return chains.read_instances(_instances_path(artifacts, relation, split), size)
 
 
-def _load_encoded_task(artifacts: str, relation: str) -> tuple[chains.EncodedTask, dict]:
+def _load_training_task(artifacts: str, relation: str) -> tuple[chains.EncodedTask, dict]:
+    """The train and dev splits; training never reads the test split, so it is left empty."""
     meta, size = _read_meta(artifacts, relation)
-    splits = {split: _read_split(artifacts, relation, split, size) for split in ("train", "dev", "test")}
-    return chains.EncodedTask(relation=relation, size=size, **splits), meta
+    train, dev = (_read_split(artifacts, relation, split, size) for split in ("train", "dev"))
+    test = chains.Split([], [], np.zeros(0, dtype=np.int64), np.zeros((0, size)))
+    return chains.EncodedTask(relation, size, train, dev, test), meta
 
 
 # -- subcommands ------------------------------------------------------------
@@ -218,7 +220,7 @@ def _train_config(args) -> game.TrainConfig:
 def cmd_train(args) -> int:
     out = args.out or args.artifacts
     for relation in args.relation:
-        data, meta = _load_encoded_task(args.artifacts, relation)
+        data, meta = _load_training_task(args.artifacts, relation)
         config = _train_config(args)
         result = evaluate.train_mode(data, config, args.mode, args.d, args.lambda_s)
 

@@ -1,0 +1,50 @@
+"""Writers of the checkpoint versions ``kgchains`` no longer writes.
+
+v2 is the reference that ``load_checkpoint`` must still read bit for bit;
+v1 is the format it must reject as a data error.
+"""
+
+import base64
+
+import numpy as np
+
+from kgchains.util import write_fields
+
+NETS = ("generator", "predictor", "complement")
+
+
+def _write(path, model, meta, version, write_layer):
+    record = {"input_dim": model.input_dim, "d": model.d, "lambda_s": model.lambda_s,
+              "predictor_arch": model.predictor_arch, "mode": model.mode, **meta}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# kgchains checkpoint v{version}\n[meta]\n")
+        write_fields(fh, record)
+        for name in NETS:
+            params = getattr(model, name)
+            if params is None:
+                continue
+            fh.write(f"[net {name}]\nlayers = {len(params.layers)}\n")
+            for i, (weight, bias) in enumerate(params.layers):
+                fh.write(f"layer {i} {weight.shape[0]} {weight.shape[1]}\n")
+                write_layer(fh, weight, bias)
+        fh.write("[end]\n")
+
+
+def _base64(values):
+    return base64.b64encode(np.ascontiguousarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def write_v2(path, model, meta):
+    """The version 2 writer: each weight and bias as one base64 line of little-endian float64 bytes."""
+    _write(path, model, meta, 2, lambda fh, weight, bias: fh.write(f"weight {_base64(weight)}\nbias {_base64(bias)}\n"))
+
+
+def write_v1(path, model, meta):
+    """The version 1 writer: each weight row and the bias as round-trip decimals."""
+
+    def layer(fh, weight, bias):
+        for row in weight:
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write("bias " + " ".join(repr(float(v)) for v in bias) + "\n")
+
+    _write(path, model, meta, 1, layer)

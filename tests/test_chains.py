@@ -19,6 +19,7 @@ from kgchains.chains import (
 from kgchains.errors import DataError
 from kgchains.graph import KnowledgeGraph
 
+from cache_oracle import reference_read_instances
 from splits import split_of
 from walk_oracle import DataclassChain, oracle_paths
 
@@ -293,6 +294,7 @@ def test_encoded_splits_round_trip_through_the_cache(tmp_path):
         path = tmp_path / f"{name}.inst"
         write_instances(str(path), split, kg)
         for back in (read_instances(str(path), vocab.size), read_instances(str(path))):
+            assert_same_split(back, reference_read_instances(str(path)))
             assert back.availability.dtype == np.float64 and back.availability.flags.c_contiguous
             assert np.array_equal(back.availability, split.availability)
             assert np.array_equal(back.labels, split.labels)
@@ -333,6 +335,70 @@ def test_read_instances_names_the_first_bad_line(tmp_path, text, message, size):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DataError, match=message):
         read_instances(str(path), size)
+
+
+def assert_same_split(a, b):
+    assert (a.heads, a.tails) == (b.heads, b.tails)
+    assert a.labels.dtype == b.labels.dtype and np.array_equal(a.labels, b.labels)
+    assert a.availability.dtype == b.availability.dtype and a.availability.shape == b.availability.shape
+    assert a.availability.flags.c_contiguous and np.array_equal(a.availability, b.availability)
+
+
+NAME = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(0, 9),
+    rows=st.lists(st.tuples(NAME, NAME, st.sampled_from("01"), st.randoms(use_true_random=False)), max_size=12),
+    blanks=st.lists(st.integers(0, 12), max_size=4),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+)
+def test_read_instances_matches_the_line_reader(tmp_path_factory, width, rows, blanks, newline, final_newline):
+    lines = [f"{h}\t{t}\t{label}\t{''.join(rnd.choice('01') for _ in range(width))}" for h, t, label, rnd in rows]
+    for at in blanks:
+        lines.insert(min(at, len(lines)), "")
+    path = tmp_path_factory.mktemp("cache") / "cache.inst"
+    path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode("utf-8"))
+    for size in (width, None):
+        assert_same_split(read_instances(str(path), size), reference_read_instances(str(path), size))
+
+
+BAD_CACHES = [
+    "h\tt\t1\n",
+    "h\tt\t1\t0110\tx\n",
+    "h\tt\t2\t0110\n",
+    "h\tt\t\t0110\n",
+    "h\tt\t01\t0110\n",
+    "h\tt\t1\t01x0\n",
+    "h\tt\t1\t01\u00e90\n",
+    "h\tt\t1\t0\x0010\n",
+    "h\tt\t1\t011\n",
+    "h\tt\t1\t01101\n",
+    "h\tt\t1\t\n",
+    "\t\t\t\n",
+]
+
+
+@pytest.mark.parametrize("size", [4, None])
+@pytest.mark.parametrize("bad", BAD_CACHES + [b"\xff"])
+@pytest.mark.parametrize("before", ["", "h\tt\t0\t1001\r\n\r\nh\tt\t1\t0000\n\n"])
+@pytest.mark.parametrize("after", [b"", b"\nh\tt\t1\n"])
+def test_read_instances_errors_match_the_line_reader(tmp_path, size, bad, before, after):
+    """A bad line, alone or after good and blank lines, and before another bad line or none, fails as
+    the line reader does; alone, a row of any width sets the width when no size is expected."""
+    path = tmp_path / "cache.inst"
+    path.write_bytes(before.encode("utf-8") + (bad if isinstance(bad, bytes) else bad.encode("utf-8")) + after)
+    try:
+        expected = reference_read_instances(str(path), size)
+    except DataError as err:
+        with pytest.raises(DataError) as got:
+            read_instances(str(path), size)
+        assert str(got.value) == str(err)
+    else:
+        assert size is None and not before and not after
+        assert_same_split(read_instances(str(path), size), expected)
 
 
 def test_rows_wider_or_narrower_than_the_first_are_an_error(tmp_path):

@@ -5,8 +5,9 @@ from kgchains.chains import Instance
 from kgchains.checkpoint import load_checkpoint, save_checkpoint
 from kgchains.errors import DataError
 from kgchains.game import build_model, predict
-from kgchains.util import write_fields
+from kgchains.neural import count_params
 
+from checkpoint_oracle import NETS, write_v1, write_v2
 from splits import split_of
 
 
@@ -19,28 +20,8 @@ def probes(d_input, n=100, seed=0):
     )
 
 
-def write_v1(path, model, meta):
-    """The version 1 writer: each weight row and the bias as round-trip decimals."""
-    record = {"input_dim": model.input_dim, "d": model.d, "lambda_s": model.lambda_s,
-              "predictor_arch": model.predictor_arch, "mode": model.mode, **meta}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# kgchains checkpoint v1\n[meta]\n")
-        write_fields(fh, record)
-        for name in ("generator", "predictor", "complement"):
-            params = getattr(model, name)
-            if params is None:
-                continue
-            fh.write(f"[net {name}]\nlayers = {len(params.layers)}\n")
-            for i, (weight, bias) in enumerate(params.layers):
-                fh.write(f"layer {i} {weight.shape[0]} {weight.shape[1]}\n")
-                for row in weight:
-                    fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-                fh.write("bias " + " ".join(repr(float(v)) for v in bias) + "\n")
-        fh.write("[end]\n")
-
-
 def assert_same_weights(a, b):
-    for name in ("generator", "predictor", "complement"):
+    for name in NETS:
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None)
         for (wx, bx), (wy, by) in zip(x.layers if x else [], y.layers if y else []):
@@ -50,38 +31,61 @@ def assert_same_weights(a, b):
 
 
 def trained_like(model, seed=0):
-    """The model with weights spread over many magnitudes and signs, including -0.0."""
+    """The model with weights spread over many magnitudes and signs, including -0.0, written in place."""
     rng = np.random.default_rng(seed)
     for net in (model.generator, model.predictor, model.complement):
         for layer in net.layers if net else []:
-            for k, a in enumerate(layer):
-                layer[k] = rng.standard_normal(a.shape) * 10.0 ** rng.integers(-30, 3, a.shape)
+            for a in layer:
+                a[...] = rng.standard_normal(a.shape) * 10.0 ** rng.integers(-30, 3, a.shape)
             layer[1][0] = -0.0
     return model
 
 
 @pytest.mark.parametrize("arch, mode", [("mlp", "game"), ("linear", "game"), ("mlp", "d_all")])
-def test_v2_round_trip_is_bit_identical(tmp_path, arch, mode):
+def test_round_trip_is_bit_identical(tmp_path, arch, mode):
     model = trained_like(build_model(7, 2, 0.5, arch, seed=2, mode=mode))
     path = tmp_path / "ck.txt"
     save_checkpoint(str(path), model)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# kgchains checkpoint v2"
-    assert sum(line.startswith("weight ") for line in lines) == sum(line.startswith("bias ") for line in lines)
+    raw = path.read_bytes()
+    header, end, payload = raw.partition(b"\n[end]\n")
+    lines = header.decode("utf-8").split("\n")
+    assert lines[0] == "# kgchains checkpoint v3"
+    assert not any(line.startswith(("weight ", "bias ")) for line in lines)
+    # the networks' flat buffers as raw little-endian float64 bytes, in section order
+    present = [name for name in NETS if getattr(model, name) is not None]
+    assert [line[len("[net ") : -1] for line in lines if line.startswith("[net ")] == present
+    nets = [getattr(model, name) for name in present]
+    assert payload == b"".join(np.asarray(net.flat, "<f8").tobytes() for net in nets)
+    assert len(payload) == 8 * sum(map(count_params, nets))
     loaded, _ = load_checkpoint(str(path))
     assert_same_weights(loaded, model)
     for inst in probes(7, n=30):
         assert np.float64(predict(loaded, inst)).view(np.int64) == np.float64(predict(model, inst)).view(np.int64)
 
 
-def test_v1_checkpoint_still_loads_bit_identical(tmp_path):
+def test_v2_checkpoint_still_loads_bit_identical(tmp_path):
     for arch, mode in (("mlp", "game"), ("linear", "game"), ("mlp", "d_all")):
         model = trained_like(build_model(6, 2, 1.0, arch, seed=4, mode=mode), seed=1)
-        path = tmp_path / f"v1_{arch}_{mode}.txt"
-        write_v1(path, model, {"relation": "demo"})
+        path = tmp_path / f"v2_{arch}_{mode}.txt"
+        write_v2(path, model, {"relation": "demo"})
         loaded, meta = load_checkpoint(str(path))
         assert meta["relation"] == "demo" and loaded.mode == mode
         assert_same_weights(loaded, model)
+        # a v2 file is text, so one with CRLF line endings loads the same
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert_same_weights(load_checkpoint(str(crlf))[0], model)
+        # the same networks saved as v3 are smaller: 8 B a parameter and the header
+        save_checkpoint(str(tmp_path / "v3.txt"), loaded, {"relation": "demo"})
+        assert (tmp_path / "v3.txt").stat().st_size < path.stat().st_size
+
+
+def test_v1_checkpoint_is_a_data_error(tmp_path):
+    model = trained_like(build_model(6, 2, 1.0, "mlp", seed=4), seed=1)
+    path = tmp_path / "v1.txt"
+    write_v1(path, model, {"relation": "demo"})
+    with pytest.raises(DataError, match=f"unsupported kgchains checkpoint v1: {path}"):
+        load_checkpoint(str(path))
 
 
 def test_round_trip_bit_identical_predictions(tmp_path):
@@ -119,8 +123,9 @@ def test_tampered_input_dim_rejected(tmp_path):
     model = build_model(5, 2, 1.0, "mlp", seed=3)
     path = tmp_path / "ck.txt"
     save_checkpoint(str(path), model)
-    text = path.read_text().replace("input_dim = 5", "input_dim = 7")
-    path.write_text(text)
+    raw = path.read_bytes()
+    assert b"\ninput_dim = 5\n" in raw
+    path.write_bytes(raw.replace(b"\ninput_dim = 5\n", b"\ninput_dim = 7\n", 1))
     with pytest.raises(DataError, match="input_dim"):
         load_checkpoint(str(path))
 

@@ -193,6 +193,25 @@ def test_two_mode_eval_reads_each_artifact_once(trained, monkeypatch, capsys):
     assert "game_mlp.d2" in capsys.readouterr().out
 
 
+def test_train_reads_only_the_train_and_dev_caches(trained, tmp_path, monkeypatch):
+    art = tmp_path / "art"
+    os.makedirs(art / "target")
+    for name in ("meta.txt", "vocab.tsv", "train.inst", "dev.inst"):
+        (art / "target" / name).write_bytes((trained / "target" / name).read_bytes())
+    calls = []
+    read = chains.read_instances
+    monkeypatch.setattr(
+        chains, "read_instances", lambda path, *rest: calls.append(os.path.basename(path)) or read(path, *rest)
+    )
+    assert run([
+        "train", "--artifacts", str(art), "--relation", "target",
+        "--mode", "game_mlp", "--d", "2", "--epochs", "4", "--seed", "5",
+    ]) == 0
+    assert sorted(calls) == ["dev.inst", "train.inst"]
+    for name in ("checkpoint.game_mlp.d2.txt", "trainlog.game_mlp.d2.tsv"):
+        assert (art / "target" / name).read_bytes() == (trained / "target" / name).read_bytes(), name
+
+
 def test_cached_parser_keeps_no_state_between_calls(trained, tmp_path):
     assert cli.build_parser() is cli.build_parser()
     calls = [

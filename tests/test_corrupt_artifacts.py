@@ -2,8 +2,10 @@
 
 A tiny artifact set (D = 4, hand-written caches, checkpoints trained for one
 epoch by ``kgchains train``) is cut at every line count and has one token
-replaced per line; ``kgchains eval`` must then exit 0 or 2. A checkpoint's
-data errors name the checkpoint file.
+replaced per line; ``kgchains eval`` must then exit 0 or 2. A v3 checkpoint
+is cut at every header line and at every 8-byte boundary of its payload,
+which must exit 2. Each checkpoint case also runs on the same model written
+as v2. A checkpoint's data errors name the checkpoint file.
 """
 
 import base64
@@ -14,8 +16,10 @@ import pytest
 
 from kgchains import chains
 from kgchains.chains import Instance
+from kgchains.checkpoint import load_checkpoint
 from kgchains.cli import main
 
+from checkpoint_oracle import write_v2
 from splits import split_of
 
 D = 4
@@ -41,11 +45,22 @@ def art(tmp_path_factory):
         args = ["--artifacts", str(root), "--relation", REL, "--mode", mode, "--d", "2"]
         assert main(["train", *args, "--epochs", "1"]) == 0
         assert main(["eval", *args]) == 0
+        write_v2(root / f"v2.{mode}.txt", *load_checkpoint(str(checkpoint_path(root, mode))))
     return root
 
 
 def checkpoint_path(art, mode):
     return art / REL / f"checkpoint.{mode}.d2.txt"
+
+
+def checkpoint_bytes(art, mode, version):
+    return (checkpoint_path(art, mode) if version == 3 else art / f"v2.{mode}.txt").read_bytes()
+
+
+def split_v3(raw):
+    """A v3 checkpoint's text header, through ``[end]``, and its payload bytes."""
+    cut = raw.index(b"\n[end]\n") + len(b"\n[end]\n")
+    return raw[:cut].decode("utf-8"), raw[cut:]
 
 
 def eval_code(art, checkpoint=None):
@@ -64,19 +79,51 @@ def variants(text):
         yield "".join(lines[:i] + ["".join(parts) + "\n"] + lines[i + 1 :])
 
 
-def test_checkpoint_fuzz_exits_0_or_2(art, tmp_path, capsys):
+def expect_data_error(art, bad, raw, capsys):
+    bad.write_bytes(raw)
+    code = eval_code(art, bad)
+    err = capsys.readouterr().err
+    assert code == 2 and "data error: " in err and str(bad) in err, (raw, err)
+    return err
+
+
+def checkpoint_variants(raw, version):
+    """``variants`` of a v2 file; for v3, of its header, the payload kept after each replaced token."""
+    if version == 2:
+        yield from (text.encode("utf-8") for text in variants(raw.decode("utf-8")))
+        return
+    header, payload = split_v3(raw)
+    for i, text in enumerate(variants(header)):  # the cuts come first, one per header line
+        yield text.encode("utf-8") + (payload if i >= header.count("\n") else b"")
+
+
+@pytest.mark.parametrize("version", [2, 3])
+def test_checkpoint_fuzz_exits_0_or_2(art, tmp_path, capsys, version):
     # the game checkpoint has every section: meta, generator, predictor, complement
     bad = tmp_path / "ck.txt"
     failed = 0
-    for text in variants(checkpoint_path(art, "game_mlp").read_text()):
-        bad.write_text(text)
+    for raw in checkpoint_variants(checkpoint_bytes(art, "game_mlp", version), version):
+        bad.write_bytes(raw)
         code = eval_code(art, bad)
         err = capsys.readouterr().err
-        assert code in (0, 2), text
+        assert code in (0, 2), raw
         if code == 2:
-            assert "data error: " in err and str(bad) in err, (text, err)
+            assert "data error: " in err and str(bad) in err, (raw, err)
             failed += 1
     assert failed
+
+
+def test_truncated_checkpoint_is_a_data_error(art, tmp_path, capsys):
+    raw = checkpoint_bytes(art, "game_mlp", 3)
+    header, payload = split_v3(raw)
+    lines = header.splitlines(keepends=True)
+    assert len(payload) % 8 == 0
+    for n in range(1, len(lines)):
+        cut = raw[: len("".join(lines[:n]).encode("utf-8"))]
+        assert "truncated checkpoint" in expect_data_error(art, tmp_path / "ck.txt", cut, capsys)
+    for k in range(0, len(payload), 8):
+        cut = raw[: len(raw) - len(payload) + k]
+        assert "payload has" in expect_data_error(art, tmp_path / "ck.txt", cut, capsys)
 
 
 @pytest.mark.parametrize("name", ["vocab.tsv", "meta.txt", "test.inst"])
@@ -93,61 +140,88 @@ def test_artifact_fuzz_exits_0_or_2(art, capsys, name):
 
 
 def cut_lines(n):
-    return lambda text: "".join(text.splitlines(keepends=True)[:n])
+    return lambda raw: b"".join(raw.splitlines(keepends=True)[:n])
 
 
 def swap(old, new):
-    def corrupt(text):
-        assert old in text
-        return text.replace(old, new, 1)
+    def corrupt(raw):
+        assert old in raw
+        return raw.replace(old, new, 1)
 
     return corrupt
 
 
 def first_weight(edit):
-    """Re-encode the first layer's weight payload after ``edit`` on its float64 values."""
+    """Re-encode a v2 file's first weight payload after ``edit`` on its float64 values."""
 
-    def corrupt(text):
-        head, sep, rest = text.partition("\nweight ")
-        payload, newline, tail = rest.partition("\n")
+    def corrupt(raw):
+        head, sep, rest = raw.partition(b"\nweight ")
+        payload, newline, tail = rest.partition(b"\n")
         values = edit(np.frombuffer(base64.b64decode(payload), "<f8"))
-        return head + sep + base64.b64encode(values.tobytes()).decode("ascii") + newline + tail
+        return head + sep + base64.b64encode(values.tobytes()) + newline + tail
 
     return corrupt
 
 
-# each applied to the d_all checkpoint (D = 4: layers 4 -> 2 -> 2 -> 2, d = 1)
+def first_value(edit):
+    """A v3 file with its payload's first float64 value replaced by ``edit``."""
+
+    def corrupt(raw):
+        header, payload = split_v3(raw)
+        values = np.frombuffer(payload, "<f8").copy()
+        values[0] = edit(values[0])
+        return header.encode("utf-8") + values.tobytes()
+
+    return corrupt
+
+
+# each applied to the d_all checkpoint (D = 4: layers 4 -> 2 -> 2 -> 2, d = 1), as v2 and as v3
 CORRUPTIONS = {
-    "no_end": cut_lines(-1),
+    "no_end": lambda raw: raw[: raw.index(b"\n[end]\n") + 1],
+    "layers_x": swap(b"layers = 3", b"layers = x"),
+    "layers_0": swap(b"layers = 3", b"layers = 0"),
+    "layers_2": swap(b"layers = 3", b"layers = 2"),
+    "weight_x": swap(b"\nlayer 0 2 4\n", b"\nlayer 0 2 4\nx"),
+    "d_two": swap(b"\nd = 1\n", b"\nd = two\n"),
+    "meta_without_equals": swap(b"\nd = 1\n", b"\nd: 1\n"),
+    "meta_not_utf8": swap(b"\nrelation = target\n", b"\nrelation = t\xffrget\n"),
+    "d_zero": swap(b"\nd = 1\n", b"\nd = 0\n"),
+    "d_negative": swap(b"\nd = 1\n", b"\nd = -1\n"),
+    "mode_bogus": swap(b"\nmode = d_all\n", b"\nmode = bogus\n"),
+    "predictor_arch_bogus": swap(b"\npredictor_arch = mlp\n", b"\npredictor_arch = rnn\n"),
+    "lambda_s_negative": swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = -0.5\n"),
+    "lambda_s_nan": swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = nan\n"),
+    "lambda_s_inf": swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = inf\n"),
+    "unknown_version": swap(b"checkpoint v", b"checkpoint v9 was v"),
+}
+V2_CORRUPTIONS = {
     "cut_in_layer": cut_lines(-4),
-    "layers_x": swap("layers = 3", "layers = x"),
-    "layers_0": swap("layers = 3", "layers = 0"),
-    "layers_2": swap("layers = 3", "layers = 2"),
-    "weight_x": swap("\nlayer 0 2 4\n", "\nlayer 0 2 4\nx"),
-    "d_two": swap("\nd = 1\n", "\nd = two\n"),
-    "meta_without_equals": swap("\nd = 1\n", "\nd: 1\n"),
-    "weight_bad_base64": swap("\nweight ", "\nweight *"),
+    "weight_bad_base64": swap(b"\nweight ", b"\nweight *"),
     "weight_8_bytes_short": first_weight(lambda values: values[:-1]),
     "weight_nan": first_weight(lambda values: np.r_[np.nan, values[1:]]),
     "weight_inf": first_weight(lambda values: np.r_[-np.inf, values[1:]]),
-    "no_weight_line": lambda text: re.sub(r"\nweight [^\n]*", "", text, count=1),
-    "d_zero": swap("\nd = 1\n", "\nd = 0\n"),
-    "d_negative": swap("\nd = 1\n", "\nd = -1\n"),
-    "mode_bogus": swap("\nmode = d_all\n", "\nmode = bogus\n"),
-    "predictor_arch_bogus": swap("\npredictor_arch = mlp\n", "\npredictor_arch = rnn\n"),
-    "lambda_s_negative": swap("\nlambda_s = 0.0\n", "\nlambda_s = -0.5\n"),
-    "lambda_s_nan": swap("\nlambda_s = 0.0\n", "\nlambda_s = nan\n"),
-    "lambda_s_inf": swap("\nlambda_s = 0.0\n", "\nlambda_s = inf\n"),
+    "no_weight_line": lambda raw: re.sub(rb"\nweight [^\n]*", b"", raw, count=1),
+    "read_as_v3": swap(b"checkpoint v2", b"checkpoint v3"),
 }
+V3_CORRUPTIONS = {
+    "payload_8_bytes_short": lambda raw: raw[:-8],
+    "payload_1_byte_short": lambda raw: raw[:-1],
+    "payload_extra_byte": lambda raw: raw + b"\0",
+    "payload_nan": first_value(lambda value: np.nan),
+    "payload_inf": first_value(lambda value: -np.inf),
+    "layer_shape_disagrees": swap(b"\nlayer 0 2 4\n", b"\nlayer 0 3 4\n"),
+    "no_payload": lambda raw: split_v3(raw)[0].encode("utf-8"),
+    "header_not_utf8": swap(b"\n[meta]\n", b"\n[meta]\n\xff\n"),
+    "read_as_v2": swap(b"checkpoint v3", b"checkpoint v2"),
+}
+CASES = [(2, case) for case in sorted(CORRUPTIONS | V2_CORRUPTIONS)]
+CASES += [(3, case) for case in sorted(CORRUPTIONS | V3_CORRUPTIONS)]
 
 
-@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
-def test_corrupt_checkpoint_is_a_data_error(art, tmp_path, capsys, case):
-    bad = tmp_path / "ck.txt"
-    bad.write_text(CORRUPTIONS[case](checkpoint_path(art, "d_all").read_text()))
-    assert eval_code(art, bad) == 2
-    err = capsys.readouterr().err
-    assert "data error: " in err and str(bad) in err
+@pytest.mark.parametrize("version, case", CASES, ids=[f"v{version}-{case}" for version, case in CASES])
+def test_corrupt_checkpoint_is_a_data_error(art, tmp_path, capsys, version, case):
+    corrupt = {**CORRUPTIONS, **V2_CORRUPTIONS, **V3_CORRUPTIONS}[case]
+    expect_data_error(art, tmp_path / "ck.txt", corrupt(checkpoint_bytes(art, "d_all", version)), capsys)
 
 
 def test_non_integer_vocabulary_support_is_a_data_error(art, capsys):
