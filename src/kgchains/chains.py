@@ -4,6 +4,8 @@ A relation chain is the ordered label sequence of some entity path between
 a head and a tail; intermediate entities are discarded. Chains are the
 feature space for everything downstream: a split is encoded as one 0/1
 availability matrix over the task vocabulary, one row per query pair.
+Extraction walks all query heads at once on numpy arrays, where a chain is
+an int64 code (``_weights``); only the vocabulary's chains become tuples.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .util import open_text
 
 
 MANY = -1  # predecessor of a label prefix that no backtrack ban applies to
+WALK_CHUNK = 1 << 15  # candidate rows one expansion of the chain walk holds at once
 
 
 class RelationChain(tuple):
@@ -51,58 +54,117 @@ def chains_by_pair(
     A length-1 walk labeled ``exclude`` or its inverse is omitted (leakage
     guard for the target relation).
     """
-    return {pair: set(map(RelationChain, seqs)) for pair, seqs in _walks(graph, pairs, max_hops, exclude).items()}
+    keys = [(head, tail) for head, tail in pairs]
+    slot, ptr, codes = _walks(graph, keys, max_hops, exclude)
+    chains, ptr = _decode(codes, graph, max_hops), ptr.tolist()
+    return {pair: set(chains[ptr[u] : ptr[u + 1]]) for pair, u in zip(keys, slot.tolist())}
 
 
-def _walks(
-    graph: KnowledgeGraph, pairs: Iterable[tuple[int, int]], max_hops: int, exclude: int | None
-) -> dict[tuple[int, int], set[tuple[int, ...]]]:
-    """``chains_by_pair`` as raw relation-id tuples.
-
-    Each head grows one frontier: layer ``d`` maps every entity reached in
-    ``d`` hops to its label prefixes, each with the entity it was entered
-    from, or ``MANY`` if from several (then no next step is banned for every
-    walk, so the collapse is exact). The last layer keeps only in-neighbours
-    of the head's tails, and each tail joins every layer over its in-edges.
-    """
+def _weights(graph: KnowledgeGraph, max_hops: int) -> list[int]:
+    """Place values of the hops in a chain code: chain ``r1..rL`` is the sum of
+    ``(ri + 1) * (R + 1) ** (max_hops - i)``, R the relation count with inverses,
+    so codes order as the relation tuples do (a shorter chain is zero-padded)."""
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
-    tails_of: dict[int, set[int]] = {}
-    for head, tail in pairs:
-        graph.check_entity(head)
-        graph.check_entity(tail)
-        tails_of.setdefault(head, set()).add(tail)
-    inverse = [graph.inverse_relation_id(r) for r in range(graph.n_relations)]
-    excluded = {exclude, graph.inverse_relation_id(exclude)} if exclude is not None else set()
-    out_ptr, out_rels, out_ends = graph.out_table
-    found: dict[tuple[int, int], set[tuple[int, ...]]] = {}
-    for head, tails in tails_of.items():
-        near = {node for tail in tails for _, node in graph.incoming(tail)}
-        layers = [{head: {(): MANY}}]
-        for depth in range(1, max_hops):
-            layer: dict[int, dict[tuple[int, ...], int]] = {}
-            for node, prefixes in layers[-1].items():
-                a, b = out_ptr[node], out_ptr[node + 1]
-                for rel, nxt in zip(out_rels[a:b], out_ends[a:b]):
-                    if depth == max_hops - 1 and nxt not in near:
-                        continue
-                    slot = layer.setdefault(nxt, {})
-                    for prefix, pred in prefixes.items():
-                        if nxt != pred or rel != inverse[prefix[-1]]:
-                            seq = prefix + (rel,)
-                            seen = slot.get(seq)
-                            slot[seq] = node if seen is None or seen == node else MANY
-            layers.append(layer)
-        for tail in tails:
-            seqs = found[(head, tail)] = set()
-            into = graph.incoming(tail)
-            for depth, layer in enumerate(layers):
-                for rel, node in into:
-                    if node in layer and (depth > 0 or rel not in excluded):
-                        for prefix, pred in layer[node].items():
-                            if tail != pred or rel != inverse[prefix[-1]]:
-                                seqs.add(prefix + (rel,))
-    return found
+    if (graph.n_relations + 1) ** max_hops > np.iinfo(np.int64).max:
+        raise DataError(f"{graph.n_relations} relations with inverses overflow chain codes at --max-hops {max_hops}")
+    return [(graph.n_relations + 1) ** (max_hops - 1 - i) for i in range(max_hops)]
+
+
+def _decode(codes: np.ndarray, graph: KnowledgeGraph, max_hops: int) -> list[RelationChain]:
+    digits = codes[:, None] // np.array(_weights(graph, max_hops), np.int64) % (graph.n_relations + 1)
+    return [RelationChain(d - 1 for d in row if d) for row in digits.tolist()]
+
+
+def _chunks(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row ``i`` repeated ``hi[i] - lo[i]`` times, with the positions ``lo[i] .. hi[i] - 1``:
+    (rows, positions) in pieces of about WALK_CHUNK rows (more only for one longer row)."""
+    ends = np.cumsum(hi - lo)
+    shift = hi - ends
+    cuts = np.searchsorted(ends, np.arange(WALK_CHUNK, np.sum(hi - lo), WALK_CHUNK), "right").tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(lo)]):
+        rows = np.repeat(np.arange(a, b), hi[a:b] - lo[a:b])
+        yield rows, shift[rows] + np.arange(ends[a - 1] if a else 0, ends[b - 1] if b else 0)
+
+
+def _isin(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """``np.isin`` of non-negative keys, without the ``np.unique`` that imports ``numpy.ma``."""
+    return np.append(sorted_keys, -1)[np.searchsorted(sorted_keys, keys)] == keys
+
+
+def _step(layers: list[tuple], graph: KnowledgeGraph, inverse: np.ndarray, targets: np.ndarray | None) -> tuple:
+    """Rows (key, code, pred, back) one non-backtracking hop on from every layer,
+    deduplicated on (key, code). With ``targets`` (sorted keys), only rows at those,
+    joined from whichever side has fewer edges: the layers' out-edges, or the
+    targets' in-edges matched back to the layers' rows."""
+    out, into, n = graph.out_table, graph.in_table, graph.n_entities
+
+    def departures() -> Iterator[tuple]:
+        for layer in layers:
+            key, _, pred, back, _ = layer
+            for row, at in _chunks(out.indptr[key % n], out.indptr[key % n + 1]):
+                nxt, rel = out.ends[at], out.rels[at]
+                to = key[row] - key[row] % n + nxt
+                keep = ((nxt != pred[row]) | (rel != back[row])) & (targets is None or _isin(to, targets))
+                yield layer, to[keep], row[keep], rel[keep], (key[row[keep]] % n).astype(np.int32)
+
+    def arrivals() -> Iterator[tuple]:
+        for i, at in _chunks(into.indptr[targets % n], into.indptr[targets % n + 1]):
+            src = targets[i] - targets[i] % n + into.ends[at]
+            for layer in layers:
+                key, _, pred, back, _ = layer
+                for j, row in _chunks(np.searchsorted(key, src), np.searchsorted(key, src, "right")):
+                    k, rel = i[j], into.rels[at[j]]
+                    keep = (targets[k] % n != pred[row]) | (rel != back[row])
+                    yield layer, targets[k[keep]], row[keep], rel[keep], into.ends[at[j[keep]]]
+
+    out_degree, in_degree = np.diff(out.indptr), np.diff(into.indptr)
+    fewer_in = targets is not None and in_degree[targets % n].sum() < sum(out_degree[x[0] % n].sum() for x in layers)
+    steps = arrivals() if fewer_in else departures()
+    parts = [(to, x[1][row] + (rel + 1).astype(np.int64) * x[4], src, rel) for x, to, row, rel, src in steps]
+    key, code, pred, rel = (np.concatenate(column) for column in zip(*parts))
+    del parts
+    order = np.lexsort((code, key))
+    key, code, pred, rel = key[order], code[order], pred[order], rel[order]
+    del order
+    starts = np.flatnonzero((np.diff(key, prepend=-1) != 0) | (np.diff(code, prepend=-1) != 0))
+    low, high = np.minimum.reduceat(pred, starts), np.maximum.reduceat(pred, starts)
+    return key[starts], code[starts], np.where(low == high, low, MANY), inverse[rel[starts]]
+
+
+def _walks(graph: KnowledgeGraph, pairs, max_hops: int, exclude: int | None) -> tuple[np.ndarray, ...]:
+    """``chains_by_pair`` as chain codes (slot, ptr, codes): pair ``i``'s, ascending,
+    are ``codes[ptr[u]:ptr[u + 1]]``, ``u = slot[i]``.
+
+    All heads walk at once, in chunks of WALK_CHUNK rows. Layer ``d`` is sorted rows
+    (key, code, pred, back) and the place value of hop ``d + 1``: prefix ``code`` from
+    head ``key // n`` reaches entity ``key % n``, entered from ``pred`` or, if from
+    several, ``MANY`` (no next step is then banned for every walk, so the collapse is
+    exact), and ``back`` is its last label's inverse. The last layer keeps only
+    in-neighbours of the head's tails, and each tail joins every layer over its in-edges.
+    """
+    weights = _weights(graph, max_hops)
+    ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero((ids < 0) | (ids >= graph.n_entities))
+    if len(bad):
+        graph.check_entity(int(ids.flat[bad[0]]))
+    excluded = (exclude, graph.inverse_relation_id(exclude)) if exclude is not None else ()
+    inverse = np.array([graph.inverse_relation_id(r) for r in range(graph.n_relations)], np.int32)
+    n, into = graph.n_entities, graph.in_table
+    unique, slot = np.unique(ids[:, 0] * n + ids[:, 1], return_inverse=True)
+    heads, tails = np.divmod(unique, n)
+    start = heads[np.diff(heads, prepend=-1) != 0]
+    layers = [(start * n + start, start * 0, np.full(len(start), MANY, np.int32), np.full(len(start), -1), weights[0])]
+    for depth in range(1, max_hops):
+        near = None
+        if depth == max_hops - 1:
+            chunks = _chunks(into.indptr[tails], into.indptr[tails + 1])
+            near = np.sort(np.concatenate([heads[i] * n + into.ends[at] for i, at in chunks]))
+            near = near[np.diff(near, prepend=-1) != 0]
+        layers.append((*_step(layers[-1:], graph, inverse, near), weights[depth]))
+    key, code, _, _ = _step(layers, graph, inverse, unique)
+    keep = ~_isin(code, np.array(sorted((r + 1) * weights[0] for r in excluded), np.int64))
+    return slot, np.append(np.searchsorted(key[keep], unique), np.count_nonzero(keep)), code[keep]
 
 
 def enumerate_paths(
@@ -138,30 +200,23 @@ class ChainVocabulary:
     def size(self) -> int:
         return len(self.chains)
 
-    def availability(self, found: Sequence[Iterable[tuple[int, ...]]]) -> np.ndarray:
-        """(N, D) 0/1 matrix: bit (i, j) is 1 iff chain j is in ``found[i]``."""
-        bits = np.zeros((len(found), self.size), dtype=np.float64)
-        for row, chains in zip(bits, found):
-            row[[self.index[chain] for chain in chains if chain in self.index]] = 1.0
-        return bits
 
-
-def _vocabulary(found: dict, positives: Sequence[tuple[int, int]], target: int, max_hops: int, max_size: int) -> ChainVocabulary:
-    """Count each chain over the positive pairs in order, each pair's chains
-    sorted; the stable sort on support keeps ties in first-sighting order."""
-    support: dict[tuple[int, ...], int] = {}
-    for pair in positives:
-        for chain in sorted(found[pair]):
-            support[chain] = support.get(chain, 0) + 1
-    if not support:
+def _vocabulary(
+    graph: KnowledgeGraph, found: tuple, positives: np.ndarray, target: int, max_hops: int, max_size: int
+) -> ChainVocabulary:
+    """Count each chain over the positive pairs (``found`` slots) in order, each pair's
+    chains ascending; ties in support keep first-sighting order."""
+    _, ptr, codes = found
+    seen = np.concatenate([codes[at] for _, at in _chunks(ptr[positives], ptr[positives + 1])])
+    codes, first, support = np.unique(seen, return_index=True, return_counts=True)
+    if not len(codes):
         raise DataError("no candidate chains")
-    kept = sorted(support, key=lambda c: -support[c])[:max_size]
-    chains = [RelationChain(c) for c in kept]
-    return ChainVocabulary(target, max_hops, chains, supports=[support[c] for c in kept], union_size=len(support))
+    kept = np.lexsort((first, -support))[:max_size]
+    return ChainVocabulary(target, max_hops, _decode(codes[kept], graph, max_hops), support[kept].tolist(), len(codes))
 
 
-def _require_positives(positives: Sequence[tuple[int, int]]) -> Sequence[tuple[int, int]]:
-    if not positives:
+def _require_positives(positives: Sequence) -> Sequence:
+    if not len(positives):
         raise DataError("no positive pairs to build a vocabulary from")
     return positives
 
@@ -180,7 +235,7 @@ def build_vocabulary(
     (ties by earlier first occurrence); indices are assigned in that order.
     """
     found = _walks(graph, _require_positives(positives), max_hops, target)
-    return _vocabulary(found, positives, target, max_hops, max_size)
+    return _vocabulary(graph, found, found[0], target, max_hops, max_size)
 
 
 @dataclass
@@ -240,25 +295,39 @@ class EncodedTask:
     test: Split
 
 
-def _ids(graph: KnowledgeGraph, pairs: Sequence[LabeledPair]) -> list[tuple[int, int]]:
-    return [(graph.entity_id(p.head), graph.entity_id(p.tail)) for p in pairs]
+def _ids(graph: KnowledgeGraph, pairs: Sequence[LabeledPair]) -> np.ndarray:
+    return np.array([(graph.entity_id(p.head), graph.entity_id(p.tail)) for p in pairs], np.int64).reshape(-1, 2)
 
 
-def _encode(vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset, found: dict) -> EncodedTask:
-    """Every split against ``vocab``, its pairs' chains looked up in ``found``."""
-    def encode_split(pairs: list[LabeledPair]) -> Split:
-        keys = _ids(graph, pairs)
+def _encode(
+    vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset, ids: np.ndarray, found: tuple
+) -> EncodedTask:
+    """Every split against ``vocab``, ``ids`` being the splits' pairs in order; the
+    found codes' columns come from one search in the vocabulary's codes."""
+    slot, ptr, codes = found
+    weights = _weights(graph, vocab.max_hops)
+    kept = np.array([sum((r + 1) * w for r, w in zip(chain, weights)) for chain in vocab.chains], np.int64)
+    order = np.argsort(kept)
+    at = np.searchsorted(kept[order], codes)
+    column = np.where(np.append(kept[order], 0)[at] == codes, np.append(order, -1)[at], -1)
+
+    def encode_split(pairs: list[LabeledPair], a: int, b: int) -> Split:
+        bits = np.zeros((b - a, vocab.size))
+        for row, at in _chunks(ptr[slot[a:b]], ptr[slot[a:b] + 1]):
+            j = column[at]
+            bits[row[j >= 0], j[j >= 0]] = 1.0
         labels = np.array([p.label for p in pairs], dtype=np.int64)
-        return Split([h for h, _ in keys], [t for _, t in keys], labels, vocab.availability([found[k] for k in keys]))
+        return Split(ids[a:b, 0].tolist(), ids[a:b, 1].tolist(), labels, bits)
 
-    train, dev, test = map(encode_split, (task.train, task.dev, task.test))
+    bounds = np.cumsum([0, len(task.train), len(task.dev), len(task.test)]).tolist()
+    train, dev, test = map(encode_split, (task.train, task.dev, task.test), bounds, bounds[1:])
     return EncodedTask(relation=task.relation, size=vocab.size, train=train, dev=dev, test=test)
 
 
 def encode_task(vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset) -> EncodedTask:
     """Encode every split; one chain walk serves all three."""
-    pairs = _ids(graph, task.train + task.dev + task.test)
-    return _encode(vocab, graph, task, _walks(graph, pairs, vocab.max_hops, vocab.target))
+    ids = _ids(graph, task.train + task.dev + task.test)
+    return _encode(vocab, graph, task, ids, _walks(graph, ids, vocab.max_hops, vocab.target))
 
 
 def extract_task(
@@ -266,11 +335,11 @@ def extract_task(
 ) -> tuple[ChainVocabulary, EncodedTask]:
     """``build_vocabulary`` over the train positives, then ``encode_task`` with
     that vocabulary, from one chain walk over every split's pairs."""
-    pairs = _ids(graph, task.train + task.dev + task.test)
-    positives = _require_positives([pair for pair, p in zip(pairs, task.train) if p.label == 1])
-    found = _walks(graph, pairs, max_hops, task.target)
-    vocab = _vocabulary(found, positives, task.target, max_hops, max_size)
-    return vocab, _encode(vocab, graph, task, found)
+    ids = _ids(graph, task.train + task.dev + task.test)
+    positives = _require_positives(np.flatnonzero([p.label == 1 for p in task.train]))
+    found = _walks(graph, ids, max_hops, task.target)
+    vocab = _vocabulary(graph, found, found[0][positives], task.target, max_hops, max_size)
+    return vocab, _encode(vocab, graph, task, ids, found)
 
 
 # -- persistence ---------------------------------------------------------

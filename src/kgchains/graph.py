@@ -42,15 +42,15 @@ def inverse_name(name: str) -> str:
 
 class Adjacency(NamedTuple):
     """A CSR table: entity ``e``'s edges are ``zip(rels[a:b], ends[a:b])``, ``a, b = indptr[e], indptr[e + 1]``.
-    Lists of ints, so the chain walk slices and iterates them without numpy scalars."""
+    numpy arrays: ``indptr`` int64, ``rels`` and ``ends`` int32."""
 
-    indptr: list[int]
-    rels: list[int]
-    ends: list[int]
+    indptr: np.ndarray
+    rels: np.ndarray
+    ends: np.ndarray
 
     def of(self, eid: int) -> list[tuple[int, int]]:
         a, b = self.indptr[eid], self.indptr[eid + 1]
-        return list(zip(self.rels[a:b], self.ends[a:b]))
+        return list(zip(self.rels[a:b].tolist(), self.ends[a:b].tolist()))
 
 
 def _csr(keys: np.ndarray, rels: np.ndarray, ends: np.ndarray, n: int) -> Adjacency:
@@ -58,7 +58,7 @@ def _csr(keys: np.ndarray, rels: np.ndarray, ends: np.ndarray, n: int) -> Adjace
     order = np.argsort(keys * len(keys) + np.arange(len(keys)))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
-    return Adjacency(indptr.tolist(), rels[order].tolist(), ends[order].tolist())
+    return Adjacency(indptr, rels[order].astype(np.int32), ends[order].astype(np.int32))
 
 
 class KnowledgeGraph:
@@ -187,7 +187,7 @@ class KnowledgeGraph:
             d = dist[node]
             if d >= cap:
                 continue
-            for prev in heads[indptr[node] : indptr[node + 1]]:
+            for prev in heads[indptr[node] : indptr[node + 1]].tolist():
                 if dist[prev] > d + 1:
                     dist[prev] = d + 1
                     queue.append(prev)

@@ -1,14 +1,17 @@
-"""The per-head label frontier (``chains_by_pair``) against the depth-first walk it replaced.
+"""The label frontier (``chains_by_pair``) against the walks it replaced.
 
 ``dfs_paths`` is the entity-path enumerator that ``enumerate_paths`` used
 before chain extraction moved to the shared frontier, kept here as the
 reference: a depth-first walk over entity paths, pruned by the exact hop
-distance to the tail, one pair at a time.
+distance to the tail, one pair at a time. ``walk_oracle.frontier_walks`` is
+the per-head dict frontier that the array walk over all heads replaced, and
+``walk_oracle.frontier_extract_task`` the extraction built on it.
 """
 
 import numpy as np
 import pytest
 
+from kgchains import chains as chains_module
 from kgchains.chains import (
     RelationChain,
     build_vocabulary,
@@ -17,9 +20,10 @@ from kgchains.chains import (
     enumerate_paths,
     extract_task,
 )
+from kgchains.errors import DataError
 from kgchains.graph import KnowledgeGraph, LabeledPair, TaskDataset
 
-from walk_oracle import DataclassChain
+from walk_oracle import DataclassChain, frontier_extract_task, frontier_walks
 
 
 def dfs_paths(graph, head, tail, max_hops, exclude=None):
@@ -55,12 +59,14 @@ def dfs_paths(graph, head, tail, max_hops, exclude=None):
     return {RelationChain(seq) for seq in found}
 
 
-def hub_graph(seed, n_entities=40, n_relations=4, n_edges=100, add_inverses=True):
+def hub_graph(seed, n_entities=40, n_relations=4, n_edges=100, add_inverses=True, dead_ends=False):
     """Zipf-degree graph: both endpoints drawn with weight rank**-1, so entity 0 is a hub.
 
     Without inverse augmentation the relation names still come in
     ``r``/``r_inv`` pairs, so the name-level inverse (and the backtrack ban
-    it implies) exists for the walks to respect.
+    it implies) exists for the walks to respect. ``dead_ends`` adds an entity
+    ``source`` with out-edges only and an entity ``sink`` with in-edges only
+    (each gets the other kind too when inverses are added).
     """
     rng = np.random.default_rng(seed)
     weights = 1.0 / np.arange(1, n_entities + 1)
@@ -76,6 +82,8 @@ def hub_graph(seed, n_entities=40, n_relations=4, n_edges=100, add_inverses=True
         (f"e{h}", relation(r), f"e{t}")
         for h, r, t in zip(heads.tolist(), rels.tolist(), tails.tolist())
     ]
+    if dead_ends:
+        triples += [("source", relation(0), triples[0][0]), (triples[0][2], relation(1), "sink")]
     return KnowledgeGraph.from_triples(triples, add_inverses=add_inverses), rng
 
 
@@ -228,3 +236,113 @@ def test_prefix_entered_from_the_tail_and_another_entity(second_route):
     assert ("a->r->r_inv->s" in names(graph, found[(h, z)])) == second_route
     for pair in [(h, t), (h, z)]:
         assert found[pair] == dfs_paths(graph, *pair, 4)
+
+
+def dead_end_pairs(graph, rng):
+    """``query_pairs`` twice over (repeated pairs), and pairs into ``source`` and out of ``sink``."""
+    source, sink = graph.entity_id("source"), graph.entity_id("sink")
+    pairs = query_pairs(graph, rng)
+    return pairs + pairs + [(0, source), (sink, 0), (source, sink), (sink, source), (sink, sink)]
+
+
+@pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
+@pytest.mark.parametrize("add_inverses", [True, False])
+def test_array_walk_equals_the_frontier_walk(max_hops, add_inverses):
+    """Without and with a leakage guard, over repeated pairs, head == tail pairs, a
+    tail with no in-edges and a head with no out-edges (without inverse augmentation)."""
+    for seed in range(4):
+        graph, rng = hub_graph(seed, n_edges=60 if max_hops == 4 else 100, add_inverses=add_inverses, dead_ends=True)
+        pairs = dead_end_pairs(graph, rng)
+        source, sink = graph.entity_id("source"), graph.entity_id("sink")
+        assert add_inverses or not graph.incoming(source) and not graph.neighbors(sink)
+        for exclude in (None, int(rng.integers(graph.n_relations))):
+            assert chains_by_pair(graph, pairs, max_hops, exclude) == frontier_walks(graph, pairs, max_hops, exclude)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_array_walk_in_small_chunks(monkeypatch, chunk):
+    """Expansions cut into pieces of a few rows, a row's edges split across pieces."""
+    monkeypatch.setattr(chains_module, "WALK_CHUNK", chunk)
+    graph, rng = hub_graph(9, dead_ends=True)
+    pairs = dead_end_pairs(graph, rng)
+    for max_hops in (1, 2, 3):
+        assert chains_by_pair(graph, pairs, max_hops, 1) == frontier_walks(graph, pairs, max_hops, 1)
+    for wide in ("head", "tail"):
+        graph = fan_graph(wide)
+        pairs = [(graph.entity_id("h"), t) for t in range(graph.n_entities)]
+        assert chains_by_pair(graph, pairs, 3) == frontier_walks(graph, pairs, 3)
+
+
+@pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
+@pytest.mark.parametrize("add_inverses", [True, False])
+def test_extract_task_equals_the_frontier_path(max_hops, add_inverses):
+    """Vocabulary chains, supports and union size, and every split's heads, tails,
+    labels and availability bits, uncapped and with a cap inside a support tie."""
+    checked = 0
+    for seed in range(3):
+        graph, rng = hub_graph(40 + seed, n_edges=60 if max_hops == 4 else 100, add_inverses=add_inverses, dead_ends=True)
+        task = hub_task(graph, rng, target=int(rng.integers(graph.n_relations)))
+        task.test += [LabeledPair(graph.entity_name(h), graph.entity_name(t), 0) for h, t in dead_end_pairs(graph, rng)]
+        chains, supports, union, splits = frontier_extract_task(graph, task, max_hops, 10000)
+        if not union:
+            with pytest.raises(DataError, match="no candidate chains"):
+                extract_task(graph, task, max_hops, 10000)
+            continue
+        ties = [j for j in range(1, len(supports)) if supports[j - 1] == supports[j]]
+        for max_size in (10000, *ties[:1]):
+            chains, supports, union, splits = frontier_extract_task(graph, task, max_hops, max_size)
+            vocab, data = extract_task(graph, task, max_hops, max_size)
+            assert ([c.relations for c in vocab.chains], vocab.supports, vocab.union_size) == (chains, supports, union)
+            for split, (heads, tails, labels, bits) in zip((data.train, data.dev, data.test), splits):
+                assert (split.heads, split.tails) == (heads, tails)
+                assert np.array_equal(split.labels, labels)
+                assert split.availability.tobytes() == bits.tobytes()
+            checked += 1
+    assert checked >= 3
+
+
+def fan_graph(wide):
+    """At k=2 the last layer's join has a side 40 edges wide. ``head``: h has 40
+    out-edges and t one in-neighbour, so the near entities' in-edges are fewer;
+    ``tail``: h has one out-edge and t 40 in-neighbours, so the layer's out-edges are."""
+    if wide == "head":
+        triples = [("h", "a", f"x{i}") for i in range(40)] + [("x0", "b", "t"), ("t", "c", "z")]
+    else:
+        triples = [("h", "a", "x0"), ("x0", "c", "z")] + [(f"x{i}", "b", "t") for i in range(40)]
+    return KnowledgeGraph.from_triples(triples)
+
+
+@pytest.mark.parametrize("wide", ["head", "tail"])
+def test_each_side_of_the_last_layer_join(wide):
+    graph = fan_graph(wide)
+    h, t, z = (graph.entity_id(name) for name in ("h", "t", "z"))
+    near = {m for _, m in graph.incoming(t)}
+    out_side, in_side = len(graph.neighbors(h)), sum(len(graph.incoming(m)) for m in near)
+    assert (out_side > in_side) == (wide == "head")
+    pairs = [(h, t), (h, z), (h, h), (t, h)]
+    for max_hops in (1, 2, 3):
+        for exclude in (None, graph.relation_id("b")):
+            found = chains_by_pair(graph, pairs, max_hops, exclude)
+            assert found == frontier_walks(graph, pairs, max_hops, exclude)
+            for pair in pairs:
+                assert found[pair] == dfs_paths(graph, *pair, max_hops, exclude)
+
+
+def test_chain_codes_wider_than_64_bits_are_a_data_error():
+    """800 relations with inverses, base 801: --max-hops 6 fits in 64 bits, 7 does not."""
+    graph = KnowledgeGraph.from_triples([(f"e{i}", f"r{i}", f"e{i + 1}") for i in range(400)])
+    assert graph.n_relations == 800
+    head, tail = graph.entity_id("e0"), graph.entity_id("e6")
+    assert enumerate_paths(graph, head, tail, 6) == {(0, 2, 4, 6, 8, 10)}
+    with pytest.raises(DataError, match="800 relations .* --max-hops 7"):
+        enumerate_paths(graph, head, tail, 7)
+    with pytest.raises(DataError, match="800 relations .* --max-hops 7"):
+        enumerate_paths(graph, head, graph.n_entities, 7)
+
+
+def test_bad_pair_ids_raise_the_first_in_order():
+    graph, _ = hub_graph(3)
+    n = graph.n_entities
+    for pairs, bad in [([(0, 1), (n, -1)], n), ([(0, 1), (2, -1), (n, 0)], -1), ([(-5, n + 3)], -5)]:
+        with pytest.raises(DataError, match=f"unknown entity id: {bad}$"):
+            chains_by_pair(graph, pairs, 2)

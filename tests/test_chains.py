@@ -33,8 +33,11 @@ def names(graph, chain_set):
 
 
 def encode(vocab, graph, head, tail, label):
+    """One pair's instance, its bits looked up chain by chain in ``vocab.index``."""
     found = enumerate_paths(graph, head, tail, vocab.max_hops, exclude=vocab.target)
-    return Instance(head, tail, label, vocab.availability([found])[0])
+    row = np.zeros(vocab.size)
+    row[[vocab.index[chain] for chain in found if chain in vocab.index]] = 1.0
+    return Instance(head, tail, label, row)
 
 
 def random_graph(rng, n_entities=12, n_relations=4, n_edges=24):
