@@ -72,8 +72,8 @@ def _weights(graph: KnowledgeGraph, max_hops: int) -> list[int]:
 
 
 def _decode(codes: np.ndarray, graph: KnowledgeGraph, max_hops: int) -> list[RelationChain]:
-    digits = codes[:, None] // np.array(_weights(graph, max_hops), np.int64) % (graph.n_relations + 1)
-    return [RelationChain(d - 1 for d in row if d) for row in digits.tolist()]
+    ids = codes[:, None] // np.array(_weights(graph, max_hops), np.int64) % (graph.n_relations + 1) - 1
+    return [RelationChain(row[:n]) for row, n in zip(zip(*ids.T.tolist()), (ids >= 0).sum(axis=1).tolist())]
 
 
 def _chunks(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -85,6 +85,12 @@ def _chunks(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.nda
     for a, b in zip([0, *cuts], [*cuts, len(lo)]):
         rows = np.repeat(np.arange(a, b), hi[a:b] - lo[a:b])
         yield rows, shift[rows] + np.arange(ends[a - 1] if a else 0, ends[b - 1] if b else 0)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of non-negative ``keys``, ascending (a plain ``np.unique`` imports ``numpy.ma``)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def _isin(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
@@ -121,15 +127,29 @@ def _step(layers: list[tuple], graph: KnowledgeGraph, inverse: np.ndarray, targe
     out_degree, in_degree = np.diff(out.indptr), np.diff(into.indptr)
     fewer_in = targets is not None and in_degree[targets % n].sum() < sum(out_degree[x[0] % n].sum() for x in layers)
     steps = arrivals() if fewer_in else departures()
-    parts = [(to, x[1][row] + (rel + 1).astype(np.int64) * x[4], src, rel) for x, to, row, rel, src in steps]
+    parts, merged, pending = [], 0, 0
+    for x, to, row, rel, src in steps:
+        parts.append((to, x[1][row] + (rel + 1).astype(np.int64) * x[4], src, rel))
+        pending += len(to)
+        if pending > max(WALK_CHUNK, merged):  # merging as rows arrive bounds the duplicates held
+            parts = [_merge(parts)]
+            merged, pending = len(parts[0][0]), 0
+    key, code, pred, rel = _merge(parts)
+    return key, code, pred, inverse[rel]
+
+
+def _merge(parts: list[tuple]) -> tuple:
+    """(key, code, pred, rel) rows, deduplicated on (key, code) and sorted; a row
+    reached from several predecessors gets ``MANY``, so merging merged rows is exact.
+    ``parts`` is emptied once concatenated, which frees its rows before the sort."""
     key, code, pred, rel = (np.concatenate(column) for column in zip(*parts))
-    del parts
+    del parts[:]
     order = np.lexsort((code, key))
     key, code, pred, rel = key[order], code[order], pred[order], rel[order]
     del order
     starts = np.flatnonzero((np.diff(key, prepend=-1) != 0) | (np.diff(code, prepend=-1) != 0))
     low, high = np.minimum.reduceat(pred, starts), np.maximum.reduceat(pred, starts)
-    return key[starts], code[starts], np.where(low == high, low, MANY), inverse[rel[starts]]
+    return key[starts], code[starts], np.where(low == high, low, MANY), rel[starts]
 
 
 def _walks(graph: KnowledgeGraph, pairs, max_hops: int, exclude: int | None) -> tuple[np.ndarray, ...]:
@@ -153,14 +173,13 @@ def _walks(graph: KnowledgeGraph, pairs, max_hops: int, exclude: int | None) -> 
     n, into = graph.n_entities, graph.in_table
     unique, slot = np.unique(ids[:, 0] * n + ids[:, 1], return_inverse=True)
     heads, tails = np.divmod(unique, n)
-    start = heads[np.diff(heads, prepend=-1) != 0]
+    start = _distinct(heads)
     layers = [(start * n + start, start * 0, np.full(len(start), MANY, np.int32), np.full(len(start), -1), weights[0])]
     for depth in range(1, max_hops):
         near = None
         if depth == max_hops - 1:
             chunks = _chunks(into.indptr[tails], into.indptr[tails + 1])
-            near = np.sort(np.concatenate([heads[i] * n + into.ends[at] for i, at in chunks]))
-            near = near[np.diff(near, prepend=-1) != 0]
+            near = _distinct(np.concatenate([_distinct(heads[i] * n + into.ends[at]) for i, at in chunks]))
         layers.append((*_step(layers[-1:], graph, inverse, near), weights[depth]))
     key, code, _, _ = _step(layers, graph, inverse, unique)
     keep = ~_isin(code, np.array(sorted((r + 1) * weights[0] for r in excluded), np.int64))
