@@ -24,13 +24,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import DataError
-from .graph import (
-    KnowledgeGraph,
-    LabeledPair,
-    TaskDataset,
-    split_train_dev,
-    write_triples,
-)
+from .graph import NOT_INVOLUTIVE, KnowledgeGraph, LabeledPair, TaskDataset, split_train_dev
 from .util import STREAM_BENCHMARK, STREAM_SPLIT, stream_rng
 
 RULE_SINGLE = "single"
@@ -88,6 +82,9 @@ class BenchmarkSpec:
             raise DataError("noise must be in [0, 1)")
         if self.train_groups < 1 or self.test_groups < 1:
             raise DataError("need at least one train and one test group")
+        for name in (self.target_name, *(rel for chain in chains for rel in chain)):
+            if name.endswith(NOT_INVOLUTIVE):
+                raise DataError(f"relation {name!r} ends in {NOT_INVOLUTIVE!r}")
 
     @property
     def n_distractors(self) -> int:
@@ -213,14 +210,18 @@ def make_benchmark(spec: BenchmarkSpec) -> tuple[KnowledgeGraph, TaskDataset]:
 
 
 def write_benchmark(spec: BenchmarkSpec, out_dir: str) -> tuple[str, str]:
-    """Write graph.tsv and tasks/<target>/{train,test}.pairs; returns the two roots."""
+    """Write graph.tsv and tasks/<target>/{train,test}.pairs; returns the two roots.
+
+    graph.tsv holds each generated triple once, in first-drawn order: the lines
+    ``KnowledgeGraph.from_triples`` keeps, since every edge runs forward (head,
+    mids, tail, marker leaf) and so never repeats another edge's inverse."""
     generated = _generate(spec)
-    graph = KnowledgeGraph.from_triples(generated.triples, add_inverses=True)
     graph_path = os.path.join(out_dir, "graph.tsv")
     tasks_dir = os.path.join(out_dir, "tasks")
     task_dir = os.path.join(tasks_dir, spec.target_name)
     os.makedirs(task_dir, exist_ok=True)
-    write_triples(graph, graph_path)
+    with open(graph_path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{h}\t{r}\t{t}\n" for h, r, t in dict.fromkeys(generated.triples))
     for name, pairs in (("train.pairs", generated.train_pairs), ("test.pairs", generated.test_pairs)):
         with open(os.path.join(task_dir, name), "w", encoding="utf-8") as fh:
             for pair in pairs:

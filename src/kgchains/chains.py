@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 import numpy as np
 
 from .errors import DataError
-from .graph import KnowledgeGraph, LabeledPair, TaskDataset
+from .graph import Adjacency, KnowledgeGraph, LabeledPair, TaskDataset
 from .util import open_text
 
 
@@ -98,7 +98,7 @@ def _isin(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return np.append(sorted_keys, -1)[np.searchsorted(sorted_keys, keys)] == keys
 
 
-def _step(layers: list[tuple], graph: KnowledgeGraph, inverse: np.ndarray, targets: np.ndarray | None) -> tuple:
+def _step(layers: list[tuple], graph: KnowledgeGraph, targets: np.ndarray | None) -> tuple:
     """Rows (key, code, pred, back) one non-backtracking hop on from every layer,
     deduplicated on (key, code). With ``targets`` (sorted keys), only rows at those,
     joined from whichever side has fewer edges: the layers' out-edges, or the
@@ -124,8 +124,10 @@ def _step(layers: list[tuple], graph: KnowledgeGraph, inverse: np.ndarray, targe
                     keep = (targets[k] % n != pred[row]) | (rel != back[row])
                     yield layer, targets[k[keep]], row[keep], rel[keep], into.ends[at[j[keep]]]
 
-    out_degree, in_degree = np.diff(out.indptr), np.diff(into.indptr)
-    fewer_in = targets is not None and in_degree[targets % n].sum() < sum(out_degree[x[0] % n].sum() for x in layers)
+    def degree(table: Adjacency, at: np.ndarray) -> int:
+        return int((table.indptr[at + 1] - table.indptr[at]).sum())
+
+    fewer_in = targets is not None and degree(into, targets % n) < sum(degree(out, x[0] % n) for x in layers)
     steps = arrivals() if fewer_in else departures()
     parts, merged, pending = [], 0, 0
     for x, to, row, rel, src in steps:
@@ -135,7 +137,7 @@ def _step(layers: list[tuple], graph: KnowledgeGraph, inverse: np.ndarray, targe
             parts = [_merge(parts)]
             merged, pending = len(parts[0][0]), 0
     key, code, pred, rel = _merge(parts)
-    return key, code, pred, inverse[rel]
+    return key, code, pred, graph.inverse_table[rel]
 
 
 def _merge(parts: list[tuple]) -> tuple:
@@ -169,7 +171,6 @@ def _walks(graph: KnowledgeGraph, pairs, max_hops: int, exclude: int | None) -> 
     if len(bad):
         graph.check_entity(int(ids.flat[bad[0]]))
     excluded = (exclude, graph.inverse_relation_id(exclude)) if exclude is not None else ()
-    inverse = np.array([graph.inverse_relation_id(r) for r in range(graph.n_relations)], np.int32)
     n, into = graph.n_entities, graph.in_table
     unique, slot = np.unique(ids[:, 0] * n + ids[:, 1], return_inverse=True)
     heads, tails = np.divmod(unique, n)
@@ -180,8 +181,8 @@ def _walks(graph: KnowledgeGraph, pairs, max_hops: int, exclude: int | None) -> 
         if depth == max_hops - 1:
             chunks = _chunks(into.indptr[tails], into.indptr[tails + 1])
             near = _distinct(np.concatenate([_distinct(heads[i] * n + into.ends[at]) for i, at in chunks]))
-        layers.append((*_step(layers[-1:], graph, inverse, near), weights[depth]))
-    key, code, _, _ = _step(layers, graph, inverse, unique)
+        layers.append((*_step(layers[-1:], graph, near), weights[depth]))
+    key, code, _, _ = _step(layers, graph, unique)
     keep = ~_isin(code, np.array(sorted((r + 1) * weights[0] for r in excluded), np.int64))
     return slot, np.append(np.searchsorted(key[keep], unique), np.count_nonzero(keep)), code[keep]
 

@@ -7,13 +7,12 @@ the little-endian float64 bytes of each network's flat buffer (each layer's
 row-major weight, then its bias), in section order: generator, predictor,
 complement. Reloading reproduces the weights bit for bit.
 
-Version 2 files, which carry each weight and bias as a base64 line under its
-``layer`` line, still load; only v3 is written.
+Only v3 is read: a file whose first line names another version (v1's decimal
+rows, v2's base64 lines) is a data error naming the file.
 """
 
 from __future__ import annotations
 
-import base64
 import io
 import math
 import os
@@ -26,7 +25,6 @@ from .neural import DenseParams
 from .util import read_fields, write_fields
 
 HEADER = "# kgchains checkpoint v3"
-_BASE64_HEADER = "# kgchains checkpoint v2"
 _END = b"\n[end]\n"
 
 _REQUIRED_META = ("input_dim", "d", "lambda_s", "predictor_arch", "mode")
@@ -55,18 +53,8 @@ def save_checkpoint(path: str, model: GameModel, meta: dict | None = None) -> No
         fh.writelines([header.getvalue().encode("utf-8"), *(np.ascontiguousarray(net.flat, "<f8") for _, net in nets)])
 
 
-def _decode(line: str, key: str, n: int, path: str, lineno: int) -> bytes:
-    """The ``8 * n`` bytes of a v2 ``weight`` or ``bias`` line."""
-    if not line.startswith(key + " "):
-        raise DataError(f"{path}:{lineno}: expected {key}")
-    raw = base64.b64decode(line[len(key) + 1 :], validate=True)
-    if len(raw) != 8 * n:
-        raise DataError(f"{path}:{lineno}: {len(raw)} payload bytes, expected {8 * n}")
-    return raw
-
-
-def _parse_net(lines: list[str], pos: int, chunks: list[bytes] | None, path: str) -> tuple[list, int]:
-    """A ``[net]`` section's layer shapes; a v2 section's weight and bias bytes go to ``chunks``."""
+def _parse_net(lines: list[str], pos: int, path: str) -> tuple[list, int]:
+    """A ``[net]`` section's layer shapes."""
     if not lines[pos].startswith("layers = "):
         raise DataError(f"{path}:{pos + 1}: expected the layer count")
     n_layers = int(lines[pos].split("=")[1])
@@ -83,10 +71,6 @@ def _parse_net(lines: list[str], pos: int, chunks: list[bytes] | None, path: str
             raise DataError(f"{path}:{pos + 1}: layer shape must be positive")
         shapes.append((out_dim, in_dim))
         pos += 1
-        if chunks is not None:
-            for key, n in (("weight", out_dim * in_dim), ("bias", out_dim)):
-                chunks.append(_decode(lines[pos], key, n, path, pos + 1))
-                pos += 1
     return shapes, pos
 
 
@@ -96,29 +80,30 @@ def load_checkpoint(path: str) -> tuple[GameModel, dict]:
         raise DataError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
         raw = fh.read()
+    newline = raw.find(b"\n")
+    first = raw[:newline].removesuffix(b"\r") if newline >= 0 else raw
+    if first != HEADER.encode():
+        if first.startswith(b"# kgchains checkpoint v"):  # v1 (decimal rows) and v2 (base64 lines) no longer load
+            raise DataError(f"unsupported {first[2:].decode('utf-8', 'replace')}: {path}")
+        raise DataError(f"not a kgchains checkpoint: {path}")
     end = raw.find(_END) if raw.startswith(HEADER.encode() + b"\n") else -1
     cut = end + len(_END) if end >= 0 else len(raw)
     try:
         lines = raw[:cut].decode("utf-8").replace("\r\n", "\n").removesuffix("\n").split("\n")
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})") from None
-    if lines[0] not in (HEADER, _BASE64_HEADER):
-        if lines[0].startswith("# kgchains checkpoint v"):  # v1 (decimal weights) no longer loads
-            raise DataError(f"unsupported {lines[0][2:]}: {path}")
-        raise DataError(f"not a kgchains checkpoint: {path}")
     try:
-        return _parse_checkpoint(lines, path, memoryview(raw)[cut:] if lines[0] == HEADER else None)
+        return _parse_checkpoint(lines, path, memoryview(raw)[cut:])
     except IndexError:  # a section ran past the last line
         raise DataError(f"truncated checkpoint: {path}") from None
-    except ValueError as err:  # a count, dimension, number or base64 payload that does not parse
+    except ValueError as err:  # a count, dimension or number that does not parse
         raise DataError(f"corrupt checkpoint {path}: {err}") from None
 
 
-def _parse_checkpoint(lines: list[str], path: str, payload: memoryview | None) -> tuple[GameModel, dict]:
-    """``payload`` holds the networks' bytes after a v3 header; ``None`` reads them from v2 lines."""
+def _parse_checkpoint(lines: list[str], path: str, payload: memoryview) -> tuple[GameModel, dict]:
+    """``payload`` holds the networks' bytes after the header."""
     meta: dict[str, str] = {}
     sections: list[tuple[str, list]] = []
-    chunks: list[bytes] | None = [] if payload is None else None
     pos = 1
     while pos < len(lines):
         line = lines[pos]
@@ -129,7 +114,7 @@ def _parse_checkpoint(lines: list[str], path: str, payload: memoryview | None) -
             meta.update(read_fields(lines[pos + 1 : end], path, pos + 2))
             pos = end
         elif line.startswith("[net "):
-            shapes, pos = _parse_net(lines, pos + 1, chunks, path)
+            shapes, pos = _parse_net(lines, pos + 1, path)
             sections.append((line[len("[net ") : -1], shapes))
         elif line == "[end]":
             break
@@ -138,7 +123,6 @@ def _parse_checkpoint(lines: list[str], path: str, payload: memoryview | None) -
     else:
         raise DataError(f"truncated checkpoint (no [end]): {path}")
 
-    payload = memoryview(b"".join(chunks)) if chunks is not None else payload
     sizes = [sum(out_dim * in_dim + out_dim for out_dim, in_dim in shapes) for _, shapes in sections]
     if 8 * sum(sizes) != len(payload):
         raise DataError(f"checkpoint payload has {len(payload)} bytes, its layer shapes need {8 * sum(sizes)}: {path}")

@@ -7,6 +7,8 @@ name carries the ``_inv`` suffix; applying the suffix rule twice returns
 the original name, except on names ending in ``_inv_inv`` (a data error),
 so chains may traverse any edge backwards. The edges are two CSR tables,
 out and in, built in bulk with numpy; each entity's slice is in input order.
+The tables, with the int32 table of relation inverses, are the graph's only
+edge view: callers slice them by ``indptr``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -48,10 +50,6 @@ class Adjacency(NamedTuple):
     rels: np.ndarray
     ends: np.ndarray
 
-    def of(self, eid: int) -> list[tuple[int, int]]:
-        a, b = self.indptr[eid], self.indptr[eid + 1]
-        return list(zip(self.rels[a:b].tolist(), self.ends[a:b].tolist()))
-
 
 def _csr(keys: np.ndarray, rels: np.ndarray, ends: np.ndarray, n: int) -> Adjacency:
     """Edges grouped by ``keys`` in input order: ``key * len + position`` is unique, so any sort is stable."""
@@ -65,18 +63,18 @@ class KnowledgeGraph:
     """Immutable after construction; safe for unlimited concurrent readers.
 
     ``out_table`` holds each entity's outgoing ``(relation, tail)`` edges and ``in_table`` its incoming
-    ``(relation, head)`` edges, as CSR tables: every kept line's edge, then its inverse, in line order."""
+    ``(relation, head)`` edges, as CSR tables: every kept line's edge, then its inverse, in line order.
+    ``inverse_table[r]`` (int32) is the id of relation ``r``'s name-level inverse, or -1."""
 
-    def __init__(self, entity_ids: dict[str, int], relation_ids: dict[str, int], inverse_ids: list[int],
-                 out_table: Adjacency, in_table: Adjacency, originals: np.ndarray) -> None:
+    def __init__(self, entity_ids: dict[str, int], relation_ids: dict[str, int], inverse_table: np.ndarray,
+                 out_table: Adjacency, in_table: Adjacency) -> None:
         self._entity_ids = entity_ids
         self._entity_names = list(entity_ids)
         self._relation_ids = relation_ids
         self._relation_names = list(relation_ids)
-        self._inverse_ids = inverse_ids
+        self.inverse_table = inverse_table
         self.out_table = out_table
         self.in_table = in_table
-        self._originals = originals
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[str, str, str]], add_inverses: bool = True) -> "KnowledgeGraph":
@@ -104,7 +102,7 @@ class KnowledgeGraph:
             names = dict.fromkeys(x for name in names for x in (name, inverse_name(name)))
         relation_ids = dict(zip(names, itertools.count()))
         entity_ids = dict(zip(dict.fromkeys(itertools.chain.from_iterable(zip(heads, tails))), itertools.count()))
-        inverse_ids = [relation_ids.get(inverse_name(name), -1) for name in relation_ids]
+        inverse = np.array([relation_ids.get(inverse_name(name), -1) for name in relation_ids], np.int32)
         n_ent, n_rel = len(entity_ids), len(relation_ids)
         if n_ent * n_rel * n_ent > 2**63:
             raise DataError(f"{n_ent} entities and {n_rel} relations overflow the 64-bit edge keys")
@@ -114,17 +112,16 @@ class KnowledgeGraph:
         )
         key = (h * n_rel + r) * n_ent + t
         if add_inverses:
-            ri = np.array(inverse_ids)[r]
+            ri = inverse[r]
             key = np.minimum(key, (t * n_rel + ri) * n_ent + h)
         kept = np.sort(np.unique(key, return_index=True)[1])
         if len(kept) < len(heads):
             log.info("deduplicated %d duplicate triples", len(heads) - len(kept))
-        originals = np.stack((h, r, t), axis=1)[kept]
-        src, rel, dst = originals.T
+        src, rel, dst = h[kept], r[kept], t[kept]
         if add_inverses:
             src, rel, dst = (np.stack(pair, axis=1).ravel() for pair in ((src, dst), (rel, ri[kept]), (dst, src)))
         out_table, in_table = _csr(src, rel, dst, n_ent), _csr(dst, rel, src, n_ent)
-        return cls(entity_ids, relation_ids, inverse_ids, out_table, in_table, originals)
+        return cls(entity_ids, relation_ids, inverse, out_table, in_table)
 
     # -- symbol tables -------------------------------------------------
 
@@ -155,21 +152,9 @@ class KnowledgeGraph:
 
     def inverse_relation_id(self, rid: int) -> int:
         """Id of the name-level inverse, or -1 if it was never interned."""
-        if not 0 <= rid < len(self._inverse_ids):
+        if not 0 <= rid < len(self.inverse_table):
             raise DataError(f"unknown relation id: {rid}")
-        return self._inverse_ids[rid]
-
-    # -- edges ----------------------------------------------------------
-
-    def neighbors(self, eid: int) -> list[tuple[int, int]]:
-        """Outgoing (relation-id, entity-id) pairs in stable insertion order."""
-        self.check_entity(eid)
-        return self.out_table.of(eid)
-
-    def incoming(self, eid: int) -> list[tuple[int, int]]:
-        """Incoming (relation-id, entity-id) pairs: ``m -r-> eid`` gives ``(r, m)``."""
-        self.check_entity(eid)
-        return self.in_table.of(eid)
+        return int(self.inverse_table[rid])
 
     def distance_to(self, target: int, cap: int) -> np.ndarray:
         """Shortest hop count from every entity to ``target``, capped by BFS depth.
@@ -204,16 +189,6 @@ class KnowledgeGraph:
     @property
     def n_edges(self) -> int:
         return len(self.out_table.rels)
-
-    def edges(self) -> Iterator[tuple[str, str, str]]:
-        """All directed edges (including augmented ones) as name triples."""
-        for h in range(self.n_entities):
-            for r, t in self.out_table.of(h):
-                yield (self._entity_names[h], self._relation_names[r], self._entity_names[t])
-
-    def original_triples(self) -> Iterator[tuple[str, str, str]]:
-        for h, r, t in self._originals.tolist():
-            yield (self._entity_names[h], self._relation_names[r], self._entity_names[t])
 
 
 def load_triples(path: str, add_inverses: bool = True) -> KnowledgeGraph:
@@ -254,12 +229,6 @@ def _raise_first_error(path: str) -> NoReturn:
             if fields[1].endswith(NOT_INVOLUTIVE):
                 raise DataError(f"{path}:{lineno}: relation {fields[1]!r} ends in {NOT_INVOLUTIVE!r}")
     raise RuntimeError(f"{path} failed a bulk check that no line fails")
-
-
-def write_triples(graph: KnowledgeGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for h, r, t in graph.original_triples():
-            fh.write(f"{h}\t{r}\t{t}\n")
 
 
 @dataclass

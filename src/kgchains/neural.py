@@ -182,24 +182,3 @@ def adam_step(params: DenseParams, grads: DenseParams, state: AdamState) -> None
         np.multiply(np.divide(m, bc1, out=a), state.lr, out=a)
         np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), EPSILON, out=b)
         p -= np.divide(a, b, out=a)
-
-
-def param_count(input_dim: int, arch: str, submodels: int = 3) -> int:
-    """Trainable parameter count (weights and biases) for a model configuration.
-
-    ``mlp``: ``submodels`` copies of the halving three-layer net. ``linear``:
-    one such net (the selector) plus ``submodels - 1`` single-layer scorers.
-    """
-
-    def tally(dims: list[int]) -> int:
-        return sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:]))
-
-    if arch == "mlp":
-        if input_dim < 4:
-            raise ValueError("mlp architecture requires input_dim >= 4")
-        return submodels * tally(mlp_dims(input_dim))
-    if arch == "linear":
-        if input_dim < 4:
-            raise ValueError("linear configuration still uses an mlp selector; input_dim >= 4")
-        return tally(mlp_dims(input_dim)) + (submodels - 1) * tally(linear_dims(input_dim))
-    raise ValueError(f"unknown architecture: {arch!r}")

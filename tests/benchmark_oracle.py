@@ -1,8 +1,12 @@
-"""The benchmark generator as it drew distractors before the draw went vectorised.
+"""The benchmark generator and writer as they were before two rewrites.
 
 ``per_draw_generate`` is the earlier ``benchmark._generate``: one
 ``rng.random()`` per distractor relation and tail. It is kept as the
 reference that the one-call draw must match byte for byte.
+
+``graph_built_lines`` is graph.tsv as the writer wrote it through a graph
+build: the lines that ``KnowledgeGraph.from_triples`` keeps, in line order.
+It is the reference for the writer that dedupes the generated triples alone.
 """
 
 from kgchains.benchmark import (
@@ -12,7 +16,7 @@ from kgchains.benchmark import (
     BenchmarkSpec,
     _Generated,
 )
-from kgchains.graph import LabeledPair
+from kgchains.graph import LabeledPair, inverse_name
 from kgchains.util import STREAM_BENCHMARK, stream_rng
 
 
@@ -108,3 +112,14 @@ def per_draw_generate(spec: BenchmarkSpec) -> _Generated:
         (train_pairs if g < spec.train_groups else test_pairs).extend(shuffled)
 
     return _Generated(triples=triples, train_pairs=train_pairs, test_pairs=test_pairs)
+
+
+def graph_built_lines(triples: list[tuple[str, str, str]]) -> str:
+    """Each triple unless its edge is already stored, as an earlier line's edge or
+    that edge's added inverse: the dedup rule of ``KnowledgeGraph.from_triples``."""
+    stored, lines = set(), []
+    for h, r, t in triples:
+        if (h, r, t) not in stored:
+            stored.update({(h, r, t), (t, inverse_name(r), h)})
+            lines.append(f"{h}\t{r}\t{t}\n")
+    return "".join(lines)

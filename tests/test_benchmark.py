@@ -5,8 +5,9 @@ from kgchains import benchmark
 from kgchains.benchmark import BenchmarkSpec, make_benchmark, write_benchmark
 from kgchains.chains import RelationChain, enumerate_paths
 from kgchains.errors import DataError
+from kgchains.graph import KnowledgeGraph, load_triples
 
-from benchmark_oracle import per_draw_generate
+from benchmark_oracle import graph_built_lines, per_draw_generate
 
 
 def chain_names(graph, head, tail, max_hops, exclude):
@@ -18,6 +19,11 @@ def chain_names(graph, head, tail, max_hops, exclude):
 
 def planted_names(spec):
     return {"->".join(chain) for chain in spec.chains()}
+
+
+def assert_same_tables(g1, g2):
+    for a, b in zip((*g1.out_table, *g1.in_table), (*g2.out_table, *g2.in_table)):
+        assert np.array_equal(a, b)
 
 
 def test_conjunction_labels_exactly_match_chains():
@@ -72,7 +78,7 @@ def test_same_spec_same_seed_identical():
     spec = BenchmarkSpec(rule="conjunction", seed=9, train_groups=5, test_groups=2)
     g1, t1 = make_benchmark(spec)
     g2, t2 = make_benchmark(spec)
-    assert set(g1.edges()) == set(g2.edges())
+    assert_same_tables(g1, g2)
     assert [(p.head, p.tail, p.label) for p in t1.train] == [
         (p.head, p.tail, p.label) for p in t2.train
     ]
@@ -149,6 +155,37 @@ def test_one_call_distractor_draw_writes_what_per_draw_wrote(tmp_path, monkeypat
     assert len(expected) == 3
     if overrides.get("relations") == 3:
         assert spec.n_distractors == 0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(rule=rule, distractor_rate=rate) for rule in ("single", "conjunction", "noisy_weak") for rate in (0.0, 0.3, 1.0)]
+    + [
+        # a planted chain over a distractor relation repeats distractor edges
+        dict(rule="single", planted_chains=[("s0",)], distractor_rate=1.0),
+        dict(rule="conjunction", planted_chains=[("p0_0", "s1"), ("s0",)], distractor_rate=0.5),
+    ],
+)
+def test_graph_file_is_what_the_graph_build_kept(tmp_path, overrides):
+    spec = BenchmarkSpec(**{"entities": 80, "relations": 12, "seed": 3, "train_groups": 6, "test_groups": 4, **overrides})
+    triples = benchmark._generate(spec).triples
+    graph_path, _ = write_benchmark(spec, str(tmp_path))
+    with open(graph_path, encoding="utf-8") as fh:
+        assert fh.read() == graph_built_lines(triples)
+    assert_same_tables(load_triples(graph_path), KnowledgeGraph.from_triples(triples))
+    if "planted_chains" in overrides:
+        assert len(set(triples)) < len(triples)
+
+
+def test_relation_ending_in_inv_inv_is_rejected_before_writing(tmp_path):
+    out = tmp_path / "out"
+    for spec in (
+        BenchmarkSpec(rule="single", planted_chains=[("a_inv_inv",)]),
+        BenchmarkSpec(rule="single", target_name="t_inv_inv"),
+    ):
+        with pytest.raises(DataError, match="_inv_inv' ends in '_inv_inv'$"):
+            write_benchmark(spec, str(out))
+        assert not out.exists()
 
 
 def test_single_rule_d1_game_reaches_high_map():

@@ -23,7 +23,7 @@ from kgchains.chains import (
 from kgchains.errors import DataError
 from kgchains.graph import KnowledgeGraph, LabeledPair, TaskDataset
 
-from walk_oracle import DataclassChain, frontier_extract_task, frontier_walks
+from walk_oracle import DataclassChain, edges_of, frontier_extract_task, frontier_walks
 
 
 def dfs_paths(graph, head, tail, max_hops, exclude=None):
@@ -42,7 +42,7 @@ def dfs_paths(graph, head, tail, max_hops, exclude=None):
 
     def walk(node, prev_node, banned_rel, depth):
         hops_left = max_hops - depth - 1
-        for rel, nxt in graph.neighbors(node):
+        for rel, nxt in edges_of(graph.out_table, node):
             if nxt == prev_node and rel == banned_rel:
                 continue
             if nxt != tail and dist[nxt] > hops_left:
@@ -93,7 +93,7 @@ def query_pairs(graph, rng, n_heads=4, n_tails=3):
     for head in [0, *rng.choice(graph.n_entities, size=n_heads - 1, replace=False).tolist()]:
         pairs += [(head, int(t)) for t in rng.choice(graph.n_entities, size=n_tails)]
         pairs.append((head, head))
-        for edges in (graph.neighbors(head), graph.incoming(head)):
+        for edges in (edges_of(graph.out_table, head), edges_of(graph.in_table, head)):
             if edges:
                 pairs.append((head, edges[int(rng.integers(len(edges)))][1]))
     return pairs
@@ -124,7 +124,7 @@ def test_every_target_edge_is_guarded():
         pairs = [
             (h, t)
             for h in range(graph.n_entities)
-            for r, t in graph.neighbors(h)
+            for r, t in edges_of(graph.out_table, h)
             if r in (target, graph.inverse_relation_id(target))
         ]
         assert pairs
@@ -139,8 +139,8 @@ def test_batched_tails_equal_one_pair_calls():
     """A head whose tails are in-neighbours of one another shares one frontier."""
     graph, rng = hub_graph(7)
     head = 0
-    first = graph.neighbors(head)[0][1]
-    chained = [first] + [m for _, m in graph.incoming(first)][:4]
+    first = edges_of(graph.out_table, head)[0][1]
+    chained = [first] + [m for _, m in edges_of(graph.in_table, first)][:4]
     pairs = [(head, t) for t in chained] + query_pairs(graph, rng)
     found = chains_by_pair(graph, pairs, 3, exclude=1)
     for head, tail in pairs:
@@ -254,7 +254,7 @@ def test_array_walk_equals_the_frontier_walk(max_hops, add_inverses):
         graph, rng = hub_graph(seed, n_edges=60 if max_hops == 4 else 100, add_inverses=add_inverses, dead_ends=True)
         pairs = dead_end_pairs(graph, rng)
         source, sink = graph.entity_id("source"), graph.entity_id("sink")
-        assert add_inverses or not graph.incoming(source) and not graph.neighbors(sink)
+        assert add_inverses or not edges_of(graph.in_table, source) and not edges_of(graph.out_table, sink)
         for exclude in (None, int(rng.integers(graph.n_relations))):
             assert chains_by_pair(graph, pairs, max_hops, exclude) == frontier_walks(graph, pairs, max_hops, exclude)
 
@@ -316,8 +316,8 @@ def fan_graph(wide):
 def test_each_side_of_the_last_layer_join(wide):
     graph = fan_graph(wide)
     h, t, z = (graph.entity_id(name) for name in ("h", "t", "z"))
-    near = {m for _, m in graph.incoming(t)}
-    out_side, in_side = len(graph.neighbors(h)), sum(len(graph.incoming(m)) for m in near)
+    near = {m for _, m in edges_of(graph.in_table, t)}
+    out_side, in_side = len(edges_of(graph.out_table, h)), sum(len(edges_of(graph.in_table, m)) for m in near)
     assert (out_side > in_side) == (wide == "head")
     pairs = [(h, t), (h, z), (h, h), (t, h)]
     for max_hops in (1, 2, 3):

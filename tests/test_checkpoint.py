@@ -7,7 +7,7 @@ from kgchains.errors import DataError
 from kgchains.game import build_model, predict
 from kgchains.neural import count_params
 
-from checkpoint_oracle import NETS, write_v1, write_v2
+from checkpoint_oracle import NETS, write_v1
 from splits import split_of
 
 
@@ -61,23 +61,6 @@ def test_round_trip_is_bit_identical(tmp_path, arch, mode):
     assert_same_weights(loaded, model)
     for inst in probes(7, n=30):
         assert np.float64(predict(loaded, inst)).view(np.int64) == np.float64(predict(model, inst)).view(np.int64)
-
-
-def test_v2_checkpoint_still_loads_bit_identical(tmp_path):
-    for arch, mode in (("mlp", "game"), ("linear", "game"), ("mlp", "d_all")):
-        model = trained_like(build_model(6, 2, 1.0, arch, seed=4, mode=mode), seed=1)
-        path = tmp_path / f"v2_{arch}_{mode}.txt"
-        write_v2(path, model, {"relation": "demo"})
-        loaded, meta = load_checkpoint(str(path))
-        assert meta["relation"] == "demo" and loaded.mode == mode
-        assert_same_weights(loaded, model)
-        # a v2 file is text, so one with CRLF line endings loads the same
-        crlf = tmp_path / "crlf.txt"
-        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert_same_weights(load_checkpoint(str(crlf))[0], model)
-        # the same networks saved as v3 are smaller: 8 B a parameter and the header
-        save_checkpoint(str(tmp_path / "v3.txt"), loaded, {"relation": "demo"})
-        assert (tmp_path / "v3.txt").stat().st_size < path.stat().st_size
 
 
 def test_v1_checkpoint_is_a_data_error(tmp_path):

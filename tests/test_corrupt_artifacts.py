@@ -4,11 +4,11 @@ A tiny artifact set (D = 4, hand-written caches, checkpoints trained for one
 epoch by ``kgchains train``) is cut at every line count and has one token
 replaced per line; ``kgchains eval`` must then exit 0 or 2. A v3 checkpoint
 is cut at every header line and at every 8-byte boundary of its payload,
-which must exit 2. Each checkpoint case also runs on the same model written
-as v2. A checkpoint's data errors name the checkpoint file.
+which must exit 2. A checkpoint of an older version (v1 or v2, as the
+writers in ``checkpoint_oracle`` made them) must exit 2 too. A checkpoint's
+data errors name the checkpoint file.
 """
 
-import base64
 import re
 
 import numpy as np
@@ -19,7 +19,7 @@ from kgchains.chains import Instance
 from kgchains.checkpoint import load_checkpoint
 from kgchains.cli import main
 
-from checkpoint_oracle import write_v2
+from checkpoint_oracle import write_v1, write_v2
 from splits import split_of
 
 D = 4
@@ -45,16 +45,11 @@ def art(tmp_path_factory):
         args = ["--artifacts", str(root), "--relation", REL, "--mode", mode, "--d", "2"]
         assert main(["train", *args, "--epochs", "1"]) == 0
         assert main(["eval", *args]) == 0
-        write_v2(root / f"v2.{mode}.txt", *load_checkpoint(str(checkpoint_path(root, mode))))
     return root
 
 
 def checkpoint_path(art, mode):
     return art / REL / f"checkpoint.{mode}.d2.txt"
-
-
-def checkpoint_bytes(art, mode, version):
-    return (checkpoint_path(art, mode) if version == 3 else art / f"v2.{mode}.txt").read_bytes()
 
 
 def split_v3(raw):
@@ -87,22 +82,18 @@ def expect_data_error(art, bad, raw, capsys):
     return err
 
 
-def checkpoint_variants(raw, version):
-    """``variants`` of a v2 file; for v3, of its header, the payload kept after each replaced token."""
-    if version == 2:
-        yield from (text.encode("utf-8") for text in variants(raw.decode("utf-8")))
-        return
+def checkpoint_variants(raw):
+    """``variants`` of a checkpoint's header, the payload kept after each replaced token."""
     header, payload = split_v3(raw)
     for i, text in enumerate(variants(header)):  # the cuts come first, one per header line
         yield text.encode("utf-8") + (payload if i >= header.count("\n") else b"")
 
 
-@pytest.mark.parametrize("version", [2, 3])
-def test_checkpoint_fuzz_exits_0_or_2(art, tmp_path, capsys, version):
+def test_checkpoint_fuzz_exits_0_or_2(art, tmp_path, capsys):
     # the game checkpoint has every section: meta, generator, predictor, complement
     bad = tmp_path / "ck.txt"
     failed = 0
-    for raw in checkpoint_variants(checkpoint_bytes(art, "game_mlp", version), version):
+    for raw in checkpoint_variants(checkpoint_path(art, "game_mlp").read_bytes()):
         bad.write_bytes(raw)
         code = eval_code(art, bad)
         err = capsys.readouterr().err
@@ -114,7 +105,7 @@ def test_checkpoint_fuzz_exits_0_or_2(art, tmp_path, capsys, version):
 
 
 def test_truncated_checkpoint_is_a_data_error(art, tmp_path, capsys):
-    raw = checkpoint_bytes(art, "game_mlp", 3)
+    raw = checkpoint_path(art, "game_mlp").read_bytes()
     header, payload = split_v3(raw)
     lines = header.splitlines(keepends=True)
     assert len(payload) % 8 == 0
@@ -124,6 +115,18 @@ def test_truncated_checkpoint_is_a_data_error(art, tmp_path, capsys):
     for k in range(0, len(payload), 8):
         cut = raw[: len(raw) - len(payload) + k]
         assert "payload has" in expect_data_error(art, tmp_path / "ck.txt", cut, capsys)
+
+
+@pytest.mark.parametrize("version, writer", [(1, write_v1), (2, write_v2)], ids=["v1", "v2"])
+def test_older_checkpoint_version_is_a_data_error(art, tmp_path, capsys, version, writer):
+    """As written, with CRLF endings, and a v3 file relabelled with the older version."""
+    path = checkpoint_path(art, "game_mlp")
+    writer(tmp_path / "old.txt", *load_checkpoint(str(path)))
+    old = (tmp_path / "old.txt").read_bytes()
+    relabelled = path.read_bytes().replace(b"checkpoint v3", f"checkpoint v{version}".encode(), 1)
+    for raw in (old, old.replace(b"\n", b"\r\n"), relabelled):
+        err = expect_data_error(art, tmp_path / "ck.txt", raw, capsys)
+        assert f"data error: unsupported kgchains checkpoint v{version}: {tmp_path / 'ck.txt'}\n" in err
 
 
 @pytest.mark.parametrize("name", ["vocab.tsv", "meta.txt", "test.inst"])
@@ -139,26 +142,10 @@ def test_artifact_fuzz_exits_0_or_2(art, capsys, name):
     assert "data error: " in capsys.readouterr().err
 
 
-def cut_lines(n):
-    return lambda raw: b"".join(raw.splitlines(keepends=True)[:n])
-
-
 def swap(old, new):
     def corrupt(raw):
         assert old in raw
         return raw.replace(old, new, 1)
-
-    return corrupt
-
-
-def first_weight(edit):
-    """Re-encode a v2 file's first weight payload after ``edit`` on its float64 values."""
-
-    def corrupt(raw):
-        head, sep, rest = raw.partition(b"\nweight ")
-        payload, newline, tail = rest.partition(b"\n")
-        values = edit(np.frombuffer(base64.b64decode(payload), "<f8"))
-        return head + sep + base64.b64encode(values.tobytes()) + newline + tail
 
     return corrupt
 
@@ -175,7 +162,7 @@ def first_value(edit):
     return corrupt
 
 
-# each applied to the d_all checkpoint (D = 4: layers 4 -> 2 -> 2 -> 2, d = 1), as v2 and as v3
+# each applied to the d_all checkpoint (D = 4: layers 4 -> 2 -> 2 -> 2, d = 1)
 CORRUPTIONS = {
     "no_end": lambda raw: raw[: raw.index(b"\n[end]\n") + 1],
     "layers_x": swap(b"layers = 3", b"layers = x"),
@@ -193,17 +180,6 @@ CORRUPTIONS = {
     "lambda_s_nan": swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = nan\n"),
     "lambda_s_inf": swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = inf\n"),
     "unknown_version": swap(b"checkpoint v", b"checkpoint v9 was v"),
-}
-V2_CORRUPTIONS = {
-    "cut_in_layer": cut_lines(-4),
-    "weight_bad_base64": swap(b"\nweight ", b"\nweight *"),
-    "weight_8_bytes_short": first_weight(lambda values: values[:-1]),
-    "weight_nan": first_weight(lambda values: np.r_[np.nan, values[1:]]),
-    "weight_inf": first_weight(lambda values: np.r_[-np.inf, values[1:]]),
-    "no_weight_line": lambda raw: re.sub(rb"\nweight [^\n]*", b"", raw, count=1),
-    "read_as_v3": swap(b"checkpoint v2", b"checkpoint v3"),
-}
-V3_CORRUPTIONS = {
     "payload_8_bytes_short": lambda raw: raw[:-8],
     "payload_1_byte_short": lambda raw: raw[:-1],
     "payload_extra_byte": lambda raw: raw + b"\0",
@@ -214,14 +190,12 @@ V3_CORRUPTIONS = {
     "header_not_utf8": swap(b"\n[meta]\n", b"\n[meta]\n\xff\n"),
     "read_as_v2": swap(b"checkpoint v3", b"checkpoint v2"),
 }
-CASES = [(2, case) for case in sorted(CORRUPTIONS | V2_CORRUPTIONS)]
-CASES += [(3, case) for case in sorted(CORRUPTIONS | V3_CORRUPTIONS)]
+CASES = sorted(CORRUPTIONS)
 
 
-@pytest.mark.parametrize("version, case", CASES, ids=[f"v{version}-{case}" for version, case in CASES])
-def test_corrupt_checkpoint_is_a_data_error(art, tmp_path, capsys, version, case):
-    corrupt = {**CORRUPTIONS, **V2_CORRUPTIONS, **V3_CORRUPTIONS}[case]
-    expect_data_error(art, tmp_path / "ck.txt", corrupt(checkpoint_bytes(art, "d_all", version)), capsys)
+@pytest.mark.parametrize("case", CASES, ids=[f"v3-{case}" for case in CASES])
+def test_corrupt_checkpoint_is_a_data_error(art, tmp_path, capsys, case):
+    expect_data_error(art, tmp_path / "ck.txt", CORRUPTIONS[case](checkpoint_path(art, "d_all").read_bytes()), capsys)
 
 
 def test_non_integer_vocabulary_support_is_a_data_error(art, capsys):

@@ -1,6 +1,7 @@
 import logging
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,12 +14,22 @@ from kgchains.graph import (
     inverse_name,
     load_task,
     load_triples,
-    write_triples,
 )
+
+from walk_oracle import edges_of
 
 
 def write(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def named_edges(g):
+    """Every stored edge, added inverses included, as name triples: entity by entity, in table order."""
+    return [
+        (g.entity_name(h), g.relation_name(r), g.entity_name(t))
+        for h in range(g.n_entities)
+        for r, t in edges_of(g.out_table, h)
+    ]
 
 
 def test_load_two_line_graph(tmp_path):
@@ -46,16 +57,16 @@ def test_empty_file_errors(tmp_path):
 def test_comments_and_blank_lines_ignored(tmp_path):
     path = tmp_path / "g.tsv"
     write(path, ["# header", "", "a\tr\tb"])
-    g = load_triples(str(path))
-    assert list(g.original_triples()) == [("a", "r", "b")]
+    g = load_triples(str(path), add_inverses=False)
+    assert named_edges(g) == [("a", "r", "b")]
 
 
 def test_only_newlines_end_lines(tmp_path):
     # str.splitlines would also break at these characters
     path = tmp_path / "g.tsv"
     path.write_bytes("a\x0cb\tr s\tc\x1cd\x85\n".encode())
-    g = load_triples(str(path))
-    assert list(g.original_triples()) == [("a\x0cb", "r s", "c\x1cd\x85")]
+    g = load_triples(str(path), add_inverses=False)
+    assert named_edges(g) == [("a\x0cb", "r s", "c\x1cd\x85")]
 
 
 def test_duplicate_lines_deduplicated(tmp_path):
@@ -63,7 +74,7 @@ def test_duplicate_lines_deduplicated(tmp_path):
     write(path, ["a\tr\tb", "a\tr\tb"])
     g = load_triples(str(path), add_inverses=True)
     assert g.n_edges == 2
-    assert len(g.neighbors(g.entity_id("a"))) == 1
+    assert len(edges_of(g.out_table, g.entity_id("a"))) == 1
 
 
 def test_malformed_line_names_line_number(tmp_path):
@@ -104,18 +115,15 @@ def test_missing_file_errors(tmp_path):
         load_triples(str(tmp_path / "nope.tsv"))
 
 
-def test_neighbors(tmp_path):
+def test_csr_tables(tmp_path):
     path = tmp_path / "g.tsv"
     write(path, ["a\tr\tb", "b\ts\tc"])
     g = load_triples(str(path), add_inverses=True)
     a, b, c = (g.entity_id(e) for e in "abc")
-    assert g.neighbors(a) == [(g.relation_id("r"), b)]
-    assert set(g.neighbors(b)) == {(g.relation_id("s"), c), (g.relation_id("r_inv"), a)}
-    assert g.neighbors(c) == [(g.relation_id("s_inv"), b)]
-    with pytest.raises(DataError):
-        g.neighbors(99)
-    # stable order across calls
-    assert g.neighbors(b) == g.neighbors(b)
+    r, r_inv, s, s_inv = (g.relation_id(name) for name in ("r", "r_inv", "s", "s_inv"))
+    assert [edges_of(g.out_table, e) for e in (a, b, c)] == [[(r, b)], [(r_inv, a), (s, c)], [(s_inv, b)]]
+    assert [edges_of(g.in_table, e) for e in (a, b, c)] == [[(r_inv, b)], [(r, a), (s_inv, c)], [(s, b)]]
+    assert g.inverse_table.dtype == np.int32 and g.inverse_table.tolist() == [r_inv, r, s_inv, s]
 
 
 def test_inverse_name_is_involutive():
@@ -137,7 +145,7 @@ def test_inverse_name_is_involutive():
 )
 def test_inverse_closure(triples):
     g = KnowledgeGraph.from_triples([(h, r, t) for h, r, t in triples], add_inverses=True)
-    edges = set(g.edges())
+    edges = set(named_edges(g))
     for h, r, t in edges:
         assert (t, inverse_name(r), h) in edges
 
@@ -186,7 +194,7 @@ class IncrementalGraph:
         self._entity_ids, self._entity_names = {}, []
         self._relation_ids, self._relation_names = {}, []
         self._adj, self._radj = [], []
-        self._edges, self._originals = set(), []
+        self._edges = set()
         self._inverse_ids = None
         self.duplicates = 0
         for head, rel, tail in triples:
@@ -196,7 +204,6 @@ class IncrementalGraph:
             if not self._add_edge(h, r, t):
                 self.duplicates += 1
                 continue
-            self._originals.append((h, r, t))
             if add_inverses:
                 self._add_edge(t, self.inverse_relation_id(r), h)
 
@@ -232,9 +239,6 @@ class IncrementalGraph:
         self._radj[t].append((r, h))
         return True
 
-    def original_triples(self):
-        return [(self._entity_names[h], self._relation_names[r], self._entity_names[t]) for h, r, t in self._originals]
-
 
 def assert_same_graph(g, ref):
     assert [g.relation_name(r) for r in range(g.n_relations)] == ref._relation_names
@@ -243,11 +247,9 @@ def assert_same_graph(g, ref):
         ref.inverse_relation_id(r) for r in range(len(ref._relation_names))
     ]
     for e in range(g.n_entities):
-        assert g.neighbors(e) == ref._adj[e]
-        assert g.incoming(e) == ref._radj[e]
+        assert edges_of(g.out_table, e) == ref._adj[e]
+        assert edges_of(g.in_table, e) == ref._radj[e]
     assert g.n_edges == len(ref._edges)
-    assert len(list(g.original_triples())) == len(ref._originals)
-    assert list(g.original_triples()) == ref.original_triples()
 
 
 # Explicit ``r_inv`` lines, and lines repeating another line's augmented inverse
@@ -286,16 +288,6 @@ def test_load_triples_matches_incremental_reference(tmp_path, caplog, lines, add
     assert_same_graph(g, ref)
     deduplicated = [f"deduplicated {ref.duplicates} duplicate triples"] if ref.duplicates else []
     assert [record.getMessage() for record in caplog.records] == deduplicated
-
-
-def test_round_trip_preserves_edge_set(tmp_path):
-    path = tmp_path / "g.tsv"
-    write(path, ["a\tr\tb", "b\ts\tc", "c\tr\ta"])
-    g = load_triples(str(path), add_inverses=True)
-    out = tmp_path / "out.tsv"
-    write_triples(g, str(out))
-    g2 = load_triples(str(out), add_inverses=True)
-    assert set(g.edges()) == set(g2.edges())
 
 
 def make_task_dir(tmp_path, relation, train_lines, test_lines):

@@ -21,9 +21,10 @@ from kgchains.neural import (
     init_dense,
     linear_dims,
     mlp_dims,
-    param_count,
     softmax,
 )
+
+from param_oracle import param_count
 
 
 def finite_difference(params, x, label, h=1e-5):

@@ -13,6 +13,9 @@ code-array vocabulary and the encoding.
 ``DataclassChain`` is ``RelationChain`` as a frozen dataclass, as it was
 before it became a tuple: the reference for its ordering, hashing and
 accessors, and for the vocabulary's tie order.
+
+The oracles read a graph's edges through ``edges_of``, one entity's slice
+of a CSR table.
 """
 
 from dataclasses import dataclass
@@ -36,6 +39,12 @@ class DataclassChain:
         return "->".join(graph.relation_name(r) for r in self.relations)
 
 
+def edges_of(table, eid):
+    """Entity ``eid``'s (relation, entity) pairs in a CSR table (``out_table`` or ``in_table``), in stored order."""
+    a, b = table.indptr[eid], table.indptr[eid + 1]
+    return list(zip(table.rels[a:b].tolist(), table.ends[a:b].tolist()))
+
+
 def oracle_paths(graph, head, tail, max_hops, exclude=None):
     """Independent oracle: breadth-first expansion of explicit walks."""
     banned = set()
@@ -49,7 +58,7 @@ def oracle_paths(graph, head, tail, max_hops, exclude=None):
     for _ in range(max_hops):
         nxt_frontier = []
         for node, labels, prev_node, prev_rel in frontier:
-            for rel, nxt in graph.neighbors(node):
+            for rel, nxt in edges_of(graph.out_table, node):
                 if (
                     prev_rel is not None
                     and nxt == prev_node
@@ -83,12 +92,12 @@ def frontier_walks(graph, pairs, max_hops, exclude=None):
     excluded = {exclude, graph.inverse_relation_id(exclude)} if exclude is not None else set()
     found = {}
     for head, tails in tails_of.items():
-        near = {node for tail in tails for _, node in graph.incoming(tail)}
+        near = {node for tail in tails for _, node in edges_of(graph.in_table, tail)}
         layers = [{head: {(): MANY}}]
         for depth in range(1, max_hops):
             layer = {}
             for node, prefixes in layers[-1].items():
-                for rel, nxt in graph.neighbors(node):
+                for rel, nxt in edges_of(graph.out_table, node):
                     if depth == max_hops - 1 and nxt not in near:
                         continue
                     slot = layer.setdefault(nxt, {})
@@ -100,7 +109,7 @@ def frontier_walks(graph, pairs, max_hops, exclude=None):
             layers.append(layer)
         for tail in tails:
             seqs = found[(head, tail)] = set()
-            into = graph.incoming(tail)
+            into = edges_of(graph.in_table, tail)
             for depth, layer in enumerate(layers):
                 for rel, node in into:
                     if node in layer and (depth > 0 or rel not in excluded):
