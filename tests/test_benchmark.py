@@ -177,15 +177,15 @@ def test_graph_file_is_what_the_graph_build_kept(tmp_path, overrides):
         assert len(set(triples)) < len(triples)
 
 
-def test_relation_ending_in_inv_inv_is_rejected_before_writing(tmp_path):
+@pytest.mark.parametrize("overrides", [
+    dict(rule="single", planted_chains=[("a_inv_inv",)]), dict(rule="single", target_name="t_inv_inv"),
+    dict(rule="conjunction", planted_chains=[("p", "a_inv_inv"), ("q",)]), dict(rule="conjunction", target_name="t_inv_inv"),
+    dict(rule="noisy_weak", planted_chains=[("p",), ("q",), ("a_inv_inv", "s")])])
+def test_relation_ending_in_inv_inv_is_rejected_before_writing(tmp_path, overrides):
     out = tmp_path / "out"
-    for spec in (
-        BenchmarkSpec(rule="single", planted_chains=[("a_inv_inv",)]),
-        BenchmarkSpec(rule="single", target_name="t_inv_inv"),
-    ):
-        with pytest.raises(DataError, match="_inv_inv' ends in '_inv_inv'$"):
-            write_benchmark(spec, str(out))
-        assert not out.exists()
+    with pytest.raises(DataError, match="_inv_inv' ends in '_inv_inv'$"):
+        write_benchmark(BenchmarkSpec(**overrides), str(out))
+    assert not out.exists()
 
 
 def test_single_rule_d1_game_reaches_high_map():

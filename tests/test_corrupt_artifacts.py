@@ -129,6 +129,16 @@ def test_older_checkpoint_version_is_a_data_error(art, tmp_path, capsys, version
         assert f"data error: unsupported kgchains checkpoint v{version}: {tmp_path / 'ck.txt'}\n" in err
 
 
+@pytest.mark.parametrize("first, message", [(f"# kgchains checkpoint v{v}", f"unsupported kgchains checkpoint v{v}")
+                                            for v in (0, 4, 30, 99)]  # v30 shares the 3
+                         + [(line, "not a kgchains checkpoint") for line in ("", "\udcff", "# kgchains checkpoint", "x v3")])
+def test_first_line_other_than_the_v3_header_is_a_data_error(art, tmp_path, capsys, first, message):
+    raw = checkpoint_path(art, "game_mlp").read_bytes()  # the rest kept after the replaced first line
+    first = first.encode("utf-8", "surrogateescape")  # "\udcff" is the non-UTF-8 byte 0xff
+    err = expect_data_error(art, tmp_path / "ck.txt", first + raw[raw.index(b"\n") :], capsys)
+    assert f"data error: {message}: {tmp_path / 'ck.txt'}\n" in err
+
+
 @pytest.mark.parametrize("name", ["vocab.tsv", "meta.txt", "test.inst"])
 def test_artifact_fuzz_exits_0_or_2(art, capsys, name):
     path = art / REL / name

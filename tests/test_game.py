@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kgchains import game
-from kgchains.chains import EncodedTask, Instance, SelectionMask, mask_from_selected
+from kgchains.chains import EncodedTask, Instance, mask_from_selected
 from kgchains.errors import DataError
 from kgchains.evaluate import evaluate_task
 from kgchains.game import (
     MODE_ALL_CHAINS,
     MODE_GAME,
-    GameModel,
     TrainConfig,
     build_model,
     generator_probs,
@@ -23,7 +20,7 @@ from kgchains.game import (
     train_predictor_only,
     train_task,
 )
-from kgchains.neural import DenseParams, forward
+from kgchains.neural import DenseParams
 from kgchains.util import STREAM_SAMPLE, stream_rng
 
 from selection_oracle import selection_grad, selection_log_prob

@@ -126,6 +126,15 @@ def test_csr_tables(tmp_path):
     assert g.inverse_table.dtype == np.int32 and g.inverse_table.tolist() == [r_inv, r, s_inv, s]
 
 
+@pytest.mark.parametrize("accessor, bad", [("entity_name", -1), ("entity_name", 3), ("check_entity", 3), ("entity_id", "d")]
+                         + [(name, bad) for name in ("relation_name", "inverse_relation_id") for bad in (-1, 4)])
+def test_unknown_ids_are_data_errors(accessor, bad):
+    g = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "s", "c")])  # -1 would otherwise index from the end
+    message = f"unknown {'entity' if 'entity' in accessor else 'relation'}" + (f": '{bad}'" if bad == "d" else f" id: {bad}")
+    with pytest.raises(DataError, match=f"^{message}$"):
+        getattr(g, accessor)(bad)
+
+
 def test_inverse_name_is_involutive():
     assert inverse_name("likes") == "likes_inv"
     assert inverse_name("likes_inv") == "likes"
@@ -288,6 +297,14 @@ def test_load_triples_matches_incremental_reference(tmp_path, caplog, lines, add
     assert_same_graph(g, ref)
     deduplicated = [f"deduplicated {ref.duplicates} duplicate triples"] if ref.duplicates else []
     assert [record.getMessage() for record in caplog.records] == deduplicated
+
+
+def test_round_trip_preserves_edge_set(tmp_path):
+    path, out = tmp_path / "g.tsv", tmp_path / "out.tsv"
+    write(path, ["a\tr\tb", "b\ts\tc", "c\tr\ta"])
+    write(out, ["\t".join(edge) for edge in named_edges(load_triples(str(path), add_inverses=False))])
+    edges, read_back = (set(named_edges(load_triples(str(p)))) for p in (path, out))
+    assert edges == read_back and len(read_back) == 6
 
 
 def make_task_dir(tmp_path, relation, train_lines, test_lines):
