@@ -23,6 +23,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DataError
 from .graph import NOT_INVOLUTIVE, KnowledgeGraph, LabeledPair, TaskDataset, split_train_dev
 from .util import STREAM_BENCHMARK, STREAM_SPLIT, stream_rng
@@ -180,7 +182,7 @@ def _generate(spec: BenchmarkSpec) -> _Generated:
         pairs = []
         for tail, label in group:
             hits = rng.random(len(distractors)) < spec.distractor_rate
-            triples.extend((head, rel, tail) for rel, hit in zip(distractors, hits.tolist()) if hit)
+            triples.extend((head, distractors[i], tail) for i in np.flatnonzero(hits).tolist())
             if spec.noise > 0 and rng.random() < spec.noise:
                 label = 1 - label
             pairs.append(LabeledPair(head=head, tail=tail, label=label))

@@ -87,10 +87,19 @@ def _chunks(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.nda
         yield rows, shift[rows] + np.arange(ends[a - 1] if a else 0, ends[b - 1] if b else 0)
 
 
+def _firsts(*columns: np.ndarray) -> np.ndarray:
+    """Whether each row of the sorted ``columns`` differs from the row before in any column; the first row does."""
+    first = np.zeros(len(columns[0]), dtype=bool)
+    first[:1] = True
+    for column in columns:
+        first[1:] |= column[1:] != column[:-1]
+    return first
+
+
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of non-negative ``keys``, ascending (a plain ``np.unique`` imports ``numpy.ma``)."""
+    """The distinct values of ``keys``, ascending (a plain ``np.unique`` imports ``numpy.ma``)."""
     keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=-1) != 0]
+    return keys[_firsts(keys)]
 
 
 def _isin(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
@@ -149,7 +158,7 @@ def _merge(parts: list[tuple]) -> tuple:
     order = np.lexsort((code, key))
     key, code, pred, rel = key[order], code[order], pred[order], rel[order]
     del order
-    starts = np.flatnonzero((np.diff(key, prepend=-1) != 0) | (np.diff(code, prepend=-1) != 0))
+    starts = np.flatnonzero(_firsts(key, code))
     low, high = np.minimum.reduceat(pred, starts), np.maximum.reduceat(pred, starts)
     return key[starts], code[starts], np.where(low == high, low, MANY), rel[starts]
 
@@ -278,11 +287,6 @@ class SelectionMask:
 
     selected: np.ndarray
     complement: np.ndarray
-
-
-def mask_from_selected(availability: np.ndarray, selected: np.ndarray) -> SelectionMask:
-    selected = selected * availability
-    return SelectionMask(selected=selected, complement=availability * (1.0 - selected))
 
 
 @dataclass

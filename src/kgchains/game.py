@@ -14,12 +14,14 @@ pass runs on a (rows, D) matrix: a mini-batch, or a chunk of a split.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .chains import EncodedTask, Instance, SelectionMask, Split, mask_from_selected
+from .chains import EncodedTask, Instance, SelectionMask, Split
 from .errors import DataError, NumericError
 from .metrics import group_results, map_score
 from .neural import (
@@ -35,7 +37,7 @@ from .neural import (
     mlp_dims,
     softmax,
 )
-from .util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, batches, stream_rng
+from .util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, stream_rng
 
 ARCH_MLP = "mlp"
 ARCH_LINEAR = "linear"
@@ -157,43 +159,23 @@ def generator_probs(model: GameModel, instance: Instance) -> np.ndarray:
     return _generator_forward(model, instance.availability)[0]
 
 
-def sample_mask(probs: np.ndarray, availability: np.ndarray, rng: np.random.Generator) -> SelectionMask:
-    """Independent Bernoulli draw per position; unavailable chains stay 0.
-
-    A (rows, D) batch draws its numbers row by row, as ``rows`` calls on
-    single rows would.
-    """
-    draws = rng.random(probs.shape)
-    selected = ((draws < probs) & (availability > 0)).astype(np.float64)
-    return mask_from_selected(availability, selected)
+def _top_d(probs: np.ndarray, availability: np.ndarray, d: int) -> np.ndarray:
+    """Each row's top-d available positions by probability, ties to the lower index, as 1s
+    times the availability (0 elsewhere)."""
+    keys = np.where(availability > 0, -probs, np.inf)
+    top = keys.argsort(axis=-1, kind="stable")[..., :d]
+    selected = np.zeros(availability.shape)
+    # the flat position of each row's first element, (..., 1)
+    firsts = np.arange(0, selected.size, selected.shape[-1]).reshape(*selected.shape[:-1], 1)
+    selected.put(top + firsts, 1.0)
+    selected *= availability
+    return selected
 
 
 def select_top_d(probs: np.ndarray, availability: np.ndarray, d: int) -> SelectionMask:
-    """Top-d available positions of each row by probability, ties to the lower index."""
-    keys = np.where(availability > 0, -probs, np.inf)
-    top = np.argsort(keys, axis=-1, kind="stable")[..., :d]
-    selected = np.zeros_like(availability)
-    np.put_along_axis(selected, top, 1.0, axis=-1)
-    return mask_from_selected(availability, selected)
-
-
-def sparsity_loss(mask: SelectionMask, d: int):
-    """max{(|selected| - d) / |available|, 0} per row; 0 for rows with no chains."""
-    n_selected = mask.selected.sum(axis=-1)
-    n_available = n_selected + mask.complement.sum(axis=-1)
-    return np.maximum(n_selected - d, 0.0) / np.maximum(n_available, 1.0)
-
-
-def _selection_dout(row_softmax: np.ndarray, availability: np.ndarray, selected: np.ndarray):
-    """d(-log pi(selected)) wrt the generator logits, shaped like the logits.
-
-    Each available chain contributes the two-way softmax cross-entropy
-    gradient for its (keep-out, select) logit pair; unavailable chains
-    contribute nothing, matching their forced zero probability.
-    """
-    choice = (selected > 0)[..., None] == np.array([False, True])
-    dout = np.where((availability > 0)[..., None], row_softmax - choice, 0.0)
-    return dout.reshape(*availability.shape[:-1], -1)
+    """The top-d selection of each row and its complement among the available chains."""
+    selected = _top_d(probs, availability, d)
+    return SelectionMask(selected=selected, complement=availability * (1.0 - selected))
 
 
 # -- training steps --------------------------------------------------------
@@ -201,16 +183,11 @@ def _selection_dout(row_softmax: np.ndarray, availability: np.ndarray, selected:
 
 def predictor_gradient(params: DenseParams, grads: DenseParams, x: np.ndarray, labels: np.ndarray):
     """The gradient of the batch-mean cross-entropy of rows ``x``, (B, D) or stacked (S, B, D), into ``grads``;
-    returns the mean loss, per network of a stack, and per-row 0/1 accuracy (argmax logit equals label)."""
+    returns the mean loss, per network of a stack, and the logits."""
     logits, cache = forward(params, x)
     losses, dlogits = cross_entropy(logits, labels)
     backward(params, cache, dlogits / x.shape[-2], grads)
-    return losses.mean(axis=-1), (logits.argmax(axis=-1) == labels).astype(np.float64)
-
-
-def instance_reward(model: GameModel, mask: SelectionMask, acc_p, acc_c):
-    """acc_p - acc_c - lambda_s * sparsity, per row of the mask."""
-    return acc_p - acc_c - model.lambda_s * sparsity_loss(mask, model.d)
+    return losses.sum(axis=-1) / x.shape[-2], logits
 
 
 Step = Callable[[np.ndarray, np.ndarray], tuple[float, float, float, float, int]]
@@ -221,9 +198,10 @@ def _game_step(model: GameModel, config: TrainConfig) -> Step:
 
     The networks are rebound as views into one buffer [generator | predictor | complement],
     the predictor pair as one (2, P) stack. Adam is elementwise and the generator's gradient
-    does not read the predictors, so the one step is the three networks' own. The estimator
-    is -mean_rows (R - baseline) * grad log pi(mask); the baseline is updated afterwards as
-    an EMA of the batch-mean reward.
+    does not read the predictors, so the one step is the three networks' own. The reward is
+    acc_predictor - acc_complement - lambda_s * max{(|selected| - d) / |available|, 0}; the
+    estimator is -mean_rows (R - baseline) * grad log pi(mask), and the baseline is updated
+    afterwards as an EMA of the batch-mean reward. A batch's rows are 0/1 availability rows.
     """
     gen, pair, cut = model.generator.layers, model.predictor.layers, model.generator.flat.size
     store = DenseParams(gen + pair + model.complement.layers)
@@ -241,22 +219,36 @@ def _game_step(model: GameModel, config: TrainConfig) -> Step:
     def step(availability: np.ndarray, labels: np.ndarray):
         nonlocal baseline
         probs, row_softmax, cache = _generator_forward(model, availability)
-        # instance-major rows draw the same numbers as one instance at a time
-        availability = np.repeat(availability, samples, axis=0)
-        mask = sample_mask(np.repeat(probs, samples, axis=0), availability, rng_sample)
-        labels = np.repeat(labels, samples)
-        losses, accs = predictor_gradient(stack, grads_pair, np.array((mask.selected, mask.complement)), labels)
-        rewards = instance_reward(model, mask, *accs)
-        rows = len(rewards)
-        dout = _selection_dout(np.repeat(row_softmax, samples, axis=0), availability, mask.selected)
+        n, width = availability.shape
+        rows = n * samples
+        # x[0] the selected chains, x[1] the rest; a row's samples are adjacent, so the
+        # draws are those of one instance at a time. probs is 0 on unavailable chains.
+        x = np.empty((2, n, samples, width))
+        np.less(rng_sample.random((n, samples, width)), probs[:, None], out=x[0])
+        np.subtract(availability[:, None], x[0], out=x[1])
+        # d(-log pi(selected)) wrt each (keep-out, select) logit pair, 0 on unavailable chains
+        dout = np.empty((n, samples, width, 2))
+        np.subtract(np.where(availability > 0, row_softmax[..., 0], 0.0)[:, None], x[1], out=dout[..., 0])
+        np.subtract(probs[:, None], x[0], out=dout[..., 1])
+        x = x.reshape(2, rows, width)
+        if samples > 1:
+            labels = np.repeat(labels, samples)
+        losses, logits = predictor_gradient(stack, grads_pair, x, labels)
+        acc_p, acc_c = (logits.argmax(axis=-1) == labels).astype(np.float64)
+        n_selected, n_left = x.sum(axis=-1)
+        rewards = acc_p - acc_c - model.lambda_s * (
+            np.maximum(n_selected - model.d, 0.0) / np.maximum(n_selected + n_left, 1.0)
+        )
+        dout = dout.reshape(rows, -1)
         dout *= ((rewards - baseline) / rows)[:, None]
-        backward(model.generator, cache, dout.reshape(len(probs), samples, -1).sum(axis=1), grads_g)
-        if not (np.isfinite(rewards).all() and np.isfinite(grads_g.flat).all()):
+        backward(model.generator, cache, dout.reshape(n, samples, -1).sum(axis=1) if samples > 1 else dout, grads_g)
+        # a non-finite reward scales its whole row of dout, so it reaches the bias gradient
+        if not np.isfinite(grads_g.flat).all():
             raise NumericError("non-finite generator reward or gradient")
         adam_step(store, grads, state)
-        mean_reward = float(np.mean(rewards))
+        mean_reward = float(rewards.sum()) / rows
         baseline = config.baseline_momentum * baseline + (1.0 - config.baseline_momentum) * mean_reward
-        return *losses.tolist(), mean_reward, float(mask.selected.sum()), rows
+        return *losses.tolist(), mean_reward, float(n_selected.sum()), rows
 
     return step
 
@@ -291,7 +283,7 @@ def _predictor_inputs(model: GameModel, availability: np.ndarray, probs: np.ndar
     selection probabilities ``probs``."""
     if model.mode == MODE_ALL_CHAINS or model.generator is None:
         return availability
-    return select_top_d(probs, availability, model.d).selected
+    return _top_d(probs, availability, model.d)
 
 
 def _row_keys(x: np.ndarray) -> list[bytes]:
@@ -313,17 +305,19 @@ def score_chunks(
     input is scored once, and rows that share it (duplicated rows, or rows
     with the same top-d selection) share its logits bit for bit.
     """
-    by_input: dict[bytes, np.ndarray] = {}
+    table = np.empty((len(availability), 2))  # each distinct input's logits, in first-seen order
+    row_of: dict[bytes, int] = {}
     for start in range(0, len(availability), SCORE_CHUNK):
         chunk = availability[start : start + SCORE_CHUNK]
         probs = selection_probs(model, chunk)
         x = _predictor_inputs(model, chunk, probs)
         keys = _row_keys(x)
-        fresh = {key: i for i, key in enumerate(keys) if key not in by_input}
+        fresh = {key: i for i, key in enumerate(keys) if key not in row_of}
         if fresh:
-            out, _ = forward(model.predictor, x[list(fresh.values())])
-            by_input.update(zip(fresh, out))
-        yield chunk, probs, np.array([by_input[key] for key in keys])
+            seen = len(row_of)
+            table[seen : seen + len(fresh)] = forward(model.predictor, x[list(fresh.values())])[0]
+            row_of.update(zip(fresh, range(seen, seen + len(fresh))))
+        yield chunk, probs, table[[row_of[key] for key in keys]]
 
 
 def _logits(model: GameModel, availability: np.ndarray) -> np.ndarray:
@@ -357,7 +351,7 @@ def _dev_quality(model: GameModel, split: Split) -> tuple[float, float]:
         dev_map = map_score(groups)
     except DataError:
         dev_map = 0.0
-    return dev_map, -float(losses.mean())
+    return dev_map, -float(losses.sum()) / len(losses)
 
 
 # -- training loop ------------------------------------------------------------
@@ -379,18 +373,18 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
     best_epoch = 0
     log: list[EpochStats] = []
 
+    starts = range(0, len(data.train), config.batch_size)
     for epoch in range(1, config.epochs + 1):
-        totals = np.zeros(5)
-        n_steps = 0
-        for rows in batches(rng_shuffle.permutation(len(data.train)).tolist(), config.batch_size):
+        order = rng_shuffle.permutation(len(data.train))
+        totals = [0.0] * 5
+        for start in starts:
+            rows = order[start : start + config.batch_size]
             stats = step(data.train.availability[rows], data.train.labels[rows])
-            if not np.isfinite(stats[:2]).all():
+            if not (math.isfinite(stats[0]) and math.isfinite(stats[1])):
                 raise NumericError(f"non-finite predictor loss at epoch {epoch}")
-            totals += stats
-            n_steps += 1
+            totals = list(map(operator.add, totals, stats))
         quality = _dev_quality(model, data.dev)
-        loss_p, loss_c, mean_reward = (totals[:3] / n_steps).tolist()
-        log.append(EpochStats(epoch, loss_p, loss_c, mean_reward, float(totals[3] / totals[4]), quality[0]))
+        log.append(EpochStats(epoch, *(total / len(starts) for total in totals[:3]), totals[3] / totals[4], quality[0]))
         if quality > best_quality:
             best = clone_model(model)
             best_quality = quality

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -25,12 +27,12 @@ def average_precision(items: Sequence[tuple[float, int]]) -> float:
     if not items:
         raise NoPositives("empty group")
     for score, _ in items:
-        if not np.isfinite(score):
+        if not math.isfinite(score):
             raise DataError("non-finite score in ranking")
-    ranked = sorted(items, key=lambda item: -item[0])
     hits = 0
     precision_sum = 0.0
-    for rank, (_, label) in enumerate(ranked, start=1):
+    # a reverse sort is stable too: equal scores keep their order
+    for rank, (_, label) in enumerate(sorted(items, key=itemgetter(0), reverse=True), start=1):
         if label == 1:
             hits += 1
             precision_sum += hits / rank
@@ -59,11 +61,12 @@ def group_results(
     keys: Sequence, scores: Sequence[float], labels: Sequence[int], group_by: str = "head"
 ) -> list[RankedResult]:
     """Bucket (score, label) items by key, preserving input order within groups."""
-    if group_by == "global":
-        return [RankedResult(key=None, items=list(zip(scores, labels)))]
-    if group_by != "head":
+    if group_by not in ("global", "head"):
         raise ValueError(f"unknown grouping: {group_by!r}")
+    items = zip(np.asarray(scores, dtype=np.float64).tolist(), np.asarray(labels, dtype=np.int64).tolist())
+    if group_by == "global":
+        return [RankedResult(key=None, items=list(items))]
     buckets: dict[object, list[tuple[float, int]]] = {}
-    for key, score, label in zip(keys, scores, labels):
-        buckets.setdefault(key, []).append((float(score), int(label)))
+    for key, item in zip(keys, items):
+        buckets.setdefault(key, []).append(item)
     return [RankedResult(key=k, items=v) for k, v in buckets.items()]

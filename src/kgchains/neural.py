@@ -13,7 +13,8 @@ import numpy as np
 
 class DenseParams:
     """(weight, bias) pairs with ReLU between layers, as views into one float64 buffer ``flat``, (P,) or (S, P)
-    for a stack of S networks: each weight row-major, then its bias. ``layers`` is copied, or laid over ``flat``."""
+    for a stack of S networks: each weight row-major, then its bias. ``layers`` is copied, or laid over ``flat``.
+    ``affine`` holds the same pairs as ``forward`` applies them: each weight transposed, each bias a row."""
 
     def __init__(self, layers: list[list[np.ndarray]], flat: np.ndarray | None = None) -> None:
         if flat is None:
@@ -26,6 +27,7 @@ class DenseParams:
             self.layers.append([view, flat[..., end : end + out_dim]])
             start = end + out_dim
         self.shapes = [weight.shape for weight, _ in self.layers]
+        self.affine = [(weight.swapaxes(-1, -2), bias[..., None, :]) for weight, bias in self.layers]
 
     @property
     def input_dim(self) -> int:
@@ -77,8 +79,9 @@ def forward(params: DenseParams, x: np.ndarray) -> tuple[np.ndarray, list[tuple[
     cache = []
     current = x if x.ndim == batched else x[..., None, :]
     last = len(params.layers) - 1
-    for i, (weight, bias) in enumerate(params.layers):
-        z = current @ weight.swapaxes(-1, -2) + bias[..., None, :]
+    for i, (weight_t, bias_row) in enumerate(params.affine):
+        z = current @ weight_t
+        z += bias_row
         cache.append((current, z))
         current = z if i == last else np.maximum(z, 0.0)
     return (current if x.ndim == batched else current[..., 0, :]), cache
@@ -105,6 +108,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
+_CLASSES = np.arange(2)
+
+
 def cross_entropy(logits: np.ndarray, label: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Stabilized -log softmax(logits)[label] and its gradient wrt the logits.
 
@@ -114,9 +120,9 @@ def cross_entropy(logits: np.ndarray, label: int | np.ndarray) -> tuple[float | 
     shifted = _shifted(logits)
     exp = np.exp(shifted)
     log_probs = shifted - np.log(exp[..., 0] + exp[..., 1])[..., None]
-    label = np.asarray(label)
-    loss = -np.where(label == 1, log_probs[..., 1], log_probs[..., 0])
-    dlogits = np.exp(log_probs) - (np.arange(2) == label[..., None])
+    one_hot = _CLASSES == np.asarray(label)[..., None]
+    loss = -np.where(one_hot[..., 1], log_probs[..., 1], log_probs[..., 0])
+    dlogits = np.exp(log_probs) - one_hot
     return (float(loss) if logits.ndim == 1 else loss), dlogits
 
 

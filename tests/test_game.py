@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kgchains import game
-from kgchains.chains import EncodedTask, Instance, mask_from_selected
+from kgchains.chains import EncodedTask, Instance
 from kgchains.errors import DataError
 from kgchains.evaluate import evaluate_task
 from kgchains.game import (
@@ -11,12 +11,9 @@ from kgchains.game import (
     TrainConfig,
     build_model,
     generator_probs,
-    instance_reward,
     predict,
     predictor_gradient,
-    sample_mask,
     select_top_d,
-    sparsity_loss,
     train_predictor_only,
     train_task,
 )
@@ -25,6 +22,7 @@ from kgchains.util import STREAM_SAMPLE, stream_rng
 
 from selection_oracle import selection_grad, selection_log_prob
 from splits import split_of
+from step_oracle import instance_reward, mask_from_selected, sample_mask, sparsity_loss
 
 
 def instance(avail, label=1, head=0, tail=1):
