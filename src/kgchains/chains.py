@@ -107,6 +107,14 @@ def _isin(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return np.append(sorted_keys, -1)[np.searchsorted(sorted_keys, keys)] == keys
 
 
+def _groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of sorted ``key`` and each one's row range [lo, hi), then a
+    sentinel group (the int64 maximum, rows 0 to 0) that no key reaches, for probes past the last."""
+    lo = np.flatnonzero(_firsts(key))
+    hi = np.append(lo[1:], len(key))
+    return np.append(key[lo], np.iinfo(np.int64).max), np.append(lo, 0), np.append(hi, 0)
+
+
 def _step(layers: list[tuple], graph: KnowledgeGraph, targets: np.ndarray | None) -> tuple:
     """Rows (key, code, pred, back) one non-backtracking hop on from every layer,
     deduplicated on (key, code). With ``targets`` (sorted keys), only rows at those,
@@ -124,11 +132,14 @@ def _step(layers: list[tuple], graph: KnowledgeGraph, targets: np.ndarray | None
                 yield layer, to[keep], row[keep], rel[keep], (key[row[keep]] % n).astype(np.int32)
 
     def arrivals() -> Iterator[tuple]:
+        groups = [_groups(layer[0]) for layer in layers]
         for i, at in _chunks(into.indptr[targets % n], into.indptr[targets % n + 1]):
             src = targets[i] - targets[i] % n + into.ends[at]
-            for layer in layers:
-                key, _, pred, back, _ = layer
-                for j, row in _chunks(np.searchsorted(key, src), np.searchsorted(key, src, "right")):
+            for layer, (keys, lo, hi) in zip(layers, groups):
+                _, _, pred, back, _ = layer
+                g = np.searchsorted(keys, src)
+                hit = keys[g] == src
+                for j, row in _chunks(np.where(hit, lo[g], 0), np.where(hit, hi[g], 0)):
                     k, rel = i[j], into.rels[at[j]]
                     keep = (targets[k] % n != pred[row]) | (rel != back[row])
                     yield layer, targets[k[keep]], row[keep], rel[keep], into.ends[at[j[keep]]]
@@ -152,15 +163,31 @@ def _step(layers: list[tuple], graph: KnowledgeGraph, targets: np.ndarray | None
 def _merge(parts: list[tuple]) -> tuple:
     """(key, code, pred, rel) rows, deduplicated on (key, code) and sorted; a row
     reached from several predecessors gets ``MANY``, so merging merged rows is exact.
-    ``parts`` is emptied once concatenated, which frees its rows before the sort."""
+    ``parts`` is emptied once concatenated, which frees its rows before the sort, and the
+    sort's order and the sorted preds are freed before the output rows are gathered."""
     key, code, pred, rel = (np.concatenate(column) for column in zip(*parts))
     del parts[:]
-    order = np.lexsort((code, key))
-    key, code, pred, rel = key[order], code[order], pred[order], rel[order]
+    order, starts = _sort_rows(key, code)
+    pred, first = pred[order], order[starts]
     del order
-    starts = np.flatnonzero(_firsts(key, code))
     low, high = np.minimum.reduceat(pred, starts), np.maximum.reduceat(pred, starts)
-    return key[starts], code[starts], np.where(low == high, low, MANY), rel[starts]
+    del pred, starts
+    return key[first], code[first], np.where(low == high, low, MANY), rel[first]
+
+
+def _sort_rows(key: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts rows on non-negative (key, code), as ``np.lexsort((code, key))``,
+    and the positions in that order of each distinct pair's first row. The rows sort on one
+    int64 key, ``key * span + code`` with ``span`` the largest code + 1, unless some row's
+    would reach the int64 maximum."""
+    span = int(code.max(initial=0)) + 1
+    if (int(key.max(initial=0)) + 1) * span > np.iinfo(np.int64).max:
+        order = np.lexsort((code, key))
+        return order, np.flatnonzero(_firsts(key[order], code[order]))
+    packed = key * span
+    packed += code
+    order = packed.argsort(kind="stable")
+    return order, np.flatnonzero(_firsts(packed[order]))
 
 
 def _walks(graph: KnowledgeGraph, pairs, max_hops: int, exclude: int | None) -> tuple[np.ndarray, ...]:

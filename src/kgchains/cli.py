@@ -323,8 +323,7 @@ def cmd_export_rules(args) -> int:
     else:
         rows = zip(test.heads, test.tails, test.labels.tolist())
         for availability, probs, logits in game.score_chunks(model, test.availability):
-            # each row's available chains by probability, ties to the lower index
-            order = np.argsort(np.where(availability > 0, -probs, np.inf), axis=1, kind="stable")[:, :top_n]
+            order = game.top_order(probs, availability, top_n)
             top_p = np.take_along_axis(probs, order, axis=1)
             counts = availability.sum(axis=1).astype(int)
             chunk = zip(neural.softmax(logits)[:, 1].tolist(), counts.tolist(), order.tolist(), top_p.tolist(), rows)

@@ -34,6 +34,7 @@ from .neural import (
     forward,
     init_dense,
     linear_dims,
+    losses_and_scores,
     mlp_dims,
     softmax,
 )
@@ -159,11 +160,16 @@ def generator_probs(model: GameModel, instance: Instance) -> np.ndarray:
     return _generator_forward(model, instance.availability)[0]
 
 
+def top_order(probs: np.ndarray, availability: np.ndarray, d: int) -> np.ndarray:
+    """Each row's first d positions, available ones first, by decreasing probability,
+    ties to the lower index: the order of top-d selection and of exported rules."""
+    return np.where(availability > 0, -probs, np.inf).argsort(axis=-1, kind="stable")[..., :d]
+
+
 def _top_d(probs: np.ndarray, availability: np.ndarray, d: int) -> np.ndarray:
     """Each row's top-d available positions by probability, ties to the lower index, as 1s
     times the availability (0 elsewhere)."""
-    keys = np.where(availability > 0, -probs, np.inf)
-    top = keys.argsort(axis=-1, kind="stable")[..., :d]
+    top = top_order(probs, availability, d)
     selected = np.zeros(availability.shape)
     # the flat position of each row's first element, (..., 1)
     firsts = np.arange(0, selected.size, selected.shape[-1]).reshape(*selected.shape[:-1], 1)
@@ -344,9 +350,8 @@ def _dev_quality(model: GameModel, split: Split) -> tuple[float, float]:
     predictor on its inference-time inputs keeps discriminating between
     equally-ranked checkpoints.
     """
-    logits = _logits(model, split.availability)
-    losses, _ = cross_entropy(logits, split.labels)
-    groups = group_results(split.heads, softmax(logits)[:, 1], split.labels, DEV_GROUP_BY)
+    losses, scores = losses_and_scores(_logits(model, split.availability), split.labels)
+    groups = group_results(split.heads, scores, split.labels, DEV_GROUP_BY)
     try:
         dev_map = map_score(groups)
     except DataError:

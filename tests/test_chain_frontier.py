@@ -346,3 +346,101 @@ def test_bad_pair_ids_raise_the_first_in_order():
     for pairs, bad in [([(0, 1), (n, -1)], n), ([(0, 1), (2, -1), (n, 0)], -1), ([(-5, n + 3)], -5)]:
         with pytest.raises(DataError, match=f"unknown entity id: {bad}$"):
             chains_by_pair(graph, pairs, 2)
+
+
+def reference_merge(parts):
+    """``_merge`` as it was with one ``np.lexsort`` on (key, code) for every input."""
+    key, code, pred, rel = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((code, key))
+    key, code, pred, rel = key[order], code[order], pred[order], rel[order]
+    starts = np.flatnonzero(chains_module._firsts(key, code))
+    low, high = np.minimum.reduceat(pred, starts), np.maximum.reduceat(pred, starts)
+    return key[starts], code[starts], np.where(low == high, low, chains_module.MANY), rel[starts]
+
+
+INT64_MAX = np.iinfo(np.int64).max
+# 2**63 - 1 = 454279 * 20303320287433: a largest key of 454278 with a largest code of
+# 20303320287432 packs to 2**63 - 2, and one more in either does not pack
+KEY_EDGE, SPAN_EDGE = 454279, 20303320287433
+
+
+def random_rows(rng, n, key_max, code_max):
+    """``n`` (key, code, pred, rel) rows in the walk's dtypes, drawn so (key, code) repeats
+    with other preds; ``rel`` is a function of ``code``, as in the walk."""
+    key = rng.integers(0, 12, n) * (key_max // 11)
+    code = rng.integers(0, 8, n) * (code_max // 7)
+    key[:1], code[:1] = key_max, code_max
+    pred = rng.integers(-1, 5, n).astype(np.int32)
+    return key, code, pred, (code % 7).astype(np.int32)
+
+
+@pytest.mark.parametrize(
+    "n, key_max, code_max, packs",
+    [
+        (0, 0, 0, True),
+        (1, 5, 9, True),
+        (1, INT64_MAX, INT64_MAX, False),
+        (500, 40, 300, True),
+        (500, KEY_EDGE - 1, SPAN_EDGE - 1, True),
+        (500, KEY_EDGE, SPAN_EDGE - 1, False),
+        (500, KEY_EDGE - 1, SPAN_EDGE, False),
+        (500, 0, INT64_MAX - 1, True),
+        (500, 0, INT64_MAX, False),
+        (500, INT64_MAX // 2 - 1, 1, True),
+        (500, INT64_MAX // 2, 1, False),
+    ],
+)
+def test_packed_sort_equals_lexsort_on_each_side_of_the_int64_limit(monkeypatch, n, key_max, code_max, packs):
+    """Empty and single-row inputs, rows repeating (key, code) with other preds, and
+    largest keys and codes just inside and just outside what packs into int64."""
+    rng = np.random.default_rng(n + key_max % 997 + code_max % 991)
+    key, code, pred, rel = random_rows(rng, n, key_max, code_max)
+    calls = count_lexsorts(monkeypatch)
+    order, starts = chains_module._sort_rows(key, code)
+    assert len(calls) == (0 if packs else 1)
+    monkeypatch.undo()
+    assert np.array_equal(order, np.lexsort((code, key)))
+    assert np.array_equal(starts, np.flatnonzero(chains_module._firsts(key[order], code[order])))
+    if n > 1:
+        assert len(starts) < n  # some (key, code) rows repeat
+    merged = chains_module._merge([(key, code, pred, rel)])
+    for column, expected in zip(merged, reference_merge([(key, code, pred, rel)])):
+        assert column.dtype == expected.dtype and np.array_equal(column, expected)
+
+
+def count_lexsorts(monkeypatch):
+    """A list that each ``np.lexsort`` call appends to while the test runs."""
+    calls, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys))
+    return calls
+
+
+@pytest.mark.parametrize("head, lexsorts", [("e0", False), ("e300", True)])
+def test_walks_whose_sort_keys_do_and_do_not_pack_equal_the_frontier_walk(monkeypatch, head, lexsorts):
+    """The 800-relation path graph at --max-hops 6: from e0 keys and codes are small and
+    pack; from e300 keys are about 1.2e5 and codes about 2e17, so merges fall back to lexsort."""
+    graph = KnowledgeGraph.from_triples([(f"e{i}", f"r{i}", f"e{i + 1}") for i in range(400)])
+    h = graph.entity_id(head)
+    pairs = [(h, t) for t in range(max(h - 7, 0), h + 8)]
+    expected = frontier_walks(graph, pairs, 6)
+    calls = count_lexsorts(monkeypatch)
+    found = chains_by_pair(graph, pairs, 6)
+    assert bool(calls) == lexsorts
+    assert found == expected
+    assert sum(map(len, found.values())) >= 6
+
+
+def test_the_join_finds_the_rows_of_each_probe_as_two_searches_did():
+    """One search among ``_groups``' distinct keys gives each probe the row range that a
+    left and a right search gave, and an empty range to a probe that no row has."""
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 40):
+        key = np.sort(rng.integers(0, 30, n))
+        probes = rng.integers(0, 35, 200)
+        keys, lo, hi = chains_module._groups(key)
+        g = np.searchsorted(keys, probes)
+        hit = keys[g] == probes
+        left, right = np.searchsorted(key, probes), np.searchsorted(key, probes, "right")
+        assert np.array_equal(hit, left < right)
+        assert np.array_equal(np.where(hit, lo[g], left), left)
+        assert np.array_equal(np.where(hit, hi[g], right), right)

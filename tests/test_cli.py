@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -137,9 +138,8 @@ def reference_rules(art, mode, top_n, aggregate):
             continue
         if model.generator is not None:
             probs = game.generator_probs(model, inst)
-            mask = game.select_top_d(probs, inst.availability, top_n)
-            chosen = [(probs[j], j) for j in range(model.input_dim) if mask.selected[j] > 0]
-            chosen.sort(key=lambda item: (-item[0], item[1]))
+            available = [(probs[j], j) for j in range(model.input_dim) if inst.availability[j] > 0]
+            chosen = sorted(available, key=lambda item: (-item[0], item[1]))[:top_n]
         else:
             chosen = [(1.0, j) for j in range(model.input_dim) if inst.availability[j] > 0][:top_n]
         for rank, (p, j) in enumerate(chosen, start=1):
@@ -166,6 +166,28 @@ def test_export_rules_matches_the_per_instance_reference(trained, capsys, mode, 
         out = export_rules(trained, mode, top_n, aggregate, capsys)
         assert out == reference_rules(trained, mode, top_n, aggregate), (mode, top_n)
     assert available[-1] > 1
+
+
+def test_export_rules_breaks_probability_ties_to_the_lower_index(trained, tmp_path, capsys):
+    """A generator with a zero last layer gives every available chain p = 0.5: each row
+    lists its lowest-index available chains, and the reference agrees."""
+    art = tmp_path / "artifacts"
+    shutil.copytree(trained, art)
+    path = art / "target" / "checkpoint.game_mlp.d2.txt"
+    model, _ = checkpoint.load_checkpoint(str(path))
+    for array in model.generator.layers[-1]:
+        array[...] = 0.0
+    checkpoint.save_checkpoint(str(path), model)
+    test = chains.read_instances(str(art / "target" / "test.inst"))
+    probs = game.selection_probs(model, test.availability)
+    assert np.array_equal(probs, np.where(test.availability > 0, 0.5, 0.0))
+    top_n = max(inst.n_available for inst in test)
+    out = export_rules(art, "game_mlp", top_n, False, capsys)
+    assert out == reference_rules(art, "game_mlp", top_n, False)
+    names, _ = chains.read_vocabulary_names(str(art / "target" / "vocab.tsv"))
+    listed = [line.split(". ", 1)[1] for line in out.splitlines() if line.startswith("  ") and ". " in line]
+    expected = [names[j] + " (p=0.5000)" for row in test.availability for j in np.flatnonzero(row)]
+    assert listed == expected
 
 
 def test_export_rules_does_not_score_per_instance(trained, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from kgchains.neural import (
     forward,
     init_dense,
     linear_dims,
+    losses_and_scores,
     mlp_dims,
     softmax,
 )
@@ -140,6 +141,17 @@ def test_two_column_softmax_and_cross_entropy_match_the_reductions_bit_for_bit(l
         (loss, dlogits), (old_loss, old_dlogits) = cross_entropy(logits, label), old_cross_entropy(logits, label)
     assert np.array_equal(bits(loss, payloads), bits(old_loss, payloads))
     assert np.array_equal(bits(dlogits, payloads), bits(old_dlogits, payloads))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 6), st.just(2)), elements=logit_values), st.data())
+def test_losses_and_scores_are_cross_entropy_and_softmax_bit_for_bit(logits, data):
+    labels = data.draw(arrays(np.int64, logits.shape[:1], elements=st.integers(0, 1)))
+    with np.errstate(all="ignore"):
+        losses, scores = losses_and_scores(logits, labels)
+        expected_losses, expected_scores = cross_entropy(logits, labels)[0], softmax(logits)[:, 1]
+    assert np.array_equal(bits(losses, True), bits(expected_losses, True))
+    assert np.array_equal(bits(scores, True), bits(expected_scores, True))
 
 
 @pytest.mark.parametrize("shape", [(3,), (1,), (4, 1), (2, 3, 5), (2, 0)])
