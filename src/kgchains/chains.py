@@ -170,9 +170,12 @@ def _merge(parts: list[tuple]) -> tuple:
     order, starts = _sort_rows(key, code)
     pred, first = pred[order], order[starts]
     del order
-    low, high = np.minimum.reduceat(pred, starts), np.maximum.reduceat(pred, starts)
-    del pred, starts
-    return key[first], code[first], np.where(low == high, low, MANY), rel[first]
+    change = np.flatnonzero(pred[1:] != pred[:-1]) + 1  # rows whose pred is not the row before's
+    group = np.searchsorted(starts, change, "right") - 1
+    merged = pred[starts]
+    merged[group[starts[group] != change]] = MANY  # a change inside a group: its preds differ
+    del pred, starts, change, group
+    return key[first], code[first], merged, rel[first]
 
 
 def _sort_rows(key: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -423,19 +426,23 @@ def read_vocabulary_names(path: str) -> tuple[list[str], list[int]]:
 
 
 def write_instances(path: str, split: Split, graph: KnowledgeGraph | None) -> None:
-    """head TAB tail TAB label TAB availability bits as a 0/1 string."""
-
-    def name(value: int | str) -> str:
-        if isinstance(value, str):
-            return value
-        assert graph is not None, "graph required to name integer entity ids"
-        return graph.entity_name(value)
-
+    """head TAB tail TAB label TAB availability bits as a 0/1 string, written in one call."""
     width = split.availability.shape[1]
     bits = ((split.availability > 0).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+    rows = [bits[a : a + width] for a in range(0, len(bits), width)] if width else [""] * len(split)
+    columns = _names(split.heads, graph), _names(split.tails, graph), map(str, split.labels.tolist()), rows
     with open(path, "w", encoding="utf-8") as fh:
-        for i, (head, tail, label) in enumerate(zip(split.heads, split.tails, split.labels.tolist())):
-            fh.write(f"{name(head)}\t{name(tail)}\t{label}\t{bits[i * width : (i + 1) * width]}\n")
+        fh.write("".join(f"{line}\n" for line in map("\t".join, zip(*columns))))
+
+
+def _names(entities: list, graph: KnowledgeGraph | None) -> list[str]:
+    """A split's column of entity names as it is, or of entity ids named by ``graph``."""
+    if not entities or isinstance(entities[0], str):
+        return entities
+    assert graph is not None, "graph required to name integer entity ids"
+    for eid in (min(entities), max(entities)):
+        graph.check_entity(eid)
+    return list(map(graph.entity_names.__getitem__, entities))
 
 
 def read_instances(path: str, expected_size: int | None = None) -> Split:

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .errors import DataError
-from .util import STREAM_DOWNSAMPLE, STREAM_SPLIT, open_text, stream_rng
+from .util import STREAM_DOWNSAMPLE, STREAM_SPLIT, intern_spans, open_text, stream_rng
 
 log = logging.getLogger(__name__)
 
@@ -64,12 +64,13 @@ class KnowledgeGraph:
 
     ``out_table`` holds each entity's outgoing ``(relation, tail)`` edges and ``in_table`` its incoming
     ``(relation, head)`` edges, as CSR tables: every kept line's edge, then its inverse, in line order.
-    ``inverse_table[r]`` (int32) is the id of relation ``r``'s name-level inverse, or -1."""
+    ``inverse_table[r]`` (int32) is the id of relation ``r``'s name-level inverse, or -1, and
+    ``entity_names[e]`` entity ``e``'s name."""
 
     def __init__(self, entity_ids: dict[str, int], relation_ids: dict[str, int], inverse_table: np.ndarray,
                  out_table: Adjacency, in_table: Adjacency) -> None:
         self._entity_ids = entity_ids
-        self._entity_names = list(entity_ids)
+        self.entity_names = list(entity_ids)
         self._relation_ids = relation_ids
         self._relation_names = list(relation_ids)
         self.inverse_table = inverse_table
@@ -84,39 +85,43 @@ class KnowledgeGraph:
         a line whose edge is already stored, as an edge or as another line's
         augmented inverse, is a duplicate.
         """
-        heads, rels, tails = list(zip(*triples)) or ((), (), ())
-        return cls._from_columns(heads, rels, tails, add_inverses)
+        fields = [name.encode("utf-8", "surrogatepass") for triple in triples for name in triple]
+        lengths = np.fromiter(map(len, fields), np.int64, len(fields)).reshape(-1, 3)
+        starts = np.cumsum(lengths).reshape(-1, 3) - lengths
+        heads_tails = starts[:, ::2].ravel(), lengths[:, ::2].ravel()
+        return cls._from_spans(b"".join(fields) + bytes(8), heads_tails, (starts[:, 1], lengths[:, 1]), add_inverses)
 
     @classmethod
-    def _from_columns(
-        cls, heads: Sequence[str], rels: Sequence[str], tails: Sequence[str], add_inverses: bool
+    def _from_spans(
+        cls, data: bytes, entities: tuple, relations: tuple, add_inverses: bool, path: str = ""
     ) -> "KnowledgeGraph":
-        """``from_triples`` on columns; an edge and its inverse share a key, the smaller of their two."""
-        if not heads:
+        """``from_triples`` on spans of ``data`` (see ``util.intern_spans``), (starts, lengths) of each line's head and
+        tail in turn and of its relation; a relation ending in NOT_INVOLUTIVE is reported on its first line
+        in ``path``, if given. An edge and its inverse share a key, the smaller of their two."""
+        if not len(relations[0]):
             raise DataError("no triples")
-        names = dict.fromkeys(rels)
-        for name in names:
-            if name.endswith(NOT_INVOLUTIVE):
-                raise DataError(f"relation {name!r} ends in {NOT_INVOLUTIVE!r}")
-        if add_inverses:
-            names = dict.fromkeys(x for name in names for x in (name, inverse_name(name)))
-        relation_ids = dict(zip(names, itertools.count()))
-        entity_ids = dict(zip(dict.fromkeys(itertools.chain.from_iterable(zip(heads, tails))), itertools.count()))
+        (ents, entity_names), (rels, names) = intern_spans(data, *entities), intern_spans(data, *relations)
+        bad = [name for name in names if name.endswith(NOT_INVOLUTIVE)]
+        if bad and path:
+            _raise_first_error(path)
+        if bad:
+            raise DataError(f"relation {bad[0]!r} ends in {NOT_INVOLUTIVE!r}")
+        relation_ids = dict.fromkeys(x for name in names for x in (name, inverse_name(name))) if add_inverses else names
+        relation_ids = dict(zip(relation_ids, itertools.count()))
+        entity_ids = dict(zip(entity_names, itertools.count()))
         inverse = np.array([relation_ids.get(inverse_name(name), -1) for name in relation_ids], np.int32)
         n_ent, n_rel = len(entity_ids), len(relation_ids)
         if n_ent * n_rel * n_ent > 2**63:
             raise DataError(f"{n_ent} entities and {n_rel} relations overflow the 64-bit edge keys")
-        h, r, t = (
-            np.fromiter(map(ids.__getitem__, column), np.int64, len(column))
-            for ids, column in ((entity_ids, heads), (relation_ids, rels), (entity_ids, tails))
-        )
+        h, r, t = ents[0::2], np.array([relation_ids[name] for name in names], np.int64)[rels], ents[1::2]
         key = (h * n_rel + r) * n_ent + t
         if add_inverses:
             ri = inverse[r]
             key = np.minimum(key, (t * n_rel + ri) * n_ent + h)
-        kept = np.sort(np.unique(key, return_index=True)[1])
-        if len(kept) < len(heads):
-            log.info("deduplicated %d duplicate triples", len(heads) - len(kept))
+        order = np.argsort(key)  # each key's first line, in line order
+        kept = np.sort(np.minimum.reduceat(order, np.flatnonzero(np.append(True, np.diff(key[order]) != 0))))
+        if len(kept) < len(key):
+            log.info("deduplicated %d duplicate triples", len(key) - len(kept))
         src, rel, dst = h[kept], r[kept], t[kept]
         if add_inverses:
             src, rel, dst = (np.stack(pair, axis=1).ravel() for pair in ((src, dst), (rel, ri[kept]), (dst, src)))
@@ -139,7 +144,7 @@ class KnowledgeGraph:
 
     def entity_name(self, eid: int) -> str:
         self.check_entity(eid)
-        return self._entity_names[eid]
+        return self.entity_names[eid]
 
     def relation_name(self, rid: int) -> str:
         if not 0 <= rid < len(self._relation_names):
@@ -147,7 +152,7 @@ class KnowledgeGraph:
         return self._relation_names[rid]
 
     def check_entity(self, eid: int) -> None:
-        if not 0 <= eid < len(self._entity_names):
+        if not 0 <= eid < len(self.entity_names):
             raise DataError(f"unknown entity id: {eid}")
 
     def inverse_relation_id(self, rid: int) -> int:
@@ -180,7 +185,7 @@ class KnowledgeGraph:
 
     @property
     def n_entities(self) -> int:
-        return len(self._entity_names)
+        return len(self.entity_names)
 
     @property
     def n_relations(self) -> int:
@@ -194,30 +199,46 @@ class KnowledgeGraph:
 def load_triples(path: str, add_inverses: bool = True) -> KnowledgeGraph:
     """Load a tab-separated triples file (head TAB relation TAB tail).
 
-    Lines starting with ``#`` and blank lines are ignored. A malformed line, or a relation name ending in
-    NOT_INVOLUTIVE, aborts with an error naming the line number; a file with no triples is an error. The
-    file is split and checked in bulk, and rescanned line by line only to name its first error.
+    Lines end at LF, CR or CRLF; lines starting with ``#`` and blank lines are ignored. A malformed line,
+    or a relation name ending in NOT_INVOLUTIVE, aborts with an error naming the line number; a file with
+    no triples is an error. The file is split and checked in bulk as bytes, and rescanned line by line
+    only to name its first error.
     """
     if not os.path.isfile(path):
         raise DataError(f"triples file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().split("\n") if line and line[0] != "#"]
-    except UnicodeDecodeError:
-        _raise_first_error(path)
-    if not lines:
+    with open(path, "rb") as fh:
+        data = fh.read() + bytes(8)
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            _raise_first_error(path)
+    padded = np.frombuffer(data, np.uint8)
+    text = padded[:-8]
+    # tabs and line ends, then one past the last byte; a CR and an LF each end a line, so a CRLF
+    # leaves an empty line, skipped like any other
+    seps = np.append(np.flatnonzero((text == ord("\t")) | (text == ord("\n")) | (text == ord("\r"))), len(text))
+    breaks = np.flatnonzero(padded[seps] != ord("\t"))
+    ends = seps[breaks]
+    starts = np.append(0, ends[:-1] + 1)
+    kept = (ends > starts) & (padded[starts] != ord("#"))
+    if not kept.any():
         raise DataError(f"no triples in {path}")
-    fields = "\t".join(lines).split("\t")
-    heads, rels, tails = fields[0::3], fields[1::3], fields[2::3]
-    tabs = set(map(str.count, lines, itertools.repeat("\t")))
-    if tabs != {2} or "" in fields or any(name.endswith(NOT_INVOLUTIVE) for name in dict.fromkeys(rels)):
+    if (np.diff(breaks, prepend=-1)[kept] != 3).any():  # two tabs on every kept line
         _raise_first_error(path)
-    del lines, fields
-    return KnowledgeGraph._from_columns(heads, rels, tails, add_inverses)
+    at, starts, ends = breaks[kept], starts[kept], ends[kept]
+    first, second = seps[at - 2], seps[at - 1]
+    heads_tails = np.stack([starts, second + 1], axis=1).ravel()
+    entities = heads_tails, np.stack([first, ends], axis=1).ravel() - heads_tails
+    relations = first + 1, second - first - 1
+    if not (entities[1].all() and relations[1].all()):
+        _raise_first_error(path)
+    return KnowledgeGraph._from_spans(data, entities, relations, add_inverses, path)
 
 
-def _raise_first_error(path: str) -> NoReturn:
-    """Scan ``path`` line by line and raise the error of its first bad line."""
+def _raise_first_error(path: str, pairs: bool = False) -> NoReturn:
+    """Scan ``path``, a triples file or with ``pairs`` a pairs file, line by line and raise the error
+    of its first bad line."""
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -225,8 +246,11 @@ def _raise_first_error(path: str) -> NoReturn:
                 continue
             fields = line.split("\t")
             if len(fields) != 3 or not all(fields):
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            if fields[1].endswith(NOT_INVOLUTIVE):
+                expected = "head TAB tail TAB label" if pairs else "3 tab-separated fields"
+                raise DataError(f"{path}:{lineno}: expected {expected}")
+            if pairs and fields[2] not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: label must be '0' or '1', got {fields[2]!r}")
+            if not pairs and fields[1].endswith(NOT_INVOLUTIVE):
                 raise DataError(f"{path}:{lineno}: relation {fields[1]!r} ends in {NOT_INVOLUTIVE!r}")
     raise RuntimeError(f"{path} failed a bulk check that no line fails")
 
@@ -261,21 +285,20 @@ def split_train_dev(
 
 
 def _read_pairs(path: str) -> list[LabeledPair]:
+    """head TAB tail TAB label lines; ``#`` lines and blank lines are skipped. The file is split and
+    checked in bulk, and rescanned line by line only to name its first error."""
     if not os.path.isfile(path):
         raise DataError(f"pairs file not found: {path}")
-    pairs = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or not all(fields):
-                raise DataError(f"{path}:{lineno}: expected head TAB tail TAB label")
-            if fields[2] not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: label must be '0' or '1', got {fields[2]!r}")
-            pairs.append(LabeledPair(fields[0], fields[1], int(fields[2])))
-    return pairs
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line in fh.read().split("\n") if line and line[0] != "#"]
+    except UnicodeDecodeError:
+        _raise_first_error(path, pairs=True)
+    fields = "\t".join(lines).split("\t") if lines else []
+    labels = fields[2::3]
+    if set(map(str.count, lines, itertools.repeat("\t"))) - {2} or "" in fields or set(labels) - {"0", "1"}:
+        _raise_first_error(path, pairs=True)
+    return list(map(LabeledPair, fields[0::3], fields[1::3], map(int, labels)))
 
 
 def load_task(

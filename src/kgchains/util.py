@@ -1,4 +1,4 @@
-"""Seed-stream derivation and small shared helpers.
+"""Seed-stream derivation and small shared helpers, for input files among them.
 
 All randomness in the package flows from one master seed through named
 sub-streams, so any component can be re-run or tested against a pinned
@@ -30,6 +30,42 @@ def stream_rng(seed: int, *tags: int) -> np.random.Generator:
         raise ValueError("seed must be non-negative")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(t) for t in tags))
     return np.random.default_rng(ss)
+
+
+_WORDS = 1 << 12  # 8-byte words a round of ``intern_spans`` reads, unless it has more spans than that
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # a word's first k bytes, little-endian
+
+
+def intern_spans(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Ids of the byte spans ``data[starts[i] : starts[i] + lengths[i]]`` in first-seen order, and the
+    distinct spans decoded, by id; ``data`` runs 8 bytes past every span. Exact, with no hash: ``order``
+    lists the spans by block of equal bytes so far, ``block`` holds each slot's block start. A round
+    re-sorts within their blocks the spans of blocks of two or more with bytes left, on (block, bytes
+    left, the next ``width`` words): max(_WORDS, spans) words a round, so work grows with the bytes."""
+    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+    order, block = np.arange(len(starts)), np.zeros(len(starts), np.int64)
+    slots, span, at, left = np.arange(len(starts)), order, starts, lengths  # the spans still to tell apart
+    while len(slots):
+        width = max(1, _WORDS // len(slots))
+        step, cap = 8 * np.arange(width), 8 * width + 1
+        rows = words[np.minimum(at[:, None] + step, len(words) - 1)] & _MASKS[np.clip(left[:, None] - step, 0, 8)]
+        key = block[slots] * (cap + 1) + np.minimum(left, cap)
+        o = np.argsort(rows[:, 0]) if width == 1 else np.lexsort(rows.T)
+        o = o[np.argsort(key[o].astype(np.min_scalar_type(key.max())), kind="stable")]
+        rows, key, span = rows[o], key[o], span[o]
+        new = np.append(True, (key[1:] != key[:-1]) | (rows[1:] != rows[:-1]).any(axis=1))
+        order[slots], heads = span, np.flatnonzero(new)
+        block[slots] = slots[heads][np.cumsum(new) - 1]
+        more = (left >= cap)[o] & ~(new & np.append(new[1:], True))  # bytes left, in a block of two or more
+        slots, span, o = slots[more], span[more], o[more]
+        at, left = at[o] + cap - 1, left[o] - (cap - 1)
+    lead = block == np.arange(len(block))
+    first = np.minimum.reduceat(order, np.flatnonzero(lead))  # each distinct span's first sighting
+    seen = np.argsort(first)
+    ids = np.empty_like(order)
+    ids[order] = np.argsort(seen)[np.cumsum(lead) - 1]
+    spans = zip(starts[first[seen]].tolist(), lengths[first[seen]].tolist())
+    return ids, [data[a : a + n].decode("utf-8", "surrogatepass") for a, n in spans]
 
 
 @contextlib.contextmanager

@@ -1,4 +1,5 @@
-"""The line-by-line instance-cache reader, the reference for the bulk ``chains.read_instances``."""
+"""The line-by-line instance-cache reader and writer, the references for the bulk
+``chains.read_instances`` and ``chains.write_instances``."""
 
 import os
 
@@ -33,3 +34,14 @@ def reference_read_instances(path, expected_size=None):
     flat = np.frombuffer("".join(bits).encode("ascii"), np.uint8) - ord("0")
     availability = flat.reshape(len(rows), width or 0).astype(np.float64)
     return Split(heads, tails, np.array(labels, dtype=np.int64), availability)
+
+
+def reference_write_instances(path, split, graph):
+    def name(value):
+        return value if isinstance(value, str) else graph.entity_name(value)
+
+    width = split.availability.shape[1]
+    bits = ((split.availability > 0).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, (head, tail, label) in enumerate(zip(split.heads, split.tails, split.labels.tolist())):
+            fh.write(f"{name(head)}\t{name(tail)}\t{label}\t{bits[i * width : (i + 1) * width]}\n")

@@ -408,6 +408,41 @@ def test_packed_sort_equals_lexsort_on_each_side_of_the_int64_limit(monkeypatch,
         assert column.dtype == expected.dtype and np.array_equal(column, expected)
 
 
+MANY = chains_module.MANY
+
+
+@pytest.mark.parametrize(
+    "key, pred",
+    [
+        ([], []),
+        ([4], [2]),
+        ([0, 1, 2, 3], [5, MANY, 0, 5]),  # one row a group
+        ([7, 7, 7, 2, 2], [MANY, MANY, MANY, MANY, MANY]),  # every pred already MANY
+        ([3, 3, 3, 1, 1, 9, 5, 5], [2, 2, 2, 4, MANY, 6, 1, 0]),  # agreeing, MANY and one, single, differing
+        ([1, 1, 2, 2, 3, 3], [0, 1, 1, 1, 1, 2]),  # a pred change at every group start, inside only some groups
+    ],
+)
+def test_merge_marks_many_where_the_reduceat_form_did(key, pred):
+    """A group gets MANY exactly when its min and max pred differ: one-row groups, groups whose
+    preds are all MANY, and groups mixing one pred, several, and MANY with another pred."""
+    key, pred = np.array(key, np.int64), np.array(pred, np.int32)
+    rows = (key, key % 3, pred, (key % 5).astype(np.int32))
+    for column, expected in zip(chains_module._merge([rows]), reference_merge([rows])):
+        assert column.dtype == expected.dtype and np.array_equal(column, expected)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_merge_equals_the_reduceat_form_on_random_rows(seed):
+    """Up to 60 rows over few (key, code) pairs, preds drawn from MANY and 0..3, in one to three parts."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(0, 60)
+    key, code = rng.integers(0, 7, n), rng.integers(0, 4, n)
+    parts = np.array_split(np.arange(n), rng.integers(1, 4))
+    rows = [(key[at], code[at], rng.integers(-1, 4, len(at)).astype(np.int32), (code[at] % 3).astype(np.int32)) for at in parts]
+    for column, expected in zip(chains_module._merge(list(rows)), reference_merge(rows)):
+        assert column.dtype == expected.dtype and np.array_equal(column, expected)
+
+
 def count_lexsorts(monkeypatch):
     """A list that each ``np.lexsort`` call appends to while the test runs."""
     calls, lexsort = [], np.lexsort

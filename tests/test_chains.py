@@ -7,6 +7,7 @@ from kgchains.benchmark import BenchmarkSpec, make_benchmark
 from kgchains.chains import (
     Instance,
     RelationChain,
+    Split,
     build_vocabulary,
     encode_task,
     enumerate_paths,
@@ -18,7 +19,7 @@ from kgchains.chains import (
 from kgchains.errors import DataError
 from kgchains.graph import KnowledgeGraph
 
-from cache_oracle import reference_read_instances
+from cache_oracle import reference_read_instances, reference_write_instances
 from splits import split_of
 from step_oracle import mask_from_selected
 from walk_oracle import DataclassChain, oracle_paths
@@ -283,6 +284,28 @@ def test_write_instances_bit_string(tmp_path):
     write_instances(str(path), split_of([inst]), None)
     assert path.read_bytes() == b"h\tt\t1\t01101\n"
     assert read_instances(str(path), 5).availability.tolist() == [[0, 1, 1, 0, 1]]
+
+
+@pytest.mark.parametrize("n, width", [(0, 0), (0, 3), (1, 0), (1, 1), (6, 7), (40, 65)])
+@pytest.mark.parametrize("named", [False, True], ids=["ids", "names"])
+def test_write_instances_writes_the_reference_bytes(tmp_path, n, width, named):
+    """Entity ids named by the graph, or names as they are; no rows, empty rows and wide rows."""
+    kg = KnowledgeGraph.from_triples([("a", "r", "b"), ("b\0é", "s", "c#"), ("d", "r", "a")])
+    rng = np.random.default_rng(n * 100 + width)
+    ids = rng.integers(0, kg.n_entities, (n, 2))
+    heads, tails = ([kg.entity_name(e) for e in column] if named else column for column in ids.T.tolist())
+    split = Split(heads, tails, rng.integers(0, 2, n), rng.choice([0.0, 0.5, 1.0], (n, width)))
+    write_instances(str(tmp_path / "bulk.inst"), split, None if named else kg)
+    reference_write_instances(str(tmp_path / "rows.inst"), split, kg)
+    assert (tmp_path / "bulk.inst").read_bytes() == (tmp_path / "rows.inst").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_write_instances_rejects_an_unknown_entity_id(tmp_path, bad):
+    kg = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "s", "c"), ("c", "r", "d")])
+    split = Split([0, bad, 1], [1, 2, 3], np.array([1, 0, 1]), np.zeros((3, 2)))
+    with pytest.raises(DataError, match=f"^unknown entity id: {bad}$"):
+        write_instances(str(tmp_path / "cache.inst"), split, kg)
 
 
 def test_encoded_splits_round_trip_through_the_cache(tmp_path):

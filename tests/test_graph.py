@@ -1,11 +1,14 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kgchains import graph as graph_module
+from kgchains import util
 from kgchains.errors import DataError
 from kgchains.graph import (
     KnowledgeGraph,
@@ -107,6 +110,15 @@ def test_malformed_line_after_skipped_lines(tmp_path, bad, message):
     path = tmp_path / "g.tsv"
     path.write_bytes(b"# header\r\n\r\na\tr\tb\r\n\n" + bad + b"\r\nb\ts\tc\n")
     with pytest.raises(DataError, match=f"^{re.escape(message.format(path=path))}$"):
+        load_triples(str(path))
+
+
+@pytest.mark.parametrize("text", [b"abc", b"a\tb", b" ", b"\t\t", b"a\tr\tb\tc", b"\r\na b"])
+def test_a_file_of_one_bad_line_names_it(tmp_path, text):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(text)
+    line = 2 if text.startswith(b"\r\n") else 1
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: expected 3 tab-separated fields$"):
         load_triples(str(path))
 
 
@@ -273,20 +285,49 @@ def test_one_pass_constructor_matches_incremental_reference(triples, add_inverse
     assert_same_graph(g, IncrementalGraph(triples, add_inverses))
 
 
-# Each triple's line follows up to two skipped lines, blank or comments, and ends in LF or CRLF.
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    st.lists(
-        st.tuples(
-            st.lists(st.sampled_from(["", "#", "# a\tr\tb"]), max_size=2), small_triples, st.sampled_from(["\n", "\r\n"])
-        ),
-        min_size=1,
-        max_size=25,
-    ),
+# Entity names of 1 to 20 bytes, so the loader's 8-byte words cross their boundaries: multi-byte UTF-8,
+# NUL bytes (``a`` and ``a\0`` differ), '#' past a line's first byte, and names that agree in their
+# first 8 or 16 bytes. A draw's lines name the entities of a pool of up to six, so names repeat.
+entity_names = st.builds(
+    lambda prefix, rest: prefix + rest,
+    st.sampled_from(["", "a", "abcdefgh", "abcdefghijklmnop", "日本語"]),
+    st.text(st.sampled_from(["a", "b", "\0", "é", "#"]), max_size=2),
+).filter(lambda name: name and name[0] != "#")
+long_relations = st.sampled_from(["r", "r_inv", "s", "r\0", "relation:longer:than:16", "関係"])
+
+
+@st.composite
+def triple_lines(draw, relations):
+    """Lines of triples over a pool of entity names, each after up to two skipped lines, blank or
+    comments, and ending in LF, CRLF or a lone CR."""
+    pool = draw(st.lists(entity_names, min_size=1, max_size=6, unique=True))
+    triple = st.tuples(st.sampled_from(pool), relations, st.sampled_from(pool))
+    skipped = st.lists(st.sampled_from(["", "#", "# a\tr\tb"]), max_size=2)
+    return draw(st.lists(st.tuples(skipped, triple, st.sampled_from(["\n", "\r\n", "\r"])), min_size=1, max_size=25))
+
+
+loader_draws = (
+    st.one_of(triple_lines(st.sampled_from(["r", "r_inv", "s"])), triple_lines(long_relations)),
     st.booleans(),
     st.booleans(),
 )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(*loader_draws)
 def test_load_triples_matches_incremental_reference(tmp_path, caplog, lines, add_inverses, last_newline):
+    check_load_triples(tmp_path, caplog, lines, add_inverses, last_newline)
+
+
+# The names are told apart 8 bytes a round, as in a file of more spans than ``util._WORDS``.
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(*loader_draws)
+def test_load_triples_word_by_word_matches_incremental_reference(tmp_path, caplog, monkeypatch, lines, add_inverses, last_newline):
+    monkeypatch.setattr(util, "_WORDS", 1)
+    check_load_triples(tmp_path, caplog, lines, add_inverses, last_newline)
+
+
+def check_load_triples(tmp_path, caplog, lines, add_inverses, last_newline):
     text = "".join("".join(skip + end for skip in skipped) + "\t".join(triple) + end for skipped, triple, end in lines)
     path = tmp_path / "g.tsv"
     path.write_bytes((text if last_newline else text.rstrip("\r\n")).encode())
@@ -297,6 +338,30 @@ def test_load_triples_matches_incremental_reference(tmp_path, caplog, lines, add
     assert_same_graph(g, ref)
     deduplicated = [f"deduplicated {ref.duplicates} duplicate triples"] if ref.duplicates else []
     assert [record.getMessage() for record in caplog.records] == deduplicated
+
+
+MEMORY_PER_FILE_BYTE = 8  # the loader's traced peak, at most, over the file's size
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_a_name_of_a_megabyte_loads_in_memory_bounded_by_the_file(tmp_path, copies):
+    # one name of 1 MiB among 6,000 short lines, and with copies=2 a second line naming it
+    # next to a name that differs from it only in its last byte
+    long = "é" + "x" * (1 << 20)
+    triples = [(f"e{i % 700}", f"r{i % 7}", f"e{i * 13 % 900}") for i in range(6000)]
+    triples.insert(3000, ("e1", "r0", long))
+    triples += [(long, "r1", "e2"), ("e3", "r2", long[:-1] + "y")][: 2 * copies - 2]
+    path = tmp_path / "g.tsv"
+    write(path, ["\t".join(triple) for triple in triples])
+    tracemalloc.start()
+    try:
+        g = load_triples(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_graph(g, IncrementalGraph(triples, True))
+    print("PEAK", peak / path.stat().st_size)
+    assert peak < MEMORY_PER_FILE_BYTE * path.stat().st_size
 
 
 def test_round_trip_preserves_edge_set(tmp_path):
@@ -373,6 +438,38 @@ def test_load_task_bad_label(tmp_path):
     tasks = make_task_dir(tmp_path, "works", ["e0\te1\t?"], ["e0\te1\t1"])
     with pytest.raises(DataError, match="label"):
         load_task(str(tasks), "works", g)
+
+
+EXPECTED_PAIR = "{path}:5: expected head TAB tail TAB label"
+
+
+# As for triples: line 5 follows a comment, blank lines and CRLF endings.
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (b"a\tb", EXPECTED_PAIR),
+        (b"a\tb\t1\t0", EXPECTED_PAIR),
+        (b"a\t\t1", EXPECTED_PAIR),
+        (b"\tb\t1", EXPECTED_PAIR),
+        (b" ", EXPECTED_PAIR),
+        (b"a\tb\t2", "{path}:5: label must be '0' or '1', got '2'"),
+        (b"a\tb\t01", "{path}:5: label must be '0' or '1', got '01'"),
+        (b"a\tb\t\xff", NOT_UTF8),
+    ],
+)
+def test_malformed_pairs_line_after_skipped_lines(tmp_path, bad, message):
+    path = tmp_path / "train.pairs"
+    path.write_bytes(b"# header\r\n\r\na\tb\t1\r\n\n" + bad + b"\r\nb\tc\t0\n")
+    with pytest.raises(DataError, match=f"^{re.escape(message.format(path=path))}$"):
+        graph_module._read_pairs(str(path))
+
+
+def test_read_pairs_in_file_order(tmp_path):
+    path = tmp_path / "train.pairs"
+    path.write_bytes("# h\tt\tlabel\r\nb\ta#\t1\r\n\ré\tb\t0\rb\ta#\t1\n\n".encode())
+    pairs = graph_module._read_pairs(str(path))
+    assert pairs == [LabeledPair("b", "a#", 1), LabeledPair("é", "b", 0), LabeledPair("b", "a#", 1)]
+    assert all(type(p.label) is int for p in pairs)
 
 
 def test_load_task_empty_test_is_valid(tmp_path):
