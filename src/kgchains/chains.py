@@ -170,11 +170,12 @@ def _merge(parts: list[tuple]) -> tuple:
     order, starts = _sort_rows(key, code)
     pred, first = pred[order], order[starts]
     del order
-    change = np.flatnonzero(pred[1:] != pred[:-1]) + 1  # rows whose pred is not the row before's
-    group = np.searchsorted(starts, change, "right") - 1
+    inside = np.ones(len(pred), bool)
+    inside[starts] = False
+    change = np.flatnonzero(inside[1:] & (pred[1:] != pred[:-1])) + 1  # a group's preds differ here
     merged = pred[starts]
-    merged[group[starts[group] != change]] = MANY  # a change inside a group: its preds differ
-    del pred, starts, change, group
+    merged[np.searchsorted(starts, change, "right") - 1] = MANY
+    del pred, starts, inside, change
     return key[first], code[first], merged, rel[first]
 
 

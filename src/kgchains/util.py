@@ -37,11 +37,14 @@ _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # a word's f
 
 
 def intern_spans(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Ids of the byte spans ``data[starts[i] : starts[i] + lengths[i]]`` in first-seen order, and the
-    distinct spans decoded, by id; ``data`` runs 8 bytes past every span. Exact, with no hash: ``order``
-    lists the spans by block of equal bytes so far, ``block`` holds each slot's block start. A round
-    re-sorts within their blocks the spans of blocks of two or more with bytes left, on (block, bytes
-    left, the next ``width`` words): max(_WORDS, spans) words a round, so work grows with the bytes."""
+    """Ids of the byte spans ``data[starts[i] : starts[i] + lengths[i]]``, equal spans alike, numbered in
+    order of first sighting, and the distinct spans decoded from UTF-8, by id; ``data`` runs 8 bytes past
+    every span.
+
+    Spans group by their bytes, with no hash. ``order`` lists the spans so that spans equal so far fill
+    one block of slots, and ``block`` holds each slot's block start. A round re-sorts, within its block,
+    each span that shares its block and has bytes left, on (block, bytes left, its next ``width`` words);
+    a round reads about max(_WORDS, spans) words, so work and memory grow with the bytes."""
     words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
     order, block = np.arange(len(starts)), np.zeros(len(starts), np.int64)
     slots, span, at, left = np.arange(len(starts)), order, starts, lengths  # the spans still to tell apart
@@ -49,7 +52,7 @@ def intern_spans(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple[
         width = max(1, _WORDS // len(slots))
         step, cap = 8 * np.arange(width), 8 * width + 1
         rows = words[np.minimum(at[:, None] + step, len(words) - 1)] & _MASKS[np.clip(left[:, None] - step, 0, 8)]
-        key = block[slots] * (cap + 1) + np.minimum(left, cap)
+        key = block[slots] * (cap + 1) + np.minimum(left, cap)  # cap: more bytes left than the round reads
         o = np.argsort(rows[:, 0]) if width == 1 else np.lexsort(rows.T)
         o = o[np.argsort(key[o].astype(np.min_scalar_type(key.max())), kind="stable")]
         rows, key, span = rows[o], key[o], span[o]

@@ -438,7 +438,8 @@ def test_merge_equals_the_reduceat_form_on_random_rows(seed):
     n = rng.integers(0, 60)
     key, code = rng.integers(0, 7, n), rng.integers(0, 4, n)
     parts = np.array_split(np.arange(n), rng.integers(1, 4))
-    rows = [(key[at], code[at], rng.integers(-1, 4, len(at)).astype(np.int32), (code[at] % 3).astype(np.int32)) for at in parts]
+    pred, rel = rng.integers(-1, 4, n).astype(np.int32), (code % 3).astype(np.int32)
+    rows = [(key[at], code[at], pred[at], rel[at]) for at in parts]
     for column, expected in zip(chains_module._merge(list(rows)), reference_merge(rows)):
         assert column.dtype == expected.dtype and np.array_equal(column, expected)
 

@@ -72,6 +72,14 @@ def test_only_newlines_end_lines(tmp_path):
     assert named_edges(g) == [("a\x0cb", "r s", "c\x1cd\x85")]
 
 
+def test_a_byte_order_mark_stays_part_of_the_first_name(tmp_path):
+    # as in text mode: the mark is a character of the name, and a line it starts is no comment
+    path = tmp_path / "g.tsv"
+    path.write_bytes("\ufeffa\tr\tb\n\ufeff#\tr\ta\n".encode())
+    g = load_triples(str(path), add_inverses=False)
+    assert named_edges(g) == [("\ufeffa", "r", "b"), ("\ufeff#", "r", "a")]
+
+
 def test_duplicate_lines_deduplicated(tmp_path):
     path = tmp_path / "g.tsv"
     write(path, ["a\tr\tb", "a\tr\tb"])
@@ -322,7 +330,9 @@ def test_load_triples_matches_incremental_reference(tmp_path, caplog, lines, add
 # The names are told apart 8 bytes a round, as in a file of more spans than ``util._WORDS``.
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(*loader_draws)
-def test_load_triples_word_by_word_matches_incremental_reference(tmp_path, caplog, monkeypatch, lines, add_inverses, last_newline):
+def test_load_triples_word_by_word_matches_incremental_reference(
+    tmp_path, caplog, monkeypatch, lines, add_inverses, last_newline
+):
     monkeypatch.setattr(util, "_WORDS", 1)
     check_load_triples(tmp_path, caplog, lines, add_inverses, last_newline)
 
@@ -360,7 +370,6 @@ def test_a_name_of_a_megabyte_loads_in_memory_bounded_by_the_file(tmp_path, copi
     finally:
         tracemalloc.stop()
     assert_same_graph(g, IncrementalGraph(triples, True))
-    print("PEAK", peak / path.stat().st_size)
     assert peak < MEMORY_PER_FILE_BYTE * path.stat().st_size
 
 
