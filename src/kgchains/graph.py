@@ -95,9 +95,10 @@ class KnowledgeGraph:
     def _from_spans(
         cls, data: bytes, entities: tuple, relations: tuple, add_inverses: bool, path: str = ""
     ) -> "KnowledgeGraph":
-        """``from_triples`` on spans of ``data`` (see ``util.intern_spans``), (starts, lengths) of each line's head and
-        tail in turn and of its relation; a relation ending in NOT_INVOLUTIVE is reported on its first line
-        in ``path``, if given. An edge and its inverse share a key, the smaller of their two."""
+        """``from_triples`` on byte spans of ``data`` (see ``util.intern_spans``): ``entities`` holds the
+        (starts, lengths) of each line's head and tail in turn, ``relations`` of its relation. A relation
+        ending in NOT_INVOLUTIVE is reported on its first line in ``path``, if given. An edge and its
+        inverse share a key, the smaller of their two."""
         if not len(relations[0]):
             raise DataError("no triples")
         (ents, entity_names), (rels, names) = intern_spans(data, *entities), intern_spans(data, *relations)
