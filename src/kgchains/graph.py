@@ -70,7 +70,7 @@ class KnowledgeGraph:
     def __init__(self, entity_ids: dict[str, int], relation_ids: dict[str, int], inverse_table: np.ndarray,
                  out_table: Adjacency, in_table: Adjacency) -> None:
         self._entity_ids = entity_ids
-        self.entity_names = list(entity_ids)
+        self.entity_names = tuple(entity_ids)
         self._relation_ids = relation_ids
         self._relation_names = list(relation_ids)
         self.inverse_table = inverse_table
@@ -88,25 +88,21 @@ class KnowledgeGraph:
         fields = [name.encode("utf-8", "surrogatepass") for triple in triples for name in triple]
         lengths = np.fromiter(map(len, fields), np.int64, len(fields)).reshape(-1, 3)
         starts = np.cumsum(lengths).reshape(-1, 3) - lengths
-        heads_tails = starts[:, ::2].ravel(), lengths[:, ::2].ravel()
-        return cls._from_spans(b"".join(fields) + bytes(8), heads_tails, (starts[:, 1], lengths[:, 1]), add_inverses)
+        data = b"".join(fields) + bytes(8)
+        entities = intern_spans(data, starts[:, ::2].ravel(), lengths[:, ::2].ravel())
+        return cls._from_ids(entities, intern_spans(data, starts[:, 1], lengths[:, 1]), add_inverses)
 
     @classmethod
-    def _from_spans(
-        cls, data: bytes, entities: tuple, relations: tuple, add_inverses: bool, path: str = ""
-    ) -> "KnowledgeGraph":
-        """``from_triples`` on byte spans of ``data`` (see ``util.intern_spans``): ``entities`` holds the
-        (starts, lengths) of each line's head and tail in turn, ``relations`` of its relation. A relation
-        ending in NOT_INVOLUTIVE is reported on its first line in ``path``, if given. An edge and its
-        inverse share a key, the smaller of their two."""
-        if not len(relations[0]):
+    def _from_ids(cls, entities: tuple, relations: tuple, add_inverses: bool) -> "KnowledgeGraph":
+        """``from_triples`` on interned columns (see ``util.intern_spans``): ``entities`` holds the ids of
+        each line's head and tail in turn and the names by id, ``relations`` each line's relation id and the
+        names. An edge and its inverse share a key, the smaller of their two."""
+        (ents, entity_names), (rels, names) = entities, relations
+        if not len(rels):
             raise DataError("no triples")
-        (ents, entity_names), (rels, names) = intern_spans(data, *entities), intern_spans(data, *relations)
-        bad = [name for name in names if name.endswith(NOT_INVOLUTIVE)]
-        if bad and path:
-            _raise_first_error(path)
-        if bad:
-            raise DataError(f"relation {bad[0]!r} ends in {NOT_INVOLUTIVE!r}")
+        for name in names:
+            if name.endswith(NOT_INVOLUTIVE):
+                raise DataError(f"relation {name!r} ends in {NOT_INVOLUTIVE!r}")
         relation_ids = dict.fromkeys(x for name in names for x in (name, inverse_name(name))) if add_inverses else names
         relation_ids = dict(zip(relation_ids, itertools.count()))
         entity_ids = dict(zip(entity_names, itertools.count()))
@@ -230,11 +226,13 @@ def load_triples(path: str, add_inverses: bool = True) -> KnowledgeGraph:
     at, starts, ends = breaks[kept], starts[kept], ends[kept]
     first, second = seps[at - 2], seps[at - 1]
     heads_tails = np.stack([starts, second + 1], axis=1).ravel()
-    entities = heads_tails, np.stack([first, ends], axis=1).ravel() - heads_tails
-    relations = first + 1, second - first - 1
-    if not (entities[1].all() and relations[1].all()):
+    lengths = np.stack([first, ends], axis=1).ravel() - heads_tails
+    if not (lengths.all() and (second - first > 1).all()):
         _raise_first_error(path)
-    return KnowledgeGraph._from_spans(data, entities, relations, add_inverses, path)
+    relations = intern_spans(data, first + 1, second - first - 1)
+    if any(name.endswith(NOT_INVOLUTIVE) for name in relations[1]):
+        _raise_first_error(path)
+    return KnowledgeGraph._from_ids(intern_spans(data, heads_tails, lengths), relations, add_inverses)
 
 
 def _raise_first_error(path: str, pairs: bool = False) -> NoReturn:

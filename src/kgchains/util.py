@@ -32,43 +32,56 @@ def stream_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-_WORDS = 1 << 12  # 8-byte words a round of ``intern_spans`` reads, unless it has more spans than that
+_WORDS = 1 << 12  # 8-byte words a pass of ``_parted`` compares, unless it has more spans than that
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # a word's first k bytes, little-endian
 
 
 def intern_spans(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Ids of the byte spans ``data[starts[i] : starts[i] + lengths[i]]``, equal spans alike, numbered in
     order of first sighting, and the distinct spans decoded from UTF-8, by id; ``data`` runs 8 bytes past
-    every span.
+    every span, and the spans are fewer than 2**32 and shorter than 4 GiB.
 
-    Spans group by their bytes, with no hash. ``order`` lists the spans so that spans equal so far fill
-    one block of slots, and ``block`` holds each slot's block start. A round re-sorts, within its block,
-    each span that shares its block and has bytes left, on (block, bytes left, its next ``width`` words);
-    a round reads about max(_WORDS, spans) words, so work and memory grow with the bytes."""
+    Spans group by their bytes, with no hash. A sort on (length, last 8 bytes) makes runs, each led by its
+    first span; the others are compared with their lead word by word, with no sort. Those that differ from
+    their lead at word m are sorted again on (lead, m, word m), and so on. So a prefix that names share
+    costs a compare a word, only the words where names part cost a sort, and each word is read about once."""
     words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
-    order, block = np.arange(len(starts)), np.zeros(len(starts), np.int64)
-    slots, span, at, left = np.arange(len(starts)), order, starts, lengths  # the spans still to tell apart
-    while len(slots):
-        width = max(1, _WORDS // len(slots))
-        step, cap = 8 * np.arange(width), 8 * width + 1
-        rows = words[np.minimum(at[:, None] + step, len(words) - 1)] & _MASKS[np.clip(left[:, None] - step, 0, 8)]
-        key = block[slots] * (cap + 1) + np.minimum(left, cap)  # cap: more bytes left than the round reads
-        o = np.argsort(rows[:, 0]) if width == 1 else np.lexsort(rows.T)
+    size, stop = int(lengths.max(initial=0)) // 8 + 2, (lengths - 1) // 8  # stop: words before the last 8 bytes
+    lead = np.arange(len(starts))
+    todo, group, at = lead, lengths, np.zeros_like(lead)  # spans to sort on (group, at, word)
+    word = words[starts + np.maximum(lengths - 8, 0)] & _MASKS[np.minimum(lengths, 8)]
+    while len(todo):
+        key = group * size + at
+        o = np.argsort(word)
         o = o[np.argsort(key[o].astype(np.min_scalar_type(key.max())), kind="stable")]
-        rows, key, span = rows[o], key[o], span[o]
-        new = np.append(True, (key[1:] != key[:-1]) | (rows[1:] != rows[:-1]).any(axis=1))
-        order[slots], heads = span, np.flatnonzero(new)
-        block[slots] = slots[heads][np.cumsum(new) - 1]
-        more = (left >= cap)[o] & ~(new & np.append(new[1:], True))  # bytes left, in a block of two or more
-        slots, span, o = slots[more], span[more], o[more]
-        at, left = at[o] + cap - 1, left[o] - (cap - 1)
-    lead = block == np.arange(len(block))
-    first = np.minimum.reduceat(order, np.flatnonzero(lead))  # each distinct span's first sighting
-    seen = np.argsort(first)
-    ids = np.empty_like(order)
-    ids[order] = np.argsort(seen)[np.cumsum(lead) - 1]
-    spans = zip(starts[first[seen]].tolist(), lengths[first[seen]].tolist())
-    return ids, [data[a : a + n].decode("utf-8", "surrogatepass") for a, n in spans]
+        todo, key, word, at = todo[o], key[o], word[o], at[o]
+        new = np.append(True, (key[1:] != key[:-1]) | (word[1:] != word[:-1]))
+        lead[todo] = np.minimum.reduceat(todo, np.flatnonzero(new))[np.cumsum(new) - 1]
+        led = (lead[todo] != todo) & (at < stop[todo])  # led, and with words to compare
+        todo, at = _parted(words, starts, stop, lead, todo[led], at[led])
+        group, word, at = lead[todo], words[starts[todo] + 8 * at], at + 1
+    first = lead == np.arange(len(lead))  # a run's lead is its first sighting
+    spans = zip(starts[first].tolist(), lengths[first].tolist())
+    return (np.cumsum(first) - 1)[lead], [data[a : a + n].decode("utf-8", "surrogatepass") for a, n in spans]
+
+
+def _parted(words: np.ndarray, starts: np.ndarray, stop: np.ndarray, lead: np.ndarray, span: np.ndarray,
+            at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spans that differ from their lead in a word from ``at`` up to ``stop``, and the first such word
+    of each; a pass compares about max(_WORDS, spans) words."""
+    parted = [(span[:0], at[:0])]
+    a, last, lag = starts[span] + 8 * at, starts[span] + 8 * stop[span] - 8, starts[lead[span]] - starts[span]
+    while len(span):
+        cells = np.minimum(a[:, None] + np.arange(0, 8 * max(1, _WORDS // len(span)), 8), last[:, None])
+        diff = words[cells] != words[cells + lag[:, None]]
+        differs = diff.any(axis=1)
+        done = differs | (cells[:, -1] == last)
+        a += 8 * cells.shape[1]
+        if done.any():
+            cell = cells[differs, diff[differs].argmax(axis=1)]
+            parted.append((span[differs], (cell - starts[span[differs]]) // 8))
+            span, a, last, lag = span[~done], a[~done], last[~done], lag[~done]
+    return tuple(map(np.concatenate, zip(*parted)))
 
 
 @contextlib.contextmanager

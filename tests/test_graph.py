@@ -293,13 +293,15 @@ def test_one_pass_constructor_matches_incremental_reference(triples, add_inverse
     assert_same_graph(g, IncrementalGraph(triples, add_inverses))
 
 
-# Entity names of 1 to 20 bytes, so the loader's 8-byte words cross their boundaries: multi-byte UTF-8,
-# NUL bytes (``a`` and ``a\0`` differ), '#' past a line's first byte, and names that agree in their
-# first 8 or 16 bytes. A draw's lines name the entities of a pool of up to six, so names repeat.
+# Entity names of 1 to 28 bytes, so the loader's 8-byte words cross their boundaries: multi-byte UTF-8,
+# NUL bytes (``a`` and ``a\0`` differ), '#' past a line's first byte, names that agree in their first
+# 8 or 16 bytes, and names that agree in their length and last 8 bytes but not before. A draw's lines
+# name the entities of a pool of up to six, so names repeat.
 entity_names = st.builds(
-    lambda prefix, rest: prefix + rest,
+    lambda prefix, rest, suffix: prefix + rest + suffix,
     st.sampled_from(["", "a", "abcdefgh", "abcdefghijklmnop", "日本語"]),
     st.text(st.sampled_from(["a", "b", "\0", "é", "#"]), max_size=2),
+    st.sampled_from(["", ":shared:"]),
 ).filter(lambda name: name and name[0] != "#")
 long_relations = st.sampled_from(["r", "r_inv", "s", "r\0", "relation:longer:than:16", "関係"])
 
@@ -327,7 +329,7 @@ def test_load_triples_matches_incremental_reference(tmp_path, caplog, lines, add
     check_load_triples(tmp_path, caplog, lines, add_inverses, last_newline)
 
 
-# The names are told apart 8 bytes a round, as in a file of more spans than ``util._WORDS``.
+# Names are compared with their run's lead a word a pass, as in a file of more spans than ``util._WORDS``.
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(*loader_draws)
 def test_load_triples_word_by_word_matches_incremental_reference(
@@ -348,6 +350,22 @@ def check_load_triples(tmp_path, caplog, lines, add_inverses, last_newline):
     assert_same_graph(g, ref)
     deduplicated = [f"deduplicated {ref.duplicates} duplicate triples"] if ref.duplicates else []
     assert [record.getMessage() for record in caplog.records] == deduplicated
+
+
+@pytest.mark.parametrize("pass_words", [1, util._WORDS])
+def test_intern_spans_parts_names_that_share_their_length_and_last_8_bytes(monkeypatch, pass_words):
+    # one first sort puts all eight names in one run, so only the compares with a run's lead, and the
+    # sorts on the word where names part from it, at word 0, 1 or 2, tell them apart; a word parts names
+    # at more than one place, so a sort must key on where it parts them too
+    monkeypatch.setattr(util, "_WORDS", pass_words)
+    word = ("aaaaaaaa", "bbbbbbbb")
+    distinct = [a + b + c + ":shared:" for a in word for b in word for c in "ab"]
+    names = [distinct[i * 5 % 8] for i in range(40)]
+    fields = [name.encode() for name in names]
+    lengths = np.array(list(map(len, fields)))
+    ids, interned = util.intern_spans(b"".join(fields) + bytes(8), np.cumsum(lengths) - lengths, lengths)
+    assert interned == list(dict.fromkeys(names))
+    assert ids.tolist() == [interned.index(name) for name in names]
 
 
 MEMORY_PER_FILE_BYTE = 8  # the loader's traced peak, at most, over the file's size
