@@ -25,7 +25,8 @@ from .neural import DenseParams
 from .util import read_fields, write_fields
 
 HEADER = "# kgchains checkpoint v3"
-_END = b"\n[end]\n"
+_FIRST = HEADER.encode() + b"\n"
+_END = b"[end]\n"
 
 _REQUIRED_META = ("input_dim", "d", "lambda_s", "predictor_arch", "mode")
 
@@ -75,33 +76,43 @@ def _parse_net(lines: list[str], pos: int, path: str) -> tuple[list, int]:
 
 
 def load_checkpoint(path: str) -> tuple[GameModel, dict]:
-    """Every malformed or truncated file is a ``DataError``."""
+    """Every malformed or truncated file is a ``DataError``.
+
+    The header is read a line at a time through the file's buffer, up to ``[end]``. The payload then
+    goes with one ``readinto`` into one float64 buffer, which the networks view in payload order
+    [generator | predictor | complement], so a load holds each parameter once, and a file that fits
+    the buffer's first fill costs one read."""
     if not os.path.isfile(path):
         raise DataError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
-        raw = fh.read()
-    newline = raw.find(b"\n")
-    first = raw[:newline].removesuffix(b"\r") if newline >= 0 else raw
-    if first != HEADER.encode():
-        if first.startswith(b"# kgchains checkpoint v"):  # v1 (decimal rows) and v2 (base64 lines) no longer load
-            raise DataError(f"unsupported {first[2:].decode('utf-8', 'replace')}: {path}")
-        raise DataError(f"not a kgchains checkpoint: {path}")
-    end = raw.find(_END) if raw.startswith(HEADER.encode() + b"\n") else -1
-    cut = end + len(_END) if end >= 0 else len(raw)
-    try:
-        lines = raw[:cut].decode("utf-8").replace("\r\n", "\n").removesuffix("\n").split("\n")
-    except UnicodeDecodeError as err:
-        raise DataError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})") from None
-    try:
-        return _parse_checkpoint(lines, path, memoryview(raw)[cut:])
-    except IndexError:  # a section ran past the last line
-        raise DataError(f"truncated checkpoint: {path}") from None
-    except ValueError as err:  # a count, dimension or number that does not parse
-        raise DataError(f"corrupt checkpoint {path}: {err}") from None
+        line = fh.readline()
+        first = line[:-1].removesuffix(b"\r") if line.endswith(b"\n") else line
+        if first != HEADER.encode():
+            if first.startswith(b"# kgchains checkpoint v"):  # v1 (decimal rows) and v2 (base64 lines) no longer load
+                raise DataError(f"unsupported {first[2:].decode('utf-8', 'replace')}: {path}")
+            raise DataError(f"not a kgchains checkpoint: {path}")
+        head = [line]
+        if line == _FIRST:  # the header runs through the first [end] line, else to the end of the file
+            while line and line != _END:
+                line = fh.readline()
+                head.append(line)
+        else:
+            head.append(fh.read())
+        header = b"".join(head)
+        try:
+            lines = header.decode("utf-8").replace("\r\n", "\n").removesuffix("\n").split("\n")
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})") from None
+        try:
+            return _parse_checkpoint(lines, path, fh, os.fstat(fh.fileno()).st_size - len(header))
+        except IndexError:  # a section ran past the last line
+            raise DataError(f"truncated checkpoint: {path}") from None
+        except ValueError as err:  # a count, dimension or number that does not parse
+            raise DataError(f"corrupt checkpoint {path}: {err}") from None
 
 
-def _parse_checkpoint(lines: list[str], path: str, payload: memoryview) -> tuple[GameModel, dict]:
-    """``payload`` holds the networks' bytes after the header."""
+def _parse_checkpoint(lines: list[str], path: str, fh: io.BufferedReader, payload_bytes: int) -> tuple[GameModel, dict]:
+    """``fh`` is at the start of the payload, the ``payload_bytes`` after the header."""
     meta: dict[str, str] = {}
     sections: list[tuple[str, list]] = []
     pos = 1
@@ -124,16 +135,21 @@ def _parse_checkpoint(lines: list[str], path: str, payload: memoryview) -> tuple
         raise DataError(f"truncated checkpoint (no [end]): {path}")
 
     sizes = [sum(out_dim * in_dim + out_dim for out_dim, in_dim in shapes) for _, shapes in sections]
-    if 8 * sum(sizes) != len(payload):
-        raise DataError(f"checkpoint payload has {len(payload)} bytes, its layer shapes need {8 * sum(sizes)}: {path}")
+    need = 8 * sum(sizes)
+    if payload_bytes == need:
+        flat = np.empty(need // 8, "<f8")
+        payload_bytes = fh.readinto(flat)  # short only if the file shrank since its size was read
+    if payload_bytes != need:
+        raise DataError(f"checkpoint payload has {payload_bytes} bytes, its layer shapes need {need}: {path}")
+    flat = flat.astype(np.float64, copy=False)  # a copy only on a big-endian host
     nets: dict[str, DenseParams] = {}
     offset = 0
     for (name, shapes), size in zip(sections, sizes):
-        flat = np.frombuffer(payload, "<f8", size, offset).astype(np.float64)
-        offset += 8 * size
-        if not np.isfinite(flat).all():
+        view = flat[offset : offset + size]
+        offset += size
+        if not (math.isfinite(view.min()) and math.isfinite(view.max())):  # NaN propagates through both
             raise DataError(f"checkpoint {name} network has a non-finite value: {path}")
-        nets[name] = DenseParams([[np.broadcast_to(0.0, shape), None] for shape in shapes], flat)  # shapes only
+        nets[name] = DenseParams([[np.empty((0, *shape)), None] for shape in shapes], view)  # empty: shapes only
 
     for key in _REQUIRED_META:
         if key not in meta:

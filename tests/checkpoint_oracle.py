@@ -1,6 +1,7 @@
-"""Writers of the checkpoint versions ``kgchains`` no longer writes or reads.
+"""Writers of the checkpoint versions ``kgchains`` no longer writes or reads, and a reference v3 reader.
 
-``load_checkpoint`` must reject both v1 and v2 as data errors naming the file.
+``load_checkpoint`` must reject both v1 and v2 as data errors naming the file, and must read a v3 file
+as ``read_v3`` does, which copies each network out of the payload bytes on its own.
 """
 
 import base64
@@ -47,3 +48,26 @@ def write_v1(path, model, meta):
         fh.write("bias " + " ".join(repr(float(v)) for v in bias) + "\n")
 
     _write(path, model, meta, 1, layer)
+
+
+def read_v3(raw):
+    """A well-formed v3 file's meta, and each network's layer shapes and flat buffer, by name: the header
+    parsed line by line, each network copied out of the payload with ``frombuffer(...).astype(np.float64)``."""
+    header, _, payload = raw.partition(b"\n[end]\n")
+    meta, shapes, name = {}, {}, None
+    for line in header.decode("utf-8").split("\n")[1:]:
+        if line.startswith("[net "):
+            name = line[len("[net ") : -1]
+            shapes[name] = []
+        elif line.startswith("layer "):
+            _, _, out_dim, in_dim = line.split()
+            shapes[name].append((int(out_dim), int(in_dim)))
+        elif name is None and " = " in line:
+            key, _, value = line.partition(" = ")
+            meta[key] = value
+    nets, offset = {}, 0
+    for name, layers in shapes.items():
+        size = sum(out_dim * in_dim + out_dim for out_dim, in_dim in layers)
+        nets[name] = layers, np.frombuffer(payload, "<f8", size, offset).astype(np.float64)
+        offset += 8 * size
+    return meta, nets

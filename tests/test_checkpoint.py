@@ -1,3 +1,8 @@
+import os
+import re
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,7 +12,7 @@ from kgchains.errors import DataError
 from kgchains.game import build_model, predict
 from kgchains.neural import count_params
 
-from checkpoint_oracle import NETS, write_v1
+from checkpoint_oracle import NETS, read_v3, write_v1
 from splits import split_of
 
 
@@ -45,7 +50,7 @@ def trained_like(model, seed=0):
 def test_round_trip_is_bit_identical(tmp_path, arch, mode):
     model = trained_like(build_model(7, 2, 0.5, arch, seed=2, mode=mode))
     path = tmp_path / "ck.txt"
-    save_checkpoint(str(path), model)
+    save_checkpoint(str(path), model, {"relation": "demo"})
     raw = path.read_bytes()
     header, end, payload = raw.partition(b"\n[end]\n")
     lines = header.decode("utf-8").split("\n")
@@ -57,10 +62,51 @@ def test_round_trip_is_bit_identical(tmp_path, arch, mode):
     nets = [getattr(model, name) for name in present]
     assert payload == b"".join(np.asarray(net.flat, "<f8").tobytes() for net in nets)
     assert len(payload) == 8 * sum(map(count_params, nets))
-    loaded, _ = load_checkpoint(str(path))
+    loaded, meta = load_checkpoint(str(path))
     assert_same_weights(loaded, model)
     for inst in probes(7, n=30):
         assert np.float64(predict(loaded, inst)).view(np.int64) == np.float64(predict(model, inst)).view(np.int64)
+    # the same as the reference reader, which copies each network out of the payload on its own
+    ref_meta, ref = read_v3(raw)
+    assert meta == ref_meta and list(ref) == present
+    for name, (shapes, flat) in ref.items():
+        net = getattr(loaded, name)
+        assert net.shapes == shapes and net.flat.dtype == np.float64
+        assert np.array_equal(net.flat.view(np.int64), flat.view(np.int64))
+    # and the networks are views into one buffer, in payload order
+    flats = [getattr(loaded, name).flat for name in present]
+    base = flats[0].base
+    assert base is not None and all(flat.base is base for flat in flats) and base.nbytes == len(payload)
+    starts = [flat.__array_interface__["data"][0] - base.__array_interface__["data"][0] for flat in flats]
+    assert starts == [8 * sum(flat.size for flat in flats[:i]) for i in range(len(flats))]
+
+
+def test_load_holds_the_payload_once(tmp_path):
+    path = tmp_path / "ck.txt"
+    save_checkpoint(str(path), build_model(1000, 2, 0.5, "mlp", seed=0))
+    payload = len(path.read_bytes().partition(b"\n[end]\n")[2])
+    assert payload > 18_000_000
+    tracemalloc.start()
+    try:
+        load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * payload + 2**20, (peak, payload)
+
+
+def test_payload_read_short_is_a_data_error(tmp_path, monkeypatch):
+    """A file that shrank after its size was read: the payload error, with the bytes actually read."""
+    path = tmp_path / "ck.txt"
+    save_checkpoint(str(path), build_model(5, 2, 1.0, "mlp", seed=3))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8])
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8))
+    need = len(raw.partition(b"\n[end]\n")[2])
+    message = f"checkpoint payload has {need - 8} bytes, its layer shapes need {need}: {path}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_checkpoint(str(path))
 
 
 def test_v1_checkpoint_is_a_data_error(tmp_path):

@@ -6,7 +6,9 @@ replaced per line; ``kgchains eval`` must then exit 0 or 2. A v3 checkpoint
 is cut at every header line and at every 8-byte boundary of its payload,
 which must exit 2. A checkpoint of an older version (v1 or v2, as the
 writers in ``checkpoint_oracle`` made them) must exit 2 too. A checkpoint's
-data errors name the checkpoint file.
+data errors name the checkpoint file, and each hand-made corruption's message
+is pinned exactly. A ``[meta]`` line longer than the file buffer is no
+corruption: such a checkpoint scores like the original.
 """
 
 import re
@@ -160,52 +162,97 @@ def swap(old, new):
     return corrupt
 
 
-def first_value(edit):
-    """A v3 file with its payload's first float64 value replaced by ``edit``."""
+def payload_value(edit, index=0):
+    """A v3 file with its payload's float64 value at ``index`` replaced by ``edit``."""
 
     def corrupt(raw):
         header, payload = split_v3(raw)
         values = np.frombuffer(payload, "<f8").copy()
-        values[0] = edit(values[0])
+        values[index] = edit(values[index])
         return header.encode("utf-8") + values.tobytes()
 
     return corrupt
 
 
-# each applied to the d_all checkpoint (D = 4: layers 4 -> 2 -> 2 -> 2, d = 1)
+# each applied to the d_all checkpoint (D = 4: layers 4 -> 2 -> 2 -> 2, d = 1), with its data error's exact message
 CORRUPTIONS = {
-    "no_end": lambda raw: raw[: raw.index(b"\n[end]\n") + 1],
-    "layers_x": swap(b"layers = 3", b"layers = x"),
-    "layers_0": swap(b"layers = 3", b"layers = 0"),
-    "layers_2": swap(b"layers = 3", b"layers = 2"),
-    "weight_x": swap(b"\nlayer 0 2 4\n", b"\nlayer 0 2 4\nx"),
-    "d_two": swap(b"\nd = 1\n", b"\nd = two\n"),
-    "meta_without_equals": swap(b"\nd = 1\n", b"\nd: 1\n"),
-    "meta_not_utf8": swap(b"\nrelation = target\n", b"\nrelation = t\xffrget\n"),
-    "d_zero": swap(b"\nd = 1\n", b"\nd = 0\n"),
-    "d_negative": swap(b"\nd = 1\n", b"\nd = -1\n"),
-    "mode_bogus": swap(b"\nmode = d_all\n", b"\nmode = bogus\n"),
-    "predictor_arch_bogus": swap(b"\npredictor_arch = mlp\n", b"\npredictor_arch = rnn\n"),
-    "lambda_s_negative": swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = -0.5\n"),
-    "lambda_s_nan": swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = nan\n"),
-    "lambda_s_inf": swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = inf\n"),
-    "unknown_version": swap(b"checkpoint v", b"checkpoint v9 was v"),
-    "payload_8_bytes_short": lambda raw: raw[:-8],
-    "payload_1_byte_short": lambda raw: raw[:-1],
-    "payload_extra_byte": lambda raw: raw + b"\0",
-    "payload_nan": first_value(lambda value: np.nan),
-    "payload_inf": first_value(lambda value: -np.inf),
-    "layer_shape_disagrees": swap(b"\nlayer 0 2 4\n", b"\nlayer 0 3 4\n"),
-    "no_payload": lambda raw: split_v3(raw)[0].encode("utf-8"),
-    "header_not_utf8": swap(b"\n[meta]\n", b"\n[meta]\n\xff\n"),
-    "read_as_v2": swap(b"checkpoint v3", b"checkpoint v2"),
+    "no_end": (lambda raw: raw[: raw.index(b"\n[end]\n") + 1], "truncated checkpoint (no [end]): {path}"),
+    "layers_x": (swap(b"layers = 3", b"layers = x"),
+                 "corrupt checkpoint {path}: invalid literal for int() with base 10: ' x'"),
+    "layers_0": (swap(b"layers = 3", b"layers = 0"), "{path}:17: a network needs at least one layer"),
+    "layers_2": (swap(b"layers = 3", b"layers = 2"), "{path}:20: expected a section header"),
+    "weight_x": (swap(b"\nlayer 0 2 4\n", b"\nlayer 0 2 4\nx"), "{path}:19: malformed layer header"),
+    "d_two": (swap(b"\nd = 1\n", b"\nd = two\n"),
+              "corrupt checkpoint {path}: invalid literal for int() with base 10: 'two'"),
+    "meta_without_equals": (swap(b"\nd = 1\n", b"\nd: 1\n"), "{path}:5: expected 'key = value'"),
+    "meta_not_utf8": (swap(b"\nrelation = target\n", b"\nrelation = t\xffrget\n"),
+                      "{path}: not UTF-8 text (byte 0xff: invalid start byte)"),
+    "d_zero": (swap(b"\nd = 1\n", b"\nd = 0\n"), "checkpoint meta d = 0 must be an integer >= 1: {path}"),
+    "d_negative": (swap(b"\nd = 1\n", b"\nd = -1\n"), "checkpoint meta d = -1 must be an integer >= 1: {path}"),
+    "mode_bogus": (swap(b"\nmode = d_all\n", b"\nmode = bogus\n"),
+                   "checkpoint meta mode = bogus must be game or d_all: {path}"),
+    "predictor_arch_bogus": (swap(b"\npredictor_arch = mlp\n", b"\npredictor_arch = rnn\n"),
+                             "checkpoint meta predictor_arch = rnn must be mlp or linear: {path}"),
+    "lambda_s_negative": (swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = -0.5\n"),
+                          "checkpoint meta lambda_s = -0.5 must be a finite number >= 0: {path}"),
+    "lambda_s_nan": (swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = nan\n"),
+                     "checkpoint meta lambda_s = nan must be a finite number >= 0: {path}"),
+    "lambda_s_inf": (swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = inf\n"),
+                     "checkpoint meta lambda_s = inf must be a finite number >= 0: {path}"),
+    "unknown_version": (swap(b"checkpoint v", b"checkpoint v9 was v"),
+                        "unsupported kgchains checkpoint v9 was v3: {path}"),
+    "payload_8_bytes_short": (lambda raw: raw[:-8],
+                              "checkpoint payload has 168 bytes, its layer shapes need 176: {path}"),
+    "payload_1_byte_short": (lambda raw: raw[:-1],
+                             "checkpoint payload has 175 bytes, its layer shapes need 176: {path}"),
+    "payload_extra_byte": (lambda raw: raw + b"\0",
+                           "checkpoint payload has 177 bytes, its layer shapes need 176: {path}"),
+    "payload_7_bytes_short": (lambda raw: raw[:-7],
+                              "checkpoint payload has 169 bytes, its layer shapes need 176: {path}"),
+    "payload_7_bytes_long": (lambda raw: raw + b"\0" * 7,
+                             "checkpoint payload has 183 bytes, its layer shapes need 176: {path}"),
+    "payload_one_value_long": (lambda raw: raw + np.float64(1.0).tobytes(),
+                               "checkpoint payload has 184 bytes, its layer shapes need 176: {path}"),
+    "payload_nan": (payload_value(lambda value: np.nan), "checkpoint predictor network has a non-finite value: {path}"),
+    "payload_inf": (payload_value(lambda value: -np.inf), "checkpoint predictor network has a non-finite value: {path}"),
+    "payload_last_inf": (payload_value(lambda value: np.inf, -1),
+                         "checkpoint predictor network has a non-finite value: {path}"),
+    "layer_shape_disagrees": (swap(b"\nlayer 0 2 4\n", b"\nlayer 0 3 4\n"),
+                              "checkpoint payload has 176 bytes, its layer shapes need 216: {path}"),
+    "no_payload": (lambda raw: split_v3(raw)[0].encode("utf-8"),
+                   "checkpoint payload has 0 bytes, its layer shapes need 176: {path}"),
+    "header_not_utf8": (swap(b"\n[meta]\n", b"\n[meta]\n\xff\n"),
+                        "{path}: not UTF-8 text (byte 0xff: invalid start byte)"),
+    "read_as_v2": (swap(b"checkpoint v3", b"checkpoint v2"), "unsupported kgchains checkpoint v2: {path}"),
+    "first_line_cr_no_lf": (lambda raw: raw[: raw.index(b"\n")] + b"\r", "unsupported kgchains checkpoint v3\r: {path}"),
 }
 CASES = sorted(CORRUPTIONS)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[f"v3-{case}" for case in CASES])
 def test_corrupt_checkpoint_is_a_data_error(art, tmp_path, capsys, case):
-    expect_data_error(art, tmp_path / "ck.txt", CORRUPTIONS[case](checkpoint_path(art, "d_all").read_bytes()), capsys)
+    corrupt, message = CORRUPTIONS[case]
+    bad = tmp_path / "ck.txt"
+    err = expect_data_error(art, bad, corrupt(checkpoint_path(art, "d_all").read_bytes()), capsys)
+    assert f"data error: {message.format(path=bad)}\n" in err
+
+
+def test_long_meta_line_loads_and_scores_like_the_original(art, tmp_path, capsys):
+    path = checkpoint_path(art, "game_mlp")
+    padded = tmp_path / "padded.txt"
+    padded.write_bytes(path.read_bytes().replace(b"\n[meta]\n", b"\n[meta]\npad = " + b"x" * 100_000 + b"\n", 1))
+    (model, meta), (loaded, loaded_meta) = load_checkpoint(str(path)), load_checkpoint(str(padded))
+    assert loaded_meta == {**meta, "pad": "x" * 100_000}
+    for name in ("generator", "predictor", "complement"):
+        a, b = getattr(model, name).flat, getattr(loaded, name).flat
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    reports = []
+    for checkpoint in (path, padded):
+        reports.append(tmp_path / f"report-{checkpoint.stem}.tsv")
+        args = ["eval", "--artifacts", str(art), "--relation", REL, "--mode", "game_mlp", "--d", "2"]
+        assert main(args + ["--checkpoint", str(checkpoint), "--out", str(reports[-1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    capsys.readouterr()
 
 
 def test_non_integer_vocabulary_support_is_a_data_error(art, capsys):
