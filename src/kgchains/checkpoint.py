@@ -86,7 +86,7 @@ def load_checkpoint(path: str) -> tuple[GameModel, dict]:
         raise DataError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
         line = fh.readline()
-        first = line[:-1].removesuffix(b"\r") if line.endswith(b"\n") else line
+        first = line.removesuffix(b"\n").removesuffix(b"\r")
         if first != HEADER.encode():
             if first.startswith(b"# kgchains checkpoint v"):  # v1 (decimal rows) and v2 (base64 lines) no longer load
                 raise DataError(f"unsupported {first[2:].decode('utf-8', 'replace')}: {path}")

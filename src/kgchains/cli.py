@@ -279,8 +279,9 @@ def cmd_eval(args) -> int:
 
     header = ["relation"] + [f"{mode}.d{d}" for mode, d in modes]
     rows = [[relation] + [f"{report.map:.6f}" for report in reports[relation]] for relation in args.relation]
+    # cumsum adds left to right on every Python; sum() compensates from 3.12 on
     averages = ["Average"] + [
-        f"{sum(reports[r][col].map for r in args.relation) / len(args.relation):.6f}"
+        f"{np.cumsum([reports[r][col].map for r in args.relation])[-1] / len(args.relation):.6f}"
         for col in range(len(modes))
     ]
 
@@ -322,8 +323,8 @@ def cmd_export_rules(args) -> int:
             lines.append(f"  {rank}. {names[j]} (mean_p={mean[j]:.4f}, seen={int(count[j])})")
     else:
         rows = zip(test.heads, test.tails, test.labels.tolist())
-        for availability, probs, logits in game.score_chunks(model, test.availability):
-            order = game.top_order(probs, availability, top_n)
+        for availability, probs, order, logits in game.score_chunks(model, test.availability, top_n):
+            order = order[:, :top_n]
             top_p = np.take_along_axis(probs, order, axis=1)
             counts = availability.sum(axis=1).astype(int)
             chunk = zip(neural.softmax(logits)[:, 1].tolist(), counts.tolist(), order.tolist(), top_p.tolist(), rows)

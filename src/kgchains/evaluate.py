@@ -17,7 +17,7 @@ from .game import (
     train_predictor_only,
     train_task,
 )
-from .metrics import group_results, map_score
+from .metrics import mean_average_precision
 
 MODE_GAME_MLP = "game_mlp"
 MODE_GAME_LINEAR = "game_linear"
@@ -41,9 +41,7 @@ def evaluate_task(model: GameModel, split: Split, group_by: str = "head") -> Eva
     if not split:
         raise DataError("empty test set")
     scores = score_instances(model, split.availability)
-    groups = group_results(split.heads, scores, split.labels, group_by)
-    skipped = sum(1 for group in groups if not any(label for _, label in group.items))
-    return EvalReport(map=map_score(groups), skipped=skipped)
+    return EvalReport(*mean_average_precision(split.heads, scores, split.labels, group_by))
 
 
 @dataclass

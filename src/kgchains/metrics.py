@@ -1,72 +1,50 @@
-"""Average precision and MAP over head-entity query groups."""
+"""MAP over query groups, in array operations.
+
+Queries are grouped by head entity, as in the NELL-995 protocol of DeepPath
+(Xiong et al., EMNLP 2017), or ranked as one global group.
+"""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, KgchainsError
+from .errors import DataError
 
 
-class NoPositives(KgchainsError):
-    """Raised for a group without positives; callers skip such groups."""
+def mean_average_precision(keys: Sequence, scores, labels, group_by: str = "head") -> tuple[float, int]:
+    """(MAP, groups skipped) of scored 0/1-labelled items, grouped by ``keys`` or, for "global", all in one.
 
-
-@dataclass
-class RankedResult:
-    key: object
-    items: list[tuple[float, int]]
-
-
-def average_precision(items: Sequence[tuple[float, int]]) -> float:
-    """AP with scores sorted descending; ties keep the original item order."""
-    if not items:
-        raise NoPositives("empty group")
-    for score, _ in items:
-        if not math.isfinite(score):
-            raise DataError("non-finite score in ranking")
-    hits = 0
-    precision_sum = 0.0
-    # a reverse sort is stable too: equal scores keep their order
-    for rank, (_, label) in enumerate(sorted(items, key=itemgetter(0), reverse=True), start=1):
-        if label == 1:
-            hits += 1
-            precision_sum += hits / rank
-    if hits == 0:
-        raise NoPositives("group has no positive items")
-    return precision_sum / hits
-
-
-def map_score(groups: Sequence[RankedResult]) -> float:
-    """Unweighted mean AP over groups that contain at least one positive.
-
-    The mean is a left-to-right sum of the APs in group order.
+    A group's AP ranks its items by decreasing score, equal scores in input order, and averages
+    hits / rank over its positives; MAP is the mean AP over the groups with a positive, in first-seen
+    group order, and the others are skipped and counted. Both sums add left to right on every Python:
+    bincount adds each group's terms one at a time in rank order, and the mean is the last of a cumsum
+    (``sum()`` compensates from Python 3.12 on, and ``np.sum`` adds pairwise).
     """
-    aps = []
-    for group in groups:
-        try:
-            aps.append(average_precision(group.items))
-        except NoPositives:
-            continue
-    if not aps:
-        raise DataError("no group with a positive item; MAP undefined")
-    return sum(aps) / len(aps)
-
-
-def group_results(
-    keys: Sequence, scores: Sequence[float], labels: Sequence[int], group_by: str = "head"
-) -> list[RankedResult]:
-    """Bucket (score, label) items by key, preserving input order within groups."""
     if group_by not in ("global", "head"):
         raise ValueError(f"unknown grouping: {group_by!r}")
-    items = zip(np.asarray(scores, dtype=np.float64).tolist(), np.asarray(labels, dtype=np.int64).tolist())
-    if group_by == "global":
-        return [RankedResult(key=None, items=list(items))]
-    buckets: dict[object, list[tuple[float, int]]] = {}
-    for key, item in zip(keys, items):
-        buckets.setdefault(key, []).append(item)
-    return [RankedResult(key=k, items=v) for k, v in buckets.items()]
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise DataError("non-finite score in ranking")
+    # stable sorts: equal scores keep input order
+    if group_by == "head":
+        ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        group = np.fromiter(map(ids.__getitem__, keys), np.intp, len(scores))
+        order = np.lexsort((-scores, group))
+        group = group[order]
+    else:
+        order = (-scores).argsort(kind="stable")
+        group = np.zeros(len(scores), np.intp)
+    hit = np.asarray(labels)[order] == 1
+    sizes = np.bincount(group)
+    first = (sizes.cumsum() - sizes)[group]  # each item's group start
+    hits = hit.cumsum()
+    hits -= (hits - hit)[first]  # hits so far within the group
+    terms = hit * (hits / (np.arange(1, len(group) + 1) - first))  # at each positive: hits / rank
+    positives = np.bincount(group, hit, len(sizes))
+    scored = positives > 0
+    aps = np.bincount(group, terms, len(sizes))[scored] / positives[scored]
+    if not len(aps):
+        raise DataError("no group with a positive item; MAP undefined")
+    return float(aps.cumsum()[-1] / len(aps)), len(sizes) - len(aps)

@@ -281,10 +281,12 @@ def test_map_oracle():
         if not any(label for g in groups for _, label in g):
             continue
         expected = _brute_force_map(groups)
-        actual = metrics.map_score(
-            [metrics.RankedResult(i, g) for i, g in enumerate(groups)]
-        )
+        keys = [i for i, g in enumerate(groups) for _ in g]
+        scores = [score for g in groups for score, _ in g]
+        labels = [label for g in groups for _, label in g]
+        actual, skipped = metrics.mean_average_precision(keys, scores, labels, "head")
         assert abs(actual - expected) < 1e-9
+        assert skipped == sum(1 for g in groups if not any(label for _, label in g))
         checked += 1
     elapsed = time.time() - start
     assert elapsed < 10.0

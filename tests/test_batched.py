@@ -19,7 +19,6 @@ from kgchains.benchmark import BenchmarkSpec, make_benchmark
 from kgchains.chains import EncodedTask, Instance, build_vocabulary, encode_task
 from kgchains.errors import DataError, NumericError
 from kgchains.evaluate import ALL_MODES, evaluate_task, train_mode
-from kgchains.metrics import group_results, map_score
 from kgchains.neural import (
     AdamState,
     DenseParams,
@@ -36,6 +35,7 @@ from kgchains.neural import (
 from kgchains.util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, stream_rng
 
 from adam_oracle import whole_buffer_adam_step
+from map_oracle import group_results, map_score
 from selection_oracle import selection_dout
 from splits import split_of
 from step_oracle import batches, instance_reward, mask_from_selected, sample_mask

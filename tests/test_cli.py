@@ -1,10 +1,11 @@
+import math
 import os
 import shutil
 
 import numpy as np
 import pytest
 
-from kgchains import chains, checkpoint, cli, game
+from kgchains import chains, checkpoint, cli, evaluate, game
 from kgchains.cli import main
 
 
@@ -161,8 +162,8 @@ def export_rules(art, mode, top_n, aggregate, capsys):
 def test_export_rules_matches_the_per_instance_reference(trained, capsys, mode, aggregate):
     test = chains.read_instances(str(trained / "target" / "test.inst"))
     available = sorted({inst.n_available for inst in test})
-    # below the smallest non-empty row, within the range, and above every row
-    for top_n in (1, available[len(available) // 2], available[-1] + 1):
+    # none, below the smallest non-empty row, within the range, one more than --d, and above every row
+    for top_n in (0, 1, available[len(available) // 2], 3, available[-1] + 1):
         out = export_rules(trained, mode, top_n, aggregate, capsys)
         assert out == reference_rules(trained, mode, top_n, aggregate), (mode, top_n)
     assert available[-1] > 1
@@ -198,6 +199,23 @@ def test_export_rules_does_not_score_per_instance(trained, capsys, monkeypatch):
     monkeypatch.setattr(game, "generator_probs", per_instance)
     assert export_rules(trained, "game_mlp", 2, False, capsys) == expected
     assert export_rules(trained, "game_mlp", 2, True, capsys)
+
+
+def test_eval_average_adds_left_to_right(trained, tmp_path, monkeypatch, capsys):
+    """Four MAPs whose mean prints 0.255567 added left to right and 0.255566 with the compensated
+    sum() of Python >= 3.12: the Average row is the former on every Python."""
+    maps = [0.2717021, 0.3354098, 0.121841, 0.2933131]
+    assert f"{math.fsum(maps) / 4:.6f}" == "0.255566"
+    art = tmp_path / "artifacts"
+    for relation in ("r1", "r2", "r3", "r4"):
+        shutil.copytree(trained / "target", art / relation)
+    reports = iter(evaluate.EvalReport(value) for value in maps)
+    monkeypatch.setattr(evaluate, "evaluate_task", lambda *_, **__: next(reports))
+    out = tmp_path / "report.tsv"
+    argv = ["eval", "--artifacts", str(art), "--mode", "d_all", "--d", "2", "--out", str(out)]
+    assert run(argv + ["--relation", "r1", "--relation", "r2", "--relation", "r3", "--relation", "r4"]) == 0
+    assert out.read_text().splitlines()[-1] == "Average\t0.255567"
+    capsys.readouterr()
 
 
 def test_two_mode_eval_reads_each_artifact_once(trained, monkeypatch, capsys):

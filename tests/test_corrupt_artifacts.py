@@ -224,7 +224,7 @@ CORRUPTIONS = {
     "header_not_utf8": (swap(b"\n[meta]\n", b"\n[meta]\n\xff\n"),
                         "{path}: not UTF-8 text (byte 0xff: invalid start byte)"),
     "read_as_v2": (swap(b"checkpoint v3", b"checkpoint v2"), "unsupported kgchains checkpoint v2: {path}"),
-    "first_line_cr_no_lf": (lambda raw: raw[: raw.index(b"\n")] + b"\r", "unsupported kgchains checkpoint v3\r: {path}"),
+    "first_line_cr_no_lf": (lambda raw: raw[: raw.index(b"\n")] + b"\r", "truncated checkpoint (no [end]): {path}"),
 }
 CASES = sorted(CORRUPTIONS)
 

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgchains import game
 from kgchains.chains import EncodedTask, Instance
@@ -20,6 +24,7 @@ from kgchains.game import (
 from kgchains.neural import DenseParams
 from kgchains.util import STREAM_SAMPLE, stream_rng
 
+import topd_oracle
 from selection_oracle import selection_grad, selection_log_prob
 from splits import split_of
 from step_oracle import instance_reward, mask_from_selected, sample_mask, sparsity_loss
@@ -112,6 +117,46 @@ def test_select_top_d_examples():
 
     mask = select_top_d(np.array([0.5, 0.5, 0.5]), np.ones(3), 2)
     assert np.flatnonzero(mask.selected).tolist() == [0, 1]
+
+
+# ties, a zero probability on an available chain, NaN; above -1 as the keys of the argmax rounds need
+PROBS = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 1e-300, 0.5 + 2**-53, -0.0, np.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_top_order_and_top_d_equal_the_stable_argsort(data):
+    rows, width = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 12))
+    probs = np.array(data.draw(st.lists(PROBS, min_size=rows * width, max_size=rows * width))).reshape(rows, width)
+    avail = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows * width, max_size=rows * width)))
+    avail = avail.reshape(rows, width)
+    if data.draw(st.booleans()):  # as the generator gives them: 0 where unavailable
+        probs = np.where(avail > 0, probs, 0.0)
+    d = data.draw(st.integers(0, game.TOP_ROUNDS + 5))  # d >= width too, and both ranking paths
+    wider = d + data.draw(st.integers(0, 4))
+    # small matrices are sorted; with no size floor they take the argmax rounds too
+    for min_size in (game.ROUNDS_MIN_SIZE, 0):
+        with mock.patch.object(game, "ROUNDS_MIN_SIZE", min_size):
+            for p, a in [(probs, avail)] + list(zip(probs, avail)):  # a matrix and its single rows
+                order = game.top_order(p, a, d)
+                assert order.dtype == np.intp
+                assert np.array_equal(order, topd_oracle.top_order(p, a, d))
+                expected = topd_oracle.top_d(p, a, d)
+                # the top-d of a longer order's prefix
+                assert np.array_equal(game._top_d(game.top_order(p, a, wider), a, d), expected)
+                assert np.array_equal(game.select_top_d(p, a, d).selected, expected)
+
+
+@pytest.mark.parametrize("width", [23, 182])
+def test_top_order_equals_the_stable_argsort_on_scoring_chunks(width):
+    assert game.SCORE_CHUNK * width >= game.ROUNDS_MIN_SIZE  # argmax rounds up to TOP_ROUNDS
+    rng = np.random.default_rng(width)
+    avail = (rng.random((game.SCORE_CHUNK, width)) < 0.1).astype(float)
+    avail[:5] = 0.0  # rows without chains
+    probs = np.where(avail > 0, np.round(rng.random(avail.shape), 1), 0.0)  # many ties
+    probs[7, np.flatnonzero(avail[7])[:2]] = np.nan
+    for d in (1, 2, 5, game.TOP_ROUNDS, game.TOP_ROUNDS + 1, 50, width + 1):
+        assert np.array_equal(game.top_order(probs, avail, d), topd_oracle.top_order(probs, avail, d))
 
 
 def test_reward_definition():
@@ -308,7 +353,7 @@ def test_score_chunks_logits_equal_the_per_row_key_path(mode, monkeypatch):
     model = build_model(30, 2, 1.0, "mlp", seed=8, mode=mode)
 
     def logits():
-        return np.concatenate([out for _, _, out in game.score_chunks(model, availability)])
+        return np.concatenate([out for *_, out in game.score_chunks(model, availability)])
 
     new = logits()
     monkeypatch.setattr(game, "_row_keys", lambda x: [old_row_key(row) for row in x])
