@@ -10,16 +10,14 @@ an int64 code (``_weights``); only the vocabulary's chains become tuples.
 
 from __future__ import annotations
 
-import itertools
-import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .graph import Adjacency, KnowledgeGraph, LabeledPair, TaskDataset
-from .util import open_text
+from .util import read_table
 
 
 MANY = -1  # predecessor of a label prefix that no backtrack ban applies to
@@ -408,22 +406,12 @@ def write_vocabulary(path: str, vocab: ChainVocabulary, graph: KnowledgeGraph) -
 
 
 def read_vocabulary_names(path: str) -> tuple[list[str], list[int]]:
-    """Chain display names and supports without needing the graph (for reports)."""
-    if not os.path.isfile(path):
-        raise DataError(f"vocabulary file not found: {path}")
-    names: list[str] = []
-    supports: list[int] = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or not fields[1].isdecimal():
-                raise DataError(f"{path}:{lineno}: expected index TAB support TAB chain")
-            names.append(fields[2])
-            supports.append(int(fields[1]))
-    return names, supports
+    """Chain display names and supports without needing the graph (for reports), read with
+    ``util.read_table``; a support is a non-empty run of ASCII digits."""
+    table = read_table(path, "vocabulary file", 3)
+    table.check((table.miscounted | table.off_range(1, "0", "9"), "expected index TAB support TAB chain"))
+    fields = table.text(1, 2)
+    return fields[1::2], list(map(int, fields[0::2]))
 
 
 def write_instances(path: str, split: Split, graph: KnowledgeGraph | None) -> None:
@@ -447,47 +435,19 @@ def _names(entities: list, graph: KnowledgeGraph | None) -> list[str]:
 
 
 def read_instances(path: str, expected_size: int | None = None) -> Split:
-    """Reload an instance cache; heads and tails come back as names. Every row
-    must be ``expected_size`` wide or, without it, as wide as the first. The file
-    is split and checked in bulk, and rescanned line by line only to name its first error."""
-    if not os.path.isfile(path):
-        raise DataError(f"instance cache not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().split("\n") if line]
-    except UnicodeDecodeError:
-        _raise_first_error(path, expected_size)
-    if set(map(str.count, lines, itertools.repeat("\t"))) - {3}:
-        _raise_first_error(path, expected_size)
-    fields = "\t".join(lines).split("\t") if lines else []
-    heads, tails, labels, bits = fields[0::4], fields[1::4], fields[2::4], fields[3::4]
-    width = expected_size if expected_size is not None else len(bits[0]) if bits else 0
-    if set(labels) - {"0", "1"} or set(map(len, bits)) - {width}:
-        _raise_first_error(path, expected_size)
-    # a character other than 0 or 1, non-ASCII ones encoded as "?", is above 1 after the shift
-    flat = np.frombuffer("".join(bits).encode("ascii", "replace"), np.uint8) - ord("0")
-    if (flat > 1).any():
-        _raise_first_error(path, expected_size)
-    availability = flat.reshape(len(lines), width).astype(np.float64)
-    label_column = np.frombuffer("".join(labels).encode("ascii"), np.uint8).astype(np.int64) - ord("0")
-    return Split(heads, tails, label_column, availability)
-
-
-def _raise_first_error(path: str, expected_size: int | None) -> NoReturn:
-    """Scan ``path`` line by line and raise the error of its first bad line."""
-    width = expected_size
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4 or fields[2] not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: malformed instance line")
-            if fields[3].strip("01"):
-                raise DataError(f"{path}:{lineno}: availability must be a 0/1 string")
-            width = len(fields[3]) if width is None else width
-            if len(fields[3]) != width:
-                against = "first row's length" if expected_size is None else "vocabulary size"
-                raise DataError(f"{path}:{lineno}: availability length {len(fields[3])} != {against} {width}")
-    raise RuntimeError(f"{path} failed a bulk check that no line fails")
+    """Reload an instance cache with ``util.read_table``; heads and tails come back as names. Every row
+    must be ``expected_size`` wide or, without it, as wide as the first."""
+    table = read_table(path, "instance cache", 4)
+    lengths = table.lengths()
+    labels = np.frombuffer(table.data, np.uint8)[table.bounds[:, 2] + 1] - ord("0")
+    width = expected_size if expected_size is not None else int(lengths[0, 3]) if len(lengths) else 0
+    against = "first row's length" if expected_size is None else "vocabulary size"
+    table.check(
+        (table.miscounted | (lengths[:, 2] != 1) | (labels > 1), "malformed instance line"),
+        (table.off_range(3, "0", "1") & (lengths[:, 3] > 0), "availability must be a 0/1 string"),
+        (lengths[:, 3] != width, lambda row: f"availability length {lengths[row, 3]} != {against} {width}"),
+    )
+    windows = np.ndarray((max(len(table.data) - width + 1, 0), width), np.uint8, table.data, 0, (1, 1))
+    bits = windows[table.bounds[:, 3] + 1] - ord("0")  # every row is width wide
+    names = table.text(0, 1)
+    return Split(names[0::2], names[1::2], labels.astype(np.int64), bits.astype(np.float64))

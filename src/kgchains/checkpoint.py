@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DataError
 from .game import ARCH_LINEAR, ARCH_MLP, MODE_ALL_CHAINS, MODE_GAME, GameModel
 from .neural import DenseParams
-from .util import read_fields, write_fields
+from .util import not_utf8, read_fields, write_fields
 
 HEADER = "# kgchains checkpoint v3"
 _FIRST = HEADER.encode() + b"\n"
@@ -102,7 +102,7 @@ def load_checkpoint(path: str) -> tuple[GameModel, dict]:
         try:
             lines = header.decode("utf-8").replace("\r\n", "\n").removesuffix("\n").split("\n")
         except UnicodeDecodeError as err:
-            raise DataError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})") from None
+            raise not_utf8(path, err) from None
         try:
             return _parse_checkpoint(lines, path, fh, os.fstat(fh.fileno()).st_size - len(header))
         except IndexError:  # a section ran past the last line

@@ -19,12 +19,12 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, NoReturn, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .util import STREAM_DOWNSAMPLE, STREAM_SPLIT, intern_spans, open_text, stream_rng
+from .util import STREAM_DOWNSAMPLE, STREAM_SPLIT, intern_spans, read_table, stream_rng
 
 log = logging.getLogger(__name__)
 
@@ -194,64 +194,20 @@ class KnowledgeGraph:
 
 
 def load_triples(path: str, add_inverses: bool = True) -> KnowledgeGraph:
-    """Load a tab-separated triples file (head TAB relation TAB tail).
-
-    Lines end at LF, CR or CRLF; lines starting with ``#`` and blank lines are ignored. A malformed line,
-    or a relation name ending in NOT_INVOLUTIVE, aborts with an error naming the line number; a file with
-    no triples is an error. The file is split and checked in bulk as bytes, and rescanned line by line
-    only to name its first error.
-    """
-    if not os.path.isfile(path):
-        raise DataError(f"triples file not found: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read() + bytes(8)
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            _raise_first_error(path)
-    padded = np.frombuffer(data, np.uint8)
-    text = padded[:-8]
-    # tabs and line ends, then one past the last byte; a CR and an LF each end a line, so a CRLF
-    # leaves an empty line, skipped like any other
-    seps = np.append(np.flatnonzero((text == ord("\t")) | (text == ord("\n")) | (text == ord("\r"))), len(text))
-    breaks = np.flatnonzero(padded[seps] != ord("\t"))
-    ends = seps[breaks]
-    starts = np.append(0, ends[:-1] + 1)
-    kept = (ends > starts) & (padded[starts] != ord("#"))
-    if not kept.any():
+    """Load a tab-separated triples file (head TAB relation TAB tail) with ``util.read_table``; ``#`` lines are
+    comments. A malformed line or a relation ending in NOT_INVOLUTIVE is an error, and so is no triple."""
+    table = read_table(path, "triples file", 3, comments=True)
+    if not len(table.bounds):
         raise DataError(f"no triples in {path}")
-    if (np.diff(breaks, prepend=-1)[kept] != 3).any():  # two tabs on every kept line
-        _raise_first_error(path)
-    at, starts, ends = breaks[kept], starts[kept], ends[kept]
-    first, second = seps[at - 2], seps[at - 1]
-    heads_tails = np.stack([starts, second + 1], axis=1).ravel()
-    lengths = np.stack([first, ends], axis=1).ravel() - heads_tails
-    if not (lengths.all() and (second - first > 1).all()):
-        _raise_first_error(path)
-    relations = intern_spans(data, first + 1, second - first - 1)
-    if any(name.endswith(NOT_INVOLUTIVE) for name in relations[1]):
-        _raise_first_error(path)
-    return KnowledgeGraph._from_ids(intern_spans(data, heads_tails, lengths), relations, add_inverses)
-
-
-def _raise_first_error(path: str, pairs: bool = False) -> NoReturn:
-    """Scan ``path``, a triples file or with ``pairs`` a pairs file, line by line and raise the error
-    of its first bad line."""
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or not all(fields):
-                expected = "head TAB tail TAB label" if pairs else "3 tab-separated fields"
-                raise DataError(f"{path}:{lineno}: expected {expected}")
-            if pairs and fields[2] not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: label must be '0' or '1', got {fields[2]!r}")
-            if not pairs and fields[1].endswith(NOT_INVOLUTIVE):
-                raise DataError(f"{path}:{lineno}: relation {fields[1]!r} ends in {NOT_INVOLUTIVE!r}")
-    raise RuntimeError(f"{path} failed a bulk check that no line fails")
+    lengths = table.lengths()
+    relations = intern_spans(table.data, table.bounds[:, 1] + 1, lengths[:, 1])
+    not_involutive = np.array([name.endswith(NOT_INVOLUTIVE) for name in relations[1]], bool)[relations[0]]
+    table.check(
+        (table.miscounted[:, None] | (lengths == 0), "expected 3 tab-separated fields"),
+        (not_involutive, lambda row: f"relation {relations[1][relations[0][row]]!r} ends in {NOT_INVOLUTIVE!r}"),
+    )
+    entities = intern_spans(table.data, (table.bounds[:, 0:3:2] + 1).ravel(), lengths[:, ::2].ravel())
+    return KnowledgeGraph._from_ids(entities, relations, add_inverses)
 
 
 @dataclass
@@ -284,20 +240,16 @@ def split_train_dev(
 
 
 def _read_pairs(path: str) -> list[LabeledPair]:
-    """head TAB tail TAB label lines; ``#`` lines and blank lines are skipped. The file is split and
-    checked in bulk, and rescanned line by line only to name its first error."""
-    if not os.path.isfile(path):
-        raise DataError(f"pairs file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().split("\n") if line and line[0] != "#"]
-    except UnicodeDecodeError:
-        _raise_first_error(path, pairs=True)
-    fields = "\t".join(lines).split("\t") if lines else []
-    labels = fields[2::3]
-    if set(map(str.count, lines, itertools.repeat("\t"))) - {2} or "" in fields or set(labels) - {"0", "1"}:
-        _raise_first_error(path, pairs=True)
-    return list(map(LabeledPair, fields[0::3], fields[1::3], map(int, labels)))
+    """head TAB tail TAB label lines, read with ``util.read_table``; ``#`` lines and blank lines are skipped."""
+    table = read_table(path, "pairs file", 3, comments=True)
+    lengths = table.lengths()
+    labels = np.frombuffer(table.data, np.uint8)[table.bounds[:, 2] + 1] - ord("0")
+    table.check(
+        (table.miscounted[:, None] | (lengths == 0), "expected head TAB tail TAB label"),
+        ((lengths[:, 2] != 1) | (labels > 1), lambda row: f"label must be '0' or '1', got {table.text(2, 2)[row]!r}"),
+    )
+    fields = table.text(0, 1)
+    return list(map(LabeledPair, fields[0::2], fields[1::2], labels.tolist()))
 
 
 def load_task(

@@ -8,7 +8,8 @@ stream without replaying the rest of the pipeline.
 from __future__ import annotations
 
 import contextlib
-from typing import IO, Iterable, Iterator
+import os
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -84,6 +85,10 @@ def _parted(words: np.ndarray, starts: np.ndarray, stop: np.ndarray, lead: np.nd
     return tuple(map(np.concatenate, zip(*parted)))
 
 
+def not_utf8(path: str, err: UnicodeDecodeError) -> DataError:
+    return DataError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})")
+
+
 @contextlib.contextmanager
 def open_text(path: str) -> Iterator[IO[str]]:
     """Open an input file as UTF-8 text; a byte that does not decode is a
@@ -92,7 +97,75 @@ def open_text(path: str) -> Iterator[IO[str]]:
         try:
             yield fh
         except UnicodeDecodeError as err:
-            raise DataError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: {err.reason})") from None
+            raise not_utf8(path, err) from None
+
+
+class Table(NamedTuple):
+    """The kept lines of a file of n tab-separated fields: row ``i``'s field ``j`` is ``data[bounds[i, j] + 1 :
+    bounds[i, j + 1]]``, ``data`` being the file with LF line ends after an LF and before 16 more (room for n + 1
+    separators and 8 bytes past them). A ``miscounted`` row has not n fields; its fields are those that follow."""
+
+    path: str
+    data: bytes
+    bounds: np.ndarray
+    miscounted: np.ndarray
+
+    def lengths(self) -> np.ndarray:
+        return self.bounds[:, 1:] - self.bounds[:, :-1] - 1
+
+    def text(self, first: int, last: int) -> list[str]:
+        """Fields ``first`` to ``last`` of every row, row by row."""
+        before, after = self.bounds[:, first], self.bounds[:, last + 1]  # the separators around them
+        ends = (after - before).cumsum()  # of each row's fields and the separator after them, joined
+        at = np.arange(np.add.reduce(ends[-1:])) + (after + 1 - ends).repeat(after - before)
+        joined = np.frombuffer(self.data, np.uint8)[at]
+        joined[ends - 1] = ord("\t")
+        return joined.tobytes().decode("utf-8").split("\t")[:-1]
+
+    def off_range(self, j: int, low: str, high: str) -> np.ndarray:
+        """Rows whose field ``j`` is empty or has a byte outside ``low`` to ``high``, which are above LF."""
+        outside = np.frombuffer(self.data, np.uint8) - ord(low) > ord(high) - ord(low)
+        # an empty field reduces to the separator after it
+        return np.logical_or.reduceat(outside, (self.bounds[:, j : j + 2] + [1, 0]).ravel())[::2]
+
+    def check(self, *checks: tuple[np.ndarray, str | Callable[[int], str]]) -> None:
+        """Raise ``path:line: message`` for the first row that fails a check, with its first check's message. A
+        check is a mask of failing rows, or of (rows, k) cells failing their row, and a message or a function of it."""
+        firsts = [bad.nonzero()[0][0] if np.count_nonzero(bad) else len(bad) for bad, _ in checks]
+        row = min(firsts)
+        if row < len(self.bounds):
+            message = checks[firsts.index(row)][1]
+            line = self.data.count(b"\n", 0, self.bounds[row, 0] + 1)  # with the LF before the file
+            raise DataError(f"{self.path}:{line}: {message(row) if callable(message) else message}")
+
+
+def read_table(path: str, what: str, n: int, comments: bool = False) -> Table:
+    """The lines of ``n`` tab-separated fields of a UTF-8 file, read as bytes with one open. A byte that is
+    not UTF-8 is an error before any line is. Lines end at LF, CR or CRLF; blank lines are skipped, and
+    with ``comments`` so are lines that start with ``#``. A missing file is a "``what`` not found" error."""
+    if not os.path.isfile(path):
+        raise DataError(f"{what} not found: {path}")
+    with open(path, "rb", buffering=0) as fh:
+        raw = fh.read()
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise not_utf8(path, err) from None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = b"".join((b"\n", raw, b"\n" * 16))
+    text = np.frombuffer(data, np.uint8)
+    seps = ((text == 9) | (text == 10)).nonzero()[0]  # tabs and LFs
+    ends = (text[seps] == 10).nonzero()[0]  # the LFs, as indices into seps
+    lfs = seps[ends]
+    kept = lfs[1:] - lfs[:-1] > 1  # not blank
+    if comments:
+        kept &= text[lfs[:-1] + 1] != ord("#")
+    before = ends[:-1][kept]  # the LF before each row
+    miscounted = ends[1:][kept] - before != n
+    bounds = np.ndarray((len(seps) - n, n + 1), seps.dtype, seps, 0, seps.strides * 2)[before]  # each row's seps
+    return Table(path, data, bounds, miscounted)
 
 
 def write_fields(fh: IO[str], fields: dict) -> None:

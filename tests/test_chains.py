@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from kgchains.chains import (
 from kgchains.errors import DataError
 from kgchains.graph import KnowledgeGraph
 
-from cache_oracle import reference_read_instances, reference_write_instances
+from cache_oracle import assert_same_split, reference_read_instances, reference_write_instances
 from splits import split_of
 from step_oracle import mask_from_selected
 from walk_oracle import DataclassChain, oracle_paths
@@ -244,6 +246,15 @@ def test_vocabulary_round_trip(tmp_path):
     assert path.read_text(encoding="utf-8") == "".join(rows)
 
 
+@pytest.mark.parametrize("support", ["\u0663", "\uff17", "", "1a", "+1", " 1", "1_0", "\u00b2"])
+def test_a_vocabulary_support_is_ascii_digits(tmp_path, support):
+    """Supports the writer never writes, such as an Arabic-Indic 3 or a fullwidth 7, which int() reads."""
+    path = tmp_path / "vocab.tsv"
+    path.write_text(f"0\t12\tr\n1\t{support}\ts\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: expected index TAB support TAB chain$"):
+        read_vocabulary_names(str(path))
+
+
 def test_instances_round_trip(tmp_path):
     g, pairs = build_support_graph()
     vocab = build_vocabulary(g, pairs, g.relation_id("anchor"), max_hops=3)
@@ -361,13 +372,6 @@ def test_read_instances_names_the_first_bad_line(tmp_path, text, message, size):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DataError, match=message):
         read_instances(str(path), size)
-
-
-def assert_same_split(a, b):
-    assert (a.heads, a.tails) == (b.heads, b.tails)
-    assert a.labels.dtype == b.labels.dtype and np.array_equal(a.labels, b.labels)
-    assert a.availability.dtype == b.availability.dtype and a.availability.shape == b.availability.shape
-    assert a.availability.flags.c_contiguous and np.array_equal(a.availability, b.availability)
 
 
 NAME = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=6)

@@ -99,8 +99,8 @@ EXPECTED_3 = "{path}:5: expected 3 tab-separated fields"
 NOT_UTF8 = "{path}: not UTF-8 text (byte 0xff: invalid start byte)"
 
 
-# Line 5 follows a comment, blank lines and CRLF endings. The line-by-line reader
-# decodes a small file whole before it reads a line, so a bad byte anywhere wins.
+# Line 5 follows a comment, blank lines and CRLF endings. The file is decoded whole before any
+# line is read, so a bad byte anywhere wins.
 @pytest.mark.parametrize(
     "bad, message",
     [
