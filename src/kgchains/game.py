@@ -148,17 +148,19 @@ def clone_model(model: GameModel) -> GameModel:
 
 
 def _generator_forward(model: GameModel, availability: np.ndarray):
-    """Per-chain selection probabilities plus what backward needs, for (D,) or (B, D).
+    """Per-chain selection and keep-out probabilities, 0 where unavailable, and what backward needs.
 
-    The generator maps each availability row to 2*D logits, viewed as one
-    (keep-out, select) pair per chain; the selection probability is the
-    two-way softmax of each pair, forced to 0 where the chain is unavailable.
+    The generator maps each (D,) or (B, D) availability row to 2*D logits, one (keep-out, select) pair
+    per chain. The two-way softmax runs on the available (> 0) pairs only, and that is exact: a pair's
+    softmax reads that pair alone, and the others would be forced to 0.
     """
     assert model.generator is not None
     out, cache = forward(model.generator, availability)
-    row_softmax = softmax(out.reshape(*availability.shape, 2))
-    probs = np.where(availability > 0, row_softmax[..., 1], 0.0)
-    return probs, row_softmax, cache
+    at = np.flatnonzero(availability > 0)
+    pairs = softmax(out.reshape(-1, 2)[at])
+    probs, keep = np.zeros(availability.shape), np.zeros(availability.shape)
+    probs.ravel()[at], keep.ravel()[at] = pairs[:, 1], pairs[:, 0]
+    return probs, keep, cache
 
 
 def generator_probs(model: GameModel, instance: Instance) -> np.ndarray:
@@ -244,7 +246,7 @@ def _game_step(model: GameModel, config: TrainConfig) -> Step:
 
     def step(availability: np.ndarray, labels: np.ndarray):
         nonlocal baseline
-        probs, row_softmax, cache = _generator_forward(model, availability)
+        probs, keep, cache = _generator_forward(model, availability)
         n, width = availability.shape
         rows = n * samples
         # x[0] the selected chains, x[1] the rest; a row's samples are adjacent, so the
@@ -254,7 +256,7 @@ def _game_step(model: GameModel, config: TrainConfig) -> Step:
         np.subtract(availability[:, None], x[0], out=x[1])
         # d(-log pi(selected)) wrt each (keep-out, select) logit pair, 0 on unavailable chains
         dout = np.empty((n, samples, width, 2))
-        np.subtract(np.where(availability > 0, row_softmax[..., 0], 0.0)[:, None], x[1], out=dout[..., 0])
+        np.subtract(keep[:, None], x[1], out=dout[..., 0])
         np.subtract(probs[:, None], x[0], out=dout[..., 1])
         x = x.reshape(2, rows, width)
         if samples > 1:

@@ -59,6 +59,15 @@ def _csr(keys: np.ndarray, rels: np.ndarray, ends: np.ndarray, n: int) -> Adjace
     return Adjacency(indptr, rels[order].astype(np.int32), ends[order].astype(np.int32))
 
 
+def _inverted(out: Adjacency, inverse: np.ndarray) -> Adjacency:
+    """The in-table of a graph with inverses, from its out-table: out-edge (r, t) of e is in-edge (inverse[r], t)
+    of e, in the same order, but for the edge and inverse of a self-loop line, adjacent in both, which swap."""
+    rels = inverse[out.rels]
+    loops = np.flatnonzero(out.ends == np.repeat(np.arange(len(out.indptr) - 1), np.diff(out.indptr))).reshape(-1, 2)
+    rels[loops] = rels[loops[:, ::-1]]
+    return Adjacency(out.indptr, rels, out.ends)
+
+
 class KnowledgeGraph:
     """Immutable after construction; safe for unlimited concurrent readers.
 
@@ -122,7 +131,8 @@ class KnowledgeGraph:
         src, rel, dst = h[kept], r[kept], t[kept]
         if add_inverses:
             src, rel, dst = (np.stack(pair, axis=1).ravel() for pair in ((src, dst), (rel, ri[kept]), (dst, src)))
-        out_table, in_table = _csr(src, rel, dst, n_ent), _csr(dst, rel, src, n_ent)
+        out_table = _csr(src, rel, dst, n_ent)
+        in_table = _inverted(out_table, inverse) if add_inverses else _csr(dst, rel, src, n_ent)
         return cls(entity_ids, relation_ids, inverse, out_table, in_table)
 
     # -- symbol tables -------------------------------------------------

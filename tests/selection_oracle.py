@@ -4,6 +4,8 @@ The training step computes the same gradient batched; these single-row forms
 are what the finite-difference and exhaustive-REINFORCE oracles check.
 ``selection_dout`` is the gradient wrt the generator logits in the form the
 training step computed it before it wrote the two logit columns directly.
+``dense_head`` is the generator's selection head in the form it had before it
+ran the softmax on available chains only.
 """
 
 import math
@@ -11,8 +13,17 @@ import math
 import numpy as np
 
 from kgchains.chains import Instance, SelectionMask
-from kgchains.game import GameModel, _generator_forward
-from kgchains.neural import backward
+from kgchains.game import GameModel
+from kgchains.neural import backward, forward, softmax
+
+
+def dense_head(model: GameModel, availability: np.ndarray):
+    """(selection probabilities, every chain's (keep-out, select) softmax, backward cache) for (D,) or
+    (B, D) availability: the softmax over all pairs of generator logits, then probabilities forced to 0
+    where a chain is unavailable."""
+    out, cache = forward(model.generator, availability)
+    row_softmax = softmax(out.reshape(*availability.shape, 2))
+    return np.where(availability > 0, row_softmax[..., 1], 0.0), row_softmax, cache
 
 
 def selection_dout(row_softmax: np.ndarray, availability: np.ndarray, selected: np.ndarray):
@@ -38,6 +49,6 @@ def selection_log_prob(probs: np.ndarray, availability: np.ndarray, mask: Select
 
 def selection_grad(model: GameModel, instance: Instance, mask: SelectionMask):
     """Gradient of -log pi(mask) wrt the generator parameters, in their layout, and the probabilities."""
-    probs, row_softmax, cache = _generator_forward(model, instance.availability)
+    probs, row_softmax, cache = dense_head(model, instance.availability)
     dout = selection_dout(row_softmax, instance.availability, mask.selected)
     return backward(model.generator, cache, dout), probs

@@ -2,10 +2,10 @@
 
 ``game_step``, ``predictor_only_step`` and ``fit`` are the game's mini-batch
 steps and epoch loop in their earlier form: a ``SelectionMask`` per batch from
-``sample_mask``, the reward from ``instance_reward``, the selection gradient
-from ``selection_dout``, per-epoch totals in a numpy vector, batches as lists
-of row numbers, and a dev pass that stacks per-row logits and ranks numpy
-scalars. ``train`` runs one run mode through them. The library's trimmed loop
+``sample_mask``, the reward from ``instance_reward``, the generator's head from
+``dense_head`` and the selection gradient from ``selection_dout``, per-epoch
+totals in a numpy vector, batches as lists of row numbers, and a dev pass that
+stacks per-row logits and ranks numpy scalars. ``train`` runs one run mode through them. The library's trimmed loop
 must give the same checkpoints and train logs bit for bit.
 """
 
@@ -29,7 +29,7 @@ from kgchains.neural import (
 )
 from kgchains.util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, stream_rng
 
-from selection_oracle import selection_dout
+from selection_oracle import dense_head, selection_dout
 
 T = TypeVar("T")
 
@@ -83,7 +83,7 @@ def predictor_inputs(model: game.GameModel, availability: np.ndarray) -> np.ndar
     """All available chains, or the generator's top-d of each row, ties to the lower index."""
     if model.mode == game.MODE_ALL_CHAINS or model.generator is None:
         return availability
-    probs = game._generator_forward(model, availability)[0]
+    probs = dense_head(model, availability)[0]
     top = np.argsort(np.where(availability > 0, -probs, np.inf), axis=-1, kind="stable")[..., : model.d]
     selected = np.zeros_like(availability)
     np.put_along_axis(selected, top, 1.0, axis=-1)
@@ -108,7 +108,7 @@ def game_step(model: game.GameModel, config: game.TrainConfig):
 
     def step(availability: np.ndarray, labels: np.ndarray):
         nonlocal baseline
-        probs, row_softmax, cache = game._generator_forward(model, availability)
+        probs, row_softmax, cache = dense_head(model, availability)
         availability = np.repeat(availability, samples, axis=0)
         mask = sample_mask(np.repeat(probs, samples, axis=0), availability, rng_sample)
         labels = np.repeat(labels, samples)

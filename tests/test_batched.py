@@ -36,7 +36,7 @@ from kgchains.util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, stream_rng
 
 from adam_oracle import whole_buffer_adam_step
 from map_oracle import group_results, map_score
-from selection_oracle import selection_dout
+from selection_oracle import dense_head, selection_dout
 from splits import split_of
 from step_oracle import batches, instance_reward, mask_from_selected, sample_mask
 from step_oracle import train as oracle_train
@@ -353,7 +353,7 @@ def three_network_game_step(model, config):
 
     def step(availability, labels):
         nonlocal baseline
-        probs, row_softmax, cache = game._generator_forward(model, availability)
+        probs, row_softmax, cache = dense_head(model, availability)
         availability = np.repeat(availability, samples, axis=0)
         mask = sample_mask(np.repeat(probs, samples, axis=0), availability, rng_sample)
         labels = np.repeat(labels, samples)

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from kgchains.game import (
 from kgchains.neural import DenseParams
 from kgchains.util import STREAM_SAMPLE, stream_rng
 
+import selection_oracle
 import topd_oracle
 from selection_oracle import selection_grad, selection_log_prob
 from splits import split_of
@@ -61,6 +63,58 @@ def test_generator_probs_bounded_by_availability():
     probs = generator_probs(model, inst)
     assert ((probs > 0) <= (inst.availability > 0)).all()
     assert (probs <= 1.0).all()
+
+
+# logits that overflow, cancel or propagate through the pair softmax, and ordinary ones
+LOGITS = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0, 1.5, -2.25, 700.0])
+# only > 0 counts as available
+AVAILABILITY = st.sampled_from([0.0, 1.0, 0.5, -1.0, np.nan])
+
+
+def assert_head_matches_dense_head(model, availability, logits, monkeypatch):
+    """``_generator_forward`` on given generator logits, against ``dense_head`` bit for bit: the
+    probabilities everywhere, the keep-out probabilities at available chains and 0 elsewhere."""
+    fake = lambda params, x: (logits, "cache")  # noqa: E731
+    monkeypatch.setattr(game, "forward", fake)
+    monkeypatch.setattr(selection_oracle, "forward", fake)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs, keep, cache = game._generator_forward(model, availability)
+        dense_probs, row_softmax, _ = selection_oracle.dense_head(model, availability)
+    assert cache == "cache"
+    assert probs.shape == keep.shape == availability.shape
+    assert probs.tobytes() == dense_probs.tobytes()
+    assert keep.tobytes() == np.where(availability > 0, row_softmax[..., 0], 0.0).tobytes()
+
+
+def test_generator_head_matches_the_dense_head_on_rows_with_no_some_and_every_chain(monkeypatch):
+    model = build_model(5, 2, 1.0, "mlp", seed=0)
+    availability = np.array([
+        [0.0, -1.0, np.nan, 0.0, 0.0],  # no chain available
+        [1.0, 0.0, 0.5, -1.0, np.nan],  # some
+        [1.0, 0.5, 1.0, 2.0, 1e-300],  # every chain
+    ])
+    inf, nan = np.inf, np.nan
+    logits = np.array([  # (keep-out, select) pairs
+        [nan, inf, -inf, 1e308, -1e308, 1.0, 0.0, -0.0, 2.0, -2.0],
+        [inf, 1.0, nan, nan, -inf, 1e308, inf, inf, -1e308, -1e308],
+        [1e308, -1e308, inf, -inf, -inf, -inf, nan, 1.0, 1e308, 1e308],
+    ])
+    assert_head_matches_dense_head(model, availability, logits, monkeypatch)
+    for row, row_logits in zip(availability, logits):  # (D,) inputs
+        assert_head_matches_dense_head(model, row, row_logits, monkeypatch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_generator_head_matches_the_dense_head(data):
+    rows, width = data.draw(st.sampled_from([None, 0, 1, 2, 5])), data.draw(st.integers(1, 7))
+    shape = (width,) if rows is None else (rows, width)
+    size = math.prod(shape)
+    availability = np.array(data.draw(st.lists(AVAILABILITY, min_size=size, max_size=size))).reshape(shape)
+    logits = np.array(data.draw(st.lists(LOGITS, min_size=2 * size, max_size=2 * size)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        model = build_model(width, 2, 1.0, "mlp", seed=0)
+        assert_head_matches_dense_head(model, availability, logits.reshape(*shape[:-1], 2 * width), monkeypatch)
 
 
 def test_sample_mask_extremes():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kgchains import benchmark
 from kgchains import graph as graph_module
 from kgchains import util
 from kgchains.errors import DataError
@@ -144,6 +145,33 @@ def test_csr_tables(tmp_path):
     assert [edges_of(g.out_table, e) for e in (a, b, c)] == [[(r, b)], [(r_inv, a), (s, c)], [(s_inv, b)]]
     assert [edges_of(g.in_table, e) for e in (a, b, c)] == [[(r_inv, b)], [(r, a), (s_inv, c)], [(s, b)]]
     assert g.inverse_table.dtype == np.int32 and g.inverse_table.tolist() == [r_inv, r, s_inv, s]
+
+
+# repeated self-loops (also behind another line's edge), an ``s_inv`` line, a line repeating an inverse
+TOY_TRIPLES = [("a", "r", "a"), ("a", "s", "b"), ("b", "r", "b"), ("a", "s", "a"), ("c", "s_inv", "a"),
+               ("a", "r", "a"), ("b", "s_inv", "a"), ("c", "r", "c"), ("a", "s_inv", "a"), ("c", "s", "c")]
+
+
+@pytest.mark.parametrize("spec", [
+    None,
+    dict(seed=5),
+    dict(rule="noisy_weak", seed=5),
+    dict(relations=250, entities=2000, distractor_rate=0.02, train_groups=20, test_groups=50, seed=5),
+], ids=["toy", "conjunction", "noisy_weak", "wide"])
+@pytest.mark.parametrize("add_inverses", [True, False])
+def test_in_table_equals_the_second_sort(monkeypatch, spec, add_inverses):
+    """With inverses the in-table is built from the out-table: it equals the in-table sorted from the
+    edges, dtypes included. Without them it is that sort."""
+    triples = TOY_TRIPLES if spec is None else benchmark._generate(benchmark.BenchmarkSpec(**spec)).triples
+    calls, csr = [], graph_module._csr
+    monkeypatch.setattr(graph_module, "_csr", lambda *args: calls.append(args) or csr(*args))
+    g = KnowledgeGraph.from_triples(triples, add_inverses)
+    assert len(calls) == 2 - add_inverses
+    src, rel, dst, n = calls[0]
+    for got, want in zip(g.in_table, csr(dst, rel, src, n)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if add_inverses:
+        assert g.in_table.indptr is g.out_table.indptr and g.in_table.ends is g.out_table.ends
 
 
 @pytest.mark.parametrize("accessor, bad", [("entity_name", -1), ("entity_name", 3), ("check_entity", 3), ("entity_id", "d")]
