@@ -2,7 +2,7 @@
 
 A relation chain is the ordered label sequence of some entity path between
 a head and a tail; intermediate entities are discarded. Chains are the
-feature space for everything downstream: a split is encoded as one 0/1
+feature space for everything downstream: a split is encoded as one uint8 0/1
 availability matrix over the task vocabulary, one row per query pair.
 Extraction walks all query heads at once on numpy arrays, where a chain is
 an int64 code (``_weights``); only the vocabulary's chains become tuples.
@@ -298,7 +298,7 @@ def build_vocabulary(
 
 @dataclass
 class Instance:
-    """One row of a split: a query pair, its label and its availability row."""
+    """One row of a split: a query pair, its label and its uint8 (D,) availability row (see ``Split``)."""
 
     head: int | str
     tail: int | str
@@ -321,8 +321,9 @@ class SelectionMask:
 @dataclass
 class Split:
     """One split as columns: query pairs (entity ids after ``encode_task``, names
-    after ``read_instances``), labels, and one C-contiguous float64 (N, D) 0/1
-    availability matrix, the rows that ``len()`` counts and iteration yields."""
+    after ``read_instances``), labels, and one C-contiguous uint8 (N, D) 0/1
+    availability matrix, the rows that ``len()`` counts and iteration yields.
+    ``game.score_chunks`` and ``game._fit`` cast it to float64 for a network pass."""
 
     heads: list
     tails: list
@@ -365,10 +366,10 @@ def _encode(
     column = np.where(np.append(kept[order], 0)[at] == codes, np.append(order, -1)[at], -1)
 
     def encode_split(pairs: list[LabeledPair], a: int, b: int) -> Split:
-        bits = np.zeros((b - a, vocab.size))
+        bits = np.zeros((b - a, vocab.size), np.uint8)
         for row, at in _chunks(ptr[slot[a:b]], ptr[slot[a:b] + 1]):
             j = column[at]
-            bits[row[j >= 0], j[j >= 0]] = 1.0
+            bits[row[j >= 0], j[j >= 0]] = 1
         labels = np.array([p.label for p in pairs], dtype=np.int64)
         return Split(ids[a:b, 0].tolist(), ids[a:b, 1].tolist(), labels, bits)
 
@@ -436,7 +437,8 @@ def _names(entities: list, graph: KnowledgeGraph | None) -> list[str]:
 
 def read_instances(path: str, expected_size: int | None = None) -> Split:
     """Reload an instance cache with ``util.read_table``; heads and tails come back as names. Every row
-    must be ``expected_size`` wide or, without it, as wide as the first."""
+    must be ``expected_size`` wide or, without it, as wide as the first. The availability is the cache's
+    bytes minus ``'0'``, uint8: ``game.score_chunks`` and ``game._fit`` make the float64 a network reads."""
     table = read_table(path, "instance cache", 4)
     lengths = table.lengths()
     labels = np.frombuffer(table.data, np.uint8)[table.bounds[:, 2] + 1] - ord("0")
@@ -450,4 +452,4 @@ def read_instances(path: str, expected_size: int | None = None) -> Split:
     windows = np.ndarray((max(len(table.data) - width + 1, 0), width), np.uint8, table.data, 0, (1, 1))
     bits = windows[table.bounds[:, 3] + 1] - ord("0")  # every row is width wide
     names = table.text(0, 1)
-    return Split(names[0::2], names[1::2], labels.astype(np.int64), bits.astype(np.float64))
+    return Split(names[0::2], names[1::2], labels.astype(np.int64), bits)

@@ -135,7 +135,7 @@ def _load_training_task(artifacts: str, relation: str) -> tuple[chains.EncodedTa
     """The train and dev splits; training never reads the test split, so it is left empty."""
     meta, size = _read_meta(artifacts, relation)
     train, dev = (_read_split(artifacts, relation, split, size) for split in ("train", "dev"))
-    test = chains.Split([], [], np.zeros(0, dtype=np.int64), np.zeros((0, size)))
+    test = chains.Split([], [], np.zeros(0, dtype=np.int64), np.zeros((0, size), np.uint8))
     return chains.EncodedTask(relation, size, train, dev, test), meta
 
 

@@ -317,9 +317,10 @@ def _predictor_inputs(model: GameModel, availability: np.ndarray, probs: np.ndar
 def _row_keys(x: np.ndarray) -> list[bytes]:
     """Exact, compact identity of each sparse row: its nonzero positions' bytes, then their values'."""
     flat = np.flatnonzero(x != 0)  # as np.nonzero: NaN counts, -0.0 does not
-    cols, values = (flat % x.shape[1]).tobytes(), x.ravel()[flat].tobytes()  # intp, float64: 8 bytes each
-    ends = (np.searchsorted(flat, np.arange(1, len(x) + 1) * x.shape[1]) * 8).tolist()
-    return [cols[a:b] + values[a:b] for a, b in zip([0, *ends], ends)]
+    cols, values = (flat % x.shape[1]).tobytes(), x.ravel()[flat].tobytes()
+    ends = np.searchsorted(flat, np.arange(1, len(x) + 1) * x.shape[1]).tolist()
+    c, v = flat.itemsize, x.itemsize  # the bytes of a position and of a value
+    return [cols[a * c : b * c] + values[a * v : b * v] for a, b in zip([0, *ends], ends)]
 
 
 def score_chunks(
@@ -329,6 +330,7 @@ def score_chunks(
     slice of SCORE_CHUNK rows of an (N, D) availability matrix, one generator
     pass each. The order is each row's ``top_order`` for max(n, d) positions
     (n in all-chains mode), ranked once: the top-d selection is its first d.
+    Each slice is cast to float64 for the networks, and yielded so.
 
     BLAS rounds a row differently depending on its place in the batch, and
     AP breaks exact score ties by input order. So each distinct predictor
@@ -338,7 +340,7 @@ def score_chunks(
     table = np.empty((len(availability), 2))  # each distinct input's logits, in first-seen order
     row_of: dict[bytes, int] = {}
     for start in range(0, len(availability), SCORE_CHUNK):
-        chunk = availability[start : start + SCORE_CHUNK]
+        chunk = np.asarray(availability[start : start + SCORE_CHUNK], np.float64)
         probs = selection_probs(model, chunk)
         x, order = _predictor_inputs(model, chunk, probs, n)
         keys = _row_keys(x)
@@ -391,6 +393,8 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
     Per epoch: shuffle, run ``step`` on each mini-batch's availability rows
     and labels, then score dev once. ``step`` returns (loss_p, loss_c, mean
     reward, chains selected, rows). Ties in dev quality keep the earlier epoch.
+    Training reads the split as float64 only here: each epoch's shuffled rows
+    are one gather into one float64 buffer, and the mini-batches slice it.
     """
     if set(data.train.labels.tolist()) != {0, 1}:
         raise DataError("training set must contain at least one positive and one negative")
@@ -401,13 +405,16 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
     best_epoch = 0
     log: list[EpochStats] = []
 
+    shuffled = np.empty(data.train.availability.shape)
     starts = range(0, len(data.train), config.batch_size)
     for epoch in range(1, config.epochs + 1):
         order = rng_shuffle.permutation(len(data.train))
+        shuffled[...] = data.train.availability[order]
+        labels = data.train.labels[order]
         totals = [0.0] * 5
         for start in starts:
-            rows = order[start : start + config.batch_size]
-            stats = step(data.train.availability[rows], data.train.labels[rows])
+            rows = slice(start, start + config.batch_size)
+            stats = step(shuffled[rows], labels[rows])
             if not (math.isfinite(stats[0]) and math.isfinite(stats[1])):
                 raise NumericError(f"non-finite predictor loss at epoch {epoch}")
             totals = list(map(operator.add, totals, stats))

@@ -155,6 +155,7 @@ def read_table(path: str, what: str, n: int, comments: bool = False) -> Table:
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     data = b"".join((b"\n", raw, b"\n" * 16))
+    del raw  # the file is held once while the masks below are made
     text = np.frombuffer(data, np.uint8)
     seps = ((text == 9) | (text == 10)).nonzero()[0]  # tabs and LFs
     ends = (text[seps] == 10).nonzero()[0]  # the LFs, as indices into seps

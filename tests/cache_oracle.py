@@ -86,7 +86,7 @@ def reference_read_instances(path, expected_size=None):
         rows.append(fields)
     heads, tails, labels, bits = map(list, zip(*rows)) if rows else ([], [], [], [])
     flat = np.frombuffer("".join(bits).encode("ascii"), np.uint8) - ord("0")
-    availability = flat.reshape(len(rows), width or 0).astype(np.float64)
+    availability = flat.reshape(len(rows), width or 0)
     return Split(heads, tails, np.array(labels, dtype=np.int64), availability)
 
 
@@ -94,7 +94,7 @@ def assert_same_split(a, b):
     assert (a.heads, a.tails) == (b.heads, b.tails)
     assert a.labels.dtype == b.labels.dtype and np.array_equal(a.labels, b.labels)
     assert a.availability.dtype == b.availability.dtype and a.availability.shape == b.availability.shape
-    assert a.availability.flags.c_contiguous and np.array_equal(a.availability, b.availability)
+    assert a.availability.flags.c_contiguous and a.availability.tobytes() == b.availability.tobytes()
 
 
 def reference_write_instances(path, split, graph):

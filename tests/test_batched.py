@@ -11,6 +11,8 @@ its steps and dev pass were trimmed, and the checkpoints and train logs must
 match bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -418,6 +420,33 @@ def test_stacked_pair_passes_match_the_per_network_passes_bit_for_bit(dim, rows,
     assert np.isnan(grads[:cut]).all()
 
 
+@pytest.mark.parametrize("dim", [23, 182, 300])
+@pytest.mark.parametrize("lead", [(1,), (20,), (256,), (2, 20), ()])
+def test_byte_rows_pass_as_float64_rows_bit_for_bit(dim, lead):
+    """Splits hold uint8 rows, and a library caller may pass them straight in: numpy casts them
+    before BLAS, so forward and backward, the generator's pass and the scores match float64 rows."""
+    rng = np.random.default_rng(dim + len(lead))
+    model = game.build_model(dim, 2, 1.0, game.ARCH_MLP, seed=dim)
+    net = model.generator
+    if len(lead) == 2:  # a stacked pair, as the game's predictors run
+        net = DenseParams(model.predictor.layers, np.stack([model.predictor.flat, model.complement.flat]))
+    rows = (rng.random((*lead, dim)) < 0.2).astype(np.uint8)
+    rows.reshape(-1, dim)[:, 0] = 1  # each row has a chain available
+    dlogits = rng.normal(size=(*lead, net.output_dim))
+    passes = []
+    for x in (rows, rows.astype(np.float64)):
+        out, cache = forward(net, x)
+        gen_x = x.reshape(-1, dim) if len(lead) == 2 else x  # the generator is one network
+        probs, keep, gen_cache = game._generator_forward(model, gen_x)
+        dout = np.ones((*gen_x.shape[:-1], 2 * dim))
+        got = [out, backward(net, cache, dlogits).flat, probs, keep, backward(model.generator, gen_cache, dout).flat]
+        passes.append(got + [z for _, z in cache + gen_cache])
+        if len(lead) == 1:
+            passes[-1].append(game.score_instances(model, x))
+    for got, want in zip(*passes):
+        assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 # -- (e) the trimmed training loop ------------------------------------------------------
 
 
@@ -433,6 +462,25 @@ def test_training_matches_the_step_oracle_bit_for_bit(dim, mc_samples, mode, tmp
         path = tmp_path / f"{train.__module__}.txt"
         checkpoint.save_checkpoint(str(path), result.model, {"best_epoch": result.best_epoch})
         runs.append((path.read_bytes(), [s.as_line() for s in result.log], result.best_dev_map))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_byte_splits_train_and_score_as_their_float64_copies(mode, tmp_path):
+    """Extraction's uint8 splits and float64 copies of them give the same checkpoint bytes and
+    train log, and ``score_chunks`` the same probabilities, orders and logits."""
+    data = conjunction_task()
+    assert data.train.availability.dtype == np.uint8
+    copies = {name: getattr(data, name) for name in ("train", "dev", "test")}
+    wide = replace(data, **{name: replace(s, availability=s.availability.astype(float)) for name, s in copies.items()})
+    config = game.TrainConfig(epochs=2, batch_size=8, seed=3, lr=0.01)
+    runs = []
+    for task in (data, wide):
+        result = train_mode(task, config, mode, 2)
+        path = tmp_path / f"{task.train.availability.dtype}.txt"
+        checkpoint.save_checkpoint(str(path), result.model, {"best_epoch": result.best_epoch})
+        scored = [a.tobytes() for chunk in game.score_chunks(result.model, task.test.availability, 3) for a in chunk]
+        runs.append((path.read_bytes(), [s.as_line() for s in result.log], scored))
     assert runs[0] == runs[1]
 
 

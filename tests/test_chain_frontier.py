@@ -296,7 +296,8 @@ def test_extract_task_equals_the_frontier_path(max_hops, add_inverses):
             for split, (heads, tails, labels, bits) in zip((data.train, data.dev, data.test), splits):
                 assert (split.heads, split.tails) == (heads, tails)
                 assert np.array_equal(split.labels, labels)
-                assert split.availability.tobytes() == bits.tobytes()
+                assert (split.availability.dtype, split.availability.shape) == (bits.dtype, bits.shape)
+                assert split.availability.flags.c_contiguous and split.availability.tobytes() == bits.tobytes()
             checked += 1
     assert checked >= 3
 

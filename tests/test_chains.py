@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from kgchains.chains import (
     build_vocabulary,
     encode_task,
     enumerate_paths,
+    extract_task,
     read_instances,
     read_vocabulary_names,
     write_instances,
@@ -332,11 +334,35 @@ def test_encoded_splits_round_trip_through_the_cache(tmp_path):
         write_instances(str(path), split, kg)
         for back in (read_instances(str(path), vocab.size), read_instances(str(path))):
             assert_same_split(back, reference_read_instances(str(path)))
-            assert back.availability.dtype == np.float64 and back.availability.flags.c_contiguous
+            assert back.availability.dtype == np.uint8 and back.availability.flags.c_contiguous
             assert np.array_equal(back.availability, split.availability)
             assert np.array_equal(back.labels, split.labels)
             assert back.heads == [p.head for p in pairs] == [kg.entity_name(h) for h in split.heads]
             assert back.tails == [p.tail for p in pairs] == [kg.entity_name(t) for t in split.tails]
+
+
+def test_splits_hold_one_byte_per_entry(tmp_path):
+    """Extraction's splits and a reloaded cache hold a uint8 (N, D) matrix, and reading an N x D
+    cache peaks under 4 bytes an entry: one float64 copy on the way (8 an entry) would not fit."""
+    kg, task = make_benchmark(BenchmarkSpec(rule="conjunction", seed=3, train_groups=10, test_groups=5))
+    vocab, data = extract_task(kg, task, 2, 10000)
+    for split in (data.train, data.dev, data.test):
+        assert split.availability.dtype == np.uint8 and split.availability.nbytes == len(split) * vocab.size
+    n, d = 2000, 500
+    bits = (np.random.default_rng(0).random((n, d)) < 0.1).astype(np.uint8)
+    path = str(tmp_path / "wide.inst")
+    heads, tails = [f"h{i}" for i in range(n)], [f"t{i}" for i in range(n)]
+    write_instances(path, Split(heads, tails, np.zeros(n, np.int64), bits), None)
+    read_instances(path)  # any first-call set-up is not the split's
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        split = read_instances(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split.availability.dtype == np.uint8 and split.availability.tobytes() == bits.tobytes()
+    assert peak < 4 * n * d + (1 << 18)
 
 
 def test_split_rows_are_instances(tmp_path):

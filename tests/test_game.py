@@ -397,6 +397,30 @@ def test_chunk_wide_row_keys_equal_the_per_row_keys(rows, width):
         assert game._row_keys(x) == [old_row_key(row) for row in x]
 
 
+def first_sightings(keys):
+    """Each key's first position: two lists are equal exactly when they group rows alike."""
+    first = {}
+    return [first.setdefault(key, i) for i, key in enumerate(keys)]
+
+
+@pytest.mark.parametrize("dtype, values", [
+    (np.uint8, [1, 2, 255]),
+    (np.bool_, [True]),
+    (np.float32, [1.0, 0.5, -0.0, np.nan, -np.inf, 1e-40]),
+])
+def test_row_keys_group_narrow_rows_as_their_float64_copies(dtype, values):
+    """Keys cut each row's positions and values at their own widths, so rows of 1- and 4-byte
+    values group as their float64 copies do: equal rows share a key, and no other rows do."""
+    rng = np.random.default_rng(len(values))
+    for rows, width in ((1, 1), (40, 3), (300, 17)):
+        x = np.where(rng.random((rows, width)) < 0.3, rng.choice(values, size=(rows, width)), 0).astype(dtype)
+        x[rng.random(rows) < 0.2] = 0  # all-zero rows
+        x[rows // 2 :] = x[: rows - rows // 2]  # and every row in the second half repeats one
+        keys = game._row_keys(x)
+        assert first_sightings(keys) == first_sightings(game._row_keys(x.astype(np.float64)))
+        assert keys == [old_row_key(row) for row in x]
+
+
 @pytest.mark.parametrize("mode", [MODE_GAME, MODE_ALL_CHAINS])
 def test_score_chunks_logits_equal_the_per_row_key_path(mode, monkeypatch):
     rng = np.random.default_rng(5)

@@ -140,9 +140,9 @@ def frontier_extract_task(graph, task, max_hops, max_size):
     splits = []
     for pairs in (task.train, task.dev, task.test):
         keys = ids(pairs)
-        bits = np.zeros((len(keys), len(kept)))
+        bits = np.zeros((len(keys), len(kept)), np.uint8)
         for row, key in zip(bits, keys):
-            row[[index[chain] for chain in found[key] if chain in index]] = 1.0
+            row[[index[chain] for chain in found[key] if chain in index]] = 1
         labels = np.array([p.label for p in pairs], dtype=np.int64)
         splits.append(([h for h, _ in keys], [t for _, t in keys], labels, bits))
     return kept, [support[c] for c in kept], len(support), splits
