@@ -54,11 +54,11 @@ BELOW_ONE = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
 PROBABILITY = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
-def _read_config_file(path: str) -> list[str]:
-    """key=value lines become leading flags; explicit flags override them."""
+def _read_config_file(path: str) -> list[list[str]]:
+    """key=value lines, each as its flag and value (none if empty)."""
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
-    injected: list[str] = []
+    injected: list[list[str]] = []
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -67,10 +67,8 @@ def _read_config_file(path: str) -> list[str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
-            injected.append(f"--{key.strip()}")
             value = value.strip()
-            if value:
-                injected.append(value)
+            injected.append([f"--{key.strip()}", *([value] if value else [])])
     return injected
 
 
@@ -84,7 +82,9 @@ def _apply_config(argv: list[str]) -> list[str]:
     rest = argv[:at] + argv[at + 2 :]
     if not rest:
         raise UsageError("--config cannot supply the subcommand")
-    return [rest[0]] + injected + rest[1:]
+    # the config's flags go first, minus those given explicitly: a repeatable flag would add to them
+    given = {arg.partition("=")[0] for arg in rest[1:] if arg.startswith("--")}
+    return [rest[0]] + [arg for flag in injected if flag[0] not in given for arg in flag] + rest[1:]
 
 
 # -- artifact layout -------------------------------------------------------
@@ -222,7 +222,7 @@ def cmd_train(args) -> int:
     for relation in args.relation:
         data, meta = _load_training_task(args.artifacts, relation)
         config = _train_config(args)
-        result = evaluate.train_mode(data, config, args.mode, args.d, args.lambda_s)
+        result = game.train_mode(data, config, args.mode, args.d, args.lambda_s)
 
         os.makedirs(_relation_dir(out, relation), exist_ok=True)
         ck_path = _checkpoint_path(out, relation, args.mode, args.d)
@@ -451,7 +451,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a model on extracted artifacts")
     p.add_argument("--artifacts", required=True)
     p.add_argument("--relation", action="append", required=True)
-    p.add_argument("--mode", choices=list(evaluate.ALL_MODES), default=evaluate.MODE_GAME_MLP)
+    p.add_argument("--mode", choices=list(game.ALL_MODES), default=game.MODE_GAME_MLP)
     p.add_argument("--d", type=POSITIVE_INT, default=5)
     p.add_argument("--epochs", type=POSITIVE_INT, required=True)
     p.add_argument("--lr", type=POSITIVE, default=0.001)
@@ -477,7 +477,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("export-rules", help="write the selected chains per test instance")
     p.add_argument("--artifacts", required=True)
     p.add_argument("--relation", required=True)
-    p.add_argument("--mode", default=evaluate.MODE_GAME_MLP)
+    p.add_argument("--mode", default=game.MODE_GAME_MLP)
     p.add_argument("--d", type=POSITIVE_INT, default=5)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--top-n", type=NON_NEGATIVE_INT, default=5)
@@ -502,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config(argv)
         args = build_parser().parse_args(argv)
         if args.command == "eval":
-            args.mode = args.mode or [evaluate.MODE_GAME_MLP]
+            args.mode = args.mode or [game.MODE_GAME_MLP]
             args.d = args.d or [5]
             if len(args.d) == 1 and len(args.mode) > 1:
                 args.d = args.d * len(args.mode)

@@ -1,4 +1,5 @@
-"""Task evaluation and the ablation run modes."""
+"""Test-split evaluation: MAP over query groups, and ``run_mode``, which trains one run mode
+with ``game.train_mode`` and evaluates it."""
 
 from __future__ import annotations
 
@@ -6,24 +7,8 @@ from dataclasses import dataclass
 
 from .chains import EncodedTask, Split
 from .errors import DataError
-from .game import (
-    ARCH_LINEAR,
-    ARCH_MLP,
-    GameModel,
-    TrainConfig,
-    TrainResult,
-    score_instances,
-    train_fixed_generator,
-    train_predictor_only,
-    train_task,
-)
+from .game import GameModel, TrainConfig, score_instances, train_mode
 from .metrics import mean_average_precision
-
-MODE_GAME_MLP = "game_mlp"
-MODE_GAME_LINEAR = "game_linear"
-MODE_D_ALL = "d_all"
-MODE_SINGLE_CHAIN_GEN = "single_chain_gen"
-ALL_MODES = (MODE_GAME_MLP, MODE_GAME_LINEAR, MODE_D_ALL, MODE_SINGLE_CHAIN_GEN)
 
 
 @dataclass
@@ -54,39 +39,6 @@ class ModeResult:
     report: EvalReport
     best_epoch: int
     best_dev_map: float
-
-
-def train_single_chain_gen(
-    data: EncodedTask,
-    config: TrainConfig,
-    d: int,
-    predictor_arch: str = ARCH_MLP,
-    lambda_s: float = 1.0,
-) -> TrainResult:
-    """Two-stage baseline: train a d=1 game, then fit a fresh predictor on
-    deterministic top-d selections from the frozen stage-one generator."""
-    stage_one = train_task(data, config, d=1, predictor_arch=predictor_arch, lambda_s=lambda_s)
-    assert stage_one.model.generator is not None
-    return train_fixed_generator(data, config, stage_one.model.generator, d, predictor_arch)
-
-
-def train_mode(
-    data: EncodedTask,
-    config: TrainConfig,
-    mode: str,
-    d: int,
-    lambda_s: float = 1.0,
-) -> TrainResult:
-    """Train under one ablation mode without touching the test split."""
-    if mode == MODE_GAME_MLP:
-        return train_task(data, config, d, ARCH_MLP, lambda_s)
-    if mode == MODE_GAME_LINEAR:
-        return train_task(data, config, d, ARCH_LINEAR, lambda_s)
-    if mode == MODE_D_ALL:
-        return train_predictor_only(data, config)
-    if mode == MODE_SINGLE_CHAIN_GEN:
-        return train_single_chain_gen(data, config, d, ARCH_MLP, lambda_s)
-    raise DataError(f"unknown run mode: {mode!r}")
 
 
 def run_mode(

@@ -44,6 +44,12 @@ ARCH_MLP = "mlp"
 ARCH_LINEAR = "linear"
 MODE_GAME = "game"
 MODE_ALL_CHAINS = "d_all"
+# Run modes: the game with MLP or linear predictors, the predictor alone on every available
+# chain (MODE_ALL_CHAINS, also that model's mode), and a predictor on a frozen d=1 generator.
+MODE_GAME_MLP = "game_mlp"
+MODE_GAME_LINEAR = "game_linear"
+MODE_SINGLE_CHAIN_GEN = "single_chain_gen"
+ALL_MODES = (MODE_GAME_MLP, MODE_GAME_LINEAR, MODE_ALL_CHAINS, MODE_SINGLE_CHAIN_GEN)
 # Top-d by argmax rounds up to TOP_ROUNDS positions on at least ROUNDS_MIN_SIZE entries, else
 # by one stable sort: on (256, D) chunks a sort costs about as much as 14 rounds at D = 182 and
 # 1000 (3 at D = 23), and below about 3,000 entries its lower fixed cost wins at d = 2.
@@ -427,26 +433,26 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
     return TrainResult(model=best, log=log, best_epoch=best_epoch, best_dev_map=best_quality[0])
 
 
-def train_task(
-    data: EncodedTask, config: TrainConfig, d: int, predictor_arch: str = ARCH_MLP, lambda_s: float = 1.0
-) -> TrainResult:
-    """Full three-player training; returns the best-dev-MAP checkpoint."""
-    model = build_model(data.size, d, lambda_s, predictor_arch, config.seed, MODE_GAME)
-    return _fit(data, config, model, _game_step(model, config), stream_rng(config.seed, STREAM_SHUFFLE))
+def train_mode(data: EncodedTask, config: TrainConfig, mode: str, d: int, lambda_s: float = 1.0) -> TrainResult:
+    """Train under one run mode without touching the test split; returns the best-dev checkpoint.
 
-
-def train_predictor_only(data: EncodedTask, config: TrainConfig) -> TrainResult:
-    """All-chains mode: supervised predictor on full availability, no game."""
-    model = build_model(data.size, 1, 0.0, ARCH_MLP, config.seed, MODE_ALL_CHAINS)
-    step = _predictor_only_step(model, config)
-    return _fit(data, config, model, step, stream_rng(config.seed, STREAM_SHUFFLE))
-
-
-def train_fixed_generator(
-    data: EncodedTask, config: TrainConfig, generator: DenseParams, d: int, predictor_arch: str = ARCH_MLP
-) -> TrainResult:
-    """Train a fresh predictor on deterministic top-d selections from a frozen generator."""
-    predictor = init_dense(_predictor_dims(predictor_arch, data.size), stream_rng(config.seed, STREAM_INIT, 2))
-    model = GameModel(data.size, d, 0.0, predictor_arch, MODE_GAME, predictor, clone_params(generator))
-    step = _predictor_only_step(model, config)
-    return _fit(data, config, model, step, stream_rng(config.seed, STREAM_SHUFFLE, 2))
+    ``d_all`` ignores d and lambda_s. ``single_chain_gen`` trains a d=1 game, then a fresh predictor
+    on the top-d selections of its frozen generator, from the streams (seed, INIT, 2) and
+    (seed, SHUFFLE, 2).
+    """
+    if mode not in ALL_MODES:
+        raise DataError(f"unknown run mode: {mode!r}")
+    if mode == MODE_ALL_CHAINS:
+        model = build_model(data.size, 1, 0.0, ARCH_MLP, config.seed, MODE_ALL_CHAINS)
+        return _fit(data, config, model, _predictor_only_step(model, config), stream_rng(config.seed, STREAM_SHUFFLE))
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    arch = ARCH_LINEAR if mode == MODE_GAME_LINEAR else ARCH_MLP
+    two_stage = mode == MODE_SINGLE_CHAIN_GEN
+    model = build_model(data.size, 1 if two_stage else d, lambda_s, arch, config.seed)
+    result = _fit(data, config, model, _game_step(model, config), stream_rng(config.seed, STREAM_SHUFFLE))
+    if not two_stage:
+        return result
+    predictor = init_dense(_predictor_dims(arch, data.size), stream_rng(config.seed, STREAM_INIT, 2))
+    model = GameModel(data.size, d, 0.0, arch, MODE_GAME, predictor, result.model.generator)
+    return _fit(data, config, model, _predictor_only_step(model, config), stream_rng(config.seed, STREAM_SHUFFLE, 2))

@@ -149,10 +149,6 @@ class KnowledgeGraph:
             raise DataError(f"unknown relation: {name!r}")
         return rid
 
-    def entity_name(self, eid: int) -> str:
-        self.check_entity(eid)
-        return self.entity_names[eid]
-
     def relation_name(self, rid: int) -> str:
         if not 0 <= rid < len(self._relation_names):
             raise DataError(f"unknown relation id: {rid}")

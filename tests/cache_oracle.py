@@ -99,7 +99,7 @@ def assert_same_split(a, b):
 
 def reference_write_instances(path, split, graph):
     def name(value):
-        return value if isinstance(value, str) else graph.entity_name(value)
+        return value if isinstance(value, str) else graph.entity_names[value]
 
     width = split.availability.shape[1]
     bits = ((split.availability > 0).astype(np.uint8) + ord("0")).tobytes().decode("ascii")

@@ -20,7 +20,8 @@ from kgchains import checkpoint, game
 from kgchains.benchmark import BenchmarkSpec, make_benchmark
 from kgchains.chains import EncodedTask, Instance, build_vocabulary, encode_task
 from kgchains.errors import DataError, NumericError
-from kgchains.evaluate import ALL_MODES, evaluate_task, train_mode
+from kgchains.evaluate import evaluate_task
+from kgchains.game import ALL_MODES, train_mode
 from kgchains.neural import (
     AdamState,
     DenseParams,
@@ -231,7 +232,7 @@ def test_batched_backward_is_sum_of_per_row_backward(dim, arch, rows):
 def test_game_epoch_matches_per_instance_reference(mc_samples):
     data = planted()
     config = game.TrainConfig(epochs=1, seed=4, lr=0.01, mc_samples_per_instance=mc_samples)
-    result = game.train_task(data, config, d=2)
+    result = train_mode(data, config, "game_mlp", 2)
     ref = game.build_model(data.size, 2, 1.0, "mlp", config.seed)
     line, dev = ref_epoch(ref, data, config, "game")
     assert [s.as_line() for s in result.log] == [line]
@@ -244,7 +245,7 @@ def test_game_epoch_matches_per_instance_reference(mc_samples):
 def test_predictor_only_epoch_matches_per_instance_reference():
     data = planted(1)
     config = game.TrainConfig(epochs=1, seed=3, lr=0.01)
-    result = game.train_predictor_only(data, config)
+    result = train_mode(data, config, "d_all", 2)
     ref = game.build_model(data.size, 1, 0.0, "mlp", config.seed, game.MODE_ALL_CHAINS)
     line, _ = ref_epoch(ref, data, config, "d_all")
     assert [s.as_line() for s in result.log] == [line]
@@ -255,8 +256,8 @@ def test_predictor_only_epoch_matches_per_instance_reference():
 def test_fixed_generator_epoch_matches_per_instance_reference():
     data = planted(2)
     config = game.TrainConfig(epochs=1, seed=4, lr=0.01)
-    generator = game.build_model(data.size, 2, 1.0, "mlp", seed=11).generator
-    result = game.train_fixed_generator(data, config, generator, d=2)
+    generator = train_mode(data, config, "game_mlp", 1).model.generator  # single_chain_gen's first stage
+    result = train_mode(data, config, "single_chain_gen", 2)
     ref = game.GameModel(
         input_dim=data.size, d=2, lambda_s=0.0, predictor_arch="mlp", mode=game.MODE_GAME,
         predictor=init_dense(mlp_dims(data.size), stream_rng(config.seed, STREAM_INIT, 2)),
@@ -327,9 +328,9 @@ def test_evaluate_map_equals_per_row_map(mode):
     data = conjunction_task()
     config = game.TrainConfig(epochs=5, seed=7, lr=0.01)
     if mode == "d_all":
-        model = game.train_predictor_only(data, config).model
+        model = train_mode(data, config, "d_all", 2).model
     else:
-        model = game.train_task(data, config, d=2).model
+        model = train_mode(data, config, "game_mlp", 2).model
     scores = [ref_predict(model, inst) for inst in data.test]
     groups = group_results([i.head for i in data.test], scores, [i.label for i in data.test])
     assert evaluate_task(model, data.test).map == map_score(groups)
@@ -491,13 +492,9 @@ def test_empty_dev_split_is_an_error():
     data = planted()
     no_dev = EncodedTask("planted", data.size, data.train, split_of([], data.size), data.test)
     config = game.TrainConfig(epochs=1, seed=0)
-    for train in (
-        lambda: game.train_task(no_dev, config, d=1),
-        lambda: game.train_predictor_only(no_dev, config),
-        lambda: game.train_fixed_generator(no_dev, config, game.build_model(8, 1, 1.0).generator, 1),
-    ):
+    for mode in ALL_MODES:
         with pytest.raises(DataError, match="empty dev split"):
-            train()
+            train_mode(no_dev, config, mode, 1)
 
 
 def test_non_finite_generator_gradient_raises(monkeypatch):
@@ -517,7 +514,7 @@ def test_non_finite_generator_gradient_raises(monkeypatch):
     for poison in ((0, 0, (0, 0)), (-1, 1, -1)):
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="generator"):
-                game.train_task(planted(), game.TrainConfig(epochs=1, seed=0), d=1)
+                train_mode(planted(), game.TrainConfig(epochs=1, seed=0), "game_mlp", 1)
         model, fresh = built[-1]
         for name in ("predictor", "complement"):
             assert getattr(model, name).flat.tobytes() == getattr(fresh, name).flat.tobytes()

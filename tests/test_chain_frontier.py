@@ -172,7 +172,7 @@ def hub_task(graph, rng, target):
     """Labeled name pairs over ``query_pairs``, with one positive repeated in
     train; dev asks three train pairs again and test one."""
     pairs = [
-        LabeledPair(graph.entity_name(h), graph.entity_name(t), int(i % 3 != 2))
+        LabeledPair(graph.entity_names[h], graph.entity_names[t], int(i % 3 != 2))
         for i, (h, t) in enumerate(query_pairs(graph, rng, n_heads=8))
         if h != t
     ]
@@ -282,7 +282,7 @@ def test_extract_task_equals_the_frontier_path(max_hops, add_inverses):
     for seed in range(3):
         graph, rng = hub_graph(40 + seed, n_edges=60 if max_hops == 4 else 100, add_inverses=add_inverses, dead_ends=True)
         task = hub_task(graph, rng, target=int(rng.integers(graph.n_relations)))
-        task.test += [LabeledPair(graph.entity_name(h), graph.entity_name(t), 0) for h, t in dead_end_pairs(graph, rng)]
+        task.test += [LabeledPair(graph.entity_names[h], graph.entity_names[t], 0) for h, t in dead_end_pairs(graph, rng)]
         chains, supports, union, splits = frontier_extract_task(graph, task, max_hops, 10000)
         if not union:
             with pytest.raises(DataError, match="no candidate chains"):

@@ -266,7 +266,7 @@ def test_instances_round_trip(tmp_path):
     reloaded = read_instances(str(path), vocab.size)
     assert len(reloaded) == len(instances)
     for orig, back in zip(instances, reloaded):
-        assert back.head == g.entity_name(orig.head)
+        assert back.head == g.entity_names[orig.head]
         assert back.label == orig.label
         assert np.array_equal(back.availability, orig.availability)
     with pytest.raises(DataError):
@@ -306,7 +306,7 @@ def test_write_instances_writes_the_reference_bytes(tmp_path, n, width, named):
     kg = KnowledgeGraph.from_triples([("a", "r", "b"), ("b\0é", "s", "c#"), ("d", "r", "a")])
     rng = np.random.default_rng(n * 100 + width)
     ids = rng.integers(0, kg.n_entities, (n, 2))
-    heads, tails = ([kg.entity_name(e) for e in column] if named else column for column in ids.T.tolist())
+    heads, tails = ([kg.entity_names[e] for e in column] if named else column for column in ids.T.tolist())
     split = Split(heads, tails, rng.integers(0, 2, n), rng.choice([0.0, 0.5, 1.0], (n, width)))
     write_instances(str(tmp_path / "bulk.inst"), split, None if named else kg)
     reference_write_instances(str(tmp_path / "rows.inst"), split, kg)
@@ -337,8 +337,8 @@ def test_encoded_splits_round_trip_through_the_cache(tmp_path):
             assert back.availability.dtype == np.uint8 and back.availability.flags.c_contiguous
             assert np.array_equal(back.availability, split.availability)
             assert np.array_equal(back.labels, split.labels)
-            assert back.heads == [p.head for p in pairs] == [kg.entity_name(h) for h in split.heads]
-            assert back.tails == [p.tail for p in pairs] == [kg.entity_name(t) for t in split.tails]
+            assert back.heads == [p.head for p in pairs] == [kg.entity_names[h] for h in split.heads]
+            assert back.tails == [p.tail for p in pairs] == [kg.entity_names[t] for t in split.tails]
 
 
 def test_splits_hold_one_byte_per_entry(tmp_path):

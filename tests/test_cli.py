@@ -361,6 +361,18 @@ def test_config_file_supplies_defaults(tmp_path):
     bench2 = tmp_path / "bench2"
     assert run(["benchmark", "--config", str(cfg), "--out", str(bench2)]) == 0
     assert (bench2 / "graph.tsv").exists()
+    # and replace the config's values of a repeatable flag instead of adding to them
+    art = pipeline(tmp_path, epochs=1)
+    cfg.write_text(f"artifacts = {art}\nrelation = nosuch\nepochs = 1\nseed = 4\n")
+    for relation in (["--relation", "target"], ["--relation=target"]):
+        out = tmp_path / f"train{len(relation)}"
+        assert run(["train", "--config", str(cfg), *relation, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["target"]
+    cfg.write_text(f"artifacts = {art}\nrelation = target\nmode = d_all\nd = 3\n")
+    for flags in (["--mode", "game_mlp", "--d", "2"], ["--mode=game_mlp", "--d=2"]):
+        report = tmp_path / f"report{len(flags)}.tsv"
+        assert run(["eval", "--config", str(cfg), "--relation", "target", *flags, "--out", str(report)]) == 0
+        assert report.read_text().splitlines()[1] == "relation\tgame_mlp.d2"
 
 
 def test_eval_checkpoint_vocab_mismatch(tmp_path, capsys):

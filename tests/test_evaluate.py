@@ -1,16 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from kgchains import evaluate, game
 from kgchains.chains import EncodedTask, Instance
 from kgchains.errors import DataError
-from kgchains.evaluate import (
-    ALL_MODES,
-    evaluate_task,
-    run_mode,
-    train_mode,
-    train_single_chain_gen,
-)
-from kgchains.game import GameModel, TrainConfig, build_model
+from kgchains.evaluate import evaluate_task, run_mode
+from kgchains.game import ALL_MODES, GameModel, TrainConfig, build_model, train_mode
 from kgchains.neural import DenseParams
 
 from splits import split_of
@@ -102,6 +99,25 @@ def test_unknown_mode_rejected():
         train_mode(data, TrainConfig(epochs=1, seed=0), "bogus", 2)
 
 
+def test_one_trainer_serves_every_mode():
+    assert evaluate.train_mode is game.train_mode
+    for name in ("train_task", "train_predictor_only", "train_fixed_generator"):
+        assert not hasattr(game, name)
+    for name in ("train_single_chain_gen", "ALL_MODES"):
+        assert not hasattr(evaluate, name)
+
+
+@pytest.mark.parametrize("mode", ["game_mlp", "game_linear", "single_chain_gen"])
+def test_d_below_one_is_rejected_before_training(mode, monkeypatch):
+    monkeypatch.setattr(game, "_fit", mock.Mock(side_effect=AssertionError("trained")))
+    with pytest.raises(ValueError, match="^d must be >= 1$"):
+        train_mode(make_task(), TrainConfig(epochs=1, seed=0), mode, 0)
+
+
+def test_d_all_ignores_d():
+    assert train_mode(make_task(), TrainConfig(epochs=1, seed=0), "d_all", 0).model.d == 1
+
+
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_all_modes_run_and_evaluate(mode):
     data = make_task()
@@ -117,10 +133,8 @@ def test_all_modes_run_and_evaluate(mode):
 def test_single_chain_gen_freezes_stage_one_generator():
     data = make_task()
     cfg = TrainConfig(epochs=3, seed=2)
-    from kgchains.game import train_task
-
-    stage_one = train_task(data, cfg, d=1)
-    combined = train_single_chain_gen(data, cfg, d=2)
+    stage_one = train_mode(data, cfg, "game_mlp", 1)
+    combined = train_mode(data, cfg, "single_chain_gen", 2)
     for (w1, _), (w2, _) in zip(
         stage_one.model.generator.layers, combined.model.generator.layers
     ):

@@ -19,8 +19,7 @@ from kgchains.game import (
     predict,
     predictor_gradient,
     select_top_d,
-    train_predictor_only,
-    train_task,
+    train_mode,
 )
 from kgchains.neural import DenseParams
 from kgchains.util import STREAM_SAMPLE, stream_rng
@@ -313,7 +312,7 @@ def make_planted_task(seed=0, n=160, d_input=8):
 
 def test_zero_epochs_returns_initial_model():
     data = make_planted_task()
-    result = train_task(data, TrainConfig(epochs=0, seed=1), d=1)
+    result = train_mode(data, TrainConfig(epochs=0, seed=1), "game_mlp", 1)
     assert result.log == []
     assert result.best_epoch == 0
     fresh = build_model(data.size, 1, 1.0, "mlp", seed=1)
@@ -324,8 +323,8 @@ def test_zero_epochs_returns_initial_model():
 
 def test_training_is_deterministic():
     data = make_planted_task()
-    a = train_task(data, TrainConfig(epochs=4, seed=3), d=1)
-    b = train_task(data, TrainConfig(epochs=4, seed=3), d=1)
+    a = train_mode(data, TrainConfig(epochs=4, seed=3), "game_mlp", 1)
+    b = train_mode(data, TrainConfig(epochs=4, seed=3), "game_mlp", 1)
     assert [s.as_line() for s in a.log] == [s.as_line() for s in b.log]
     for (w1, _), (w2, _) in zip(a.model.predictor.layers, b.model.predictor.layers):
         assert np.array_equal(w1, w2)
@@ -350,7 +349,7 @@ def test_first_batch_loss_is_ln2_with_zero_predictors():
 
 def test_game_learns_planted_signal():
     data = make_planted_task()
-    result = train_task(data, TrainConfig(epochs=120, seed=2, lr=0.01), d=1)
+    result = train_mode(data, TrainConfig(epochs=120, seed=2, lr=0.01), "game_mlp", 1)
     scores_pos = [predict(result.model, i) for i in data.test if i.label == 1]
     scores_neg = [predict(result.model, i) for i in data.test if i.label == 0]
     assert np.mean(scores_pos) > np.mean(scores_neg) + 0.1
@@ -358,7 +357,7 @@ def test_game_learns_planted_signal():
 
 def test_predictor_only_mode():
     data = make_planted_task()
-    result = train_predictor_only(data, TrainConfig(epochs=60, seed=2, lr=0.01))
+    result = train_mode(data, TrainConfig(epochs=60, seed=2, lr=0.01), "d_all", 1)
     assert result.model.generator is None
     scores_pos = [predict(result.model, i) for i in data.test if i.label == 1]
     scores_neg = [predict(result.model, i) for i in data.test if i.label == 0]
@@ -371,12 +370,12 @@ def test_single_class_training_set_rejected():
         "bad", data.size, split_of(i for i in data.train if i.label == 1), data.dev, data.test
     )
     with pytest.raises(DataError):
-        train_task(only_pos, TrainConfig(epochs=1, seed=0), d=1)
+        train_mode(only_pos, TrainConfig(epochs=1, seed=0), "game_mlp", 1)
 
 
 def test_sparsity_pressure_reduces_selection():
     data = make_planted_task()
-    result = train_task(data, TrainConfig(epochs=6, seed=4, lr=0.01), d=1, lambda_s=4.0)
+    result = train_mode(data, TrainConfig(epochs=6, seed=4, lr=0.01), "game_mlp", 1, lambda_s=4.0)
     sizes = [s.mean_selected for s in result.log]
     assert sizes[-1] <= sizes[0] + 0.2
 

@@ -30,7 +30,7 @@ def write(path, lines):
 def named_edges(g):
     """Every stored edge, added inverses included, as name triples: entity by entity, in table order."""
     return [
-        (g.entity_name(h), g.relation_name(r), g.entity_name(t))
+        (g.entity_names[h], g.relation_name(r), g.entity_names[t])
         for h in range(g.n_entities)
         for r, t in edges_of(g.out_table, h)
     ]
@@ -174,7 +174,7 @@ def test_in_table_equals_the_second_sort(monkeypatch, spec, add_inverses):
         assert g.in_table.indptr is g.out_table.indptr and g.in_table.ends is g.out_table.ends
 
 
-@pytest.mark.parametrize("accessor, bad", [("entity_name", -1), ("entity_name", 3), ("check_entity", 3), ("entity_id", "d")]
+@pytest.mark.parametrize("accessor, bad", [("check_entity", -1), ("check_entity", 3), ("entity_id", "d")]
                          + [(name, bad) for name in ("relation_name", "inverse_relation_id") for bad in (-1, 4)])
 def test_unknown_ids_are_data_errors(accessor, bad):
     g = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "s", "c")])  # -1 would otherwise index from the end
@@ -299,7 +299,7 @@ class IncrementalGraph:
 
 def assert_same_graph(g, ref):
     assert [g.relation_name(r) for r in range(g.n_relations)] == ref._relation_names
-    assert [g.entity_name(e) for e in range(g.n_entities)] == ref._entity_names
+    assert list(g.entity_names) == ref._entity_names
     assert [g.inverse_relation_id(r) for r in range(g.n_relations)] == [
         ref.inverse_relation_id(r) for r in range(len(ref._relation_names))
     ]
