@@ -20,14 +20,13 @@ the vocabulary chains that carry no signal.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .graph import NOT_INVOLUTIVE, KnowledgeGraph, LabeledPair, TaskDataset, split_train_dev
-from .util import STREAM_BENCHMARK, STREAM_SPLIT, stream_rng
+from .graph import NOT_INVOLUTIVE, KnowledgeGraph, LabeledPair, TaskDataset, split_task, write_dataset
+from .util import STREAM_BENCHMARK, stream_rng
 
 RULE_SINGLE = "single"
 RULE_CONJUNCTION = "conjunction"
@@ -136,20 +135,9 @@ def _generate(spec: BenchmarkSpec) -> _Generated:
         for rel, src, dst in zip(chain, nodes[:-1], nodes[1:]):
             triples.append((src, rel, dst))
 
-    def chains_for_role(role: str) -> list[tuple[str, ...]]:
-        if spec.rule == RULE_CONJUNCTION:
-            return {
-                "pos": list(chains),
-                "neg_a": [chains[0]],
-                "neg_b": [chains[1]],
-                "neg_none": [],
-            }[role]
-        if spec.rule == RULE_SINGLE:
-            return list(chains) if role == "pos" else []
-        raise AssertionError(role)
-
     train_pairs: list[LabeledPair] = []
     test_pairs: list[LabeledPair] = []
+    labels = [1] + [0] * spec.negatives_per_group  # a group's tails: the positive first
 
     for g in range(n_groups):
         head = f"h{g}"
@@ -158,29 +146,18 @@ def _generate(spec: BenchmarkSpec) -> _Generated:
         for tail in tails:
             mark(tail)
         if spec.rule == RULE_NOISY_WEAK:
-            labels = [1] + [0] * spec.negatives_per_group
-            group = []
-            for tail, label in zip(tails, labels):
-                rate = spec.weak_pos_rate if label == 1 else spec.weak_neg_rate
-                for chain in chains:
-                    if rng.random() < rate:
-                        realize(head, tail, chain)
-                group.append((tail, label))
+            rates = [spec.weak_pos_rate if label else spec.weak_neg_rate for label in labels]
+            carried = [[chain for chain in chains if rng.random() < rate] for rate in rates]
         else:
-            roles = ["pos"]
-            negative_cycle = (
-                ["neg_a", "neg_b", "neg_none"] if spec.rule == RULE_CONJUNCTION else ["neg_none"]
-            )
-            for i in range(spec.negatives_per_group):
-                roles.append(negative_cycle[i % len(negative_cycle)])
-            group = []
-            for tail, role in zip(tails, roles):
-                for chain in chains_for_role(role):
-                    realize(head, tail, chain)
-                group.append((tail, 1 if role == "pos" else 0))
+            # the positive carries every planted chain; conjunction negatives carry one, the other or neither
+            cycle = [[chains[0]], [chains[1]], []] if spec.rule == RULE_CONJUNCTION else [[]]
+            carried = [chains] + [cycle[i % len(cycle)] for i in range(spec.negatives_per_group)]
+        for tail, tail_chains in zip(tails, carried):
+            for chain in tail_chains:
+                realize(head, tail, chain)
 
         pairs = []
-        for tail, label in group:
+        for tail, label in zip(tails, labels):
             hits = rng.random(len(distractors)) < spec.distractor_rate
             triples.extend((head, distractors[i], tail) for i in np.flatnonzero(hits).tolist())
             if spec.noise > 0 and rng.random() < spec.noise:
@@ -199,33 +176,17 @@ def make_benchmark(spec: BenchmarkSpec) -> tuple[KnowledgeGraph, TaskDataset]:
     """Build the graph and the split task dataset for a benchmark spec."""
     generated = _generate(spec)
     graph = KnowledgeGraph.from_triples(generated.triples, add_inverses=True)
-    rel_id = graph.relation_id(spec.target_name)
-    rng = stream_rng(spec.seed + rel_id, STREAM_SPLIT)
-    train, dev = split_train_dev(generated.train_pairs, spec.split_ratio, rng)
-    return graph, TaskDataset(
-        target=rel_id,
-        relation=spec.target_name,
-        train=train,
-        dev=dev,
-        test=generated.test_pairs,
-    )
+    task = split_task(graph, spec.target_name, generated.train_pairs, generated.test_pairs, spec.split_ratio, spec.seed)
+    return graph, task
 
 
 def write_benchmark(spec: BenchmarkSpec, out_dir: str) -> tuple[str, str]:
-    """Write graph.tsv and tasks/<target>/{train,test}.pairs; returns the two roots.
+    """Write the benchmark with ``graph.write_dataset``; returns the graph file and the tasks root.
 
     graph.tsv holds each generated triple once, in first-drawn order: the lines
     ``KnowledgeGraph.from_triples`` keeps, since every edge runs forward (head,
     mids, tail, marker leaf) and so never repeats another edge's inverse."""
     generated = _generate(spec)
-    graph_path = os.path.join(out_dir, "graph.tsv")
-    tasks_dir = os.path.join(out_dir, "tasks")
-    task_dir = os.path.join(tasks_dir, spec.target_name)
-    os.makedirs(task_dir, exist_ok=True)
-    with open(graph_path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{h}\t{r}\t{t}\n" for h, r, t in dict.fromkeys(generated.triples))
-    for name, pairs in (("train.pairs", generated.train_pairs), ("test.pairs", generated.test_pairs)):
-        with open(os.path.join(task_dir, name), "w", encoding="utf-8") as fh:
-            for pair in pairs:
-                fh.write(f"{pair.head}\t{pair.tail}\t{pair.label}\n")
-    return graph_path, tasks_dir
+    return write_dataset(
+        out_dir, spec.target_name, dict.fromkeys(generated.triples), generated.train_pairs, generated.test_pairs
+    )

@@ -28,6 +28,9 @@ STATS_SCHEMA = "# kgchains extract stats v2"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # an abbreviated flag would slip past _apply_config's explicit flags
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise UsageError(message)
 
@@ -53,6 +56,14 @@ RATIO = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 BELOW_ONE = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
 PROBABILITY = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
+# the BenchmarkSpec fields that `benchmark` takes as flags, in --help order, with each flag's type
+BENCHMARK_FLAGS = {
+    "seed": NON_NEGATIVE_INT, "entities": POSITIVE_INT, "relations": POSITIVE_INT, "noise": BELOW_ONE,
+    "max_hops": POSITIVE_INT, "train_groups": POSITIVE_INT, "test_groups": POSITIVE_INT,
+    "negatives_per_group": POSITIVE_INT,
+    "distractor_rate": PROBABILITY, "weak_pos_rate": PROBABILITY, "weak_neg_rate": PROBABILITY,
+}
+
 
 def _read_config_file(path: str) -> list[list[str]]:
     """key=value lines, each as its flag and value (none if empty)."""
@@ -73,13 +84,14 @@ def _read_config_file(path: str) -> list[list[str]]:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    at = next((i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
+    _, inline, path = argv[at].partition("=")
+    if not inline and at + 1 >= len(argv):
         raise UsageError("--config requires a path")
-    injected = _read_config_file(argv[at + 1])
-    rest = argv[:at] + argv[at + 2 :]
+    injected = _read_config_file(path if inline else argv[at + 1])
+    rest = argv[:at] + argv[at + (1 if inline else 2) :]
     if not rest:
         raise UsageError("--config cannot supply the subcommand")
     # the config's flags go first, minus those given explicitly: a repeatable flag would add to them
@@ -127,14 +139,10 @@ def _read_meta(artifacts: str, relation: str) -> tuple[dict, int]:
         raise DataError(f"{path}: vocab_size is missing or not an integer") from None
 
 
-def _read_split(artifacts: str, relation: str, split: str, size: int) -> chains.Split:
-    return chains.read_instances(_instances_path(artifacts, relation, split), size)
-
-
 def _load_training_task(artifacts: str, relation: str) -> tuple[chains.EncodedTask, dict]:
     """The train and dev splits; training never reads the test split, so it is left empty."""
     meta, size = _read_meta(artifacts, relation)
-    train, dev = (_read_split(artifacts, relation, split, size) for split in ("train", "dev"))
+    train, dev = (chains.read_instances(_instances_path(artifacts, relation, name), size) for name in ("train", "dev"))
     test = chains.Split([], [], np.zeros(0, dtype=np.int64), np.zeros((0, size), np.uint8))
     return chains.EncodedTask(relation, size, train, dev, test), meta
 
@@ -143,20 +151,8 @@ def _load_training_task(artifacts: str, relation: str) -> tuple[chains.EncodedTa
 
 
 def cmd_benchmark(args) -> int:
-    spec = bench.BenchmarkSpec(
-        entities=args.entities,
-        relations=args.relations,
-        rule=args.kind.replace("-", "_"),
-        noise=args.noise,
-        seed=args.seed,
-        max_hops=args.max_hops,
-        train_groups=args.train_groups,
-        test_groups=args.test_groups,
-        negatives_per_group=args.negatives_per_group,
-        distractor_rate=args.distractor_rate,
-        weak_pos_rate=args.weak_pos_rate,
-        weak_neg_rate=args.weak_neg_rate,
-    )
+    flags = {name: getattr(args, name) for name in BENCHMARK_FLAGS}
+    spec = bench.BenchmarkSpec(rule=args.kind.replace("-", "_"), **flags)
     os.makedirs(args.out, exist_ok=True)
     graph_path, tasks_dir = bench.write_benchmark(spec, args.out)
     print(f"benchmark written: graph={graph_path} tasks={tasks_dir} relation={spec.target_name}")
@@ -266,11 +262,19 @@ def _load_model(args, relation: str, mode: str, d: int, names: list[str]) -> gam
 
 
 def cmd_eval(args) -> int:
+    args.mode = args.mode or [game.MODE_GAME_MLP]
+    args.d = args.d or [5]
+    if len(args.d) == 1 and len(args.mode) > 1:
+        args.d = args.d * len(args.mode)
+    if len(args.d) != len(args.mode):
+        raise UsageError("--d must be given once or once per --mode")
+    if args.checkpoint and (len(args.relation) > 1 or len(args.mode) > 1):
+        raise UsageError("--checkpoint only applies to a single relation and mode")
     modes = list(zip(args.mode, args.d))
     reports = {}
     for relation in args.relation:
         _, size = _read_meta(args.artifacts, relation)
-        instances = _read_split(args.artifacts, relation, args.split, size)
+        instances = chains.read_instances(_instances_path(args.artifacts, relation, args.split), size)
         names, _ = chains.read_vocabulary_names(_vocab_path(args.artifacts, relation))
         reports[relation] = [
             evaluate.evaluate_task(_load_model(args, relation, mode, d, names), instances, group_by=args.group_by)
@@ -305,7 +309,7 @@ def cmd_eval(args) -> int:
 def cmd_export_rules(args) -> int:
     relation = args.relation
     _, size = _read_meta(args.artifacts, relation)
-    test = _read_split(args.artifacts, relation, "test", size)
+    test = chains.read_instances(_instances_path(args.artifacts, relation, "test"), size)
     names, _ = chains.read_vocabulary_names(_vocab_path(args.artifacts, relation))
     model = _load_model(args, relation, args.mode, args.d, names)
     top_n = min(args.top_n, model.input_dim)
@@ -369,8 +373,8 @@ def cmd_adapt_deeppath(args) -> int:
     if not triples:
         raise DataError(f"no triples in {args.kb}")
 
-    def convert_pairs(path: str) -> tuple[list[str], int]:
-        out_lines, skipped = [], 0
+    def convert_pairs(path: str) -> tuple[list[graph.LabeledPair], int]:
+        pairs, skipped = [], 0
         with open_text(path) as fh:
             for raw in fh:
                 line = raw.strip()
@@ -386,25 +390,18 @@ def cmd_adapt_deeppath(args) -> int:
                 if head not in entities or tail not in entities:
                     skipped += 1
                     continue
-                out_lines.append(f"{head}\t{tail}\t{1 if sign == '+' else 0}")
-        return out_lines, skipped
+                pairs.append(graph.LabeledPair(head, tail, 1 if sign == "+" else 0))
+        return pairs, skipped
 
-    train_lines, train_skipped = convert_pairs(train_file)
-    test_lines, test_skipped = convert_pairs(test_file)
-    for path, lines, skipped in ((train_file, train_lines, train_skipped), (test_file, test_lines, test_skipped)):
-        if not lines:  # extract would fail on the empty split; fail before writing anything
+    train, train_skipped = convert_pairs(train_file)
+    test, test_skipped = convert_pairs(test_file)
+    for path, pairs, skipped in ((train_file, train, train_skipped), (test_file, test, test_skipped)):
+        if not pairs:  # extract would fail on the empty split; fail before writing anything
             raise DataError(f"no pairs left in {path} ({skipped} with entities missing from {args.kb})")
     if train_skipped or test_skipped:
         log.info("skipped %d train / %d test pairs with unknown entities", train_skipped, test_skipped)
 
-    task_dir = os.path.join(args.out, "tasks", args.relation)
-    os.makedirs(task_dir, exist_ok=True)
-    with open(os.path.join(args.out, "graph.tsv"), "w", encoding="utf-8") as fh:
-        for h, r, t in triples:
-            fh.write(f"{h}\t{r}\t{t}\n")
-    for name, lines in (("train.pairs", train_lines), ("test.pairs", test_lines)):
-        with open(os.path.join(task_dir, name), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+    graph.write_dataset(args.out, args.relation, triples, train, test)
     print(f"adapted: graph.tsv + tasks/{args.relation} under {args.out}")
     return 0
 
@@ -421,17 +418,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("benchmark", help="generate a synthetic planted-rule dataset")
     p.add_argument("--kind", choices=["single", "conjunction", "noisy-weak"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
-    p.add_argument("--entities", type=POSITIVE_INT, default=300)
-    p.add_argument("--relations", type=POSITIVE_INT, default=26)
-    p.add_argument("--noise", type=BELOW_ONE, default=0.0)
-    p.add_argument("--max-hops", type=POSITIVE_INT, default=2)
-    p.add_argument("--train-groups", type=POSITIVE_INT, default=50)
-    p.add_argument("--test-groups", type=POSITIVE_INT, default=25)
-    p.add_argument("--negatives-per-group", type=POSITIVE_INT, default=3)
-    p.add_argument("--distractor-rate", type=PROBABILITY, default=0.3)
-    p.add_argument("--weak-pos-rate", type=PROBABILITY, default=0.75)
-    p.add_argument("--weak-neg-rate", type=PROBABILITY, default=0.25)
+    for name, kind in BENCHMARK_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=getattr(bench.BenchmarkSpec, name))
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("extract", help="build chain vocabularies and encoded instances")
@@ -501,15 +489,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(argv)
         args = build_parser().parse_args(argv)
-        if args.command == "eval":
-            args.mode = args.mode or [game.MODE_GAME_MLP]
-            args.d = args.d or [5]
-            if len(args.d) == 1 and len(args.mode) > 1:
-                args.d = args.d * len(args.mode)
-            if len(args.d) != len(args.mode):
-                raise UsageError("--d must be given once or once per --mode")
-            if args.checkpoint and (len(args.relation) > 1 or len(args.mode) > 1):
-                raise UsageError("--checkpoint only applies to a single relation and mode")
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

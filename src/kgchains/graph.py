@@ -232,19 +232,6 @@ class TaskDataset:
     test: list[LabeledPair]
 
 
-def split_train_dev(
-    pairs: Sequence[LabeledPair], ratio: float, rng: np.random.Generator
-) -> tuple[list[LabeledPair], list[LabeledPair]]:
-    """Seeded shuffle then prefix split; train gets floor(ratio * n) pairs."""
-    if not 0 < ratio <= 1:
-        raise DataError(f"split ratio {ratio} must be in (0, 1]")
-    perm = rng.permutation(len(pairs))
-    cut = int(math.floor(ratio * len(pairs)))
-    train = [pairs[i] for i in perm[:cut]]
-    dev = [pairs[i] for i in perm[cut:]]
-    return train, dev
-
-
 def _read_pairs(path: str) -> list[LabeledPair]:
     """head TAB tail TAB label lines, read with ``util.read_table``; ``#`` lines and blank lines are skipped."""
     table = read_table(path, "pairs file", 3, comments=True)
@@ -258,27 +245,44 @@ def _read_pairs(path: str) -> list[LabeledPair]:
     return list(map(LabeledPair, fields[0::2], fields[1::2], labels.tolist()))
 
 
-def load_task(
-    tasks_dir: str,
-    relation: str,
-    graph: KnowledgeGraph,
-    split_ratio: float = 0.8,
-    seed: int = 0,
+def split_task(
+    graph: KnowledgeGraph, relation: str, pool: Sequence[LabeledPair], test: list[LabeledPair], ratio: float, seed: int
 ) -> TaskDataset:
-    """Load ``<tasks_dir>/<relation>/{train,test}.pairs`` and apply the dev split.
+    """The task of ``relation`` with ``pool`` split into train and dev: a shuffle by the stream of the seed plus
+    the relation's id, then a cut that gives train floor(ratio * n) pairs."""
+    target = graph.relation_id(relation)
+    if not 0 < ratio <= 1:
+        raise DataError(f"split ratio {ratio} must be in (0, 1]")
+    perm = stream_rng(seed + target, STREAM_SPLIT).permutation(len(pool))
+    cut = math.floor(ratio * len(pool))
+    return TaskDataset(target, relation, [pool[i] for i in perm[:cut]], [pool[i] for i in perm[cut:]], test)
 
-    The split shuffles with a per-task stream seeded by the global seed plus
-    the relation id, then cuts at ``split_ratio``.
-    """
-    rel_id = graph.relation_id(relation)
+
+def load_task(tasks_dir: str, relation: str, graph: KnowledgeGraph, split_ratio: float = 0.8,
+              seed: int = 0) -> TaskDataset:
+    """Load ``<tasks_dir>/<relation>/{train,test}.pairs``; ``split_task`` splits the train pairs into train
+    and dev."""
+    graph.relation_id(relation)  # an unknown relation fails before a missing directory
     task_dir = os.path.join(tasks_dir, relation)
     if not os.path.isdir(task_dir):
         raise DataError(f"task directory not found: {task_dir}")
     pool = _read_pairs(os.path.join(task_dir, "train.pairs"))
-    test = _read_pairs(os.path.join(task_dir, "test.pairs"))
-    rng = stream_rng(seed + rel_id, STREAM_SPLIT)
-    train, dev = split_train_dev(pool, split_ratio, rng)
-    return TaskDataset(target=rel_id, relation=relation, train=train, dev=dev, test=test)
+    return split_task(graph, relation, pool, _read_pairs(os.path.join(task_dir, "test.pairs")), split_ratio, seed)
+
+
+def write_dataset(out_dir: str, relation: str, triples: Iterable[tuple[str, str, str]],
+                  train: Iterable[LabeledPair], test: Iterable[LabeledPair]) -> tuple[str, str]:
+    """Write the layout that ``load_triples`` and ``load_task`` read: ``<out_dir>/graph.tsv``, one line a triple,
+    and ``<out_dir>/tasks/<relation>/{train,test}.pairs``; returns the graph file and the tasks root."""
+    graph_path = os.path.join(out_dir, "graph.tsv")
+    tasks_dir = os.path.join(out_dir, "tasks")
+    os.makedirs(os.path.join(tasks_dir, relation), exist_ok=True)
+    with open(graph_path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
+    for name, pairs in (("train.pairs", train), ("test.pairs", test)):
+        with open(os.path.join(tasks_dir, relation, name), "w", encoding="utf-8") as fh:
+            fh.writelines(f"{pair.head}\t{pair.tail}\t{pair.label}\n" for pair in pairs)
+    return graph_path, tasks_dir
 
 
 def downsample_negatives(pairs: Sequence, ratio: float, seed: int) -> list:

@@ -3,6 +3,7 @@ import pytest
 
 from kgchains import benchmark
 from kgchains.benchmark import BenchmarkSpec, make_benchmark, write_benchmark
+from kgchains.cli import main
 from kgchains.chains import RelationChain, enumerate_paths
 from kgchains.errors import DataError
 from kgchains.graph import KnowledgeGraph, load_triples
@@ -155,6 +156,15 @@ def test_one_call_distractor_draw_writes_what_per_draw_wrote(tmp_path, monkeypat
     assert len(expected) == 3
     if overrides.get("relations") == 3:
         assert spec.n_distractors == 0
+
+
+@pytest.mark.parametrize("kind", ["single", "conjunction", "noisy-weak"])
+def test_cli_defaults_write_what_the_spec_defaults_write(tmp_path, kind):
+    assert main(["benchmark", "--kind", kind, "--out", str(tmp_path / "cli")]) == 0
+    write_benchmark(BenchmarkSpec(rule=kind.replace("-", "_")), str(tmp_path / "spec"))
+    expected = written(tmp_path / "spec")
+    assert written(tmp_path / "cli") == expected
+    assert len(expected) == 3
 
 
 @pytest.mark.parametrize(

@@ -351,7 +351,7 @@ def test_range_checked_flags_accept_their_bounds():
         assert (args.entities, args.negatives_per_group, args.noise, args.weak_neg_rate) == (1, 1, 0.0, float(rate))
 
 
-def test_config_file_supplies_defaults(tmp_path):
+def test_config_file_supplies_defaults(tmp_path, capsys):
     bench = tmp_path / "bench"
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kind = single\nout = {}\ntrain-groups = 4\ntest-groups = 2\n".format(bench))
@@ -364,10 +364,20 @@ def test_config_file_supplies_defaults(tmp_path):
     # and replace the config's values of a repeatable flag instead of adding to them
     art = pipeline(tmp_path, epochs=1)
     cfg.write_text(f"artifacts = {art}\nrelation = nosuch\nepochs = 1\nseed = 4\n")
-    for relation in (["--relation", "target"], ["--relation=target"]):
-        out = tmp_path / f"train{len(relation)}"
-        assert run(["train", "--config", str(cfg), *relation, "--out", str(out)]) == 0
+    # with the config's path as the next argument or after '='
+    for i, flags in enumerate([
+        ["--config", str(cfg), "--relation", "target"],
+        ["--config", str(cfg), "--relation=target"],
+        [f"--config={cfg}", "--relation", "target"],
+    ]):
+        out = tmp_path / f"train{i}"
+        assert run(["train", *flags, "--out", str(out)]) == 0
         assert sorted(os.listdir(out)) == ["target"]
+    # an abbreviated flag is a usage error, not a second value beside the config's
+    capsys.readouterr()
+    assert run(["train", "--config", str(cfg), "--rel", "target", "--out", str(tmp_path / "abbrev")]) == 1
+    assert "usage error: unrecognized arguments: --rel target" in capsys.readouterr().err
+    assert not (tmp_path / "abbrev").exists()
     cfg.write_text(f"artifacts = {art}\nrelation = target\nmode = d_all\nd = 3\n")
     for flags in (["--mode", "game_mlp", "--d", "2"], ["--mode=game_mlp", "--d=2"]):
         report = tmp_path / f"report{len(flags)}.tsv"
@@ -450,6 +460,26 @@ def test_adapt_deeppath_missing_inputs_exit_code(tmp_path, capsys):
     (task_dir / "test.pairs").write_text("thing$a,thing$b: -\n")
     assert run(args) == 0
     assert (tmp_path / "out" / "tasks" / "r" / "test.pairs").read_text() == "a\tb\t0\n"
+
+
+def test_adapt_deeppath_output_bytes(tmp_path):
+    """KB lines in file order, a duplicate kept; ``thing$`` stripped; sort_test.pairs over test.pairs;
+    a pair with an entity missing from the KB skipped."""
+    kb = tmp_path / "kb.txt"
+    kb.write_text("a\tr\tb\nb\tr\tc\n\na\tr\tb\nc s d\n")
+    task_dir = tmp_path / "task"
+    task_dir.mkdir()
+    (task_dir / "train.pairs").write_text("thing$a,thing$b: +\nthing$a,thing$zz: -\n\na,c: -\n")
+    (task_dir / "sort_test.pairs").write_text("thing$b,thing$c: +\nthing$c,thing$d: -\n")
+    (task_dir / "test.pairs").write_text("thing$a,thing$d: +\n")
+    out = tmp_path / "out"
+    args = ["adapt-deeppath", "--kb", str(kb), "--task-dir", str(task_dir), "--relation", "r", "--out", str(out)]
+    assert run(args) == 0
+    assert {str(p.relative_to(out)): p.read_text() for p in sorted(out.rglob("*")) if p.is_file()} == {
+        "graph.tsv": "a\tr\tb\nb\tr\tc\na\tr\tb\nc\ts\td\n",
+        "tasks/r/test.pairs": "b\tc\t1\nc\td\t0\n",
+        "tasks/r/train.pairs": "a\tb\t1\na\tc\t0\n",
+    }
 
 
 def test_extract_rejects_a_relation_name_that_does_not_invert_back(tmp_path, capsys):
