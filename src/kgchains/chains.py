@@ -241,7 +241,7 @@ class ChainVocabulary:
     Chains are unique and ordered by decreasing positive-pair support with
     ties broken by first occurrence; indices 0..D-1 are stable and persisted.
     ``union_size`` counts the distinct positive-pair chains before the cap.
-    ``index`` can be probed with raw relation-id tuples.
+    ``codes`` are the chains' codes (``_weights``), in index order.
     """
 
     target: int
@@ -249,12 +249,7 @@ class ChainVocabulary:
     chains: list[RelationChain]
     supports: list[int]
     union_size: int
-    index: dict[RelationChain, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.index = {chain: j for j, chain in enumerate(self.chains)}
-        if len(self.index) != len(self.chains):
-            raise DataError("vocabulary chains are not unique")
+    codes: np.ndarray = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -272,7 +267,8 @@ def _vocabulary(
     if not len(codes):
         raise DataError("no candidate chains")
     kept = np.lexsort((first, -support))[:max_size]
-    return ChainVocabulary(target, max_hops, _decode(codes[kept], graph, max_hops), support[kept].tolist(), len(codes))
+    chains = _decode(codes[kept], graph, max_hops)
+    return ChainVocabulary(target, max_hops, chains, support[kept].tolist(), len(codes), codes[kept])
 
 
 def _require_positives(positives: Sequence) -> Sequence:
@@ -355,17 +351,13 @@ def _ids(graph: KnowledgeGraph, pairs: Sequence[LabeledPair]) -> np.ndarray:
     return np.array([(graph.entity_id(p.head), graph.entity_id(p.tail)) for p in pairs], np.int64).reshape(-1, 2)
 
 
-def _encode(
-    vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset, ids: np.ndarray, found: tuple
-) -> EncodedTask:
+def _encode(vocab: ChainVocabulary, task: TaskDataset, ids: np.ndarray, found: tuple) -> EncodedTask:
     """Every split against ``vocab``, ``ids`` being the splits' pairs in order; the
     found codes' columns come from one search in the vocabulary's codes."""
     slot, ptr, codes = found
-    weights = _weights(graph, vocab.max_hops)
-    kept = np.array([sum((r + 1) * w for r, w in zip(chain, weights)) for chain in vocab.chains], np.int64)
-    order = np.argsort(kept)
-    at = np.searchsorted(kept[order], codes)
-    column = np.where(np.append(kept[order], 0)[at] == codes, np.append(order, -1)[at], -1)
+    order = np.argsort(vocab.codes)
+    at = np.searchsorted(vocab.codes[order], codes)
+    column = np.where(np.append(vocab.codes[order], 0)[at] == codes, np.append(order, -1)[at], -1)
 
     def encode_split(pairs: list[LabeledPair], a: int, b: int) -> Split:
         bits = np.zeros((b - a, vocab.size), np.uint8)
@@ -383,7 +375,7 @@ def _encode(
 def encode_task(vocab: ChainVocabulary, graph: KnowledgeGraph, task: TaskDataset) -> EncodedTask:
     """Encode every split; one chain walk serves all three."""
     ids = _ids(graph, task.train + task.dev + task.test)
-    return _encode(vocab, graph, task, ids, _walks(graph, ids, vocab.max_hops, vocab.target))
+    return _encode(vocab, task, ids, _walks(graph, ids, vocab.max_hops, vocab.target))
 
 
 def extract_task(
@@ -395,7 +387,7 @@ def extract_task(
     positives = _require_positives(np.flatnonzero([p.label == 1 for p in task.train]))
     found = _walks(graph, ids, max_hops, task.target)
     vocab = _vocabulary(graph, found, found[0][positives], task.target, max_hops, max_size)
-    return vocab, _encode(vocab, graph, task, ids, found)
+    return vocab, _encode(vocab, task, ids, found)
 
 
 # -- persistence ---------------------------------------------------------

@@ -5,7 +5,9 @@ The header (v3) is a ``[meta]`` section of ``key = value`` lines, one
 ``layer i out in`` shape line per layer, and ``[end]``. After ``[end]`` come
 the little-endian float64 bytes of each network's flat buffer (each layer's
 row-major weight, then its bias), in section order: generator, predictor,
-complement. Reloading reproduces the weights bit for bit.
+complement. Reloading reproduces the weights bit for bit. A network's name is
+one of those three, at most once; which ones a model has, and in what shapes,
+is ``GameModel``'s rule, and breaking it is a data error too.
 
 Only v3 is read: a file whose first line names another version (v1's decimal
 rows, v2's base64 lines) is a data error naming the file.
@@ -20,7 +22,7 @@ import os
 import numpy as np
 
 from .errors import DataError
-from .game import ARCH_LINEAR, ARCH_MLP, MODE_ALL_CHAINS, MODE_GAME, GameModel
+from .game import GameModel
 from .neural import DenseParams
 from .util import not_utf8, read_fields, write_fields
 
@@ -29,20 +31,14 @@ _FIRST = HEADER.encode() + b"\n"
 _END = b"[end]\n"
 
 _REQUIRED_META = ("input_dim", "d", "lambda_s", "predictor_arch", "mode")
+_NETS = ("generator", "predictor", "complement")  # the sections' order, and the payload's
 
 
 def save_checkpoint(path: str, model: GameModel, meta: dict | None = None) -> None:
-    record = {
-        "input_dim": model.input_dim,
-        "d": model.d,
-        "lambda_s": model.lambda_s,
-        "predictor_arch": model.predictor_arch,
-        "mode": model.mode,
-    }
+    record = {key: getattr(model, key) for key in _REQUIRED_META}
     if meta:
         record.update(meta)
-    nets = [(name, getattr(model, name)) for name in ("generator", "predictor", "complement")]
-    nets = [(name, net) for name, net in nets if net is not None]
+    nets = [(name, getattr(model, name)) for name in _NETS if getattr(model, name) is not None]
     header = io.StringIO()
     header.write(HEADER + "\n[meta]\n")
     write_fields(header, record)
@@ -124,9 +120,12 @@ def _parse_checkpoint(lines: list[str], path: str, fh: io.BufferedReader, payloa
                 end += 1
             meta.update(read_fields(lines[pos + 1 : end], path, pos + 2))
             pos = end
-        elif line.startswith("[net "):
+        elif line.startswith("[net ") and line.endswith("]"):
+            name = line[len("[net ") : -1]
+            if name not in _NETS or name in dict(sections):
+                raise DataError(f"{path}:{pos + 1}: {'repeated' if name in _NETS else 'unknown'} network {line}")
             shapes, pos = _parse_net(lines, pos + 1, path)
-            sections.append((line[len("[net ") : -1], shapes))
+            sections.append((name, shapes))
         elif line == "[end]":
             break
         else:
@@ -142,7 +141,7 @@ def _parse_checkpoint(lines: list[str], path: str, fh: io.BufferedReader, payloa
     if payload_bytes != need:
         raise DataError(f"checkpoint payload has {payload_bytes} bytes, its layer shapes need {need}: {path}")
     flat = flat.astype(np.float64, copy=False)  # a copy only on a big-endian host
-    nets: dict[str, DenseParams] = {}
+    nets: dict[str, DenseParams | None] = dict.fromkeys(_NETS)
     offset = 0
     for (name, shapes), size in zip(sections, sizes):
         view = flat[offset : offset + size]
@@ -154,29 +153,9 @@ def _parse_checkpoint(lines: list[str], path: str, fh: io.BufferedReader, payloa
     for key in _REQUIRED_META:
         if key not in meta:
             raise DataError(f"checkpoint missing meta key {key!r}: {path}")
-    if "predictor" not in nets:
-        raise DataError(f"checkpoint has no predictor network: {path}")
-    model = GameModel(
-        input_dim=int(meta["input_dim"]),
-        d=int(meta["d"]),
-        lambda_s=float(meta["lambda_s"]),
-        predictor_arch=meta["predictor_arch"],
-        mode=meta["mode"],
-        predictor=nets["predictor"],
-        generator=nets.get("generator"),
-        complement=nets.get("complement"),
-    )
-    valid = {
-        "d": (model.d >= 1, "an integer >= 1"),
-        "lambda_s": (math.isfinite(model.lambda_s) and model.lambda_s >= 0, "a finite number >= 0"),
-        "predictor_arch": (model.predictor_arch in (ARCH_MLP, ARCH_LINEAR), f"{ARCH_MLP} or {ARCH_LINEAR}"),
-        "mode": (model.mode in (MODE_GAME, MODE_ALL_CHAINS), f"{MODE_GAME} or {MODE_ALL_CHAINS}"),
-    }
-    for key, (ok, expected) in valid.items():
-        if not ok:
-            raise DataError(f"checkpoint meta {key} = {meta[key]} must be {expected}: {path}")
-    output_dims = {"generator": 2 * model.input_dim, "predictor": 2, "complement": 2}
-    for name, net in nets.items():
-        if (net.input_dim, net.output_dim) != (model.input_dim, output_dims.get(name)):
-            raise DataError(f"checkpoint {name} network does not fit input_dim {model.input_dim}: {path}")
+    input_dim, d, lambda_s = int(meta["input_dim"]), int(meta["d"]), float(meta["lambda_s"])
+    try:
+        model = GameModel(input_dim, d, lambda_s, meta["predictor_arch"], meta["mode"], **nets)
+    except ValueError as err:  # a model that build_model could not have built
+        raise DataError(f"checkpoint meta {err}: {path}") from None
     return model, meta

@@ -153,7 +153,6 @@ def _load_training_task(artifacts: str, relation: str) -> tuple[chains.EncodedTa
 def cmd_benchmark(args) -> int:
     flags = {name: getattr(args, name) for name in BENCHMARK_FLAGS}
     spec = bench.BenchmarkSpec(rule=args.kind.replace("-", "_"), **flags)
-    os.makedirs(args.out, exist_ok=True)
     graph_path, tasks_dir = bench.write_benchmark(spec, args.out)
     print(f"benchmark written: graph={graph_path} tasks={tasks_dir} relation={spec.target_name}")
     return 0

@@ -76,6 +76,31 @@ class GameModel:
     generator: DenseParams | None = None
     complement: DenseParams | None = None
 
+    def __post_init__(self) -> None:
+        """Raise ``ValueError`` unless ``build_model`` could have built this model, weights aside: its
+        mode's networks, each in the layer shapes ``_network_dims`` gives at ``input_dim``. A game model
+        may lack the complement, as ``single_chain_gen``'s second stage does."""
+        for key, ok, expected in (
+            ("input_dim", self.input_dim >= 1, "an integer >= 1"),
+            ("d", self.d >= 1, "an integer >= 1"),
+            ("lambda_s", math.isfinite(self.lambda_s) and self.lambda_s >= 0, "a finite number >= 0"),
+            ("predictor_arch", self.predictor_arch in (ARCH_MLP, ARCH_LINEAR), f"{ARCH_MLP} or {ARCH_LINEAR}"),
+            ("mode", self.mode in (MODE_GAME, MODE_ALL_CHAINS), f"{MODE_GAME} or {MODE_ALL_CHAINS}"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} = {getattr(self, key)} must be {expected}")
+        widths = _network_dims(self.input_dim, self.predictor_arch, self.mode)
+        for name in ("generator", "predictor", "complement"):
+            net, dims = getattr(self, name), widths.get(name)
+            shapes = dims and list(zip(dims[1:], dims[:-1]))
+            if net is None:
+                if shapes and name != "complement":
+                    raise ValueError(f"mode = {self.mode} needs a {name} network")
+            elif not shapes:
+                raise ValueError(f"mode = {self.mode} has no {name} network")
+            elif net.shapes != shapes:
+                raise ValueError(f"input_dim = {self.input_dim} needs {name} layer shapes {shapes}, not {net.shapes}")
+
 
 @dataclass
 class TrainConfig:
@@ -119,30 +144,24 @@ class TrainResult:
     best_dev_map: float = 0.0
 
 
-def _predictor_dims(arch: str, input_dim: int) -> list[int]:
-    if arch == ARCH_MLP:
-        return mlp_dims(input_dim, 2)
-    if arch == ARCH_LINEAR:
-        return linear_dims(input_dim, 2)
-    raise ValueError(f"unknown predictor architecture: {arch!r}")
+def _network_dims(input_dim: int, predictor_arch: str, mode: str) -> dict[str, list[int]]:
+    """Each network's layer widths in a model of this mode, in init and payload order."""
+    predictor = (mlp_dims if predictor_arch == ARCH_MLP else linear_dims)(input_dim, 2)
+    if mode == MODE_ALL_CHAINS:
+        return {"predictor": predictor}
+    return {"generator": mlp_dims(input_dim, 2 * input_dim), "predictor": predictor, "complement": predictor}
 
 
 def build_model(
     input_dim: int, d: int, lambda_s: float, predictor_arch: str = ARCH_MLP, seed: int = 0, mode: str = MODE_GAME
 ) -> GameModel:
-    """Fresh model; init draws happen generator, predictor, complement in order."""
+    """Fresh model; init draws happen generator, predictor, complement in order. ``GameModel`` checks the
+    fields."""
     if input_dim < 1:
         raise DataError("empty vocabulary: cannot build a model")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if lambda_s < 0:
-        raise ValueError("lambda_s must be >= 0")
     rng = stream_rng(seed, STREAM_INIT)
-    is_game = mode == MODE_GAME
-    generator = init_dense(mlp_dims(input_dim, 2 * input_dim), rng) if is_game else None
-    predictor = init_dense(_predictor_dims(predictor_arch, input_dim), rng)
-    complement = init_dense(_predictor_dims(predictor_arch, input_dim), rng) if is_game else None
-    return GameModel(input_dim, d, lambda_s, predictor_arch, mode, predictor, generator, complement)
+    nets = {name: init_dense(dims, rng) for name, dims in _network_dims(input_dim, predictor_arch, mode).items()}
+    return GameModel(input_dim, d, lambda_s, predictor_arch, mode, **nets)
 
 
 def clone_model(model: GameModel) -> GameModel:
@@ -315,7 +334,7 @@ def selection_probs(model: GameModel, availability: np.ndarray) -> np.ndarray:
 def _predictor_inputs(model: GameModel, availability: np.ndarray, probs: np.ndarray, n: int = 0):
     """(Rows the predictor scores, each row's ``top_order`` by the selection probabilities ``probs``
     for max(n, d) positions): the rows are all available chains, or the first d of that order."""
-    d = 0 if model.mode == MODE_ALL_CHAINS or model.generator is None else model.d
+    d = 0 if model.generator is None else model.d
     order = top_order(probs, availability, max(n, d))
     return (_top_d(order, availability, d) if d else availability), order
 
@@ -453,6 +472,7 @@ def train_mode(data: EncodedTask, config: TrainConfig, mode: str, d: int, lambda
     result = _fit(data, config, model, _game_step(model, config), stream_rng(config.seed, STREAM_SHUFFLE))
     if not two_stage:
         return result
-    predictor = init_dense(_predictor_dims(arch, data.size), stream_rng(config.seed, STREAM_INIT, 2))
+    dims = _network_dims(data.size, arch, MODE_GAME)["predictor"]
+    predictor = init_dense(dims, stream_rng(config.seed, STREAM_INIT, 2))
     model = GameModel(data.size, d, 0.0, arch, MODE_GAME, predictor, result.model.generator)
     return _fit(data, config, model, _predictor_only_step(model, config), stream_rng(config.seed, STREAM_SHUFFLE, 2))

@@ -211,7 +211,7 @@ def train(data, config: game.TrainConfig, mode: str, d: int, lambda_s: float = 1
     result = fit(data, config, model, game_step(model, config), stream_rng(config.seed, STREAM_SHUFFLE))
     if mode != "single_chain_gen":
         return result
-    predictor = init_dense(game._predictor_dims(arch, data.size), stream_rng(config.seed, STREAM_INIT, 2))
+    predictor = init_dense(game._network_dims(data.size, arch, game.MODE_GAME)["predictor"], stream_rng(config.seed, STREAM_INIT, 2))
     model = game.GameModel(data.size, d, 0.0, arch, game.MODE_GAME, predictor, clone_params(result.model.generator))
     step = predictor_only_step(model, config)
     return fit(data, config, model, step, stream_rng(config.seed, STREAM_SHUFFLE, 2))

@@ -38,10 +38,11 @@ def names(graph, chain_set):
 
 
 def encode(vocab, graph, head, tail, label):
-    """One pair's instance, its bits looked up chain by chain in ``vocab.index``."""
+    """One pair's instance, its bits looked up chain by chain in the vocabulary."""
     found = enumerate_paths(graph, head, tail, vocab.max_hops, exclude=vocab.target)
+    index = {chain: j for j, chain in enumerate(vocab.chains)}
     row = np.zeros(vocab.size)
-    row[[vocab.index[chain] for chain in found if chain in vocab.index]] = 1.0
+    row[[index[chain] for chain in found if chain in index]] = 1.0
     return Instance(head, tail, label, row)
 
 
@@ -213,7 +214,7 @@ def test_encode_instance_bits():
     vocab = build_vocabulary(g, pairs, g.relation_id("anchor"), max_hops=3)
     inst = encode(vocab, g, pairs[0][0], pairs[0][1], 1)
     present = enumerate_paths(g, pairs[0][0], pairs[0][1], 3, exclude=g.relation_id("anchor"))
-    for chain, j in vocab.index.items():
+    for j, chain in enumerate(vocab.chains):
         assert inst.availability[j] == (1.0 if chain in present else 0.0)
 
 

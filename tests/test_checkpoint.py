@@ -81,6 +81,34 @@ def test_round_trip_is_bit_identical(tmp_path, arch, mode):
     assert starts == [8 * sum(flat.size for flat in flats[:i]) for i in range(len(flats))]
 
 
+@pytest.mark.parametrize("input_dim", [1, 2, 5])
+@pytest.mark.parametrize("arch, mode", [("mlp", "game"), ("linear", "game"), ("mlp", "d_all"), ("linear", "d_all")])
+def test_every_built_model_round_trips(tmp_path, input_dim, arch, mode):
+    model = trained_like(build_model(input_dim, 3, 0.25, arch, seed=input_dim, mode=mode))
+    save_checkpoint(str(tmp_path / "ck.txt"), model)
+    loaded, _ = load_checkpoint(str(tmp_path / "ck.txt"))
+    assert_same_weights(loaded, model)
+    assert (loaded.input_dim, loaded.d, loaded.lambda_s, loaded.predictor_arch, loaded.mode) == (input_dim, 3, 0.25, arch, mode)
+
+
+GOOD = dict(input_dim=5, d=2, lambda_s=0.5, predictor_arch="mlp", mode="game")
+
+
+@pytest.mark.parametrize("key, value", [("mode", "bogus"), ("predictor_arch", "rnn"), ("lambda_s", float("inf")),
+                                        ("lambda_s", float("nan")), ("lambda_s", -1.0), ("d", 0), ("d", -1)])
+def test_build_model_rejects_what_load_checkpoint_rejects(tmp_path, key, value):
+    """A field value ``build_model`` refuses; the same value in a saved model's meta, which a load refuses."""
+    with pytest.raises(ValueError, match=f"^{key} = {value} must be "):
+        build_model(**{**GOOD, key: value})
+    path = tmp_path / "ck.txt"
+    save_checkpoint(str(path), build_model(**GOOD))
+    good, bad = (f"\n{key} = {v}\n".encode() for v in (GOOD[key], value))
+    assert good in path.read_bytes()
+    path.write_bytes(path.read_bytes().replace(good, bad, 1))
+    with pytest.raises(DataError, match=re.escape(f"checkpoint meta {key} = {value} must be ")):
+        load_checkpoint(str(path))
+
+
 def test_load_holds_the_payload_once(tmp_path):
     path = tmp_path / "ck.txt"
     save_checkpoint(str(path), build_model(1000, 2, 0.5, "mlp", seed=0))

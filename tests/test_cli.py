@@ -334,6 +334,14 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, argv)
     assert not os.listdir(tmp_path)
 
 
+def test_benchmark_spec_data_error_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A spec whose flags are each in range but fail together is a data error, and leaves no ``--out``."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["benchmark", "--kind", "conjunction", "--out", "bad", "--max-hops", "1"]) == 2
+    assert capsys.readouterr().err == "data error: planted chain of length 2 exceeds max_hops 1\n"
+    assert not os.listdir(tmp_path)
+
+
 def test_range_checked_flags_accept_their_bounds():
     args = cli.build_parser().parse_args(
         TRAIN + ["--d", "1", "--lambda-s", "0", "--baseline-momentum", "0", "--lr", "1e-9", "--seed", "0"]

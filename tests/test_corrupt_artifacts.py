@@ -174,6 +174,21 @@ def payload_value(edit, index=0):
     return corrupt
 
 
+PREDICTOR = "[net predictor]\nlayers = 3\nlayer 0 2 4\nlayer 1 2 2\nlayer 2 2 2\n"  # the d_all checkpoint's one network
+
+
+def networks(sections, extra_values):
+    """A v3 file with ``sections`` in place of its ``[net predictor]`` section, and ``extra_values`` float64
+    zeros appended to its payload."""
+
+    def corrupt(raw):
+        header, payload = split_v3(raw)
+        assert PREDICTOR in header
+        return header.replace(PREDICTOR, sections, 1).encode("utf-8") + payload + bytes(8 * extra_values)
+
+    return corrupt
+
+
 # each applied to the d_all checkpoint (D = 4: layers 4 -> 2 -> 2 -> 2, d = 1), with its data error's exact message
 CORRUPTIONS = {
     "no_end": (lambda raw: raw[: raw.index(b"\n[end]\n") + 1], "truncated checkpoint (no [end]): {path}"),
@@ -225,6 +240,16 @@ CORRUPTIONS = {
                         "{path}: not UTF-8 text (byte 0xff: invalid start byte)"),
     "read_as_v2": (swap(b"checkpoint v3", b"checkpoint v2"), "unsupported kgchains checkpoint v2: {path}"),
     "first_line_cr_no_lf": (lambda raw: raw[: raw.index(b"\n")] + b"\r", "truncated checkpoint (no [end]): {path}"),
+    "net_header_unclosed": (swap(b"\n[net predictor]\n", b"\n[net predictorx\n"), "{path}:16: expected a section header"),
+    # the payload fits each of these headers' layer shapes
+    "net_repeated": (networks(PREDICTOR * 2, 22), "{path}:21: repeated network [net predictor]"),
+    "net_unknown": (networks(PREDICTOR + "[net foo]\nlayers = 1\nlayer 0 2 4\n", 10),
+                    "{path}:21: unknown network [net foo]"),
+    "d_all_with_generator": (networks("[net generator]\nlayers = 3\nlayer 0 2 4\nlayer 1 2 2\nlayer 2 8 2\n" + PREDICTOR, 40),
+                             "checkpoint meta mode = d_all has no generator network: {path}"),
+    "predictor_4_3_3_2": (networks("[net predictor]\nlayers = 3\nlayer 0 3 4\nlayer 1 3 3\nlayer 2 2 3\n", 13),
+                          "checkpoint meta input_dim = 4 needs predictor layer shapes [(2, 4), (2, 2), (2, 2)],"
+                          " not [(3, 4), (3, 3), (2, 3)]: {path}"),
 }
 CASES = sorted(CORRUPTIONS)
 
