@@ -100,35 +100,19 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 
 # -- artifact layout -------------------------------------------------------
+# <artifacts>/<relation>/ holds vocab.tsv, {train,dev,test}.inst and meta.txt, written by `extract`,
+# and checkpoint.<mode>.d<d>.txt and trainlog.<mode>.d<d>.tsv, written by `train`. meta.txt's
+# vocab_size is the width that every cache, the vocabulary and every checkpoint must match.
 
 
-def _relation_dir(artifacts: str, relation: str) -> str:
-    return os.path.join(artifacts, relation)
+def _artifact(root: str, relation: str, name: str = "") -> str:
+    """The path of file ``name`` in a relation's directory, or of the directory itself."""
+    return os.path.join(root, relation, name)
 
 
-def _vocab_path(artifacts: str, relation: str) -> str:
-    return os.path.join(_relation_dir(artifacts, relation), "vocab.tsv")
-
-
-def _instances_path(artifacts: str, relation: str, split: str) -> str:
-    return os.path.join(_relation_dir(artifacts, relation), f"{split}.inst")
-
-
-def _meta_path(artifacts: str, relation: str) -> str:
-    return os.path.join(_relation_dir(artifacts, relation), "meta.txt")
-
-
-def _checkpoint_path(artifacts: str, relation: str, mode: str, d: int) -> str:
-    return os.path.join(_relation_dir(artifacts, relation), f"checkpoint.{mode}.d{d}.txt")
-
-
-def _trainlog_path(artifacts: str, relation: str, mode: str, d: int) -> str:
-    return os.path.join(_relation_dir(artifacts, relation), f"trainlog.{mode}.d{d}.tsv")
-
-
-def _read_meta(artifacts: str, relation: str) -> tuple[dict, int]:
+def _read_meta(root: str, relation: str) -> tuple[dict, int]:
     """``meta.txt``'s fields and the vocabulary size it records."""
-    path = _meta_path(artifacts, relation)
+    path = _artifact(root, relation, "meta.txt")
     if not os.path.isfile(path):
         raise DataError(f"extraction metadata not found: {path}")
     with open_text(path) as fh:
@@ -139,12 +123,29 @@ def _read_meta(artifacts: str, relation: str) -> tuple[dict, int]:
         raise DataError(f"{path}: vocab_size is missing or not an integer") from None
 
 
-def _load_training_task(artifacts: str, relation: str) -> tuple[chains.EncodedTask, dict]:
-    """The train and dev splits; training never reads the test split, so it is left empty."""
-    meta, size = _read_meta(artifacts, relation)
-    train, dev = (chains.read_instances(_instances_path(artifacts, relation, name), size) for name in ("train", "dev"))
-    test = chains.Split([], [], np.zeros(0, dtype=np.int64), np.zeros((0, size), np.uint8))
-    return chains.EncodedTask(relation, size, train, dev, test), meta
+def _read_split(root: str, relation: str, split: str, size: int) -> chains.Split:
+    return chains.read_instances(_artifact(root, relation, f"{split}.inst"), size)
+
+
+def _read_names(root: str, relation: str, size: int) -> list[str]:
+    """The vocabulary's chain names, which must number ``size``."""
+    path = _artifact(root, relation, "vocab.tsv")
+    names, _ = chains.read_vocabulary_names(path)
+    if len(names) != size:
+        raise DataError(f"{path}: {len(names)} chains, but meta.txt records vocab_size {size}")
+    return names
+
+
+def _load_model(args, relation: str, mode: str, d: int, size: int) -> game.GameModel:
+    """The checkpoint's model, whose input width must be meta.txt's vocab_size ``size``."""
+    path = args.checkpoint or _artifact(args.artifacts, relation, f"checkpoint.{mode}.d{d}.txt")
+    model, _ = checkpoint.load_checkpoint(path)
+    if model.input_dim != size:
+        raise DataError(
+            f"checkpoint/vocabulary mismatch for {relation}: "
+            f"{path} expects {model.input_dim} chains, vocabulary has {size}"
+        )
+    return model
 
 
 # -- subcommands ------------------------------------------------------------
@@ -160,22 +161,20 @@ def cmd_benchmark(args) -> int:
 
 def cmd_extract(args) -> int:
     kg = graph.load_triples(args.graph, add_inverses=not args.no_inverses)
+    # every task loads before anything is written: a bad --relation leaves no output
+    tasks = [graph.load_task(args.tasks, relation, kg, args.split_ratio, args.seed) for relation in args.relation]
     stats_rows = []
-    for relation in args.relation:
-        task = graph.load_task(args.tasks, relation, kg, args.split_ratio, args.seed)
+    for relation, task in zip(args.relation, tasks):
         if args.neg_ratio is not None:
             train_pairs = graph.downsample_negatives(task.train, args.neg_ratio, args.seed)
             task = graph.TaskDataset(task.target, task.relation, train_pairs, task.dev, task.test)
         vocab, data = chains.extract_task(kg, task, args.max_hops, args.max_chains)
 
-        rel_dir = _relation_dir(args.out, relation)
-        os.makedirs(rel_dir, exist_ok=True)
-        chains.write_vocabulary(_vocab_path(args.out, relation), vocab, kg)
+        os.makedirs(_artifact(args.out, relation), exist_ok=True)
+        chains.write_vocabulary(_artifact(args.out, relation, "vocab.tsv"), vocab, kg)
         for split in ("train", "dev", "test"):
-            chains.write_instances(
-                _instances_path(args.out, relation, split), getattr(data, split), kg
-            )
-        with open(_meta_path(args.out, relation), "w", encoding="utf-8") as fh:
+            chains.write_instances(_artifact(args.out, relation, f"{split}.inst"), getattr(data, split), kg)
+        with open(_artifact(args.out, relation, "meta.txt"), "w", encoding="utf-8") as fh:
             write_fields(
                 fh,
                 {
@@ -201,8 +200,9 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _train_config(args) -> game.TrainConfig:
-    return game.TrainConfig(
+def cmd_train(args) -> int:
+    out = args.out or args.artifacts
+    config = game.TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         lr=args.lr,
@@ -210,17 +210,15 @@ def _train_config(args) -> game.TrainConfig:
         baseline_momentum=args.baseline_momentum,
         mc_samples_per_instance=args.mc_samples,
     )
-
-
-def cmd_train(args) -> int:
-    out = args.out or args.artifacts
     for relation in args.relation:
-        data, meta = _load_training_task(args.artifacts, relation)
-        config = _train_config(args)
+        meta, size = _read_meta(args.artifacts, relation)
+        train, dev = (_read_split(args.artifacts, relation, split, size) for split in ("train", "dev"))
+        test = chains.Split([], [], np.zeros(0, np.int64), np.zeros((0, size), np.uint8))  # training never reads it
+        data = chains.EncodedTask(relation, size, train, dev, test)
         result = game.train_mode(data, config, args.mode, args.d, args.lambda_s)
 
-        os.makedirs(_relation_dir(out, relation), exist_ok=True)
-        ck_path = _checkpoint_path(out, relation, args.mode, args.d)
+        os.makedirs(_artifact(out, relation), exist_ok=True)
+        ck_path = _artifact(out, relation, f"checkpoint.{args.mode}.d{args.d}.txt")
         checkpoint.save_checkpoint(
             ck_path,
             result.model,
@@ -232,11 +230,10 @@ def cmd_train(args) -> int:
                 "best_epoch": result.best_epoch,
                 "best_dev_map": f"{result.best_dev_map:.6f}",
                 "max_hops": meta.get("max_hops", ""),
-                "vocab": os.path.basename(_vocab_path(args.artifacts, relation)),
+                "vocab": "vocab.tsv",
             },
         )
-        log_path = _trainlog_path(out, relation, args.mode, args.d)
-        with open(log_path, "w", encoding="utf-8") as fh:
+        with open(_artifact(out, relation, f"trainlog.{args.mode}.d{args.d}.tsv"), "w", encoding="utf-8") as fh:
             fh.write("# kgchains train log v1\n")
             fh.write("epoch\tloss_p\tloss_c\tmean_reward\tmean_selected\tdev_map\n")
             for stats in result.log:
@@ -246,18 +243,6 @@ def cmd_train(args) -> int:
             f"best_dev_map={result.best_dev_map:.4f} (epoch {result.best_epoch}) -> {ck_path}"
         )
     return 0
-
-
-def _load_model(args, relation: str, mode: str, d: int, names: list[str]) -> game.GameModel:
-    """The checkpoint's model, checked against the chain names of the vocabulary."""
-    path = args.checkpoint or _checkpoint_path(args.artifacts, relation, mode, d)
-    model, _ = checkpoint.load_checkpoint(path)
-    if len(names) != model.input_dim:
-        raise DataError(
-            f"checkpoint/vocabulary mismatch for {relation}: "
-            f"{path} expects {model.input_dim} chains, vocabulary has {len(names)}"
-        )
-    return model
 
 
 def cmd_eval(args) -> int:
@@ -273,10 +258,10 @@ def cmd_eval(args) -> int:
     reports = {}
     for relation in args.relation:
         _, size = _read_meta(args.artifacts, relation)
-        instances = chains.read_instances(_instances_path(args.artifacts, relation, args.split), size)
-        names, _ = chains.read_vocabulary_names(_vocab_path(args.artifacts, relation))
+        instances = _read_split(args.artifacts, relation, args.split, size)
+        _read_names(args.artifacts, relation, size)  # checked, though the report names no chain
         reports[relation] = [
-            evaluate.evaluate_task(_load_model(args, relation, mode, d, names), instances, group_by=args.group_by)
+            evaluate.evaluate_task(_load_model(args, relation, mode, d, size), instances, group_by=args.group_by)
             for mode, d in modes
         ]
 
@@ -308,16 +293,16 @@ def cmd_eval(args) -> int:
 def cmd_export_rules(args) -> int:
     relation = args.relation
     _, size = _read_meta(args.artifacts, relation)
-    test = chains.read_instances(_instances_path(args.artifacts, relation, "test"), size)
-    names, _ = chains.read_vocabulary_names(_vocab_path(args.artifacts, relation))
-    model = _load_model(args, relation, args.mode, args.d, names)
+    test = _read_split(args.artifacts, relation, "test", size)
+    names = _read_names(args.artifacts, relation, size)
+    model = _load_model(args, relation, args.mode, args.d, size)
     top_n = min(args.top_n, model.input_dim)
 
     lines: list[str] = []
     if args.aggregate:
         weight = np.zeros(model.input_dim)
-        for start in range(0, len(test), game.SCORE_CHUNK):
-            weight += game.selection_probs(model, test.availability[start : start + game.SCORE_CHUNK]).sum(axis=0)
+        for _, probs, _, _ in game.score_chunks(model, test.availability):
+            weight += probs.sum(axis=0)
         count = test.availability.sum(axis=0)
         mean = np.divide(weight, count, out=np.zeros_like(weight), where=count > 0)
         order = np.argsort(-mean, kind="stable")[:top_n]
@@ -492,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except DataError as err:
+    except (DataError, OSError) as err:  # an OSError is a path that cannot be read or written
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except NumericError as err:

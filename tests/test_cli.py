@@ -265,15 +265,26 @@ def test_cached_parser_keeps_no_state_between_calls(trained, tmp_path):
         assert out.read_text().splitlines()[1].split("\t") == ["relation", *columns]
 
 
-def test_missing_task_directory_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "relations, message",
+    [
+        (["missing_rel"], "unknown relation: 'missing_rel'"),
+        # every task loads before the first extraction, so target's directory is not written either
+        (["target", "nosuch"], "unknown relation: 'nosuch'"),
+        (["target", "p0_0"], "task directory not found: "),
+    ],
+    ids=["unknown", "unknown-second", "no-task-directory"],
+)
+def test_missing_task_directory_exit_code(tmp_path, capsys, relations, message):
     bench = tmp_path / "bench"
     run(["benchmark", "--kind", "single", "--out", str(bench), "--train-groups", "4", "--test-groups", "2"])
     code = run([
         "extract", "--graph", str(bench / "graph.tsv"), "--tasks", str(bench / "tasks"),
-        "--relation", "missing_rel", "--out", str(tmp_path / "a"),
+        *[flag for relation in relations for flag in ("--relation", relation)], "--out", str(tmp_path / "a"),
     ])
     assert code == 2
-    assert "missing_rel" in capsys.readouterr().err
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 def test_usage_error_exit_code(capsys):
@@ -393,25 +404,73 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
         assert report.read_text().splitlines()[1] == "relation\tgame_mlp.d2"
 
 
+def narrow_by_one_chain(art, vocab=True):
+    """Lower meta.txt's vocab_size by one and cut the last column from every cache and, with
+    ``vocab``, the last chain from the vocabulary; the checkpoints keep their width."""
+    rel = art / "target"
+    lines = (rel / "vocab.tsv").read_text().splitlines()
+    if vocab:
+        (rel / "vocab.tsv").write_text("\n".join(lines[:-1]) + "\n")
+    meta = (rel / "meta.txt").read_text()
+    assert f"vocab_size = {len(lines)}\n" in meta
+    (rel / "meta.txt").write_text(meta.replace(f"vocab_size = {len(lines)}\n", f"vocab_size = {len(lines) - 1}\n"))
+    for split in ("train", "dev", "test"):
+        path = rel / f"{split}.inst"
+        path.write_text("".join(line[:-1] + "\n" for line in path.read_text().splitlines()))
+    return len(lines)
+
+
 def test_eval_checkpoint_vocab_mismatch(tmp_path, capsys):
     art = pipeline(tmp_path)
-    vocab_path = art / "target" / "vocab.tsv"
-    lines = vocab_path.read_text().splitlines()
-    vocab_path.write_text("\n".join(lines[:-1]) + "\n")
-    meta_path = art / "target" / "meta.txt"
-    meta = meta_path.read_text().replace(
-        f"vocab_size = {len(lines)}", f"vocab_size = {len(lines) - 1}"
-    )
-    meta_path.write_text(meta)
-    # instance caches still carry the original width: loading them fails first,
-    # so point eval at dev/test caches rewritten to the truncated width
+    # the vocabulary and the caches agree with meta.txt, one chain narrower than the checkpoint
+    size = narrow_by_one_chain(art)
     code = run([
         "eval", "--artifacts", str(art), "--relation", "target",
         "--mode", "game_mlp", "--d", "2",
     ])
     assert code == 2
+    path = art / "target" / "checkpoint.game_mlp.d2.txt"
+    expected = f"checkpoint/vocabulary mismatch for target: {path} expects {size} chains, vocabulary has {size - 1}"
+    assert capsys.readouterr().err == f"data error: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["eval"], ["export-rules"], ["export-rules", "--aggregate"]], ids=" ".join
+)
+def test_vocabulary_wider_than_meta_is_a_data_error(trained, tmp_path, capsys, command):
+    """meta.txt and the caches one chain narrower than the vocabulary and the checkpoint: every
+    scoring command names the vocabulary before it loads the checkpoint."""
+    art = tmp_path / "artifacts"
+    shutil.copytree(trained, art)
+    size = narrow_by_one_chain(art, vocab=False)
+    argv = [command[0], "--artifacts", str(art), "--relation", "target", "--mode", "game_mlp", "--d", "2"]
+    assert run(argv + command[1:]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err
+    vocab = art / "target" / "vocab.tsv"
+    assert err == f"data error: {vocab}: {size} chains, but meta.txt records vocab_size {size - 1}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, out", [("eval", "adir"), ("export-rules", "adir"), ("extract", "afile"), ("train", "afile"),
+                     ("benchmark", "afile"), ("eval", "nodir/x.tsv")]
+)
+def test_out_path_that_cannot_be_written_is_a_data_error(trained, tmp_path, capsys, command, out):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    bench = trained.parent / "bench"
+    scored = ["--artifacts", str(trained), "--relation", "target", "--mode", "game_mlp", "--d", "2"]
+    flags = {
+        "eval": scored,
+        "export-rules": scored,
+        "extract": ["--graph", str(bench / "graph.tsv"), "--tasks", str(bench / "tasks"), "--relation", "target"],
+        "train": scored + ["--epochs", "1"],
+        "benchmark": ["--kind", "single", "--train-groups", "4", "--test-groups", "2"],
+    }[command]
+    assert run([command, *flags, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(tmp_path / out.split("/")[0]) in err and "Traceback" not in err
+    assert (tmp_path / "afile").read_text() == "" and not os.listdir(tmp_path / "adir")
 
 
 @pytest.mark.parametrize("bad", ["vocab_size = abc", ""])
