@@ -107,19 +107,25 @@ def _isin(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return np.append(sorted_keys, -1)[np.searchsorted(sorted_keys, keys)] == keys
 
 
-def _groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values of sorted ``key`` and each one's row range [lo, hi), then a
-    sentinel group (the int64 maximum, rows 0 to 0) that no key reaches, for probes past the last."""
+def _slots(key: np.ndarray, heads: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of sorted ``key`` whose head ``key // n`` is in sorted ``heads``: each one's
+    slot ``rank * n + key % n``, ascending, ``rank`` its head's index in ``heads``, and its row range [lo, hi)."""
     lo = np.flatnonzero(_firsts(key))
     hi = np.append(lo[1:], len(key))
-    return np.append(key[lo], np.iinfo(np.int64).max), np.append(lo, 0), np.append(hi, 0)
+    head, entity = np.divmod(key[lo], n)
+    rank = np.searchsorted(heads, head)
+    known = np.append(heads, -1)[rank] == head
+    return (rank * n + entity)[known], lo[known], hi[known]
 
 
 def _step(layers: list[tuple], graph: KnowledgeGraph, targets: np.ndarray | None) -> tuple:
     """Rows (key, code, pred, back) one non-backtracking hop on from every layer,
     deduplicated on (key, code). With ``targets`` (sorted keys), only rows at those,
     joined from whichever side has fewer edges: the layers' out-edges, or the
-    targets' in-edges matched back to the layers' rows."""
+    targets' in-edges matched back to the layers' rows. That match looks each edge up
+    in an int32 table over (rank among the targets' distinct heads, entity) that holds a
+    layer's distinct-key index or -1; filled per layer and block of consecutive head
+    ranks, it has at most max(8 * WALK_CHUNK, n_entities) entries. Only hits read rows."""
     out, into, n = graph.out_table, graph.in_table, graph.n_entities
 
     def departures() -> Iterator[tuple]:
@@ -132,17 +138,28 @@ def _step(layers: list[tuple], graph: KnowledgeGraph, targets: np.ndarray | None
                 yield layer, to[keep], row[keep], rel[keep], (key[row[keep]] % n).astype(np.int32)
 
     def arrivals() -> Iterator[tuple]:
-        groups = [_groups(layer[0]) for layer in layers]
-        for i, at in _chunks(into.indptr[targets % n], into.indptr[targets % n + 1]):
-            src = targets[i] - targets[i] % n + into.ends[at]
-            for layer, (keys, lo, hi) in zip(layers, groups):
-                _, _, pred, back, _ = layer
-                g = np.searchsorted(keys, src)
-                hit = keys[g] == src
-                for j, row in _chunks(np.where(hit, lo[g], 0), np.where(hit, hi[g], 0)):
-                    k, rel = i[j], into.rels[at[j]]
-                    keep = (targets[k] % n != pred[row]) | (rel != back[row])
-                    yield layer, targets[k[keep]], row[keep], rel[keep], into.ends[at[j[keep]]]
+        first = _firsts(targets // n)
+        heads, base, tails = targets[first] // n, (np.cumsum(first) - 1) * n, targets % n
+        starts = np.append(np.flatnonzero(first), len(targets))  # each head's first target, then the end
+        per = max(8 * WALK_CHUNK, n) // n  # heads a block
+        table = np.full(min(per, len(heads)) * n, -1, np.int32)
+        for layer in layers:
+            _, _, pred, back, _ = layer
+            slots, lo, hi = _slots(layer[0], heads, n)
+            for r in range(0, max(len(heads), 1), per):  # one empty block without targets: _merge needs a part
+                a, b = np.searchsorted(slots, [r * n, (r + per) * n])
+                table[slots[a:b] - r * n] = np.arange(a, b)
+                t, u = starts[r], starts[min(r + per, len(heads))]
+                for i, at in _chunks(into.indptr[tails[t:u]], into.indptr[tails[t:u] + 1]):
+                    i += t
+                    g = table[base[i] - r * n + into.ends[at]]
+                    hit = g >= 0
+                    i, at, g = i[hit], at[hit], g[hit]
+                    for j, row in _chunks(lo[g], hi[g]):
+                        k, rel = i[j], into.rels[at[j]]
+                        keep = (tails[k] != pred[row]) | (rel != back[row])
+                        yield layer, targets[k[keep]], row[keep], rel[keep], into.ends[at[j[keep]]]
+                table[slots[a:b] - r * n] = -1
 
     def degree(table: Adjacency, at: np.ndarray) -> int:
         return int((table.indptr[at + 1] - table.indptr[at]).sum())
@@ -203,7 +220,8 @@ def _walks(graph: KnowledgeGraph, pairs, max_hops: int, exclude: int | None) -> 
     head ``key // n`` reaches entity ``key % n``, entered from ``pred`` or, if from
     several, ``MANY`` (no next step is then banned for every walk, so the collapse is
     exact), and ``back`` is its last label's inverse. The last layer keeps only
-    in-neighbours of the head's tails, and each tail joins every layer over its in-edges.
+    in-neighbours of the head's tails (on hub graphs the costliest step: its join probes
+    many in-edges among few layer keys), and each tail joins every layer over its in-edges.
     """
     weights = _weights(graph, max_hops)
     ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)

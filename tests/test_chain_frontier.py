@@ -259,14 +259,50 @@ def test_array_walk_equals_the_frontier_walk(max_hops, add_inverses):
             assert chains_by_pair(graph, pairs, max_hops, exclude) == frontier_walks(graph, pairs, max_hops, exclude)
 
 
+def count_lookups(monkeypatch):
+    """A list that each ``chains._slots`` call, one a layer of a join from the targets' in-edges,
+    appends to while the test runs: (head blocks, blocks without a key of the layer, whether the
+    targets' last head is past the layer's last key)."""
+    calls, slots = [], chains_module._slots
+
+    def counted(key, heads, n):
+        found = slots(key, heads, n)
+        per = max(8 * chains_module.WALK_CHUNK, n) // n
+        blocks = -(-len(heads) // per)
+        past = len(heads) > 0 and (len(key) == 0 or heads[-1] > key[-1] // n)
+        calls.append((blocks, blocks - len(np.unique(found[0] // n // per)), past))
+        return found
+
+    monkeypatch.setattr(chains_module, "_slots", counted)
+    return calls
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 64])
 def test_array_walk_in_small_chunks(monkeypatch, chunk):
-    """Expansions cut into pieces of a few rows, a row's edges split across pieces."""
+    """Expansions cut into pieces of a few rows, a row's edges split across pieces, and joins
+    from the targets' in-edges in blocks of a few heads (one at chunk 1 and 5): there, at k=4
+    without inverses, where ``sink`` is the last head and has no out-edges, some block has no
+    key in a layer and some lies past a layer's last key. Last, a join from no targets."""
     monkeypatch.setattr(chains_module, "WALK_CHUNK", chunk)
-    graph, rng = hub_graph(9, dead_ends=True)
-    pairs = dead_end_pairs(graph, rng)
-    for max_hops in (1, 2, 3):
-        assert chains_by_pair(graph, pairs, max_hops, 1) == frontier_walks(graph, pairs, max_hops, 1)
+    calls = count_lookups(monkeypatch)
+    for add_inverses in (True, False):
+        for max_hops, n_edges in ((1, 100), (2, 100), (3, 100), (4, 60)):
+            graph, rng = hub_graph(9, n_edges=n_edges, add_inverses=add_inverses, dead_ends=True)
+            pairs = dead_end_pairs(graph, rng)
+            assert chains_by_pair(graph, pairs, max_hops, 1) == frontier_walks(graph, pairs, max_hops, 1)
+    assert calls
+    if chunk < 64:
+        assert max(blocks for blocks, _, _ in calls) > 1
+        assert any(empty for _, empty, _ in calls) and any(past for _, _, past in calls)
+    # pairs into source alone, which has no in-edges without inverse augmentation: the last
+    # layer has no entities, and the step into it joins from the in-edges of no targets
+    graph, _ = hub_graph(9, add_inverses=False, dead_ends=True)
+    pairs = [(head, graph.entity_id("source")) for head in range(4)]
+    for max_hops in (2, 3):
+        del calls[:]
+        found = chains_by_pair(graph, pairs, max_hops)
+        assert found == frontier_walks(graph, pairs, max_hops) == dict.fromkeys(pairs, set())
+        assert (0, 0, False) in calls
     for wide in ("head", "tail"):
         graph = fan_graph(wide)
         pairs = [(graph.entity_id("h"), t) for t in range(graph.n_entities)]
@@ -468,16 +504,21 @@ def test_walks_whose_sort_keys_do_and_do_not_pack_equal_the_frontier_walk(monkey
 
 
 def test_the_join_finds_the_rows_of_each_probe_as_two_searches_did():
-    """One search among ``_groups``' distinct keys gives each probe the row range that a
-    left and a right search gave, and an empty range to a probe that no row has."""
+    """A table filled from ``_slots`` gives each probe (head rank, entity) the row range of its
+    key that a left and a right search gave, and nothing to a probe that no row has: one whose
+    head has no key, or whose key lies past the last, while keys of heads that are not targets'
+    take no slot."""
     rng = np.random.default_rng(3)
-    for n in (0, 1, 40):
-        key = np.sort(rng.integers(0, 30, n))
-        probes = rng.integers(0, 35, 200)
-        keys, lo, hi = chains_module._groups(key)
-        g = np.searchsorted(keys, probes)
-        hit = keys[g] == probes
+    n, heads = 6, np.array([1, 2, 4, 5])  # keys of heads 0 and 3 are not targets'; head 5 has none
+    for size in (0, 1, 40):
+        key = np.sort(rng.integers(0, 5 * n, size))
+        slots, lo, hi = chains_module._slots(key, heads, n)
+        assert np.all(np.diff(slots) > 0) and len(slots) == len(np.unique(key[np.isin(key // n, heads)]))
+        table = np.full(len(heads) * n, -1)
+        table[slots] = np.arange(len(slots))
+        rank, entity = rng.integers(0, len(heads), 200), rng.integers(0, n, 200)
+        g = table[rank * n + entity]
+        probes = heads[rank] * n + entity
         left, right = np.searchsorted(key, probes), np.searchsorted(key, probes, "right")
-        assert np.array_equal(hit, left < right)
-        assert np.array_equal(np.where(hit, lo[g], left), left)
-        assert np.array_equal(np.where(hit, hi[g], right), right)
+        assert np.array_equal(g >= 0, left < right)
+        assert np.array_equal(lo[g[g >= 0]], left[g >= 0]) and np.array_equal(hi[g[g >= 0]], right[g >= 0])
