@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import Adjacency, KnowledgeGraph, LabeledPair, TaskDataset
-from .util import read_table
+from .util import read_table, write_lines
 
 
 MANY = -1  # predecessor of a label prefix that no backtrack ban applies to
@@ -413,9 +413,7 @@ def extract_task(
 
 def write_vocabulary(path: str, vocab: ChainVocabulary, graph: KnowledgeGraph) -> None:
     """One line per chain: index TAB support TAB names joined by ``->``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for j, chain in enumerate(vocab.chains):
-            fh.write(f"{j}\t{vocab.supports[j]}\t{chain.names(graph)}\n")
+    write_lines(path, (f"{j}\t{vocab.supports[j]}\t{chain.names(graph)}" for j, chain in enumerate(vocab.chains)))
 
 
 def read_vocabulary_names(path: str) -> tuple[list[str], list[int]]:
@@ -428,13 +426,12 @@ def read_vocabulary_names(path: str) -> tuple[list[str], list[int]]:
 
 
 def write_instances(path: str, split: Split, graph: KnowledgeGraph | None) -> None:
-    """head TAB tail TAB label TAB availability bits as a 0/1 string, written in one call."""
+    """head TAB tail TAB label TAB availability bits as a 0/1 string."""
     width = split.availability.shape[1]
     bits = ((split.availability > 0).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
     rows = [bits[a : a + width] for a in range(0, len(bits), width)] if width else [""] * len(split)
     columns = _names(split.heads, graph), _names(split.tails, graph), map(str, split.labels.tolist()), rows
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{line}\n" for line in map("\t".join, zip(*columns))))
+    write_lines(path, map("\t".join, zip(*columns)))
 
 
 def _names(entities: list, graph: KnowledgeGraph | None) -> list[str]:

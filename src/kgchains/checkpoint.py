@@ -27,7 +27,6 @@ from .neural import DenseParams
 from .util import not_utf8, read_fields, write_fields
 
 HEADER = "# kgchains checkpoint v3"
-_FIRST = HEADER.encode() + b"\n"
 _END = b"[end]\n"
 
 _REQUIRED_META = ("input_dim", "d", "lambda_s", "predictor_arch", "mode")
@@ -74,29 +73,25 @@ def _parse_net(lines: list[str], pos: int, path: str) -> tuple[list, int]:
 def load_checkpoint(path: str) -> tuple[GameModel, dict]:
     """Every malformed or truncated file is a ``DataError``.
 
-    The header is read a line at a time through the file's buffer, up to ``[end]``. The payload then
-    goes with one ``readinto`` into one float64 buffer, which the networks view in payload order
-    [generator | predictor | complement], so a load holds each parameter once, and a file that fits
-    the buffer's first fill costs one read."""
+    The header is read a line at a time through the file's buffer, up to ``[end]`` or the end of
+    the file; its lines end at LF, so a CRLF header is malformed. The payload then goes with one
+    ``readinto`` into one float64 buffer, which the networks view in payload order [generator |
+    predictor | complement], so a load holds each parameter once, and a file that fits the
+    buffer's first fill costs one read."""
     if not os.path.isfile(path):
         raise DataError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
-        line = fh.readline()
-        first = line.removesuffix(b"\n").removesuffix(b"\r")
+        head = [fh.readline()]
+        first = head[0].removesuffix(b"\n").removesuffix(b"\r")
         if first != HEADER.encode():
             if first.startswith(b"# kgchains checkpoint v"):  # v1 (decimal rows) and v2 (base64 lines) no longer load
                 raise DataError(f"unsupported {first[2:].decode('utf-8', 'replace')}: {path}")
             raise DataError(f"not a kgchains checkpoint: {path}")
-        head = [line]
-        if line == _FIRST:  # the header runs through the first [end] line, else to the end of the file
-            while line and line != _END:
-                line = fh.readline()
-                head.append(line)
-        else:
-            head.append(fh.read())
+        while head[-1] and head[-1] != _END:
+            head.append(fh.readline())
         header = b"".join(head)
         try:
-            lines = header.decode("utf-8").replace("\r\n", "\n").removesuffix("\n").split("\n")
+            lines = header.decode("utf-8").removesuffix("\n").split("\n")
         except UnicodeDecodeError as err:
             raise not_utf8(path, err) from None
         try:

@@ -19,7 +19,7 @@ import numpy as np
 from . import benchmark as bench
 from . import chains, checkpoint, evaluate, game, graph, neural
 from .errors import DataError, NumericError, UsageError
-from .util import open_text, read_fields, write_fields
+from .util import open_text, read_fields, write_fields, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +163,7 @@ def cmd_extract(args) -> int:
     kg = graph.load_triples(args.graph, add_inverses=not args.no_inverses)
     # every task loads before anything is written: a bad --relation leaves no output
     tasks = [graph.load_task(args.tasks, relation, kg, args.split_ratio, args.seed) for relation in args.relation]
-    stats_rows = []
+    stats = [STATS_SCHEMA, "relation\tchains\tmean_chains_per_instance\tchains_before_cap"]
     for relation, task in zip(args.relation, tasks):
         if args.neg_ratio is not None:
             train_pairs = graph.downsample_negatives(task.train, args.neg_ratio, args.seed)
@@ -174,7 +174,7 @@ def cmd_extract(args) -> int:
         chains.write_vocabulary(_artifact(args.out, relation, "vocab.tsv"), vocab, kg)
         for split in ("train", "dev", "test"):
             chains.write_instances(_artifact(args.out, relation, f"{split}.inst"), getattr(data, split), kg)
-        with open(_artifact(args.out, relation, "meta.txt"), "w", encoding="utf-8") as fh:
+        with open(_artifact(args.out, relation, "meta.txt"), "w", encoding="utf-8", newline="\n") as fh:
             write_fields(
                 fh,
                 {
@@ -189,14 +189,10 @@ def cmd_extract(args) -> int:
             )
         row_sums = np.concatenate([split.availability.sum(axis=1) for split in (data.train, data.dev, data.test)])
         mean = float(row_sums.mean())
-        stats_rows.append((relation, vocab.size, mean, vocab.union_size))
+        stats.append(f"{relation}\t{vocab.size}\t{mean:.6f}\t{vocab.union_size}")
         print(f"extracted {relation}: chains={vocab.size} mean_per_instance={mean:.2f}")
 
-    with open(os.path.join(args.out, "stats.tsv"), "w", encoding="utf-8") as fh:
-        fh.write(STATS_SCHEMA + "\n")
-        fh.write("relation\tchains\tmean_chains_per_instance\tchains_before_cap\n")
-        for relation, total, mean, union in stats_rows:
-            fh.write(f"{relation}\t{total}\t{mean:.6f}\t{union}\n")
+    write_lines(os.path.join(args.out, "stats.tsv"), stats)
     return 0
 
 
@@ -215,7 +211,8 @@ def cmd_train(args) -> int:
         train, dev = (_read_split(args.artifacts, relation, split, size) for split in ("train", "dev"))
         test = chains.Split([], [], np.zeros(0, np.int64), np.zeros((0, size), np.uint8))  # training never reads it
         data = chains.EncodedTask(relation, size, train, dev, test)
-        result = game.train_mode(data, config, args.mode, args.d, args.lambda_s)
+        with np.errstate(all="ignore"):  # a non-finite loss or gradient is a NumericError
+            result = game.train_mode(data, config, args.mode, args.d, args.lambda_s)
 
         os.makedirs(_artifact(out, relation), exist_ok=True)
         ck_path = _artifact(out, relation, f"checkpoint.{args.mode}.d{args.d}.txt")
@@ -233,11 +230,10 @@ def cmd_train(args) -> int:
                 "vocab": "vocab.tsv",
             },
         )
-        with open(_artifact(out, relation, f"trainlog.{args.mode}.d{args.d}.tsv"), "w", encoding="utf-8") as fh:
-            fh.write("# kgchains train log v1\n")
-            fh.write("epoch\tloss_p\tloss_c\tmean_reward\tmean_selected\tdev_map\n")
-            for stats in result.log:
-                fh.write(stats.as_line() + "\n")
+        write_lines(
+            _artifact(out, relation, f"trainlog.{args.mode}.d{args.d}.tsv"),
+            [*game.EpochStats.LOG_HEADER, *(stats.as_line() for stats in result.log)],
+        )
         print(
             f"trained {relation} mode={args.mode} d={args.d}: "
             f"best_dev_map={result.best_dev_map:.4f} (epoch {result.best_epoch}) -> {ck_path}"
@@ -281,12 +277,7 @@ def cmd_eval(args) -> int:
         print(f"(skipped {skipped} group(s) without positives)")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(EVAL_SCHEMA + "\n")
-            fh.write("\t".join(header) + "\n")
-            for row in rows:
-                fh.write("\t".join(row) + "\n")
-            fh.write("\t".join(averages) + "\n")
+        write_lines(args.out, [EVAL_SCHEMA, *map("\t".join, [header] + rows + [averages])])
     return 0
 
 
@@ -323,12 +314,11 @@ def cmd_export_rules(args) -> int:
                 for rank, j, p in zip(range(1, n + 1), top, ps):
                     lines.append(f"  {rank}. {names[j]} (p={p:.4f})")
 
-    text = "\n".join(lines) + "\n"
+    lines = lines or [""]  # an empty test split still gives one LF
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_lines(args.out, lines)
     else:
-        print(text, end="")
+        print("\n".join(lines))
     return 0
 
 

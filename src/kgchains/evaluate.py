@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .chains import EncodedTask, Split
 from .errors import DataError
-from .game import GameModel, TrainConfig, score_instances, train_mode
+from .game import GameModel, TrainConfig, TrainResult, score_instances, train_mode
 from .metrics import mean_average_precision
 
 
@@ -29,16 +29,17 @@ def evaluate_task(model: GameModel, split: Split, group_by: str = "head") -> Eva
     return EvalReport(*mean_average_precision(split.heads, scores, split.labels, group_by))
 
 
-@dataclass
-class ModeResult:
+@dataclass(kw_only=True)
+class ModeResult(TrainResult):
+    """A run mode's training result and its test report."""
+
     mode: str
     d: int
-    test_map: float
-    model: GameModel
-    log: list
     report: EvalReport
-    best_epoch: int
-    best_dev_map: float
+
+    @property
+    def test_map(self) -> float:
+        return self.report.map
 
 
 def run_mode(
@@ -52,13 +53,4 @@ def run_mode(
     """Train one ablation mode and evaluate it on the task's test split."""
     result = train_mode(data, config, mode, d, lambda_s)
     report = evaluate_task(result.model, data.test, group_by=group_by)
-    return ModeResult(
-        mode=mode,
-        d=d,
-        test_map=report.map,
-        model=result.model,
-        log=result.log,
-        report=report,
-        best_epoch=result.best_epoch,
-        best_dev_map=result.best_dev_map,
-    )
+    return ModeResult(**vars(result), mode=mode, d=d, report=report)

@@ -122,6 +122,9 @@ class TrainConfig:
 
 @dataclass
 class EpochStats:
+    # a train log's schema and column lines, above one as_line() an epoch
+    LOG_HEADER = ("# kgchains train log v1", "epoch\tloss_p\tloss_c\tmean_reward\tmean_selected\tdev_map")
+
     epoch: int
     loss_p: float
     loss_c: float

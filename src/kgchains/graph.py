@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError
-from .util import STREAM_DOWNSAMPLE, STREAM_SPLIT, intern_spans, read_table, stream_rng
+from .util import STREAM_DOWNSAMPLE, STREAM_SPLIT, intern_spans, read_table, stream_rng, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -277,11 +277,9 @@ def write_dataset(out_dir: str, relation: str, triples: Iterable[tuple[str, str,
     graph_path = os.path.join(out_dir, "graph.tsv")
     tasks_dir = os.path.join(out_dir, "tasks")
     os.makedirs(os.path.join(tasks_dir, relation), exist_ok=True)
-    with open(graph_path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
+    write_lines(graph_path, (f"{h}\t{r}\t{t}" for h, r, t in triples))
     for name, pairs in (("train.pairs", train), ("test.pairs", test)):
-        with open(os.path.join(tasks_dir, relation, name), "w", encoding="utf-8") as fh:
-            fh.writelines(f"{pair.head}\t{pair.tail}\t{pair.label}\n" for pair in pairs)
+        write_lines(os.path.join(tasks_dir, relation, name), (f"{p.head}\t{p.tail}\t{p.label}" for p in pairs))
     return graph_path, tasks_dir
 
 

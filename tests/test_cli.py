@@ -562,3 +562,88 @@ def test_extract_rejects_a_relation_name_that_does_not_invert_back(tmp_path, cap
     err = capsys.readouterr().err
     assert f"data error: {graph}:1: relation 'x_inv_inv' ends in '_inv_inv'" in err
     assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("mode, message", [("d_all", "non-finite predictor loss at epoch 1"),
+                                           ("game_mlp", "non-finite generator reward or gradient")])
+def test_numeric_failure_exits_3_and_writes_nothing(trained, tmp_path, capsys, mode, message):
+    out = tmp_path / "out"
+    assert run([
+        "train", "--artifacts", str(trained), "--relation", "target", "--mode", mode, "--d", "2",
+        "--epochs", "2", "--lr", "1e300", "--seed", "5", "--out", str(out),
+    ]) == 3
+    assert capsys.readouterr().err == f"numeric error: {message}\n"
+    assert not out.exists()
+
+
+def test_extract_neg_ratio_samples_only_the_train_negatives(trained, tmp_path):
+    """The train cache keeps every positive and ceil(ratio * positives) negatives, in pool order; the
+    vocabulary and the other caches are those of a run without the flag, and meta.txt records the ratio."""
+    bench, full = trained.parent / "bench", trained / "target"
+    sampled = tmp_path / "sampled"
+    assert run([
+        "extract", "--graph", str(bench / "graph.tsv"), "--tasks", str(bench / "tasks"), "--relation", "target",
+        "--out", str(sampled), "--max-hops", "2", "--seed", "5", "--neg-ratio", "0.5",
+    ]) == 0
+    rows = (full / "train.inst").read_text().splitlines()
+    positives = [row for row in rows if row.split("\t")[2] == "1"]
+    kept = (sampled / "target" / "train.inst").read_text().splitlines()
+    assert len(rows) - len(positives) > math.ceil(0.5 * len(positives)) > 0
+    assert [row for row in kept if row.split("\t")[2] == "1"] == positives
+    assert len(kept) == len(positives) + math.ceil(0.5 * len(positives))
+    assert kept == [row for row in rows if row in kept]  # pool order
+    for name in ("vocab.tsv", "dev.inst", "test.inst"):
+        assert (sampled / "target" / name).read_bytes() == (full / name).read_bytes(), name
+    assert "neg_ratio = 0.5\n" in (sampled / "target" / "meta.txt").read_text()
+    assert "neg_ratio = none\n" in (full / "meta.txt").read_text()
+
+
+@pytest.mark.parametrize("flags", [[], ["--aggregate"]], ids=["per-instance", "aggregate"])
+def test_export_rules_out_writes_what_stdout_prints(trained, tmp_path, capsys, flags):
+    art = tmp_path / "artifacts"
+    shutil.copytree(trained, art)
+    argv = ["export-rules", "--artifacts", str(art), "--relation", "target", "--mode", "game_mlp", "--d", "2", *flags]
+    for test_rows in ("kept", "none"):
+        if test_rows == "none":
+            (art / "target" / "test.inst").write_bytes(b"")
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        assert run(argv + ["--out", str(tmp_path / "rules.txt")]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "rules.txt").read_bytes() == printed.encode("utf-8")
+    if not flags:
+        assert printed == "\n"  # an empty test split, per instance: one LF
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--config", "{tmp}/nosuch.cfg"], "config file not found: {tmp}/nosuch.cfg"),
+        (["train", "--config", "{tmp}/bad.cfg"], "{tmp}/bad.cfg:2: expected key=value"),
+        (["train", "--config"], "--config requires a path"),
+        (["--config", "{tmp}/good.cfg"], "--config cannot supply the subcommand"),
+        (["eval", "--artifacts", "a", "--relation", "target", "--mode", "game_mlp", "--mode", "d_all",
+          "--mode", "game_linear", "--d", "1", "--d", "2"], "--d must be given once or once per --mode"),
+        (["eval", "--artifacts", "a", "--relation", "target", "--mode", "game_mlp", "--mode", "d_all",
+          "--checkpoint", "ck.txt"], "--checkpoint only applies to a single relation and mode"),
+    ],
+    ids=["config-missing", "config-line-without-equals", "config-without-path", "config-alone",
+         "eval-d-twice-three-modes", "eval-checkpoint-two-modes"],
+)
+def test_config_and_eval_flag_errors_are_usage_errors(tmp_path, capsys, argv, message):
+    (tmp_path / "bad.cfg").write_text("# a comment\nepochs 3\n")
+    (tmp_path / "good.cfg").write_text("epochs = 3\n")
+    assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"usage error: {message.format(tmp=tmp_path)}\n"
+
+
+def test_extract_without_a_positive_train_pair_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "graph.tsv").write_text("a\tr\tb\nb\ts\tc\nc\tr\td\na\tt\tc\n")
+    task = tmp_path / "tasks" / "t"
+    task.mkdir(parents=True)
+    (task / "train.pairs").write_text("a\tc\t0\nb\td\t0\na\td\t0\nc\ta\t0\nd\tb\t0\n")
+    (task / "test.pairs").write_text("a\tc\t1\n")
+    assert run(["extract", "--graph", str(tmp_path / "graph.tsv"), "--tasks", str(tmp_path / "tasks"),
+                "--relation", "t", "--out", str(tmp_path / "art"), "--max-hops", "2"]) == 2
+    assert capsys.readouterr().err == "data error: no positive pairs to build a vocabulary from\n"
+    assert not (tmp_path / "art").exists()

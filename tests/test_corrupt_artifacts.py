@@ -197,6 +197,7 @@ CORRUPTIONS = {
     "layers_0": (swap(b"layers = 3", b"layers = 0"), "{path}:17: a network needs at least one layer"),
     "layers_2": (swap(b"layers = 3", b"layers = 2"), "{path}:20: expected a section header"),
     "weight_x": (swap(b"\nlayer 0 2 4\n", b"\nlayer 0 2 4\nx"), "{path}:19: malformed layer header"),
+    "layer_shape_zero": (swap(b"\nlayer 0 2 4\n", b"\nlayer 0 0 4\n"), "{path}:18: layer shape must be positive"),
     "d_two": (swap(b"\nd = 1\n", b"\nd = two\n"),
               "corrupt checkpoint {path}: invalid literal for int() with base 10: 'two'"),
     "meta_without_equals": (swap(b"\nd = 1\n", b"\nd: 1\n"), "{path}:5: expected 'key = value'"),
@@ -204,6 +205,8 @@ CORRUPTIONS = {
                       "{path}: not UTF-8 text (byte 0xff: invalid start byte)"),
     "d_zero": (swap(b"\nd = 1\n", b"\nd = 0\n"), "checkpoint meta d = 0 must be an integer >= 1: {path}"),
     "d_negative": (swap(b"\nd = 1\n", b"\nd = -1\n"), "checkpoint meta d = -1 must be an integer >= 1: {path}"),
+    "game_without_generator": (swap(b"\nmode = d_all\n", b"\nmode = game\n"),
+                               "checkpoint meta mode = game needs a generator network: {path}"),
     "mode_bogus": (swap(b"\nmode = d_all\n", b"\nmode = bogus\n"),
                    "checkpoint meta mode = bogus must be game or d_all: {path}"),
     "predictor_arch_bogus": (swap(b"\npredictor_arch = mlp\n", b"\npredictor_arch = rnn\n"),
@@ -236,6 +239,9 @@ CORRUPTIONS = {
                               "checkpoint payload has 176 bytes, its layer shapes need 216: {path}"),
     "no_payload": (lambda raw: split_v3(raw)[0].encode("utf-8"),
                    "checkpoint payload has 0 bytes, its layer shapes need 176: {path}"),
+    # a header's lines end at LF; a CRLF header's payload, had it one, would be read as header
+    "crlf_no_payload": (lambda raw: split_v3(raw)[0].replace("\n", "\r\n").encode("utf-8"),
+                        "{path}:2: expected a section header"),
     "header_not_utf8": (swap(b"\n[meta]\n", b"\n[meta]\n\xff\n"),
                         "{path}: not UTF-8 text (byte 0xff: invalid start byte)"),
     "read_as_v2": (swap(b"checkpoint v3", b"checkpoint v2"), "unsupported kgchains checkpoint v2: {path}"),
