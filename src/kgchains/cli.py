@@ -281,6 +281,33 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _rule_lines(model: game.GameModel, test: chains.Split, names: list[str], top_n: int) -> list[str]:
+    """Each test query's line, then its first min(available, top_n) chains in ``top_order``, or one
+    ``(no chains)`` line. Each column of lines is formatted in one pass and put at its rows' places."""
+    if not len(test):
+        return []
+    confidence, order, top_p = [], [], []
+    for _, probs, ranked, logits in game.score_chunks(model, test.availability, top_n):
+        confidence += neural.softmax(logits)[:, 1].tolist()
+        order.append(ranked[:, :top_n])
+        top_p.append(np.take_along_axis(probs, order[-1], axis=1))
+    order, top_p = np.concatenate(order), np.concatenate(top_p)
+    available = test.availability.sum(axis=1, dtype=np.intp)
+    listed = np.minimum(available, top_n)
+    count = 1 + listed + (available == 0)  # lines per query
+    firsts = np.cumsum(count) - count
+    lines = np.empty(firsts[-1] + count[-1], object)
+    lines[firsts] = list(map("{} -> {} label={} confidence={:.4f}".format,
+                             test.heads, test.tails, test.labels.tolist(), confidence))
+    lines[firsts[available == 0] + 1] = "  (no chains)"
+    chain_names = np.array(names, object)
+    for rank in range(1, listed.max() + 1):
+        rows = listed >= rank
+        lines[firsts[rows] + rank] = list(map(f"  {rank}. {{}} (p={{:.4f}})".format,
+                                              chain_names[order[rows, rank - 1]], top_p[rows, rank - 1].tolist()))
+    return lines.tolist()
+
+
 def cmd_export_rules(args) -> int:
     relation = args.relation
     _, size = _read_meta(args.artifacts, relation)
@@ -289,30 +316,19 @@ def cmd_export_rules(args) -> int:
     model = _load_model(args, relation, args.mode, args.d, size)
     top_n = min(args.top_n, model.input_dim)
 
-    lines: list[str] = []
     if args.aggregate:
         weight = np.zeros(model.input_dim)
         for _, probs, _, _ in game.score_chunks(model, test.availability):
             weight += probs.sum(axis=0)
         count = test.availability.sum(axis=0)
-        mean = np.divide(weight, count, out=np.zeros_like(weight), where=count > 0)
-        order = np.argsort(-mean, kind="stable")[:top_n]
-        lines.append(f"{relation}: top {top_n} chains by mean selection probability")
-        for rank, j in enumerate(order, start=1):
-            lines.append(f"  {rank}. {names[j]} (mean_p={mean[j]:.4f}, seen={int(count[j])})")
+        seen = np.flatnonzero(count)  # a chain the split never shows has no probability to rank
+        mean = weight[seen] / count[seen]
+        top = np.argsort(-mean, kind="stable")[:top_n]
+        lines = [f"{relation}: top {len(top)} chains by mean selection probability"]
+        lines += map("  {}. {} (mean_p={:.4f}, seen={})".format, range(1, len(top) + 1),
+                     [names[j] for j in seen[top]], mean[top].tolist(), count[seen[top]].tolist())
     else:
-        rows = zip(test.heads, test.tails, test.labels.tolist())
-        for availability, probs, order, logits in game.score_chunks(model, test.availability, top_n):
-            order = order[:, :top_n]
-            top_p = np.take_along_axis(probs, order, axis=1)
-            counts = availability.sum(axis=1).astype(int)
-            chunk = zip(neural.softmax(logits)[:, 1].tolist(), counts.tolist(), order.tolist(), top_p.tolist(), rows)
-            for confidence, n, top, ps, (head, tail, label) in chunk:  # rows last: a chunk's end draws no row
-                lines.append(f"{head} -> {tail} label={label} confidence={confidence:.4f}")
-                if n == 0:
-                    lines.append("  (no chains)")
-                for rank, j, p in zip(range(1, n + 1), top, ps):
-                    lines.append(f"  {rank}. {names[j]} (p={p:.4f})")
+        lines = _rule_lines(model, test, names, top_n)
 
     lines = lines or [""]  # an empty test split still gives one LF
     if args.out:

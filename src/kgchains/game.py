@@ -185,10 +185,9 @@ def _generator_forward(model: GameModel, availability: np.ndarray):
     assert model.generator is not None
     out, cache = forward(model.generator, availability)
     at = np.flatnonzero(availability > 0)
-    pairs = softmax(out.reshape(-1, 2)[at])
-    probs, keep = np.zeros(availability.shape), np.zeros(availability.shape)
-    probs.ravel()[at], keep.ravel()[at] = pairs[:, 1], pairs[:, 0]
-    return probs, keep, cache
+    pairs = np.zeros((*availability.shape, 2))  # (keep-out, select), as the logits pair them
+    pairs.reshape(-1, 2)[at] = softmax(out.reshape(-1, 2)[at])
+    return pairs[..., 1], pairs[..., 0], cache
 
 
 def generator_probs(model: GameModel, instance: Instance) -> np.ndarray:
@@ -343,12 +342,9 @@ def _predictor_inputs(model: GameModel, availability: np.ndarray, probs: np.ndar
 
 
 def _row_keys(x: np.ndarray) -> list[bytes]:
-    """Exact, compact identity of each sparse row: its nonzero positions' bytes, then their values'."""
-    flat = np.flatnonzero(x != 0)  # as np.nonzero: NaN counts, -0.0 does not
-    cols, values = (flat % x.shape[1]).tobytes(), x.ravel()[flat].tobytes()
-    ends = np.searchsorted(flat, np.arange(1, len(x) + 1) * x.shape[1]).tolist()
-    c, v = flat.itemsize, x.itemsize  # the bytes of a position and of a value
-    return [cols[a * c : b * c] + values[a * v : b * v] for a, b in zip([0, *ends], ends)]
+    """The identity of each 0/1 row: its bits, packed eight to a byte, as one bytes object a row."""
+    packed = np.packbits(x != 0, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
 
 
 def score_chunks(
@@ -363,7 +359,10 @@ def score_chunks(
     BLAS rounds a row differently depending on its place in the batch, and
     AP breaks exact score ties by input order. So each distinct predictor
     input is scored once, and rows that share it (duplicated rows, or rows
-    with the same top-d selection) share its logits bit for bit.
+    with the same top-d selection) share its logits bit for bit. A predictor
+    input is 0/1, as ``Split`` holds it and ``read_instances`` checks it, so
+    an input is keyed by its packed bits: a row of other values would share
+    the key of its nonzero pattern.
     """
     table = np.empty((len(availability), 2))  # each distinct input's logits, in first-seen order
     row_of: dict[bytes, int] = {}

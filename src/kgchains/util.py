@@ -172,7 +172,7 @@ def read_table(path: str, what: str, n: int, comments: bool = False) -> Table:
 def write_lines(path: str, lines: Iterable[str]) -> None:
     """Write a text artifact in one call: UTF-8, each line ended by LF."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(f"{line}\n" for line in lines))
+        fh.write("\n".join([*lines, ""]))
 
 
 def write_fields(fh: IO[str], fields: dict) -> None:

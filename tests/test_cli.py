@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from kgchains import chains, checkpoint, cli, evaluate, game
+from kgchains import chains, checkpoint, cli, evaluate, game, neural
 from kgchains.cli import main
 
 
@@ -127,8 +127,8 @@ def reference_rules(art, mode, top_n, aggregate):
                 weight += inst.availability
             count += inst.availability
         mean = np.divide(weight, count, out=np.zeros_like(weight), where=count > 0)
-        order = np.argsort(-mean, kind="stable")[:top_n]
-        lines.append(f"target: top {top_n} chains by mean selection probability")
+        order = [j for j in np.argsort(-mean, kind="stable") if count[j] > 0][:top_n]
+        lines.append(f"target: top {len(order)} chains by mean selection probability")
         for rank, j in enumerate(order, start=1):
             lines.append(f"  {rank}. {names[j]} (mean_p={mean[j]:.4f}, seen={int(count[j])})")
         return "\n".join(lines) + "\n"
@@ -167,6 +167,65 @@ def test_export_rules_matches_the_per_instance_reference(trained, capsys, mode, 
         out = export_rules(trained, mode, top_n, aggregate, capsys)
         assert out == reference_rules(trained, mode, top_n, aggregate), (mode, top_n)
     assert available[-1] > 1
+
+
+def per_row_rules(model, test, names, top_n):
+    """The per-row export-rules loop that the column-wise listing replaced, kept as the reference."""
+    lines = []
+    rows = zip(test.heads, test.tails, test.labels.tolist())
+    for availability, probs, order, logits in game.score_chunks(model, test.availability, top_n):
+        order = order[:, :top_n]
+        top_p = np.take_along_axis(probs, order, axis=1)
+        counts = availability.sum(axis=1).astype(int)
+        chunk = zip(neural.softmax(logits)[:, 1].tolist(), counts.tolist(), order.tolist(), top_p.tolist(), rows)
+        for confidence, n, top, ps, (head, tail, label) in chunk:
+            lines.append(f"{head} -> {tail} label={label} confidence={confidence:.4f}")
+            if n == 0:
+                lines.append("  (no chains)")
+            for rank, j, p in zip(range(1, n + 1), top, ps):
+                lines.append(f"  {rank}. {names[j]} (p={p:.4f})")
+    return "\n".join(lines or [""]) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["game_mlp", "d_all"])
+def test_export_rules_lists_as_the_per_row_loop(trained, tmp_path, capsys, mode):
+    """Over two chunks of rows with 0, 1, a few and every chain available, at --top-n 0, 1, 3 and the
+    vocabulary size, and on an empty split, the column-wise listing prints the per-row loop's bytes."""
+    art = tmp_path / "artifacts"
+    shutil.copytree(trained, art)
+    path = art / "target" / "test.inst"
+    model, _ = checkpoint.load_checkpoint(str(art / "target" / f"checkpoint.{mode}.d2.txt"))
+    names, _ = chains.read_vocabulary_names(str(art / "target" / "vocab.tsv"))
+    width = len(names)
+    kept = path.read_text().splitlines()
+    rows = []
+    for i in range(game.SCORE_CHUNK + 60):
+        head, tail, label, bits = kept[i % len(kept)].split("\t")
+        bits = ["0" * width, "0" * (i % width) + "1" + "0" * (width - 1 - i % width), "1" * width, bits][i % 4]
+        rows.append(f"{head}\t{tail}\t{label}\t{bits}\n")
+    for text in ("".join(rows), ""):
+        path.write_text(text)
+        test = chains.read_instances(str(path))
+        counts = set(test.availability.sum(axis=1).tolist())
+        assert not text or {0, 1, width} <= counts and len(counts) > 3
+        for top_n in (0, 1, 3, width):
+            assert export_rules(art, mode, top_n, False, capsys) == per_row_rules(model, test, names, top_n), top_n
+
+
+@pytest.mark.parametrize("mode", ["game_mlp", "d_all"])
+def test_export_rules_aggregate_lists_only_chains_the_split_shows(trained, tmp_path, capsys, mode):
+    art = tmp_path / "artifacts"
+    shutil.copytree(trained, art)
+    path = art / "target" / "test.inst"
+    names, _ = chains.read_vocabulary_names(str(art / "target" / "vocab.tsv"))
+    shown = "".join("1" if j in (1, 4) else "0" for j in range(len(names)))
+    path.write_text("".join(f"{line.rsplit(chr(9), 1)[0]}\t{shown}\n" for line in path.read_text().splitlines()))
+    out = export_rules(art, mode, len(names), True, capsys)
+    assert out == reference_rules(art, mode, len(names), True)
+    lines = out.splitlines()
+    assert lines[0] == "target: top 2 chains by mean selection probability"
+    assert sorted(line.split(". ")[1].split(" (")[0] for line in lines[1:]) == sorted([names[1], names[4]])
+    assert "seen=0" not in out
 
 
 def test_export_rules_breaks_probability_ties_to_the_lower_index(trained, tmp_path, capsys):
@@ -613,6 +672,8 @@ def test_export_rules_out_writes_what_stdout_prints(trained, tmp_path, capsys, f
         assert (tmp_path / "rules.txt").read_bytes() == printed.encode("utf-8")
     if not flags:
         assert printed == "\n"  # an empty test split, per instance: one LF
+    else:  # and in aggregate, a header that lists no chain: the split shows none
+        assert printed == "target: top 0 chains by mean selection probability\n"
 
 
 @pytest.mark.parametrize(

@@ -386,38 +386,28 @@ def old_row_key(row):
     return nonzero.tobytes() + row[nonzero].tobytes()
 
 
-@pytest.mark.parametrize("rows, width", [(0, 5), (1, 1), (7, 3), (256, 40), (300, 200)])
-def test_chunk_wide_row_keys_equal_the_per_row_keys(rows, width):
-    rng = np.random.default_rng(rows + width)
-    for _ in range(5):
-        values = rng.choice([1.0, 0.5, -0.0, np.nan, -np.inf, 3e-310], size=(rows, width))
-        x = np.where(rng.random((rows, width)) < 0.1, values, 0.0)
-        x[rng.random(rows) < 0.2] = 0.0  # all-zero rows
-        assert game._row_keys(x) == [old_row_key(row) for row in x]
-
-
 def first_sightings(keys):
     """Each key's first position: two lists are equal exactly when they group rows alike."""
     first = {}
     return [first.setdefault(key, i) for i, key in enumerate(keys)]
 
 
-@pytest.mark.parametrize("dtype, values", [
-    (np.uint8, [1, 2, 255]),
-    (np.bool_, [True]),
-    (np.float32, [1.0, 0.5, -0.0, np.nan, -np.inf, 1e-40]),
-])
-def test_row_keys_group_narrow_rows_as_their_float64_copies(dtype, values):
-    """Keys cut each row's positions and values at their own widths, so rows of 1- and 4-byte
-    values group as their float64 copies do: equal rows share a key, and no other rows do."""
-    rng = np.random.default_rng(len(values))
-    for rows, width in ((1, 1), (40, 3), (300, 17)):
-        x = np.where(rng.random((rows, width)) < 0.3, rng.choice(values, size=(rows, width)), 0).astype(dtype)
+@pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.float32, np.float64])
+@pytest.mark.parametrize("rows, width", [(0, 5), (1, 1), (7, 3), (40, 8), (256, 40), (300, 200)])
+def test_row_keys_group_01_rows_as_the_per_row_keys(rows, width, dtype):
+    """0/1 rows of every dtype a split or a network pass holds group as the per-row keys group them:
+    equal rows share a key, and no other rows do, across chunk-wide batches and widths that are
+    and are not a multiple of 8."""
+    rng = np.random.default_rng(rows + width)
+    for density in (0.05, 0.3, 0.9):
+        x = (rng.random((rows, width)) < density).astype(dtype)
         x[rng.random(rows) < 0.2] = 0  # all-zero rows
-        x[rows // 2 :] = x[: rows - rows // 2]  # and every row in the second half repeats one
+        x[rng.random(rows) < 0.1] = 1  # all-one rows
+        x[rows // 2 :] = x[: rows - rows // 2][rng.permutation(rows - rows // 2)]  # each repeats a row
         keys = game._row_keys(x)
+        assert len(keys) == rows and all(type(key) is bytes for key in keys)
+        assert first_sightings(keys) == first_sightings([old_row_key(row) for row in x])
         assert first_sightings(keys) == first_sightings(game._row_keys(x.astype(np.float64)))
-        assert keys == [old_row_key(row) for row in x]
 
 
 @pytest.mark.parametrize("mode", [MODE_GAME, MODE_ALL_CHAINS])
