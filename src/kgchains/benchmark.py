@@ -20,19 +20,20 @@ the vocabulary chains that carry no signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .graph import NOT_INVOLUTIVE, KnowledgeGraph, LabeledPair, TaskDataset, split_task, write_dataset
+from .graph import SPLIT_RATIO, KnowledgeGraph, LabeledPair, TaskDataset, split_task, write_dataset
 from .util import STREAM_BENCHMARK, stream_rng
 
 RULE_SINGLE = "single"
 RULE_CONJUNCTION = "conjunction"
 RULE_NOISY_WEAK = "noisy_weak"
 
-_DEFAULT_CHAINS = {
+TARGET = "target"  # the relation every benchmark's task predicts
+PLANTED = {  # each rule's planted chains
     RULE_SINGLE: [("p0_0", "p0_1")],
     RULE_CONJUNCTION: [("p0_0", "p0_1"), ("p1_0",)],
     RULE_NOISY_WEAK: [("w0",), ("w1",), ("w2",), ("w3",), ("w4",)],
@@ -46,7 +47,6 @@ class BenchmarkSpec:
     rule: str = RULE_CONJUNCTION
     noise: float = 0.0
     seed: int = 0
-    planted_chains: list[tuple[str, ...]] | None = None
     max_hops: int = 2
     train_groups: int = 50
     test_groups: int = 25
@@ -54,57 +54,29 @@ class BenchmarkSpec:
     distractor_rate: float = 0.3
     weak_pos_rate: float = 0.75
     weak_neg_rate: float = 0.25
-    split_ratio: float = 0.8
-    target_name: str = "target"
 
-    def chains(self) -> list[tuple[str, ...]]:
-        return self.planted_chains or _DEFAULT_CHAINS[self.rule]
-
-    def validate(self) -> None:
-        if self.rule not in (RULE_SINGLE, RULE_CONJUNCTION, RULE_NOISY_WEAK):
+    def __post_init__(self) -> None:
+        if self.rule not in PLANTED:
             raise DataError(f"unknown benchmark rule: {self.rule!r}")
-        chains = self.chains()
-        if self.rule == RULE_SINGLE and len(chains) != 1:
-            raise DataError("single rule needs exactly one planted chain")
-        if self.rule == RULE_CONJUNCTION and len(chains) != 2:
-            raise DataError("conjunction rule needs exactly two planted chains")
-        if self.rule == RULE_NOISY_WEAK and len(chains) < 2:
-            raise DataError("noisy_weak rule needs at least two planted chains")
-        for chain in chains:
-            if len(chain) > self.max_hops:
-                raise DataError(
-                    f"planted chain of length {len(chain)} exceeds max_hops {self.max_hops}"
-                )
-            if not chain:
-                raise DataError("planted chain must not be empty")
-            if self.target_name in chain:
-                raise DataError("planted chains must not contain the target relation")
+        longest = max(map(len, PLANTED[self.rule]))
+        if longest > self.max_hops:
+            raise DataError(f"planted chain of length {longest} exceeds max_hops {self.max_hops}")
         if not 0 <= self.noise < 1:
             raise DataError("noise must be in [0, 1)")
         if self.train_groups < 1 or self.test_groups < 1:
             raise DataError("need at least one train and one test group")
-        for name in (self.target_name, *(rel for chain in chains for rel in chain)):
-            if name.endswith(NOT_INVOLUTIVE):
-                raise DataError(f"relation {name!r} ends in {NOT_INVOLUTIVE!r}")
 
     @property
     def n_distractors(self) -> int:
         # Budget: planted relations + target + the node-marker relation.
-        planted_rels = {rel for chain in self.chains() for rel in chain}
+        planted_rels = {rel for chain in PLANTED[self.rule] for rel in chain}
         return max(self.relations - len(planted_rels) - 2, 0)
 
 
-@dataclass
-class _Generated:
-    triples: list[tuple[str, str, str]]
-    train_pairs: list[LabeledPair]
-    test_pairs: list[LabeledPair]
-
-
-def _generate(spec: BenchmarkSpec) -> _Generated:
-    spec.validate()
+def _generate(spec: BenchmarkSpec) -> tuple[list[tuple[str, str, str]], list[LabeledPair], list[LabeledPair]]:
+    """The graph's triples, in draw order and each once, and the train and test pairs."""
     rng = stream_rng(spec.seed, STREAM_BENCHMARK)
-    chains = spec.chains()
+    chains = PLANTED[spec.rule]
     distractors = [f"s{i}" for i in range(spec.n_distractors)]
 
     n_groups = spec.train_groups + spec.test_groups
@@ -113,7 +85,7 @@ def _generate(spec: BenchmarkSpec) -> _Generated:
 
     # The target relation must exist in the symbol table; one edge between
     # auxiliary entities disconnected from every query keeps it leak-free.
-    triples: list[tuple[str, str, str]] = [("_aux_h", spec.target_name, "_aux_t")]
+    triples: list[tuple[str, str, str]] = [("_aux_h", TARGET, "_aux_t")]
     mid_counter = 0
     marked: set[str] = set()
 
@@ -169,24 +141,20 @@ def _generate(spec: BenchmarkSpec) -> _Generated:
         shuffled = [pairs[i] for i in order]
         (train_pairs if g < spec.train_groups else test_pairs).extend(shuffled)
 
-    return _Generated(triples=triples, train_pairs=train_pairs, test_pairs=test_pairs)
+    return triples, train_pairs, test_pairs
 
 
 def make_benchmark(spec: BenchmarkSpec) -> tuple[KnowledgeGraph, TaskDataset]:
     """Build the graph and the split task dataset for a benchmark spec."""
-    generated = _generate(spec)
-    graph = KnowledgeGraph.from_triples(generated.triples, add_inverses=True)
-    task = split_task(graph, spec.target_name, generated.train_pairs, generated.test_pairs, spec.split_ratio, spec.seed)
-    return graph, task
+    triples, train, test = _generate(spec)
+    graph = KnowledgeGraph.from_triples(triples, add_inverses=True)
+    return graph, split_task(graph, TARGET, train, test, SPLIT_RATIO, spec.seed)
 
 
 def write_benchmark(spec: BenchmarkSpec, out_dir: str) -> tuple[str, str]:
     """Write the benchmark with ``graph.write_dataset``; returns the graph file and the tasks root.
 
-    graph.tsv holds each generated triple once, in first-drawn order: the lines
-    ``KnowledgeGraph.from_triples`` keeps, since every edge runs forward (head,
-    mids, tail, marker leaf) and so never repeats another edge's inverse."""
-    generated = _generate(spec)
-    return write_dataset(
-        out_dir, spec.target_name, dict.fromkeys(generated.triples), generated.train_pairs, generated.test_pairs
-    )
+    graph.tsv holds each generated triple in draw order: the lines ``KnowledgeGraph.from_triples``
+    keeps, since no triple repeats and every edge runs forward (head, mids, tail, marker leaf), so
+    none repeats another edge's inverse."""
+    return write_dataset(out_dir, TARGET, *_generate(spec))

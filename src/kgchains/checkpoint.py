@@ -1,6 +1,6 @@
 """Checkpoints for trained models: a UTF-8 text header, then raw float64 bytes.
 
-The header (v3) is a ``[meta]`` section of ``key = value`` lines, one
+The header (v3) is a ``[meta]`` section of ``key = value`` lines, each key once, one
 ``[net ...]`` section per present network giving ``layers = n`` and one
 ``layer i out in`` shape line per layer, and ``[end]``. After ``[end]`` come
 the little-endian float64 bytes of each network's flat buffer (each layer's
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DataError
 from .game import GameModel
 from .neural import DenseParams
-from .util import not_utf8, read_fields, write_fields
+from .util import field_lines, not_utf8, read_fields
 
 HEADER = "# kgchains checkpoint v3"
 _END = b"[end]\n"
@@ -34,19 +34,20 @@ _NETS = ("generator", "predictor", "complement")  # the sections' order, and the
 
 
 def save_checkpoint(path: str, model: GameModel, meta: dict | None = None) -> None:
+    """Write the model and ``meta``'s extra ``[meta]`` fields, which may not set a model field."""
     record = {key: getattr(model, key) for key in _REQUIRED_META}
-    if meta:
-        record.update(meta)
+    for key in meta or {}:
+        if key in record:
+            raise ValueError(f"meta key {key!r} is the model's own field")
+        record[key] = meta[key]
     nets = [(name, getattr(model, name)) for name in _NETS if getattr(model, name) is not None]
-    header = io.StringIO()
-    header.write(HEADER + "\n[meta]\n")
-    write_fields(header, record)
+    lines = [HEADER, "[meta]", *field_lines(record)]
     for name, net in nets:
-        header.write(f"[net {name}]\nlayers = {len(net.layers)}\n")
-        header.writelines(f"layer {i} {out_dim} {in_dim}\n" for i, (out_dim, in_dim) in enumerate(net.shapes))
-    header.write("[end]\n")
+        lines += [f"[net {name}]", f"layers = {len(net.layers)}"]
+        lines += [f"layer {i} {out_dim} {in_dim}" for i, (out_dim, in_dim) in enumerate(net.shapes)]
+    header = "\n".join([*lines, "[end]", ""]).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.writelines([header.getvalue().encode("utf-8"), *(np.ascontiguousarray(net.flat, "<f8") for _, net in nets)])
+        fh.writelines([header, *(np.ascontiguousarray(net.flat, "<f8") for _, net in nets)])
 
 
 def _parse_net(lines: list[str], pos: int, path: str) -> tuple[list, int]:
@@ -113,7 +114,7 @@ def _parse_checkpoint(lines: list[str], path: str, fh: io.BufferedReader, payloa
             end = pos + 1
             while end < len(lines) and not lines[end].startswith("["):
                 end += 1
-            meta.update(read_fields(lines[pos + 1 : end], path, pos + 2))
+            read_fields(lines[pos + 1 : end], path, pos + 2, meta)
             pos = end
         elif line.startswith("[net ") and line.endswith("]"):
             name = line[len("[net ") : -1]

@@ -19,7 +19,7 @@ import numpy as np
 from . import benchmark as bench
 from . import chains, checkpoint, evaluate, game, graph, neural
 from .errors import DataError, NumericError, UsageError
-from .util import open_text, read_fields, write_fields, write_lines
+from .util import field_lines, open_text, read_fields, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -155,7 +155,7 @@ def cmd_benchmark(args) -> int:
     flags = {name: getattr(args, name) for name in BENCHMARK_FLAGS}
     spec = bench.BenchmarkSpec(rule=args.kind.replace("-", "_"), **flags)
     graph_path, tasks_dir = bench.write_benchmark(spec, args.out)
-    print(f"benchmark written: graph={graph_path} tasks={tasks_dir} relation={spec.target_name}")
+    print(f"benchmark written: graph={graph_path} tasks={tasks_dir} relation={bench.TARGET}")
     return 0
 
 
@@ -174,19 +174,11 @@ def cmd_extract(args) -> int:
         chains.write_vocabulary(_artifact(args.out, relation, "vocab.tsv"), vocab, kg)
         for split in ("train", "dev", "test"):
             chains.write_instances(_artifact(args.out, relation, f"{split}.inst"), getattr(data, split), kg)
-        with open(_artifact(args.out, relation, "meta.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            write_fields(
-                fh,
-                {
-                    "relation": relation,
-                    "vocab_size": vocab.size,
-                    "max_hops": args.max_hops,
-                    "max_chains": args.max_chains,
-                    "split_ratio": args.split_ratio,
-                    "seed": args.seed,
-                    "neg_ratio": args.neg_ratio if args.neg_ratio is not None else "none",
-                },
-            )
+        neg_ratio = args.neg_ratio if args.neg_ratio is not None else "none"
+        write_lines(_artifact(args.out, relation, "meta.txt"), field_lines({
+            "relation": relation, "vocab_size": vocab.size, "max_hops": args.max_hops, "max_chains": args.max_chains,
+            "split_ratio": args.split_ratio, "seed": args.seed, "neg_ratio": neg_ratio,
+        }))
         row_sums = np.concatenate([split.availability.sum(axis=1) for split in (data.train, data.dev, data.test)])
         mean = float(row_sums.mean())
         stats.append(f"{relation}\t{vocab.size}\t{mean:.6f}\t{vocab.union_size}")
@@ -420,7 +412,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-hops", type=POSITIVE_INT, default=3)
     p.add_argument("--max-chains", type=POSITIVE_INT, default=10000)
     # training picks its checkpoint on dev, so a ratio of 1 (no dev pairs) is out of range
-    p.add_argument("--split-ratio", type=RATIO, default=0.8)
+    p.add_argument("--split-ratio", type=RATIO, default=graph.SPLIT_RATIO)
     p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     p.add_argument("--neg-ratio", type=POSITIVE, default=None)
     p.add_argument("--no-inverses", action="store_true")

@@ -33,8 +33,6 @@ def evaluate_task(model: GameModel, split: Split, group_by: str = "head") -> Eva
 class ModeResult(TrainResult):
     """A run mode's training result and its test report."""
 
-    mode: str
-    d: int
     report: EvalReport
 
     @property
@@ -53,4 +51,4 @@ def run_mode(
     """Train one ablation mode and evaluate it on the task's test split."""
     result = train_mode(data, config, mode, d, lambda_s)
     report = evaluate_task(result.model, data.test, group_by=group_by)
-    return ModeResult(**vars(result), mode=mode, d=d, report=report)
+    return ModeResult(**vars(result), report=report)

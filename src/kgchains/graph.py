@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 
 INVERSE_SUFFIX = "_inv"
 NOT_INVOLUTIVE = INVERSE_SUFFIX * 2  # a name's inverse's inverse is another name: a data error
+SPLIT_RATIO = 0.8  # the share of a task's train pool that train keeps by default; dev gets the rest
 
 # Sentinel distance for entities that cannot reach the BFS source.
 UNREACHABLE = np.iinfo(np.int32).max
@@ -258,7 +259,7 @@ def split_task(
     return TaskDataset(target, relation, [pool[i] for i in perm[:cut]], [pool[i] for i in perm[cut:]], test)
 
 
-def load_task(tasks_dir: str, relation: str, graph: KnowledgeGraph, split_ratio: float = 0.8,
+def load_task(tasks_dir: str, relation: str, graph: KnowledgeGraph, split_ratio: float = SPLIT_RATIO,
               seed: int = 0) -> TaskDataset:
     """Load ``<tasks_dir>/<relation>/{train,test}.pairs``; ``split_task`` splits the train pairs into train
     and dev."""

@@ -175,20 +175,22 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
         fh.write("\n".join([*lines, ""]))
 
 
-def write_fields(fh: IO[str], fields: dict) -> None:
+def field_lines(fields: dict) -> list[str]:
     """``key = value`` lines in key order (``meta.txt``, a checkpoint's ``[meta]``)."""
-    for key in sorted(fields):
-        fh.write(f"{key} = {fields[key]}\n")
+    return [f"{key} = {fields[key]}" for key in sorted(fields)]
 
 
-def read_fields(lines: Iterable[str], path: str, first_lineno: int = 1) -> dict[str, str]:
-    """Inverse of ``write_fields``; blank lines are skipped."""
-    fields = {}
+def read_fields(lines: Iterable[str], path: str, first_lineno: int = 1, fields: dict | None = None) -> dict[str, str]:
+    """Inverse of ``field_lines``, adding to ``fields`` if given; blank lines are skipped, and a key
+    read twice is an error at its second line."""
+    fields = {} if fields is None else fields
     for lineno, line in enumerate(lines, start=first_lineno):
         if not line:
             continue
         key, sep, value = line.partition(" = ")
         if not sep:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
+        if key in fields:
+            raise DataError(f"{path}:{lineno}: repeated key {key!r}")
         fields[key] = value
     return fields

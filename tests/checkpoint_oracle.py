@@ -8,7 +8,7 @@ import base64
 
 import numpy as np
 
-from kgchains.util import write_fields
+from kgchains.util import field_lines
 
 NETS = ("generator", "predictor", "complement")
 
@@ -18,7 +18,7 @@ def _write(path, model, meta, version, write_layer):
               "predictor_arch": model.predictor_arch, "mode": model.mode, **meta}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# kgchains checkpoint v{version}\n[meta]\n")
-        write_fields(fh, record)
+        fh.writelines(f"{line}\n" for line in field_lines(record))
         for name in NETS:
             params = getattr(model, name)
             if params is None:

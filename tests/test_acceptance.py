@@ -390,7 +390,7 @@ def test_multi_chain_beats_single_chain():
     --aggregate`` are the two planted chains on at least 6 of the 8 seeds."""
     start = time.time()
     maps, recovered = {}, 0
-    planted = {"->".join(chain) for chain in benchmark.BenchmarkSpec(rule="conjunction").chains()}
+    planted = {"->".join(chain) for chain in benchmark.PLANTED[benchmark.RULE_CONJUNCTION]}
     for seed in range(1, 9):
         kg, task = benchmark.make_benchmark(benchmark.BenchmarkSpec(rule="conjunction", seed=seed))
         vocab, data = chains.extract_task(kg, task, max_hops=2, max_size=10000)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kgchains import benchmark
-from kgchains.benchmark import BenchmarkSpec, make_benchmark, write_benchmark
+from kgchains.benchmark import PLANTED, TARGET, BenchmarkSpec, make_benchmark, write_benchmark
 from kgchains.cli import main
 from kgchains.chains import RelationChain, enumerate_paths
 from kgchains.errors import DataError
@@ -19,7 +19,7 @@ def chain_names(graph, head, tail, max_hops, exclude):
 
 
 def planted_names(spec):
-    return {"->".join(chain) for chain in spec.chains()}
+    return {"->".join(chain) for chain in PLANTED[spec.rule]}
 
 
 def assert_same_tables(g1, g2):
@@ -30,7 +30,7 @@ def assert_same_tables(g1, g2):
 def test_conjunction_labels_exactly_match_chains():
     spec = BenchmarkSpec(rule="conjunction", seed=5, train_groups=8, test_groups=4)
     graph, task = make_benchmark(spec)
-    target = graph.relation_id(spec.target_name)
+    target = graph.relation_id(TARGET)
     planted = planted_names(spec)
     for pair in task.train + task.dev + task.test:
         found = chain_names(graph, pair.head, pair.tail, spec.max_hops, target)
@@ -41,7 +41,7 @@ def test_conjunction_labels_exactly_match_chains():
 def test_single_rule_labels():
     spec = BenchmarkSpec(rule="single", seed=2, train_groups=6, test_groups=3)
     graph, task = make_benchmark(spec)
-    target = graph.relation_id(spec.target_name)
+    target = graph.relation_id(TARGET)
     planted = planted_names(spec)
     for pair in task.train + task.dev + task.test:
         found = chain_names(graph, pair.head, pair.tail, spec.max_hops, target)
@@ -51,7 +51,7 @@ def test_single_rule_labels():
 def test_noisy_weak_rates_differ_by_class():
     spec = BenchmarkSpec(rule="noisy_weak", seed=4, relations=9, train_groups=30, test_groups=10)
     graph, task = make_benchmark(spec)
-    target = graph.relation_id(spec.target_name)
+    target = graph.relation_id(TARGET)
     planted = planted_names(spec)
     counts = {1: [], 0: []}
     for pair in task.train + task.dev + task.test:
@@ -65,7 +65,7 @@ def test_noise_flips_labels():
     noisy = BenchmarkSpec(rule="conjunction", seed=5, train_groups=8, test_groups=4, noise=0.3)
     _, clean_task = make_benchmark(base)
     graph, noisy_task = make_benchmark(noisy)
-    target = graph.relation_id(noisy.target_name)
+    target = graph.relation_id(TARGET)
     planted = planted_names(noisy)
     flips = 0
     for pair in noisy_task.train + noisy_task.dev + noisy_task.test:
@@ -85,24 +85,10 @@ def test_same_spec_same_seed_identical():
     ]
 
 
-def test_infeasible_chain_length_rejected():
-    spec = BenchmarkSpec(
-        rule="single", planted_chains=[("a", "b", "c", "d")], max_hops=3
-    )
-    with pytest.raises(DataError, match="max_hops"):
-        make_benchmark(spec)
-
-
-def test_target_in_planted_chain_rejected():
-    spec = BenchmarkSpec(rule="single", planted_chains=[("target",)])
-    with pytest.raises(DataError):
-        make_benchmark(spec)
-
-
-def test_conjunction_needs_two_chains():
-    spec = BenchmarkSpec(rule="conjunction", planted_chains=[("a",)])
-    with pytest.raises(DataError):
-        make_benchmark(spec)
+@pytest.mark.parametrize("rule", ["single", "conjunction"])
+def test_infeasible_chain_length_rejected(rule):
+    with pytest.raises(DataError, match="^planted chain of length 2 exceeds max_hops 1$"):
+        BenchmarkSpec(rule=rule, max_hops=1)
 
 
 def test_distractor_count_meets_budget():
@@ -169,33 +155,17 @@ def test_cli_defaults_write_what_the_spec_defaults_write(tmp_path, kind):
 
 @pytest.mark.parametrize(
     "overrides",
-    [dict(rule=rule, distractor_rate=rate) for rule in ("single", "conjunction", "noisy_weak") for rate in (0.0, 0.3, 1.0)]
-    + [
-        # a planted chain over a distractor relation repeats distractor edges
-        dict(rule="single", planted_chains=[("s0",)], distractor_rate=1.0),
-        dict(rule="conjunction", planted_chains=[("p0_0", "s1"), ("s0",)], distractor_rate=0.5),
-    ],
+    [dict(rule=rule, distractor_rate=rate) for rule in ("single", "conjunction", "noisy_weak") for rate in (0.0, 0.3, 1.0)],
 )
 def test_graph_file_is_what_the_graph_build_kept(tmp_path, overrides):
+    """No generated triple repeats, so graph.tsv is every triple, which is what a graph build keeps."""
     spec = BenchmarkSpec(**{"entities": 80, "relations": 12, "seed": 3, "train_groups": 6, "test_groups": 4, **overrides})
-    triples = benchmark._generate(spec).triples
+    triples = benchmark._generate(spec)[0]
+    assert len(set(triples)) == len(triples)
     graph_path, _ = write_benchmark(spec, str(tmp_path))
     with open(graph_path, encoding="utf-8") as fh:
         assert fh.read() == graph_built_lines(triples)
     assert_same_tables(load_triples(graph_path), KnowledgeGraph.from_triples(triples))
-    if "planted_chains" in overrides:
-        assert len(set(triples)) < len(triples)
-
-
-@pytest.mark.parametrize("overrides", [
-    dict(rule="single", planted_chains=[("a_inv_inv",)]), dict(rule="single", target_name="t_inv_inv"),
-    dict(rule="conjunction", planted_chains=[("p", "a_inv_inv"), ("q",)]), dict(rule="conjunction", target_name="t_inv_inv"),
-    dict(rule="noisy_weak", planted_chains=[("p",), ("q",), ("a_inv_inv", "s")])])
-def test_relation_ending_in_inv_inv_is_rejected_before_writing(tmp_path, overrides):
-    out = tmp_path / "out"
-    with pytest.raises(DataError, match="_inv_inv' ends in '_inv_inv'$"):
-        write_benchmark(BenchmarkSpec(**overrides), str(out))
-    assert not out.exists()
 
 
 def test_single_rule_d1_game_reaches_high_map():

@@ -12,8 +12,9 @@ The scope of each assertion is chosen up front:
   recorded in ``RECORDED``: another numpy may implement a function in Python
   or in C. On that pair the counts must equal the pinned ones exactly.
 - On any pair the invariants must hold: the same count at two widths (a pass
-  over a wider vocabulary makes no more calls), and the same count on every
-  repeat (no warm-up at this level).
+  over a wider vocabulary makes no more calls), or for a reader on files of
+  different lengths, and the same count on every repeat (no warm-up at this
+  level).
 
 A change that moves a pinned count updates it here and states the delta in
 ``CHANGES.md``, as a change to an artifact's bits is stated. The scope above
@@ -26,10 +27,12 @@ import sys
 import numpy as np
 import pytest
 
-from kgchains import game
+from kgchains import chains, game
+from kgchains.cli import main
 
 RECORDED = ("3.11.7", "2.4.6")  # (Python, numpy) of the exact counts below
 ROWS = 700  # three SCORE_CHUNK chunks, the last one short
+BATCH = 20  # the CLI's default --batch-size
 WIDTHS = (23, 300)
 REPEATS = 3
 
@@ -59,14 +62,67 @@ def scoring_counts(mode: str, width: int) -> list[tuple[int, int]]:
     return [count_calls(lambda: list(game.score_chunks(model, availability))) for _ in range(REPEATS)]
 
 
+def assert_pinned(counts: dict[object, list[tuple[int, int]]], pinned: tuple[int, int]) -> None:
+    """Each case's repeats made the same calls, and every case alike; on the RECORDED pair, ``pinned``."""
+    assert all(len(set(repeats)) == 1 for repeats in counts.values()), counts  # every repeat alike
+    assert len({repeats[0] for repeats in counts.values()}) == 1, counts  # and every case
+    if (platform.python_version(), np.__version__) == RECORDED:
+        assert next(iter(counts.values()))[0] == pinned
+
+
 # (Python, C) calls of one score_chunks pass on the RECORDED pair
 SCORING = {game.MODE_GAME: (77, 130), game.MODE_ALL_CHAINS: (35, 64)}
 
 
 @pytest.mark.parametrize("mode", [game.MODE_GAME, game.MODE_ALL_CHAINS])
 def test_scoring_pass_call_counts(mode):
-    counts = {width: scoring_counts(mode, width) for width in WIDTHS}
-    assert all(len(set(repeats)) == 1 for repeats in counts.values()), counts  # every repeat alike
-    assert len({repeats[0] for repeats in counts.values()}) == 1, counts  # and every width
-    if (platform.python_version(), np.__version__) == RECORDED:
-        assert counts[WIDTHS[0]][0] == SCORING[mode]
+    assert_pinned({width: scoring_counts(mode, width) for width in WIDTHS}, SCORING[mode])
+
+
+CONFIG = game.TrainConfig(epochs=1, seed=1)
+# each training step's maker, from the input width, and its (Python, C) calls a step on the RECORDED pair
+STEPS = {
+    "game": (lambda width: game._game_step(game.build_model(width, 2, 1.0, game.ARCH_MLP, seed=1), CONFIG), (36, 57)),
+    "predictor_only": (lambda width: game._predictor_only_step(
+        game.build_model(width, 1, 0.0, game.ARCH_MLP, seed=1, mode=game.MODE_ALL_CHAINS), CONFIG), (19, 29)),
+}
+
+
+def step_counts(make_step, width: int) -> list[tuple[int, int]]:
+    """The counts of each of REPEATS steps on one BATCH-row batch of float64 0/1 rows, as ``game._fit`` passes."""
+    rng = np.random.default_rng(width)
+    batch = (rng.random((BATCH, width)) < 0.3).astype(np.float64)
+    labels = np.arange(BATCH) % 2
+    step = make_step(width)
+    return [count_calls(lambda: step(batch, labels)) for _ in range(REPEATS)]
+
+
+@pytest.mark.parametrize("kind", sorted(STEPS))
+def test_training_step_call_counts(kind):
+    make_step, pinned = STEPS[kind]
+    assert_pinned({width: step_counts(make_step, width) for width in WIDTHS}, pinned)
+
+
+@pytest.fixture(scope="module")
+def conj_train(tmp_path_factory):
+    """The seed-5 artifacts of the conj-train benchmark workload: the default conjunction benchmark, at k=2."""
+    root = tmp_path_factory.mktemp("conj-train")
+    assert main(["benchmark", "--kind", "conjunction", "--out", str(root / "inputs"), "--seed", "5"]) == 0
+    assert main(["extract", "--graph", str(root / "inputs" / "graph.tsv"), "--tasks", str(root / "inputs" / "tasks"),
+                 "--relation", "target", "--out", str(root), "--max-hops", "2", "--seed", "5"]) == 0
+    return root / "target"
+
+
+def reads(read, path) -> list[tuple[int, int]]:
+    path = str(path)  # a Path's str() would count as a call of its own
+    return [count_calls(lambda: read(path)) for _ in range(REPEATS)]
+
+
+def test_instance_cache_read_call_counts(conj_train):
+    # 100, 160 and 40 rows
+    assert_pinned({split: reads(chains.read_instances, conj_train / f"{split}.inst")
+                   for split in ("test", "train", "dev")}, (17, 43))
+
+
+def test_vocabulary_read_call_counts(conj_train):
+    assert_pinned({"vocab.tsv": reads(chains.read_vocabulary_names, conj_train / "vocab.tsv")}, (11, 32))

@@ -176,6 +176,14 @@ def test_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("key", ["input_dim", "d", "lambda_s", "predictor_arch", "mode"])
+def test_meta_cannot_set_a_model_field(tmp_path, key):
+    path = tmp_path / "ck.txt"
+    with pytest.raises(ValueError, match=f"^meta key '{key}' is the model's own field$"):
+        save_checkpoint(str(path), build_model(6, 2, 1.0), {"relation": "demo", key: 5})
+    assert not path.exists()
+
+
 def test_tampered_input_dim_rejected(tmp_path):
     model = build_model(5, 2, 1.0, "mlp", seed=3)
     path = tmp_path / "ck.txt"

@@ -201,6 +201,9 @@ CORRUPTIONS = {
     "d_two": (swap(b"\nd = 1\n", b"\nd = two\n"),
               "corrupt checkpoint {path}: invalid literal for int() with base 10: 'two'"),
     "meta_without_equals": (swap(b"\nd = 1\n", b"\nd: 1\n"), "{path}:5: expected 'key = value'"),
+    "meta_key_repeated": (swap(b"\nd = 1\n", b"\nd = 1\nd = 7\n"), "{path}:6: repeated key 'd'"),
+    "meta_key_repeated_in_a_second_section": (swap(b"\n[net predictor]\n", b"\n[meta]\nd = 7\n[net predictor]\n"),
+                                              "{path}:17: repeated key 'd'"),
     "meta_not_utf8": (swap(b"\nrelation = target\n", b"\nrelation = t\xffrget\n"),
                       "{path}: not UTF-8 text (byte 0xff: invalid start byte)"),
     "d_zero": (swap(b"\nd = 1\n", b"\nd = 0\n"), "checkpoint meta d = 0 must be an integer >= 1: {path}"),
@@ -293,6 +296,17 @@ def test_non_integer_vocabulary_support_is_a_data_error(art, capsys):
         path.write_text(original.replace("1\t3\t", "1\tthree\t"))
         assert eval_code(art) == 2
         assert "vocab.tsv:2: " in capsys.readouterr().err
+    finally:
+        path.write_text(original)
+
+
+def test_repeated_meta_txt_key_is_a_data_error(art, capsys):
+    path = art / REL / "meta.txt"
+    original = path.read_text()
+    try:
+        path.write_text(original + f"vocab_size = {D}\n")
+        assert eval_code(art) == 2
+        assert f"data error: {path}:4: repeated key 'vocab_size'\n" in capsys.readouterr().err
     finally:
         path.write_text(original)
 

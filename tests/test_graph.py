@@ -162,7 +162,7 @@ TOY_TRIPLES = [("a", "r", "a"), ("a", "s", "b"), ("b", "r", "b"), ("a", "s", "a"
 def test_in_table_equals_the_second_sort(monkeypatch, spec, add_inverses):
     """With inverses the in-table is built from the out-table: it equals the in-table sorted from the
     edges, dtypes included. Without them it is that sort."""
-    triples = TOY_TRIPLES if spec is None else benchmark._generate(benchmark.BenchmarkSpec(**spec)).triples
+    triples = TOY_TRIPLES if spec is None else benchmark._generate(benchmark.BenchmarkSpec(**spec))[0]
     calls, csr = [], graph_module._csr
     monkeypatch.setattr(graph_module, "_csr", lambda *args: calls.append(args) or csr(*args))
     g = KnowledgeGraph.from_triples(triples, add_inverses)

@@ -22,16 +22,9 @@ def enumerate_paths_of_no_hops():
 
 
 CASES = {
-    "benchmark-unknown-rule": (lambda: BenchmarkSpec(rule="bogus").validate(),
-                               DataError, "unknown benchmark rule: 'bogus'"),
-    "benchmark-single-two-chains": (lambda: BenchmarkSpec(rule="single", planted_chains=[("a",), ("b",)]).validate(),
-                                    DataError, "single rule needs exactly one planted chain"),
-    "benchmark-noisy-weak-one-chain": (lambda: BenchmarkSpec(rule="noisy_weak", planted_chains=[("a",)]).validate(),
-                                       DataError, "noisy_weak rule needs at least two planted chains"),
-    "benchmark-empty-chain": (lambda: BenchmarkSpec(rule="single", planted_chains=[()]).validate(),
-                              DataError, "planted chain must not be empty"),
-    "benchmark-noise-1": (lambda: BenchmarkSpec(noise=1.0).validate(), DataError, "noise must be in [0, 1)"),
-    "benchmark-no-train-group": (lambda: BenchmarkSpec(train_groups=0).validate(),
+    "benchmark-unknown-rule": (lambda: BenchmarkSpec(rule="bogus"), DataError, "unknown benchmark rule: 'bogus'"),
+    "benchmark-noise-1": (lambda: BenchmarkSpec(noise=1.0), DataError, "noise must be in [0, 1)"),
+    "benchmark-no-train-group": (lambda: BenchmarkSpec(train_groups=0),
                                  DataError, "need at least one train and one test group"),
     "train-config-batch-0": (lambda: game.TrainConfig(1, batch_size=0), ValueError, "batch_size must be >= 1"),
     "train-config-momentum-1": (lambda: game.TrainConfig(1, baseline_momentum=1.0),
