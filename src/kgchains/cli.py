@@ -436,7 +436,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate checkpoints and report MAP")
     p.add_argument("--artifacts", required=True)
     p.add_argument("--relation", action="append", required=True)
-    p.add_argument("--mode", action="append", default=None)
+    p.add_argument("--mode", choices=list(game.ALL_MODES), action="append", default=None)
     p.add_argument("--d", type=POSITIVE_INT, action="append", default=None)
     p.add_argument("--checkpoint", default=None, help="explicit checkpoint path (single relation/mode)")
     p.add_argument("--split", choices=["test", "dev"], default="test")
@@ -447,7 +447,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("export-rules", help="write the selected chains per test instance")
     p.add_argument("--artifacts", required=True)
     p.add_argument("--relation", required=True)
-    p.add_argument("--mode", default=game.MODE_GAME_MLP)
+    p.add_argument("--mode", choices=list(game.ALL_MODES), default=game.MODE_GAME_MLP)
     p.add_argument("--d", type=POSITIVE_INT, default=5)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--top-n", type=NON_NEGATIVE_INT, default=5)

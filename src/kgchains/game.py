@@ -44,6 +44,7 @@ ARCH_MLP = "mlp"
 ARCH_LINEAR = "linear"
 MODE_GAME = "game"
 MODE_ALL_CHAINS = "d_all"
+NETWORKS = ("generator", "predictor", "complement")  # a model's networks, in init and checkpoint payload order
 # Run modes: the game with MLP or linear predictors, the predictor alone on every available
 # chain (MODE_ALL_CHAINS, also that model's mode), and a predictor on a frozen d=1 generator.
 MODE_GAME_MLP = "game_mlp"
@@ -77,29 +78,14 @@ class GameModel:
     complement: DenseParams | None = None
 
     def __post_init__(self) -> None:
-        """Raise ``ValueError`` unless ``build_model`` could have built this model, weights aside: its
-        mode's networks, each in the layer shapes ``_network_dims`` gives at ``input_dim``. A game model
-        may lack the complement, as ``single_chain_gen``'s second stage does."""
-        for key, ok, expected in (
-            ("input_dim", self.input_dim >= 1, "an integer >= 1"),
-            ("d", self.d >= 1, "an integer >= 1"),
-            ("lambda_s", math.isfinite(self.lambda_s) and self.lambda_s >= 0, "a finite number >= 0"),
-            ("predictor_arch", self.predictor_arch in (ARCH_MLP, ARCH_LINEAR), f"{ARCH_MLP} or {ARCH_LINEAR}"),
-            ("mode", self.mode in (MODE_GAME, MODE_ALL_CHAINS), f"{MODE_GAME} or {MODE_ALL_CHAINS}"),
-        ):
-            if not ok:
-                raise ValueError(f"{key} = {getattr(self, key)} must be {expected}")
-        widths = _network_dims(self.input_dim, self.predictor_arch, self.mode)
-        for name in ("generator", "predictor", "complement"):
-            net, dims = getattr(self, name), widths.get(name)
-            shapes = dims and list(zip(dims[1:], dims[:-1]))
-            if net is None:
-                if shapes and name != "complement":
-                    raise ValueError(f"mode = {self.mode} needs a {name} network")
-            elif not shapes:
-                raise ValueError(f"mode = {self.mode} has no {name} network")
-            elif net.shapes != shapes:
-                raise ValueError(f"input_dim = {self.input_dim} needs {name} layer shapes {shapes}, not {net.shapes}")
+        """Raise ``ValueError`` unless ``build_model`` could have built this model, weights aside: each of its
+        networks in the layer shapes ``checked_shapes`` gives."""
+        nets = {name: getattr(self, name) for name in NETWORKS if getattr(self, name) is not None}
+        fields = self.input_dim, self.d, self.lambda_s, self.predictor_arch, self.mode
+        for name, shapes in checked_shapes(*fields, list(nets)).items():
+            if nets[name].shapes != shapes:
+                got = nets[name].shapes
+                raise ValueError(f"input_dim = {self.input_dim} needs {name} layer shapes {shapes}, not {got}")
 
 
 @dataclass
@@ -155,6 +141,29 @@ def _network_dims(input_dim: int, predictor_arch: str, mode: str) -> dict[str, l
     return {"generator": mlp_dims(input_dim, 2 * input_dim), "predictor": predictor, "complement": predictor}
 
 
+def checked_shapes(input_dim: int, d: int, lambda_s: float, predictor_arch: str, mode: str,
+                   networks: list[str]) -> dict[str, list[tuple[int, int]]]:
+    """The (out, in) layer shapes ``_network_dims`` gives each of ``networks``, if ``build_model`` could have built
+    a model of these fields with just those networks; else a ``ValueError`` that names the first field or network
+    at fault. A game model may lack the complement, as ``single_chain_gen``'s second stage does."""
+    for key, value, ok, expected in (
+        ("input_dim", input_dim, input_dim >= 1, "an integer >= 1"),
+        ("d", d, d >= 1, "an integer >= 1"),
+        ("lambda_s", lambda_s, math.isfinite(lambda_s) and lambda_s >= 0, "a finite number >= 0"),
+        ("predictor_arch", predictor_arch, predictor_arch in (ARCH_MLP, ARCH_LINEAR), f"{ARCH_MLP} or {ARCH_LINEAR}"),
+        ("mode", mode, mode in (MODE_GAME, MODE_ALL_CHAINS), f"{MODE_GAME} or {MODE_ALL_CHAINS}"),
+    ):
+        if not ok:
+            raise ValueError(f"{key} = {value} must be {expected}")
+    widths = _network_dims(input_dim, predictor_arch, mode)
+    for name in NETWORKS:
+        if name in networks and name not in widths:
+            raise ValueError(f"mode = {mode} has no {name} network")
+        if name not in networks and name in widths and name != "complement":
+            raise ValueError(f"mode = {mode} needs a {name} network")
+    return {name: list(zip(widths[name][1:], widths[name][:-1])) for name in networks}
+
+
 def build_model(
     input_dim: int, d: int, lambda_s: float, predictor_arch: str = ARCH_MLP, seed: int = 0, mode: str = MODE_GAME
 ) -> GameModel:
@@ -168,7 +177,7 @@ def build_model(
 
 
 def clone_model(model: GameModel) -> GameModel:
-    nets = {name: getattr(model, name) for name in ("predictor", "generator", "complement")}
+    nets = {name: getattr(model, name) for name in NETWORKS}
     return replace(model, **{name: net and clone_params(net) for name, net in nets.items()})
 
 

@@ -176,14 +176,18 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
 
 
 def field_lines(fields: dict) -> list[str]:
-    """``key = value`` lines in key order (``meta.txt``, a checkpoint's ``[meta]``)."""
-    return [f"{key} = {fields[key]}" for key in sorted(fields)]
+    """``key = value`` lines in key order (``meta.txt``, a checkpoint's header). A field that ``read_fields``
+    would not read back as written (a key with `` = ``, a line break) is a ``ValueError``."""
+    lines = [f"{key} = {fields[key]}" for key in sorted(fields)]
+    for key, line in zip(sorted(fields), lines):
+        if line.partition(" = ")[0] != key or "\n" in line or "\r" in line:
+            raise ValueError(f"field {key!r} = {fields[key]!r} would not read back")
+    return lines
 
 
-def read_fields(lines: Iterable[str], path: str, first_lineno: int = 1, fields: dict | None = None) -> dict[str, str]:
-    """Inverse of ``field_lines``, adding to ``fields`` if given; blank lines are skipped, and a key
-    read twice is an error at its second line."""
-    fields = {} if fields is None else fields
+def read_fields(lines: Iterable[str], path: str, first_lineno: int = 1) -> dict[str, str]:
+    """Inverse of ``field_lines``; blank lines are skipped, and a key read twice is an error at its second line."""
+    fields: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=first_lineno):
         if not line:
             continue

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from kgchains import chains, game
+from kgchains.checkpoint import load_checkpoint, save_checkpoint
 from kgchains.cli import main
 
 RECORDED = ("3.11.7", "2.4.6")  # (Python, numpy) of the exact counts below
@@ -67,7 +68,7 @@ def assert_pinned(counts: dict[object, list[tuple[int, int]]], pinned: tuple[int
     assert all(len(set(repeats)) == 1 for repeats in counts.values()), counts  # every repeat alike
     assert len({repeats[0] for repeats in counts.values()}) == 1, counts  # and every case
     if (platform.python_version(), np.__version__) == RECORDED:
-        assert next(iter(counts.values()))[0] == pinned
+        assert next(iter(counts.values()))[0] == pinned, next(iter(counts.values()))[0]
 
 
 # (Python, C) calls of one score_chunks pass on the RECORDED pair
@@ -126,3 +127,51 @@ def test_instance_cache_read_call_counts(conj_train):
 
 def test_vocabulary_read_call_counts(conj_train):
     assert_pinned({"vocab.tsv": reads(chains.read_vocabulary_names, conj_train / "vocab.tsv")}, (11, 32))
+
+
+def split(rows: int, width: int, rng) -> chains.Split:
+    """``rows`` random 0/1 rows of ``width`` chains, a third of them available, labels alternating."""
+    availability = (rng.random((rows, width)) < 0.3).astype(np.uint8)
+    return chains.Split(list(range(rows)), list(range(rows)), np.arange(rows) % 2, availability)
+
+
+# (Python, C) calls of a one-epoch ``_fit`` on the RECORDED pair: its set-up (a clone and a dev pass), then one
+# epoch of 3 BATCH-row steps and a dev pass over 150 rows, enough for top-d by argmax rounds at both WIDTHS. At
+# lr = 0 no weight moves, so dev quality ties and the epoch copies no checkpoint, a branch whose count would
+# otherwise depend on the data.
+FIT = {game.MODE_GAME: (239, 374), game.MODE_ALL_CHAINS: (139, 222)}
+
+
+def fit_counts(mode: str, width: int) -> list[tuple[int, int]]:
+    rng = np.random.default_rng(width)
+    data = chains.EncodedTask("target", width, split(3 * BATCH, width, rng), split(150, width, rng), split(0, width, rng))
+    config = game.TrainConfig(epochs=1, lr=0.0, seed=1)
+    counts = []
+    for _ in range(REPEATS):
+        model = game.build_model(width, 2, 1.0, game.ARCH_MLP, seed=1, mode=mode)
+        step = (game._game_step if mode == game.MODE_GAME else game._predictor_only_step)(model, config)
+        shuffle = np.random.default_rng(0)
+        counts.append(count_calls(lambda: game._fit(data, config, model, step, shuffle)))
+    return counts
+
+
+@pytest.mark.parametrize("mode", [game.MODE_GAME, game.MODE_ALL_CHAINS])
+def test_one_epoch_fit_call_counts(mode):
+    assert_pinned({width: fit_counts(mode, width) for width in WIDTHS}, FIT[mode])
+
+
+# (Python, C) calls of a ``load_checkpoint`` on the RECORDED pair, of a checkpoint with the extra fields
+# ``kgchains train`` writes
+LOAD = {game.MODE_GAME: (67, 140), game.MODE_ALL_CHAINS: (33, 96)}
+TRAIN_META = {"relation": "target", "run_mode": "game_mlp", "seed": 5, "epochs": 12, "best_epoch": 7,
+              "best_dev_map": "0.812500", "max_hops": 2, "vocab": "vocab.tsv"}
+
+
+@pytest.mark.parametrize("mode", [game.MODE_GAME, game.MODE_ALL_CHAINS])
+def test_checkpoint_load_call_counts(tmp_path, mode):
+    counts = {}
+    for width in WIDTHS:
+        path = tmp_path / f"checkpoint.{width}.txt"
+        save_checkpoint(str(path), game.build_model(width, 2, 1.0, game.ARCH_MLP, seed=1, mode=mode), TRAIN_META)
+        counts[width] = reads(load_checkpoint, path)
+    assert_pinned(counts, LOAD[mode])

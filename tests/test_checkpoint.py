@@ -11,8 +11,9 @@ from kgchains.checkpoint import load_checkpoint, save_checkpoint
 from kgchains.errors import DataError
 from kgchains.game import build_model, predict
 from kgchains.neural import count_params
+from kgchains.util import field_lines
 
-from checkpoint_oracle import NETS, read_v3, write_v1
+from checkpoint_oracle import NETS, read_v4, write_v1
 from splits import split_of
 
 
@@ -54,11 +55,14 @@ def test_round_trip_is_bit_identical(tmp_path, arch, mode):
     raw = path.read_bytes()
     header, end, payload = raw.partition(b"\n[end]\n")
     lines = header.decode("utf-8").split("\n")
-    assert lines[0] == "# kgchains checkpoint v3"
-    assert not any(line.startswith(("weight ", "bias ")) for line in lines)
-    # the networks' flat buffers as raw little-endian float64 bytes, in section order
+    assert lines[0] == "# kgchains checkpoint v4"
+    # the header is fields alone, sorted by key: no section, shape or value lines
+    keys = [line.partition(" = ")[0] for line in lines[1:]]
+    assert all(" = " in line for line in lines[1:]) and keys == sorted(keys)
+    assert keys == ["d", "input_dim", "lambda_s", "mode", "networks", "predictor_arch", "relation"]
+    # the networks' flat buffers as raw little-endian float64 bytes, in the order the networks line names them
     present = [name for name in NETS if getattr(model, name) is not None]
-    assert [line[len("[net ") : -1] for line in lines if line.startswith("[net ")] == present
+    assert f"networks = {' '.join(present)}" in lines
     nets = [getattr(model, name) for name in present]
     assert payload == b"".join(np.asarray(net.flat, "<f8").tobytes() for net in nets)
     assert len(payload) == 8 * sum(map(count_params, nets))
@@ -66,8 +70,8 @@ def test_round_trip_is_bit_identical(tmp_path, arch, mode):
     assert_same_weights(loaded, model)
     for inst in probes(7, n=30):
         assert np.float64(predict(loaded, inst)).view(np.int64) == np.float64(predict(model, inst)).view(np.int64)
-    # the same as the reference reader, which copies each network out of the payload on its own
-    ref_meta, ref = read_v3(raw)
+    # the same as the reference reader, which takes the shapes from the README and copies each network out
+    ref_meta, ref = read_v4(raw)
     assert meta == ref_meta and list(ref) == present
     for name, (shapes, flat) in ref.items():
         net = getattr(loaded, name)
@@ -176,7 +180,7 @@ def test_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("key", ["input_dim", "d", "lambda_s", "predictor_arch", "mode"])
+@pytest.mark.parametrize("key", ["input_dim", "d", "lambda_s", "predictor_arch", "mode", "networks"])
 def test_meta_cannot_set_a_model_field(tmp_path, key):
     path = tmp_path / "ck.txt"
     with pytest.raises(ValueError, match=f"^meta key '{key}' is the model's own field$"):
@@ -185,14 +189,49 @@ def test_meta_cannot_set_a_model_field(tmp_path, key):
 
 
 def test_tampered_input_dim_rejected(tmp_path):
+    """The layer shapes follow input_dim, so the payload no longer fits them."""
     model = build_model(5, 2, 1.0, "mlp", seed=3)
     path = tmp_path / "ck.txt"
     save_checkpoint(str(path), model)
     raw = path.read_bytes()
     assert b"\ninput_dim = 5\n" in raw
     path.write_bytes(raw.replace(b"\ninput_dim = 5\n", b"\ninput_dim = 7\n", 1))
-    with pytest.raises(DataError, match="input_dim"):
+    have, need = (8 * sum(count_params(getattr(m, name)) for name in NETS) for m in (model, build_model(7, 2, 1.0)))
+    with pytest.raises(DataError, match=re.escape(f"checkpoint payload has {have} bytes, its layer shapes need {need}: ")):
         load_checkpoint(str(path))
+
+
+def test_game_model_without_a_complement_round_trips(tmp_path):
+    """As ``single_chain_gen``'s second stage saves it: the networks line names two networks."""
+    model = trained_like(build_model(6, 2, 0.0, "linear", seed=5))
+    model.complement = None
+    path = tmp_path / "ck.txt"
+    save_checkpoint(str(path), model)
+    assert b"\nnetworks = generator predictor\n" in path.read_bytes()
+    loaded, meta = load_checkpoint(str(path))
+    assert loaded.complement is None and meta["networks"] == "generator predictor"
+    assert_same_weights(loaded, model)
+
+
+@pytest.mark.parametrize("meta", [{"note": "a\nb"}, {"note": "a\rb"}, {"note": "a\r\nb"}, {"a = b": "c"},
+                                  {"a =": "b"}, {"a\nb": "c"}, {"a\rb": "c"}],
+                         ids=["value_lf", "value_cr", "value_crlf", "key_with_equals", "key_ending_in_equals",
+                              "key_lf", "key_cr"])
+def test_meta_that_would_not_read_back_is_refused(tmp_path, meta):
+    """A field ``read_fields`` would read back otherwise, or not at all, is a ``ValueError`` before anything is written."""
+    path = tmp_path / "ck.txt"
+    with pytest.raises(ValueError, match="would not read back$"):
+        save_checkpoint(str(path), build_model(4, 2, 1.0), meta)
+    assert not path.exists()
+    with pytest.raises(ValueError, match="would not read back$"):
+        field_lines(meta)
+
+
+def test_meta_with_spaces_tabs_and_equals_signs_reads_back(tmp_path):
+    meta = {"note": " a = b\tc ", "key=x": "=", "sp ace": ""}
+    path = tmp_path / "ck.txt"
+    save_checkpoint(str(path), build_model(4, 2, 1.0), meta)
+    assert load_checkpoint(str(path))[1].items() >= meta.items()
 
 
 def test_missing_file_and_bad_header(tmp_path):

@@ -377,6 +377,10 @@ BENCHMARK = ["benchmark", "--kind", "single", "--out", "b"]
         ["export-rules", "--artifacts", "a", "--relation", "target", "--d", "0"],
         ["eval", "--artifacts", "a", "--relation", "target", "--d", "0"],
         ["eval", "--artifacts", "a", "--relation", "target", "--d", "-1"],
+        # a misspelt mode names the choices, rather than a checkpoint file that is not there
+        ["eval", "--artifacts", "a", "--relation", "target", "--mode", "game_mpl"],
+        ["export-rules", "--artifacts", "a", "--relation", "target", "--mode", "game_mpl"],
+        TRAIN + ["--mode", "game_mpl"],
         # training picks its checkpoint on dev, which a ratio of 1 leaves empty
         EXTRACT + ["--split-ratio", "1.0"],
         EXTRACT + ["--split-ratio", "0"],
