@@ -190,14 +190,7 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     out = args.out or args.artifacts
-    config = game.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        seed=args.seed,
-        baseline_momentum=args.baseline_momentum,
-        mc_samples_per_instance=args.mc_samples,
-    )
+    config = game.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed)
     for relation in args.relation:
         meta, size = _read_meta(args.artifacts, relation)
         train, dev = (_read_split(args.artifacts, relation, split, size) for split in ("train", "dev"))
@@ -247,6 +240,8 @@ def cmd_eval(args) -> int:
     for relation in args.relation:
         _, size = _read_meta(args.artifacts, relation)
         instances = _read_split(args.artifacts, relation, args.split, size)
+        if not instances:
+            raise DataError(f"empty {args.split} split: {_artifact(args.artifacts, relation, args.split + '.inst')}")
         _read_names(args.artifacts, relation, size)  # checked, though the report names no chain
         reports[relation] = [
             evaluate.evaluate_task(_load_model(args, relation, mode, d, size), instances, group_by=args.group_by)
@@ -347,7 +342,7 @@ def cmd_adapt_deeppath(args) -> int:
             if not line:
                 continue
             fields = line.split("\t") if "\t" in line else line.split()
-            if len(fields) != 3:
+            if len(fields) != 3 or "" in fields:  # graph.tsv has no empty field
                 raise DataError(f"{args.kb}:{lineno}: expected 3 fields")
             triples.append(fields)
             entities.add(fields[0])
@@ -428,8 +423,6 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-size", type=POSITIVE_INT, default=20)
     p.add_argument("--lambda-s", type=NON_NEGATIVE, default=1.0)
     p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
-    p.add_argument("--baseline-momentum", type=BELOW_ONE, default=0.9)
-    p.add_argument("--mc-samples", type=POSITIVE_INT, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
 

@@ -40,15 +40,7 @@ class ModeResult(TrainResult):
         return self.report.map
 
 
-def run_mode(
-    data: EncodedTask,
-    config: TrainConfig,
-    mode: str,
-    d: int,
-    lambda_s: float = 1.0,
-    group_by: str = "head",
-) -> ModeResult:
-    """Train one ablation mode and evaluate it on the task's test split."""
+def run_mode(data: EncodedTask, config: TrainConfig, mode: str, d: int, lambda_s: float = 1.0) -> ModeResult:
+    """Train one ablation mode and evaluate it on the task's test split, ranked per head."""
     result = train_mode(data, config, mode, d, lambda_s)
-    report = evaluate_task(result.model, data.test, group_by=group_by)
-    return ModeResult(**vars(result), report=report)
+    return ModeResult(**vars(result), report=evaluate_task(result.model, data.test))

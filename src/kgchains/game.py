@@ -64,6 +64,8 @@ SCORE_CHUNK = 256
 # singletons whose AP is 1 regardless of the model; a global ranking
 # keeps the selection signal informative.
 DEV_GROUP_BY = "global"
+# Momentum of the REINFORCE baseline, an exponential moving average of the batch-mean reward.
+BASELINE_MOMENTUM = 0.9
 
 
 @dataclass
@@ -94,16 +96,10 @@ class TrainConfig:
     batch_size: int = 20
     lr: float = 0.001
     seed: int = 0
-    baseline_momentum: float = 0.9
-    mc_samples_per_instance: int = 1
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0 <= self.baseline_momentum < 1:
-            raise ValueError("baseline_momentum must be in [0, 1)")
-        if self.mc_samples_per_instance < 1:
-            raise ValueError("mc_samples_per_instance must be >= 1")
 
 
 @dataclass
@@ -254,7 +250,7 @@ def predictor_gradient(params: DenseParams, grads: DenseParams, x: np.ndarray, l
     return losses.sum(axis=-1) / x.shape[-2], logits
 
 
-Step = Callable[[np.ndarray, np.ndarray], tuple[float, float, float, float, int]]
+Step = Callable[[np.ndarray, np.ndarray], tuple[float, float, float, float]]
 
 
 def _game_step(model: GameModel, config: TrainConfig) -> Step:
@@ -262,10 +258,11 @@ def _game_step(model: GameModel, config: TrainConfig) -> Step:
 
     The networks are rebound as views into one buffer [generator | predictor | complement],
     the predictor pair as one (2, P) stack. Adam is elementwise and the generator's gradient
-    does not read the predictors, so the one step is the three networks' own. The reward is
-    acc_predictor - acc_complement - lambda_s * max{(|selected| - d) / |available|, 0}; the
-    estimator is -mean_rows (R - baseline) * grad log pi(mask), and the baseline is updated
-    afterwards as an EMA of the batch-mean reward. A batch's rows are 0/1 availability rows.
+    does not read the predictors, so the one step is the three networks' own. Each row draws
+    one mask. The reward is acc_predictor - acc_complement - lambda_s * max{(|selected| - d) /
+    |available|, 0}; the estimator is -mean_rows (R - baseline) * grad log pi(mask), and the
+    baseline is updated afterwards as an EMA, of momentum BASELINE_MOMENTUM, of the batch-mean
+    reward. A batch's rows are 0/1 availability rows.
     """
     gen, pair, cut = model.generator.layers, model.predictor.layers, model.generator.flat.size
     store = DenseParams(gen + pair + model.complement.layers)
@@ -277,26 +274,20 @@ def _game_step(model: GameModel, config: TrainConfig) -> Step:
     model.predictor, model.complement = (DenseParams(pair, row) for row in stack.flat)
     state = AdamState.for_params(store, config.lr)
     rng_sample = stream_rng(config.seed, STREAM_SAMPLE)
-    samples = config.mc_samples_per_instance
     baseline = 0.0
 
     def step(availability: np.ndarray, labels: np.ndarray):
         nonlocal baseline
         probs, keep, cache = _generator_forward(model, availability)
-        n, width = availability.shape
-        rows = n * samples
-        # x[0] the selected chains, x[1] the rest; a row's samples are adjacent, so the
-        # draws are those of one instance at a time. probs is 0 on unavailable chains.
-        x = np.empty((2, n, samples, width))
-        np.less(rng_sample.random((n, samples, width)), probs[:, None], out=x[0])
-        np.subtract(availability[:, None], x[0], out=x[1])
+        rows, width = availability.shape
+        # x[0] the selected chains, x[1] the rest; probs is 0 on unavailable chains
+        x = np.empty((2, rows, width))
+        np.less(rng_sample.random((rows, width)), probs, out=x[0])
+        np.subtract(availability, x[0], out=x[1])
         # d(-log pi(selected)) wrt each (keep-out, select) logit pair, 0 on unavailable chains
-        dout = np.empty((n, samples, width, 2))
-        np.subtract(keep[:, None], x[1], out=dout[..., 0])
-        np.subtract(probs[:, None], x[0], out=dout[..., 1])
-        x = x.reshape(2, rows, width)
-        if samples > 1:
-            labels = np.repeat(labels, samples)
+        dout = np.empty((rows, width, 2))
+        np.subtract(keep, x[1], out=dout[..., 0])
+        np.subtract(probs, x[0], out=dout[..., 1])
         losses, logits = predictor_gradient(stack, grads_pair, x, labels)
         acc_p, acc_c = (logits.argmax(axis=-1) == labels).astype(np.float64)
         n_selected, n_left = x.sum(axis=-1)
@@ -305,14 +296,14 @@ def _game_step(model: GameModel, config: TrainConfig) -> Step:
         )
         dout = dout.reshape(rows, -1)
         dout *= ((rewards - baseline) / rows)[:, None]
-        backward(model.generator, cache, dout.reshape(n, samples, -1).sum(axis=1) if samples > 1 else dout, grads_g)
+        backward(model.generator, cache, dout, grads_g)
         # a non-finite reward scales its whole row of dout, so it reaches the bias gradient
         if not np.isfinite(grads_g.flat).all():
             raise NumericError("non-finite generator reward or gradient")
         adam_step(store, grads, state)
         mean_reward = float(rewards.sum()) / rows
-        baseline = config.baseline_momentum * baseline + (1.0 - config.baseline_momentum) * mean_reward
-        return *losses.tolist(), mean_reward, float(n_selected.sum()), rows
+        baseline = BASELINE_MOMENTUM * baseline + (1.0 - BASELINE_MOMENTUM) * mean_reward
+        return *losses.tolist(), mean_reward, float(n_selected.sum())
 
     return step
 
@@ -326,7 +317,7 @@ def _predictor_only_step(model: GameModel, config: TrainConfig) -> Step:
         x = _predictor_inputs(model, availability, selection_probs(model, availability))[0]
         loss, _ = predictor_gradient(model.predictor, grads, x, labels)
         adam_step(model.predictor, grads, state)
-        return float(loss), 0.0, 0.0, float(x.sum()), len(labels)
+        return float(loss), 0.0, 0.0, float(x.sum())
 
     return step
 
@@ -428,7 +419,7 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
 
     Per epoch: shuffle, run ``step`` on each mini-batch's availability rows
     and labels, then score dev once. ``step`` returns (loss_p, loss_c, mean
-    reward, chains selected, rows). Ties in dev quality keep the earlier epoch.
+    reward, chains selected). Ties in dev quality keep the earlier epoch.
     Training reads the split as float64 only here: each epoch's shuffled rows
     are one gather into one float64 buffer, and the mini-batches slice it.
     """
@@ -447,7 +438,7 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
         order = rng_shuffle.permutation(len(data.train))
         shuffled[...] = data.train.availability[order]
         labels = data.train.labels[order]
-        totals = [0.0] * 5
+        totals = [0.0] * 4
         for start in starts:
             rows = slice(start, start + config.batch_size)
             stats = step(shuffled[rows], labels[rows])
@@ -455,7 +446,8 @@ def _fit(data: EncodedTask, config: TrainConfig, model: GameModel, step: Step, r
                 raise NumericError(f"non-finite predictor loss at epoch {epoch}")
             totals = list(map(operator.add, totals, stats))
         quality = _dev_quality(model, data.dev)
-        log.append(EpochStats(epoch, *(total / len(starts) for total in totals[:3]), totals[3] / totals[4], quality[0]))
+        mean_selected = totals[3] / order.size
+        log.append(EpochStats(epoch, *(total / len(starts) for total in totals[:3]), mean_selected, quality[0]))
         if quality > best_quality:
             best = clone_model(model)
             best_quality = quality

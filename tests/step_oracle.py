@@ -32,6 +32,7 @@ from kgchains.util import STREAM_INIT, STREAM_SAMPLE, STREAM_SHUFFLE, stream_rng
 from selection_oracle import dense_head, selection_dout
 
 T = TypeVar("T")
+MOMENTUM = 0.9  # the REINFORCE baseline's, as the README states it
 
 
 def batches(items: Sequence[T], size: int) -> Iterator[list[T]]:
@@ -103,27 +104,23 @@ def game_step(model: game.GameModel, config: game.TrainConfig):
     model.predictor, model.complement = (DenseParams(pair, row) for row in stack.flat)
     state = AdamState.for_params(store, config.lr)
     rng_sample = stream_rng(config.seed, STREAM_SAMPLE)
-    samples = config.mc_samples_per_instance
     baseline = 0.0
 
     def step(availability: np.ndarray, labels: np.ndarray):
         nonlocal baseline
         probs, row_softmax, cache = dense_head(model, availability)
-        availability = np.repeat(availability, samples, axis=0)
-        mask = sample_mask(np.repeat(probs, samples, axis=0), availability, rng_sample)
-        labels = np.repeat(labels, samples)
+        mask = sample_mask(probs, availability, rng_sample)
         losses, accs = predictor_gradient(stack, grads_pair, np.array((mask.selected, mask.complement)), labels)
         rewards = instance_reward(model, mask, *accs)
-        rows = len(rewards)
-        dout = selection_dout(np.repeat(row_softmax, samples, axis=0), availability, mask.selected)
-        dout *= ((rewards - baseline) / rows)[:, None]
-        backward(model.generator, cache, dout.reshape(len(probs), samples, -1).sum(axis=1), grads_g)
+        dout = selection_dout(row_softmax, availability, mask.selected)
+        dout *= ((rewards - baseline) / len(rewards))[:, None]
+        backward(model.generator, cache, dout, grads_g)
         if not (np.isfinite(rewards).all() and np.isfinite(grads_g.flat).all()):
             raise NumericError("non-finite generator reward or gradient")
         adam_step(store, grads, state)
         mean_reward = float(np.mean(rewards))
-        baseline = config.baseline_momentum * baseline + (1.0 - config.baseline_momentum) * mean_reward
-        return *losses.tolist(), mean_reward, float(mask.selected.sum()), rows
+        baseline = MOMENTUM * baseline + (1.0 - MOMENTUM) * mean_reward
+        return *losses.tolist(), mean_reward, float(mask.selected.sum()), len(rewards)
 
     return step
 

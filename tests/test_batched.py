@@ -41,7 +41,7 @@ from adam_oracle import whole_buffer_adam_step
 from map_oracle import group_results, map_score
 from selection_oracle import dense_head, selection_dout
 from splits import split_of
-from step_oracle import batches, instance_reward, mask_from_selected, sample_mask
+from step_oracle import MOMENTUM, batches, instance_reward, mask_from_selected, sample_mask
 from step_oracle import train as oracle_train
 
 # -- per-instance reference ---------------------------------------------------
@@ -126,7 +126,7 @@ def ref_epoch(model, data, config, kind):
     }
     baseline = 0.0
     sums = np.zeros(4)
-    steps = samples = 0
+    steps = 0
     train = list(data.train)
     for idx in batches(rng_shuffle.permutation(len(train)).tolist(), config.batch_size):
         batch = [train[i] for i in idx]
@@ -135,15 +135,13 @@ def ref_epoch(model, data, config, kind):
             lp, _ = ref_predictor_step(model.predictor, states["p"], rows)
             sums += [lp, 0.0, 0.0, sum(x.sum() for x, _ in rows)]
             steps += 1
-            samples += len(batch)
             continue
         masked = []
         for inst in batch:
             probs, _, _ = ref_generator(model, inst.availability)
-            for _ in range(config.mc_samples_per_instance):
-                draws = rng_sample.random(len(probs))
-                sel = ((draws < probs) & (inst.availability > 0)).astype(float)
-                masked.append((inst, mask_from_selected(inst.availability, sel)))
+            draws = rng_sample.random(len(probs))
+            sel = ((draws < probs) & (inst.availability > 0)).astype(float)
+            masked.append((inst, mask_from_selected(inst.availability, sel)))
         lp, acc_p = ref_predictor_step(
             model.predictor, states["p"], [(m.selected, inst.label) for inst, m in masked]
         )
@@ -166,12 +164,11 @@ def ref_epoch(model, data, config, kind):
         total = ref_sum_grads(model.generator, grad_rows, 1.0 / len(masked))
         adam_step(model.generator, total, states["g"])
         mean_reward = float(np.mean(rewards))
-        baseline = config.baseline_momentum * baseline + (1 - config.baseline_momentum) * mean_reward
+        baseline = MOMENTUM * baseline + (1 - MOMENTUM) * mean_reward
         sums += [lp, lc, mean_reward, sum(int(m.selected.sum()) for _, m in masked)]
         steps += 1
-        samples += len(masked)
     dev = ref_quality(model, data.dev)
-    stats = game.EpochStats(1, *(sums[:3] / steps), sums[3] / samples, dev[0])
+    stats = game.EpochStats(1, *(sums[:3] / steps), sums[3] / len(train), dev[0])
     return stats.as_line(), dev
 
 
@@ -228,10 +225,9 @@ def test_batched_backward_is_sum_of_per_row_backward(dim, arch, rows):
 # -- (b) one epoch of each mode ------------------------------------------------------
 
 
-@pytest.mark.parametrize("mc_samples", [1, 2])
-def test_game_epoch_matches_per_instance_reference(mc_samples):
+def test_game_epoch_matches_per_instance_reference():
     data = planted()
-    config = game.TrainConfig(epochs=1, seed=4, lr=0.01, mc_samples_per_instance=mc_samples)
+    config = game.TrainConfig(epochs=1, seed=4, lr=0.01)
     result = train_mode(data, config, "game_mlp", 2)
     ref = game.build_model(data.size, 2, 1.0, "mlp", config.seed)
     line, dev = ref_epoch(ref, data, config, "game")
@@ -345,7 +341,6 @@ def three_network_game_step(model, config):
     nets = (model.predictor, model.complement, model.generator)
     state_p, state_c, state_g = (AdamState.for_params(net, config.lr) for net in nets)
     rng_sample = stream_rng(config.seed, STREAM_SAMPLE)
-    samples = config.mc_samples_per_instance
     baseline = 0.0
 
     def predictor_step(params, state, x, labels):
@@ -357,32 +352,28 @@ def three_network_game_step(model, config):
     def step(availability, labels):
         nonlocal baseline
         probs, row_softmax, cache = dense_head(model, availability)
-        availability = np.repeat(availability, samples, axis=0)
-        mask = sample_mask(np.repeat(probs, samples, axis=0), availability, rng_sample)
-        labels = np.repeat(labels, samples)
+        mask = sample_mask(probs, availability, rng_sample)
         loss_p, acc_p = predictor_step(model.predictor, state_p, mask.selected, labels)
         loss_c, acc_c = predictor_step(model.complement, state_c, mask.complement, labels)
         rewards = instance_reward(model, mask, acc_p, acc_c)
-        rows = len(rewards)
-        dout = selection_dout(np.repeat(row_softmax, samples, axis=0), availability, mask.selected)
-        dout *= ((rewards - baseline) / rows)[:, None]
-        grads = backward(model.generator, cache, dout.reshape(len(probs), samples, -1).sum(axis=1))
+        dout = selection_dout(row_softmax, availability, mask.selected)
+        dout *= ((rewards - baseline) / len(rewards))[:, None]
+        grads = backward(model.generator, cache, dout)
         if not (np.isfinite(rewards).all() and np.isfinite(grads.flat).all()):
             raise NumericError("non-finite generator reward or gradient")
         whole_buffer_adam_step(model.generator, grads, state_g)
         mean_reward = float(np.mean(rewards))
-        baseline = config.baseline_momentum * baseline + (1.0 - config.baseline_momentum) * mean_reward
-        return loss_p, loss_c, mean_reward, float(mask.selected.sum()), rows
+        baseline = MOMENTUM * baseline + (1.0 - MOMENTUM) * mean_reward
+        return loss_p, loss_c, mean_reward, float(mask.selected.sum())
 
     return step
 
 
 @pytest.mark.parametrize("dim", [7, 23, 196])
 @pytest.mark.parametrize("arch", [game.ARCH_MLP, game.ARCH_LINEAR])
-@pytest.mark.parametrize("mc_samples", [1, 2])
-def test_one_store_game_step_matches_the_three_network_step_bit_for_bit(dim, arch, mc_samples):
+def test_one_store_game_step_matches_the_three_network_step_bit_for_bit(dim, arch):
     data = planted(dim, d_input=dim)
-    config = game.TrainConfig(epochs=4, seed=dim, lr=0.01, mc_samples_per_instance=mc_samples)
+    config = game.TrainConfig(epochs=4, seed=dim, lr=0.01)
     runs = []
     for make_step in (game._game_step, three_network_game_step):
         model = game.build_model(data.size, 2, 1.0, arch, config.seed)
@@ -452,11 +443,10 @@ def test_byte_rows_pass_as_float64_rows_bit_for_bit(dim, lead):
 
 
 @pytest.mark.parametrize("dim", [7, 23, 196])
-@pytest.mark.parametrize("mc_samples", [1, 3])
 @pytest.mark.parametrize("mode", ALL_MODES)
-def test_training_matches_the_step_oracle_bit_for_bit(dim, mc_samples, mode, tmp_path):
+def test_training_matches_the_step_oracle_bit_for_bit(dim, mode, tmp_path):
     data = planted(dim, n=60, d_input=dim)  # 30 training rows: batches of 8 leave a ragged 6
-    config = game.TrainConfig(epochs=3, batch_size=8, seed=dim, lr=0.01, mc_samples_per_instance=mc_samples)
+    config = game.TrainConfig(epochs=3, batch_size=8, seed=dim, lr=0.01)
     runs = []
     for train in (train_mode, oracle_train):
         result = train(data, config, mode, 2)

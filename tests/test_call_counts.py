@@ -14,7 +14,8 @@ The scope of each assertion is chosen up front:
 - On any pair the invariants must hold: the same count at two widths (a pass
   over a wider vocabulary makes no more calls), or for a reader on files of
   different lengths, and the same count on every repeat (no warm-up at this
-  level).
+  level). The chain walk's count grows with its graph, whose layers it takes
+  in chunks, so for it only the repeat invariant holds.
 
 A change that moves a pinned count updates it here and states the delta in
 ``CHANGES.md``, as a change to an artifact's bits is stated. The scope above
@@ -27,7 +28,7 @@ import sys
 import numpy as np
 import pytest
 
-from kgchains import chains, game
+from kgchains import chains, game, graph
 from kgchains.checkpoint import load_checkpoint, save_checkpoint
 from kgchains.cli import main
 
@@ -83,9 +84,9 @@ def test_scoring_pass_call_counts(mode):
 CONFIG = game.TrainConfig(epochs=1, seed=1)
 # each training step's maker, from the input width, and its (Python, C) calls a step on the RECORDED pair
 STEPS = {
-    "game": (lambda width: game._game_step(game.build_model(width, 2, 1.0, game.ARCH_MLP, seed=1), CONFIG), (36, 57)),
+    "game": (lambda width: game._game_step(game.build_model(width, 2, 1.0, game.ARCH_MLP, seed=1), CONFIG), (36, 56)),
     "predictor_only": (lambda width: game._predictor_only_step(
-        game.build_model(width, 1, 0.0, game.ARCH_MLP, seed=1, mode=game.MODE_ALL_CHAINS), CONFIG), (19, 29)),
+        game.build_model(width, 1, 0.0, game.ARCH_MLP, seed=1, mode=game.MODE_ALL_CHAINS), CONFIG), (19, 28)),
 }
 
 
@@ -139,7 +140,7 @@ def split(rows: int, width: int, rng) -> chains.Split:
 # epoch of 3 BATCH-row steps and a dev pass over 150 rows, enough for top-d by argmax rounds at both WIDTHS. At
 # lr = 0 no weight moves, so dev quality ties and the epoch copies no checkpoint, a branch whose count would
 # otherwise depend on the data.
-FIT = {game.MODE_GAME: (239, 374), game.MODE_ALL_CHAINS: (139, 222)}
+FIT = {game.MODE_GAME: (239, 371), game.MODE_ALL_CHAINS: (139, 219)}
 
 
 def fit_counts(mode: str, width: int) -> list[tuple[int, int]]:
@@ -175,3 +176,20 @@ def test_checkpoint_load_call_counts(tmp_path, mode):
         save_checkpoint(str(path), game.build_model(width, 2, 1.0, game.ARCH_MLP, seed=1, mode=mode), TRAIN_META)
         counts[width] = reads(load_checkpoint, path)
     assert_pinned(counts, LOAD[mode])
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """The README walkthrough's graph and its task, split as ``extract --seed 7`` splits it."""
+    root = tmp_path_factory.mktemp("walkthrough")
+    assert main(["benchmark", "--kind", "conjunction", "--out", str(root), "--seed", "7"]) == 0
+    kg = graph.load_triples(str(root / "graph.tsv"))
+    return kg, graph.load_task(str(root / "tasks"), "target", kg, seed=7)
+
+
+def test_chain_walk_call_counts(walkthrough):
+    """One ``chains._walks`` over every split's pairs at k=3, as ``extract --max-hops 3`` makes it."""
+    kg, task = walkthrough
+    ids = chains._ids(kg, task.train + task.dev + task.test)
+    counts = [count_calls(lambda: chains._walks(kg, ids, 3, task.target)) for _ in range(REPEATS)]
+    assert_pinned({"walkthrough": counts}, (745, 679))

@@ -364,6 +364,7 @@ BENCHMARK = ["benchmark", "--kind", "single", "--out", "b"]
         TRAIN + ["--batch-size", "0"],
         TRAIN + ["--lambda-s", "-1"],
         TRAIN + ["--lambda-s", "nan"],
+        # not train flags: training draws one mask a row, against a baseline of fixed momentum
         TRAIN + ["--mc-samples", "0"],
         TRAIN + ["--baseline-momentum", "1"],
         TRAIN + ["--epochs", "-3"],
@@ -418,9 +419,9 @@ def test_benchmark_spec_data_error_writes_nothing(tmp_path, capsys, monkeypatch)
 
 def test_range_checked_flags_accept_their_bounds():
     args = cli.build_parser().parse_args(
-        TRAIN + ["--d", "1", "--lambda-s", "0", "--baseline-momentum", "0", "--lr", "1e-9", "--seed", "0"]
+        TRAIN + ["--d", "1", "--lambda-s", "0", "--lr", "1e-9", "--seed", "0"]
     )
-    assert (args.d, args.lambda_s, args.baseline_momentum, args.lr, args.seed) == (1, 0.0, 0.0, 1e-9, 0)
+    assert (args.d, args.lambda_s, args.lr, args.seed) == (1, 0.0, 1e-9, 0)
     args = cli.build_parser().parse_args(
         EXTRACT + ["--max-hops", "1", "--max-chains", "1", "--neg-ratio", "0.5", "--split-ratio", "0.01"]
     )
@@ -592,6 +593,21 @@ def test_adapt_deeppath_missing_inputs_exit_code(tmp_path, capsys):
     assert (tmp_path / "out" / "tasks" / "r" / "test.pairs").read_text() == "a\tb\t0\n"
 
 
+def test_adapt_deeppath_rejects_an_empty_kb_field(tmp_path, capsys):
+    """A tab-separated KB line with an empty field is a wrong field count, as ``extract`` would find in graph.tsv."""
+    kb = tmp_path / "kb.txt"
+    kb.write_text("a\tr\tb\nb\t\tc\n")
+    task_dir = tmp_path / "task"
+    task_dir.mkdir()
+    (task_dir / "train.pairs").write_text("thing$a,thing$b: +\n")
+    (task_dir / "test.pairs").write_text("thing$b,thing$c: -\n")
+    out = tmp_path / "out"
+    assert run(["adapt-deeppath", "--kb", str(kb), "--task-dir", str(task_dir), "--relation", "r",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {kb}:2: expected 3 fields\n"
+    assert not out.exists()
+
+
 def test_adapt_deeppath_output_bytes(tmp_path):
     """KB lines in file order, a duplicate kept; ``thing$`` stripped; sort_test.pairs over test.pairs;
     a pair with an entity missing from the KB skipped."""
@@ -659,6 +675,18 @@ def test_extract_neg_ratio_samples_only_the_train_negatives(trained, tmp_path):
         assert (sampled / "target" / name).read_bytes() == (full / name).read_bytes(), name
     assert "neg_ratio = 0.5\n" in (sampled / "target" / "meta.txt").read_text()
     assert "neg_ratio = none\n" in (full / "meta.txt").read_text()
+
+
+@pytest.mark.parametrize("split", ["dev", "test"])
+def test_eval_of_an_empty_split_names_it(trained, tmp_path, capsys, split):
+    art = tmp_path / "artifacts"
+    shutil.copytree(trained, art)
+    (art / "target" / f"{split}.inst").write_bytes(b"")
+    out = tmp_path / "report.tsv"
+    assert run(["eval", "--artifacts", str(art), "--relation", "target", "--mode", "d_all", "--d", "2",
+                "--split", split, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: empty {split} split: {art / 'target' / f'{split}.inst'}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--aggregate"]], ids=["per-instance", "aggregate"])

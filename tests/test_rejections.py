@@ -27,10 +27,6 @@ CASES = {
     "benchmark-no-train-group": (lambda: BenchmarkSpec(train_groups=0),
                                  DataError, "need at least one train and one test group"),
     "train-config-batch-0": (lambda: game.TrainConfig(1, batch_size=0), ValueError, "batch_size must be >= 1"),
-    "train-config-momentum-1": (lambda: game.TrainConfig(1, baseline_momentum=1.0),
-                                ValueError, "baseline_momentum must be in [0, 1)"),
-    "train-config-mc-samples-0": (lambda: game.TrainConfig(1, mc_samples_per_instance=0),
-                                  ValueError, "mc_samples_per_instance must be >= 1"),
     "build-model-no-chains": (lambda: game.build_model(0, 1, 1.0),
                               DataError, "empty vocabulary: cannot build a model"),
     "graph-no-triples": (lambda: graph.KnowledgeGraph.from_triples([]), DataError, "no triples"),
