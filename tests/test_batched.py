@@ -225,9 +225,10 @@ def test_batched_backward_is_sum_of_per_row_backward(dim, arch, rows):
 # -- (b) one epoch of each mode ------------------------------------------------------
 
 
-def test_game_epoch_matches_per_instance_reference():
+@pytest.mark.parametrize("batch_size", [20, 7])  # 80 training rows: 4 whole batches, or a ragged 3
+def test_game_epoch_matches_per_instance_reference(batch_size):
     data = planted()
-    config = game.TrainConfig(epochs=1, seed=4, lr=0.01)
+    config = game.TrainConfig(epochs=1, batch_size=batch_size, seed=4, lr=0.01)
     result = train_mode(data, config, "game_mlp", 2)
     ref = game.build_model(data.size, 2, 1.0, "mlp", config.seed)
     line, dev = ref_epoch(ref, data, config, "game")
@@ -371,9 +372,10 @@ def three_network_game_step(model, config):
 
 @pytest.mark.parametrize("dim", [7, 23, 196])
 @pytest.mark.parametrize("arch", [game.ARCH_MLP, game.ARCH_LINEAR])
-def test_one_store_game_step_matches_the_three_network_step_bit_for_bit(dim, arch):
+@pytest.mark.parametrize("batch_size", [20, 7])  # 80 training rows: 4 whole batches, or a ragged 3
+def test_one_store_game_step_matches_the_three_network_step_bit_for_bit(dim, arch, batch_size):
     data = planted(dim, d_input=dim)
-    config = game.TrainConfig(epochs=4, seed=dim, lr=0.01)
+    config = game.TrainConfig(epochs=4, batch_size=batch_size, seed=dim, lr=0.01)
     runs = []
     for make_step in (game._game_step, three_network_game_step):
         model = game.build_model(data.size, 2, 1.0, arch, config.seed)
@@ -443,10 +445,12 @@ def test_byte_rows_pass_as_float64_rows_bit_for_bit(dim, lead):
 
 
 @pytest.mark.parametrize("dim", [7, 23, 196])
+@pytest.mark.parametrize("batch_size", [1, 8])
 @pytest.mark.parametrize("mode", ALL_MODES)
-def test_training_matches_the_step_oracle_bit_for_bit(dim, mode, tmp_path):
-    data = planted(dim, n=60, d_input=dim)  # 30 training rows: batches of 8 leave a ragged 6
-    config = game.TrainConfig(epochs=3, batch_size=8, seed=dim, lr=0.01)
+def test_training_matches_the_step_oracle_bit_for_bit(dim, batch_size, mode, tmp_path):
+    # 30 training rows: batches of one row each, or batches of 8 that leave a ragged 6
+    data = planted(dim, n=60, d_input=dim)
+    config = game.TrainConfig(epochs=3, batch_size=batch_size, seed=dim, lr=0.01)
     runs = []
     for train in (train_mode, oracle_train):
         result = train(data, config, mode, 2)
