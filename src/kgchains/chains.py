@@ -417,12 +417,15 @@ def write_vocabulary(path: str, vocab: ChainVocabulary, graph: KnowledgeGraph) -
 
 
 def read_vocabulary_names(path: str) -> tuple[list[str], list[int]]:
-    """Chain display names and supports without needing the graph (for reports), read with
-    ``util.read_table``; a support is a non-empty run of ASCII digits."""
+    """Chain display names and supports without needing the graph (for reports), read with ``util.read_table``.
+    Each line's index is its row, 0 on the first, and its support a non-empty run of ASCII digits."""
     table = read_table(path, "vocabulary file", 3)
-    table.check((table.miscounted | table.off_range(1, "0", "9"), "expected index TAB support TAB chain"))
-    fields = table.text(1, 2)
-    return fields[1::2], list(map(int, fields[0::2]))
+    fields = table.text(0, 2)
+    indices = fields[0::3]
+    misplaced = np.fromiter(map(str.__ne__, indices, map(str, range(len(indices)))), bool, len(indices))
+    table.check((table.miscounted | table.off_range(1, "0", "9"), "expected index TAB support TAB chain"),
+                (misplaced, lambda row: f"expected index {row}, not {indices[row]!r}"))
+    return fields[2::3], list(map(int, fields[1::3]))
 
 
 def write_instances(path: str, split: Split, graph: KnowledgeGraph | None) -> None:

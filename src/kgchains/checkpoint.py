@@ -1,14 +1,14 @@
 """Checkpoints for trained models: a UTF-8 text header, then raw float64 bytes.
 
-The header (v4) is the line ``# kgchains checkpoint v4``, ``key = value`` lines sorted by key, each key once,
-and ``[end]``. Its fields are the model's five, ``networks`` and the caller's meta; ``networks`` names the
-networks the file holds in payload order, such as ``generator predictor complement``. After ``[end]`` come the
-little-endian float64 bytes of each one's flat buffer (each layer's row-major weight, then its bias). The layer
+The header (v5) is the line ``# kgchains checkpoint v5``, ``key = value`` lines sorted by key, each key once,
+and ``[end]``. Its fields are the model's five and the caller's meta. After ``[end]`` come the little-endian
+float64 bytes of each flat buffer (each layer's row-major weight, then its bias) of the networks that scoring
+reads, ``game.SCORED`` of the mode: the generator, if the mode has one, then the predictor. The layer
 shapes are not in the file: they are the model's rule, ``game.checked_shapes``, which a file must keep.
-Reloading reproduces the weights bit for bit.
+Reloading reproduces those networks bit for bit; the complement, which only training reads, is not saved.
 
-Only v4 is read: a file whose first line names another version (v1's decimal rows, v2's base64 lines, v3's
-``[net ...]`` shape sections) is a data error naming the file.
+Only v5 is read: a file whose first line names another version (v1's decimal rows, v2's base64 lines, v3's
+``[net ...]`` shape sections, v4's complement) is a data error naming the file.
 """
 
 from __future__ import annotations
@@ -19,26 +19,25 @@ import os
 import numpy as np
 
 from .errors import DataError
-from .game import NETWORKS, GameModel, checked_shapes
+from .game import SCORED, GameModel, checked_shapes
 from .neural import DenseParams
 from .util import field_lines, not_utf8, read_fields
 
-HEADER = "# kgchains checkpoint v4"
+HEADER = "# kgchains checkpoint v5"
 _END = b"[end]\n"
 
 
 def save_checkpoint(path: str, model: GameModel, meta: dict | None = None) -> None:
-    """Write the model and ``meta``'s extra fields, which may not set a model field or ``networks``."""
-    names = [name for name in NETWORKS if getattr(model, name) is not None]
+    """Write the model's fields, ``meta``'s extra fields (none a model field) and the networks scoring reads."""
     record = {key: getattr(model, key) for key in ("input_dim", "d", "lambda_s", "predictor_arch", "mode")}
-    record["networks"] = " ".join(names)
     for key in meta or {}:
         if key in record:
             raise ValueError(f"meta key {key!r} is the model's own field")
         record[key] = meta[key]
     header = "\n".join([HEADER, *field_lines(record), "[end]", ""]).encode("utf-8")
+    flats = [np.ascontiguousarray(getattr(model, name).flat, "<f8") for name in SCORED[model.mode]]
     with open(path, "wb") as fh:
-        fh.writelines([header, *(np.ascontiguousarray(getattr(model, name).flat, "<f8") for name in names)])
+        fh.writelines([header, *flats])
 
 
 def load_checkpoint(path: str) -> tuple[GameModel, dict]:
@@ -54,7 +53,7 @@ def load_checkpoint(path: str) -> tuple[GameModel, dict]:
         head = [fh.readline()]
         first = head[0].removesuffix(b"\n").removesuffix(b"\r")
         if first != HEADER.encode():
-            if first.startswith(b"# kgchains checkpoint v"):  # v1, v2 and v3 no longer load
+            if first.startswith(b"# kgchains checkpoint v"):  # v1 to v4 no longer load
                 raise DataError(f"unsupported {first[2:].decode('utf-8', 'replace')}: {path}")
             raise DataError(f"not a kgchains checkpoint: {path}")
         while head[-1] and head[-1] != _END:
@@ -68,18 +67,16 @@ def load_checkpoint(path: str) -> tuple[GameModel, dict]:
             raise not_utf8(path, err) from None
         try:
             numbers = int(meta["input_dim"]), int(meta["d"]), float(meta["lambda_s"])
-            fields, names = (*numbers, meta["predictor_arch"], meta["mode"]), meta["networks"].split(" ")
+            fields = *numbers, meta["predictor_arch"], meta["mode"]
         except KeyError as err:
             raise DataError(f"checkpoint missing meta key {err}: {path}") from None
         except ValueError as err:  # a number that does not parse
             raise DataError(f"corrupt checkpoint {path}: {err}") from None
-        if names != [name for name in NETWORKS if name in names]:
-            raise DataError(f"checkpoint meta networks = {meta['networks']} must name some of {' '.join(NETWORKS)},"
-                            f" each once, in that order: {path}")
         try:
-            shapes = checked_shapes(*fields, names)
+            shapes = checked_shapes(*fields)
         except ValueError as err:  # a model that build_model could not have built
             raise DataError(f"checkpoint meta {err}: {path}") from None
+        shapes = {name: shapes[name] for name in SCORED[fields[4]]}  # the networks the file holds
         sizes = [sum(out_dim * in_dim + out_dim for out_dim, in_dim in layers) for layers in shapes.values()]
         need, payload_bytes = 8 * sum(sizes), os.fstat(fh.fileno()).st_size - len(header)
         if payload_bytes == need:

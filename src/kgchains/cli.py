@@ -244,8 +244,7 @@ def cmd_eval(args) -> int:
             raise DataError(f"empty {args.split} split: {_artifact(args.artifacts, relation, args.split + '.inst')}")
         _read_names(args.artifacts, relation, size)  # checked, though the report names no chain
         reports[relation] = [
-            evaluate.evaluate_task(_load_model(args, relation, mode, d, size), instances, group_by=args.group_by)
-            for mode, d in modes
+            evaluate.evaluate_task(_load_model(args, relation, mode, d, size), instances) for mode, d in modes
         ]
 
     header = ["relation"] + [f"{mode}.d{d}" for mode, d in modes]
@@ -274,7 +273,7 @@ def _rule_lines(model: game.GameModel, test: chains.Split, names: list[str], top
     if not len(test):
         return []
     confidence, order, top_p = [], [], []
-    for _, probs, ranked, logits in game.score_chunks(model, test.availability, top_n):
+    for probs, ranked, logits in game.score_chunks(model, test.availability, top_n):
         confidence += neural.softmax(logits)[:, 1].tolist()
         order.append(ranked[:, :top_n])
         top_p.append(np.take_along_axis(probs, order[-1], axis=1))
@@ -305,7 +304,7 @@ def cmd_export_rules(args) -> int:
 
     if args.aggregate:
         weight = np.zeros(model.input_dim)
-        for _, probs, _, _ in game.score_chunks(model, test.availability):
+        for probs, _, _ in game.score_chunks(model, test.availability):
             weight += probs.sum(axis=0)
         count = test.availability.sum(axis=0)
         seen = np.flatnonzero(count)  # a chain the split never shows has no probability to rank
@@ -433,7 +432,6 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=POSITIVE_INT, action="append", default=None)
     p.add_argument("--checkpoint", default=None, help="explicit checkpoint path (single relation/mode)")
     p.add_argument("--split", choices=["test", "dev"], default="test")
-    p.add_argument("--group-by", choices=["head", "global"], default="head")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -17,8 +17,8 @@ class EvalReport:
     skipped: int = 0
 
 
-def evaluate_task(model: GameModel, split: Split, group_by: str = "head") -> EvalReport:
-    """Score every row of the split with the model and report MAP over query groups.
+def evaluate_task(model: GameModel, split: Split) -> EvalReport:
+    """Score every row of the split with the model and report MAP over its head groups.
 
     Groups without a positive are excluded from the mean and counted in
     the report.
@@ -26,7 +26,7 @@ def evaluate_task(model: GameModel, split: Split, group_by: str = "head") -> Eva
     if not split:
         raise DataError("empty test set")
     scores = score_instances(model, split.availability)
-    return EvalReport(*mean_average_precision(split.heads, scores, split.labels, group_by))
+    return EvalReport(*mean_average_precision(split.heads, scores, split.labels))
 
 
 @dataclass(kw_only=True)

@@ -44,7 +44,10 @@ ARCH_MLP = "mlp"
 ARCH_LINEAR = "linear"
 MODE_GAME = "game"
 MODE_ALL_CHAINS = "d_all"
-NETWORKS = ("generator", "predictor", "complement")  # a model's networks, in init and checkpoint payload order
+NETWORKS = ("generator", "predictor", "complement")  # a model's networks, in init order
+# The networks that scoring reads, by mode, in checkpoint payload order: the generator, if the mode has one,
+# then the predictor. A best-epoch copy and a checkpoint hold these alone: only training reads the complement.
+SCORED = {MODE_GAME: ("generator", "predictor"), MODE_ALL_CHAINS: ("predictor",)}
 # Run modes: the game with MLP or linear predictors, the predictor alone on every available
 # chain (MODE_ALL_CHAINS, also that model's mode), and a predictor on a frozen d=1 generator.
 MODE_GAME_MLP = "game_mlp"
@@ -80,14 +83,19 @@ class GameModel:
     complement: DenseParams | None = None
 
     def __post_init__(self) -> None:
-        """Raise ``ValueError`` unless ``build_model`` could have built this model, weights aside: each of its
-        networks in the layer shapes ``checked_shapes`` gives."""
-        nets = {name: getattr(self, name) for name in NETWORKS if getattr(self, name) is not None}
-        fields = self.input_dim, self.d, self.lambda_s, self.predictor_arch, self.mode
-        for name, shapes in checked_shapes(*fields, list(nets)).items():
-            if nets[name].shapes != shapes:
-                got = nets[name].shapes
-                raise ValueError(f"input_dim = {self.input_dim} needs {name} layer shapes {shapes}, not {got}")
+        """Raise ``ValueError`` unless ``build_model`` could have built this model, weights aside: the ``SCORED``
+        networks, the complement or not, each in the layer shapes ``checked_shapes`` gives."""
+        shapes = checked_shapes(self.input_dim, self.d, self.lambda_s, self.predictor_arch, self.mode)
+        for name in NETWORKS:
+            net = getattr(self, name)
+            if net is None:
+                if name in SCORED[self.mode]:
+                    raise ValueError(f"mode = {self.mode} needs a {name} network")
+            elif name not in shapes:
+                raise ValueError(f"mode = {self.mode} has no {name} network")
+            elif net.shapes != shapes[name]:
+                got = net.shapes
+                raise ValueError(f"input_dim = {self.input_dim} needs {name} layer shapes {shapes[name]}, not {got}")
 
 
 @dataclass
@@ -130,18 +138,17 @@ class TrainResult:
 
 
 def _network_dims(input_dim: int, predictor_arch: str, mode: str) -> dict[str, list[int]]:
-    """Each network's layer widths in a model of this mode, in init and payload order."""
+    """Each network's layer widths in a model of this mode, in init order."""
     predictor = (mlp_dims if predictor_arch == ARCH_MLP else linear_dims)(input_dim, 2)
     if mode == MODE_ALL_CHAINS:
         return {"predictor": predictor}
     return {"generator": mlp_dims(input_dim, 2 * input_dim), "predictor": predictor, "complement": predictor}
 
 
-def checked_shapes(input_dim: int, d: int, lambda_s: float, predictor_arch: str, mode: str,
-                   networks: list[str]) -> dict[str, list[tuple[int, int]]]:
-    """The (out, in) layer shapes ``_network_dims`` gives each of ``networks``, if ``build_model`` could have built
-    a model of these fields with just those networks; else a ``ValueError`` that names the first field or network
-    at fault. A game model may lack the complement, as ``single_chain_gen``'s second stage does."""
+def checked_shapes(input_dim: int, d: int, lambda_s: float, predictor_arch: str,
+                   mode: str) -> dict[str, list[tuple[int, int]]]:
+    """The (out, in) layer shapes ``_network_dims`` gives each network of a model of these fields, if
+    ``build_model`` could have built one; else a ``ValueError`` that names the first field at fault."""
     for key, value, ok, expected in (
         ("input_dim", input_dim, input_dim >= 1, "an integer >= 1"),
         ("d", d, d >= 1, "an integer >= 1"),
@@ -152,12 +159,7 @@ def checked_shapes(input_dim: int, d: int, lambda_s: float, predictor_arch: str,
         if not ok:
             raise ValueError(f"{key} = {value} must be {expected}")
     widths = _network_dims(input_dim, predictor_arch, mode)
-    for name in NETWORKS:
-        if name in networks and name not in widths:
-            raise ValueError(f"mode = {mode} has no {name} network")
-        if name not in networks and name in widths and name != "complement":
-            raise ValueError(f"mode = {mode} needs a {name} network")
-    return {name: list(zip(widths[name][1:], widths[name][:-1])) for name in networks}
+    return {name: list(zip(dims[1:], dims[:-1])) for name, dims in widths.items()}
 
 
 def build_model(
@@ -173,8 +175,9 @@ def build_model(
 
 
 def clone_model(model: GameModel) -> GameModel:
-    nets = {name: getattr(model, name) for name in NETWORKS}
-    return replace(model, **{name: net and clone_params(net) for name, net in nets.items()})
+    """A copy of the networks scoring reads (``SCORED``), with no complement."""
+    nets = {name: clone_params(getattr(model, name)) for name in SCORED[model.mode]}
+    return replace(model, complement=None, **nets)
 
 
 # -- generator ------------------------------------------------------------
@@ -347,14 +350,12 @@ def _row_keys(x: np.ndarray) -> list[bytes]:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
 
 
-def score_chunks(
-    model: GameModel, availability: np.ndarray, n: int = 0
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """(availability, selection probabilities, order, predictor logits) per
-    slice of SCORE_CHUNK rows of an (N, D) availability matrix, one generator
-    pass each. The order is each row's ``top_order`` for max(n, d) positions
-    (n in all-chains mode), ranked once: the top-d selection is its first d.
-    Each slice is cast to float64 for the networks, and yielded so.
+def score_chunks(model: GameModel, availability: np.ndarray, n: int = 0) -> Iterator[tuple[np.ndarray, ...]]:
+    """(selection probabilities, order, predictor logits) per slice of
+    SCORE_CHUNK rows of an (N, D) availability matrix, one generator pass
+    each. The order is each row's ``top_order`` for max(n, d) positions (n in
+    all-chains mode), ranked once: the top-d selection is its first d. Each
+    slice is cast to float64 for the networks.
 
     BLAS rounds a row differently depending on its place in the batch, and
     AP breaks exact score ties by input order. So each distinct predictor
@@ -376,12 +377,12 @@ def score_chunks(
             seen = len(row_of)
             table[seen : seen + len(fresh)] = forward(model.predictor, x[list(fresh.values())])[0]
             row_of.update(zip(fresh, range(seen, seen + len(fresh))))
-        yield chunk, probs, order, table[[row_of[key] for key in keys]]
+        yield probs, order, table[[row_of[key] for key in keys]]
 
 
 def _logits(model: GameModel, availability: np.ndarray) -> np.ndarray:
     """Predictor logits (N, 2) of (N, D) availability rows, one chunk at a time."""
-    return np.concatenate([logits for _, _, _, logits in score_chunks(model, availability)] or [np.empty((0, 2))])
+    return np.concatenate([logits for _, _, logits in score_chunks(model, availability)] or [np.empty((0, 2))])
 
 
 def score_instances(model: GameModel, availability: np.ndarray) -> np.ndarray:

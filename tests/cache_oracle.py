@@ -63,6 +63,8 @@ def reference_read_vocabulary_names(path):
         fields = line.split("\t")
         if len(fields) != 3 or not (fields[1].isascii() and fields[1].isdigit()):
             raise DataError(f"{path}:{lineno}: expected index TAB support TAB chain")
+        if fields[0] != str(len(names)):
+            raise DataError(f"{path}:{lineno}: expected index {len(names)}, not {fields[0]!r}")
         names.append(fields[2])
         supports.append(int(fields[1]))
     return names, supports

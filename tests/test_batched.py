@@ -235,8 +235,9 @@ def test_game_epoch_matches_per_instance_reference(batch_size):
     assert [s.as_line() for s in result.log] == [line]
     assert result.best_epoch == 1
     assert result.best_dev_map == pytest.approx(dev[0], abs=1e-12)
-    for name in ("generator", "predictor", "complement"):
+    for name in ("generator", "predictor"):
         params_close(getattr(result.model, name), getattr(ref, name), 1e-9)
+    assert result.model.complement is None  # the best-dev copy holds the networks scoring reads
 
 
 def test_predictor_only_epoch_matches_per_instance_reference():
@@ -384,10 +385,11 @@ def test_one_store_game_step_matches_the_three_network_step_bit_for_bit(dim, arc
     (model, result), (ref, ref_result) = runs
     assert [s.as_line() for s in result.log] == [s.as_line() for s in ref_result.log]
     assert (result.best_epoch, result.best_dev_map) == (ref_result.best_epoch, ref_result.best_dev_map)
-    for name in ("generator", "predictor", "complement"):
-        # the networks as trained, and the best-dev copies a checkpoint is written from
-        for got, want in ((model, ref), (result.model, ref_result.model)):
-            assert getattr(got, name).flat.tobytes() == getattr(want, name).flat.tobytes()
+    for name in ("generator", "predictor", "complement"):  # the networks as trained
+        assert getattr(model, name).flat.tobytes() == getattr(ref, name).flat.tobytes()
+    for name in ("generator", "predictor"):  # and the best-dev copies a checkpoint is written from
+        assert getattr(result.model, name).flat.tobytes() == getattr(ref_result.model, name).flat.tobytes()
+    assert result.model.complement is ref_result.model.complement is None
 
 
 @pytest.mark.parametrize("dim", [7, 23, 196, 300])

@@ -127,7 +127,7 @@ def test_instance_cache_read_call_counts(conj_train):
 
 
 def test_vocabulary_read_call_counts(conj_train):
-    assert_pinned({"vocab.tsv": reads(chains.read_vocabulary_names, conj_train / "vocab.tsv")}, (11, 32))
+    assert_pinned({"vocab.tsv": reads(chains.read_vocabulary_names, conj_train / "vocab.tsv")}, (13, 37))
 
 
 def split(rows: int, width: int, rng) -> chains.Split:
@@ -140,7 +140,7 @@ def split(rows: int, width: int, rng) -> chains.Split:
 # epoch of 3 BATCH-row steps and a dev pass over 150 rows, enough for top-d by argmax rounds at both WIDTHS. At
 # lr = 0 no weight moves, so dev quality ties and the epoch copies no checkpoint, a branch whose count would
 # otherwise depend on the data.
-FIT = {game.MODE_GAME: (239, 371), game.MODE_ALL_CHAINS: (139, 219)}
+FIT = {game.MODE_GAME: (227, 356), game.MODE_ALL_CHAINS: (137, 216)}
 
 
 def fit_counts(mode: str, width: int) -> list[tuple[int, int]]:
@@ -163,7 +163,7 @@ def test_one_epoch_fit_call_counts(mode):
 
 # (Python, C) calls of a ``load_checkpoint`` on the RECORDED pair, of a checkpoint with the extra fields
 # ``kgchains train`` writes
-LOAD = {game.MODE_GAME: (67, 140), game.MODE_ALL_CHAINS: (33, 96)}
+LOAD = {game.MODE_GAME: (50, 115), game.MODE_ALL_CHAINS: (32, 92)}
 TRAIN_META = {"relation": "target", "run_mode": "game_mlp", "seed": 5, "epochs": 12, "best_epoch": 7,
               "best_dev_map": "0.812500", "max_hops": 2, "vocab": "vocab.tsv"}
 
@@ -176,6 +176,21 @@ def test_checkpoint_load_call_counts(tmp_path, mode):
         save_checkpoint(str(path), game.build_model(width, 2, 1.0, game.ARCH_MLP, seed=1, mode=mode), TRAIN_META)
         counts[width] = reads(load_checkpoint, path)
     assert_pinned(counts, LOAD[mode])
+
+
+# (Python, C) calls of a ``save_checkpoint`` on the RECORDED pair, of a built model (a game model's holds the
+# complement, which the file does not) with the extra fields ``kgchains train`` writes
+SAVE = {game.MODE_GAME: (6, 30), game.MODE_ALL_CHAINS: (6, 28)}
+
+
+@pytest.mark.parametrize("mode", [game.MODE_GAME, game.MODE_ALL_CHAINS])
+def test_checkpoint_save_call_counts(tmp_path, mode):
+    counts = {}
+    for width in WIDTHS:
+        model = game.build_model(width, 2, 1.0, game.ARCH_MLP, seed=1, mode=mode)
+        path = str(tmp_path / f"checkpoint.{width}.txt")
+        counts[width] = [count_calls(lambda: save_checkpoint(path, model, TRAIN_META)) for _ in range(REPEATS)]
+    assert_pinned(counts, SAVE[mode])
 
 
 @pytest.fixture(scope="module")

@@ -258,6 +258,20 @@ def test_a_vocabulary_support_is_ascii_digits(tmp_path, support):
         read_vocabulary_names(str(path))
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("1\t3\ts\n0\t5\tr\n", 1, "expected index 0, not '1'"),  # two lines swapped
+    ("0\t5\tr\n1\t3\ts\nx\t2\tt\n", 3, "expected index 2, not 'x'"),
+    ("0\t5\tr\n\n01\t3\ts\n", 3, "expected index 1, not '01'"),  # a blank line is no row
+    ("0\t5\tr\n0\t3\ts\n", 2, "expected index 1, not '0'"),
+])
+def test_a_vocabulary_index_is_its_row(tmp_path, text, line, message):
+    """The index is the chain's column in every cache, so a line out of place would name another chain."""
+    path = tmp_path / "vocab.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: {re.escape(message)}$"):
+        read_vocabulary_names(str(path))
+
+
 def test_instances_round_trip(tmp_path):
     g, pairs = build_support_graph()
     vocab = build_vocabulary(g, pairs, g.relation_id("anchor"), max_hops=3)

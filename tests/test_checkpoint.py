@@ -9,11 +9,11 @@ import pytest
 from kgchains.chains import Instance
 from kgchains.checkpoint import load_checkpoint, save_checkpoint
 from kgchains.errors import DataError
-from kgchains.game import build_model, predict
+from kgchains.game import SCORED, build_model, predict
 from kgchains.neural import count_params
 from kgchains.util import field_lines
 
-from checkpoint_oracle import NETS, read_v4, write_v1
+from checkpoint_oracle import read_v5, write_v1
 from splits import split_of
 
 
@@ -26,9 +26,11 @@ def probes(d_input, n=100, seed=0):
     )
 
 
-def assert_same_weights(a, b):
-    for name in NETS:
-        x, y = getattr(a, name), getattr(b, name)
+def assert_same_weights(loaded, model):
+    """The loaded model has the networks scoring reads, bit for bit, and no complement."""
+    assert loaded.complement is None
+    for name in ("generator", "predictor"):
+        x, y = getattr(loaded, name), getattr(model, name)
         assert (x is None) == (y is None)
         for (wx, bx), (wy, by) in zip(x.layers if x else [], y.layers if y else []):
             assert wx.shape == wy.shape and bx.shape == by.shape
@@ -55,14 +57,15 @@ def test_round_trip_is_bit_identical(tmp_path, arch, mode):
     raw = path.read_bytes()
     header, end, payload = raw.partition(b"\n[end]\n")
     lines = header.decode("utf-8").split("\n")
-    assert lines[0] == "# kgchains checkpoint v4"
-    # the header is fields alone, sorted by key: no section, shape or value lines
+    assert lines[0] == "# kgchains checkpoint v5"
+    # the header is fields alone, sorted by key: no section, shape, value or networks lines
     keys = [line.partition(" = ")[0] for line in lines[1:]]
     assert all(" = " in line for line in lines[1:]) and keys == sorted(keys)
-    assert keys == ["d", "input_dim", "lambda_s", "mode", "networks", "predictor_arch", "relation"]
-    # the networks' flat buffers as raw little-endian float64 bytes, in the order the networks line names them
-    present = [name for name in NETS if getattr(model, name) is not None]
-    assert f"networks = {' '.join(present)}" in lines
+    assert keys == ["d", "input_dim", "lambda_s", "mode", "predictor_arch", "relation"]
+    # the flat buffers of the networks scoring reads as raw little-endian float64 bytes: the generator, if
+    # any, then the predictor; not the complement
+    present = ["generator", "predictor"] if mode == "game" else ["predictor"]
+    assert list(SCORED[mode]) == present
     nets = [getattr(model, name) for name in present]
     assert payload == b"".join(np.asarray(net.flat, "<f8").tobytes() for net in nets)
     assert len(payload) == 8 * sum(map(count_params, nets))
@@ -71,7 +74,7 @@ def test_round_trip_is_bit_identical(tmp_path, arch, mode):
     for inst in probes(7, n=30):
         assert np.float64(predict(loaded, inst)).view(np.int64) == np.float64(predict(model, inst)).view(np.int64)
     # the same as the reference reader, which takes the shapes from the README and copies each network out
-    ref_meta, ref = read_v4(raw)
+    ref_meta, ref = read_v5(raw)
     assert meta == ref_meta and list(ref) == present
     for name, (shapes, flat) in ref.items():
         net = getattr(loaded, name)
@@ -117,7 +120,7 @@ def test_load_holds_the_payload_once(tmp_path):
     path = tmp_path / "ck.txt"
     save_checkpoint(str(path), build_model(1000, 2, 0.5, "mlp", seed=0))
     payload = len(path.read_bytes().partition(b"\n[end]\n")[2])
-    assert payload > 18_000_000
+    assert payload > 14_000_000
     tracemalloc.start()
     try:
         load_checkpoint(str(path))
@@ -180,7 +183,7 @@ def test_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("key", ["input_dim", "d", "lambda_s", "predictor_arch", "mode", "networks"])
+@pytest.mark.parametrize("key", ["input_dim", "d", "lambda_s", "predictor_arch", "mode"])
 def test_meta_cannot_set_a_model_field(tmp_path, key):
     path = tmp_path / "ck.txt"
     with pytest.raises(ValueError, match=f"^meta key '{key}' is the model's own field$"):
@@ -196,21 +199,22 @@ def test_tampered_input_dim_rejected(tmp_path):
     raw = path.read_bytes()
     assert b"\ninput_dim = 5\n" in raw
     path.write_bytes(raw.replace(b"\ninput_dim = 5\n", b"\ninput_dim = 7\n", 1))
-    have, need = (8 * sum(count_params(getattr(m, name)) for name in NETS) for m in (model, build_model(7, 2, 1.0)))
+    have, need = (8 * sum(count_params(getattr(m, name)) for name in ("generator", "predictor"))
+                  for m in (model, build_model(7, 2, 1.0)))
     with pytest.raises(DataError, match=re.escape(f"checkpoint payload has {have} bytes, its layer shapes need {need}: ")):
         load_checkpoint(str(path))
 
 
-def test_game_model_without_a_complement_round_trips(tmp_path):
-    """As ``single_chain_gen``'s second stage saves it: the networks line names two networks."""
+def test_a_game_model_saves_alike_with_or_without_its_complement(tmp_path):
+    """A live game model holds the complement, and ``single_chain_gen``'s second stage does not: the one
+    file either way."""
     model = trained_like(build_model(6, 2, 0.0, "linear", seed=5))
+    paths = tmp_path / "with.txt", tmp_path / "without.txt"
+    save_checkpoint(str(paths[0]), model)
     model.complement = None
-    path = tmp_path / "ck.txt"
-    save_checkpoint(str(path), model)
-    assert b"\nnetworks = generator predictor\n" in path.read_bytes()
-    loaded, meta = load_checkpoint(str(path))
-    assert loaded.complement is None and meta["networks"] == "generator predictor"
-    assert_same_weights(loaded, model)
+    save_checkpoint(str(paths[1]), model)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert_same_weights(load_checkpoint(str(paths[1]))[0], model)
 
 
 @pytest.mark.parametrize("meta", [{"note": "a\nb"}, {"note": "a\rb"}, {"note": "a\r\nb"}, {"a = b": "c"},

@@ -173,11 +173,11 @@ def per_row_rules(model, test, names, top_n):
     """The per-row export-rules loop that the column-wise listing replaced, kept as the reference."""
     lines = []
     rows = zip(test.heads, test.tails, test.labels.tolist())
-    for availability, probs, order, logits in game.score_chunks(model, test.availability, top_n):
+    counts = iter(test.availability.sum(axis=1).astype(int).tolist())
+    for probs, order, logits in game.score_chunks(model, test.availability, top_n):
         order = order[:, :top_n]
         top_p = np.take_along_axis(probs, order, axis=1)
-        counts = availability.sum(axis=1).astype(int)
-        chunk = zip(neural.softmax(logits)[:, 1].tolist(), counts.tolist(), order.tolist(), top_p.tolist(), rows)
+        chunk = zip(neural.softmax(logits)[:, 1].tolist(), counts, order.tolist(), top_p.tolist(), rows)
         for confidence, n, top, ps, (head, tail, label) in chunk:
             lines.append(f"{head} -> {tail} label={label} confidence={confidence:.4f}")
             if n == 0:
@@ -378,6 +378,8 @@ BENCHMARK = ["benchmark", "--kind", "single", "--out", "b"]
         ["export-rules", "--artifacts", "a", "--relation", "target", "--d", "0"],
         ["eval", "--artifacts", "a", "--relation", "target", "--d", "0"],
         ["eval", "--artifacts", "a", "--relation", "target", "--d", "-1"],
+        # not an eval flag: eval ranks each head's pairs
+        ["eval", "--artifacts", "a", "--relation", "target", "--group-by", "global"],
         # a misspelt mode names the choices, rather than a checkpoint file that is not there
         ["eval", "--artifacts", "a", "--relation", "target", "--mode", "game_mpl"],
         ["export-rules", "--artifacts", "a", "--relation", "target", "--mode", "game_mpl"],

@@ -2,9 +2,9 @@
 
 A tiny artifact set (D = 4, hand-written caches, checkpoints trained for one
 epoch by ``kgchains train``) is cut at every line count and has one token
-replaced per line; ``kgchains eval`` must then exit 0 or 2. A v4 checkpoint
+replaced per line; ``kgchains eval`` must then exit 0 or 2. A v5 checkpoint
 is cut at every header line and at every 8-byte boundary of its payload,
-which must exit 2. A checkpoint of an older version (v1, v2 or v3, as the
+which must exit 2. A checkpoint of an older version (v1 to v4, as the
 writers in ``checkpoint_oracle`` made them) must exit 2 too. A checkpoint's
 data errors name the checkpoint file, and each hand-made corruption's message
 is pinned exactly. A header line longer than the file buffer is no
@@ -21,7 +21,7 @@ from kgchains.chains import Instance
 from kgchains.checkpoint import load_checkpoint
 from kgchains.cli import main
 
-from checkpoint_oracle import write_v1, write_v2, write_v3
+from checkpoint_oracle import write_v1, write_v2, write_v3, write_v4
 from splits import split_of
 
 D = 4
@@ -54,8 +54,8 @@ def checkpoint_path(art, mode):
     return art / REL / f"checkpoint.{mode}.d2.txt"
 
 
-def split_v4(raw):
-    """A v4 checkpoint's text header, through ``[end]``, and its payload bytes."""
+def split_v5(raw):
+    """A v5 checkpoint's text header, through ``[end]``, and its payload bytes."""
     cut = raw.index(b"\n[end]\n") + len(b"\n[end]\n")
     return raw[:cut].decode("utf-8"), raw[cut:]
 
@@ -86,13 +86,13 @@ def expect_data_error(art, bad, raw, capsys):
 
 def checkpoint_variants(raw):
     """``variants`` of a checkpoint's header, the payload kept after each replaced token."""
-    header, payload = split_v4(raw)
+    header, payload = split_v5(raw)
     for i, text in enumerate(variants(header)):  # the cuts come first, one per header line
         yield text.encode("utf-8") + (payload if i >= header.count("\n") else b"")
 
 
 def test_checkpoint_fuzz_exits_0_or_2(art, tmp_path, capsys):
-    # the game checkpoint has every network: generator, predictor, complement
+    # the game checkpoint has both networks scoring reads: generator, predictor
     bad = tmp_path / "ck.txt"
     failed = 0
     for raw in checkpoint_variants(checkpoint_path(art, "game_mlp").read_bytes()):
@@ -108,7 +108,7 @@ def test_checkpoint_fuzz_exits_0_or_2(art, tmp_path, capsys):
 
 def test_truncated_checkpoint_is_a_data_error(art, tmp_path, capsys):
     raw = checkpoint_path(art, "game_mlp").read_bytes()
-    header, payload = split_v4(raw)
+    header, payload = split_v5(raw)
     lines = header.splitlines(keepends=True)
     assert len(payload) % 8 == 0
     for n in range(1, len(lines)):
@@ -119,22 +119,23 @@ def test_truncated_checkpoint_is_a_data_error(art, tmp_path, capsys):
         assert "payload has" in expect_data_error(art, tmp_path / "ck.txt", cut, capsys)
 
 
-@pytest.mark.parametrize("version, writer", [(1, write_v1), (2, write_v2), (3, write_v3)], ids=["v1", "v2", "v3"])
+@pytest.mark.parametrize("version, writer", [(1, write_v1), (2, write_v2), (3, write_v3), (4, write_v4)],
+                         ids=["v1", "v2", "v3", "v4"])
 def test_older_checkpoint_version_is_a_data_error(art, tmp_path, capsys, version, writer):
-    """As written, with CRLF endings, and a v4 file relabelled with the older version."""
+    """As written, with CRLF endings, and a v5 file relabelled with the older version."""
     path = checkpoint_path(art, "game_mlp")
     writer(tmp_path / "old.txt", *load_checkpoint(str(path)))
     old = (tmp_path / "old.txt").read_bytes()
-    relabelled = path.read_bytes().replace(b"checkpoint v4", f"checkpoint v{version}".encode(), 1)
+    relabelled = path.read_bytes().replace(b"checkpoint v5", f"checkpoint v{version}".encode(), 1)
     for raw in (old, old.replace(b"\n", b"\r\n"), relabelled):
         err = expect_data_error(art, tmp_path / "ck.txt", raw, capsys)
         assert f"data error: unsupported kgchains checkpoint v{version}: {tmp_path / 'ck.txt'}\n" in err
 
 
 @pytest.mark.parametrize("first, message", [(f"# kgchains checkpoint v{v}", f"unsupported kgchains checkpoint v{v}")
-                                            for v in (0, 3, 40, 99)]  # v40 shares the 4
-                         + [(line, "not a kgchains checkpoint") for line in ("", "\udcff", "# kgchains checkpoint", "x v4")])
-def test_first_line_other_than_the_v4_header_is_a_data_error(art, tmp_path, capsys, first, message):
+                                            for v in (0, 4, 50, 99)]  # v50 shares the 5
+                         + [(line, "not a kgchains checkpoint") for line in ("", "\udcff", "# kgchains checkpoint", "x v5")])
+def test_first_line_other_than_the_v5_header_is_a_data_error(art, tmp_path, capsys, first, message):
     raw = checkpoint_path(art, "game_mlp").read_bytes()  # the rest kept after the replaced first line
     first = first.encode("utf-8", "surrogateescape")  # "\udcff" is the non-UTF-8 byte 0xff
     err = expect_data_error(art, tmp_path / "ck.txt", first + raw[raw.index(b"\n") :], capsys)
@@ -163,10 +164,10 @@ def swap(old, new):
 
 
 def payload_value(edit, index=0):
-    """A v4 file with its payload's float64 value at ``index`` replaced by ``edit``."""
+    """A v5 file with its payload's float64 value at ``index`` replaced by ``edit``."""
 
     def corrupt(raw):
-        header, payload = split_v4(raw)
+        header, payload = split_v5(raw)
         values = np.frombuffer(payload, "<f8").copy()
         values[index] = edit(values[index])
         return header.encode("utf-8") + values.tobytes()
@@ -174,8 +175,6 @@ def payload_value(edit, index=0):
     return corrupt
 
 
-NETWORKS = ("checkpoint meta networks = {value} must name some of generator predictor complement, each once, in that"
-            " order: {{path}}")
 # each applied to the d_all checkpoint (D = 4: layers 4 -> 2 -> 2 -> 2, d = 1), with its data error's exact message
 CORRUPTIONS = {
     "no_end": (lambda raw: raw[: raw.index(b"\n[end]\n") + 1], "truncated checkpoint (no [end]): {path}"),
@@ -187,8 +186,9 @@ CORRUPTIONS = {
                       "{path}: not UTF-8 text (byte 0xff: invalid start byte)"),
     "d_zero": (swap(b"\nd = 1\n", b"\nd = 0\n"), "checkpoint meta d = 0 must be an integer >= 1: {path}"),
     "d_negative": (swap(b"\nd = 1\n", b"\nd = -1\n"), "checkpoint meta d = -1 must be an integer >= 1: {path}"),
+    # the mode names the networks: a game model's are the generator (40 values at D = 4), then the predictor
     "game_without_generator": (swap(b"\nmode = d_all\n", b"\nmode = game\n"),
-                               "checkpoint meta mode = game needs a generator network: {path}"),
+                               "checkpoint payload has 176 bytes, its layer shapes need 496: {path}"),
     "mode_bogus": (swap(b"\nmode = d_all\n", b"\nmode = bogus\n"),
                    "checkpoint meta mode = bogus must be game or d_all: {path}"),
     "predictor_arch_bogus": (swap(b"\npredictor_arch = mlp\n", b"\npredictor_arch = rnn\n"),
@@ -200,7 +200,7 @@ CORRUPTIONS = {
     "lambda_s_inf": (swap(b"\nlambda_s = 0.0\n", b"\nlambda_s = inf\n"),
                      "checkpoint meta lambda_s = inf must be a finite number >= 0: {path}"),
     "unknown_version": (swap(b"checkpoint v", b"checkpoint v9 was v"),
-                        "unsupported kgchains checkpoint v9 was v4: {path}"),
+                        "unsupported kgchains checkpoint v9 was v5: {path}"),
     "payload_8_bytes_short": (lambda raw: raw[:-8],
                               "checkpoint payload has 168 bytes, its layer shapes need 176: {path}"),
     "payload_1_byte_short": (lambda raw: raw[:-1],
@@ -220,31 +220,22 @@ CORRUPTIONS = {
     # the layer shapes follow predictor_arch: linear is 4 -> 2, 10 values
     "predictor_arch_linear": (swap(b"\npredictor_arch = mlp\n", b"\npredictor_arch = linear\n"),
                               "checkpoint payload has 176 bytes, its layer shapes need 80: {path}"),
-    "no_payload": (lambda raw: split_v4(raw)[0].encode("utf-8"),
+    "no_payload": (lambda raw: split_v5(raw)[0].encode("utf-8"),
                    "checkpoint payload has 0 bytes, its layer shapes need 176: {path}"),
     # a header's lines end at LF, so a CRLF header has no [end] line; had it a payload, that would be read as header
-    "crlf_no_payload": (lambda raw: split_v4(raw)[0].replace("\n", "\r\n").encode("utf-8"),
+    "crlf_no_payload": (lambda raw: split_v5(raw)[0].replace("\n", "\r\n").encode("utf-8"),
                         "truncated checkpoint (no [end]): {path}"),
     "header_not_utf8": (swap(b"\nd = 1\n", b"\nd = 1\n\xff\n"),
                         "{path}: not UTF-8 text (byte 0xff: invalid start byte)"),
-    "read_as_v2": (swap(b"checkpoint v4", b"checkpoint v2"), "unsupported kgchains checkpoint v2: {path}"),
-    "read_as_v3": (swap(b"checkpoint v4", b"checkpoint v3"), "unsupported kgchains checkpoint v3: {path}"),
+    "read_as_v2": (swap(b"checkpoint v5", b"checkpoint v2"), "unsupported kgchains checkpoint v2: {path}"),
+    "read_as_v3": (swap(b"checkpoint v5", b"checkpoint v3"), "unsupported kgchains checkpoint v3: {path}"),
+    "read_as_v4": (swap(b"checkpoint v5", b"checkpoint v4"), "unsupported kgchains checkpoint v4: {path}"),
     "first_line_cr_no_lf": (lambda raw: raw[: raw.index(b"\n")] + b"\r", "truncated checkpoint (no [end]): {path}"),
-    # the networks line: each network once, in payload order, and those of the mode
-    "networks_missing": (swap(b"\nnetworks = predictor\n", b"\n"), "checkpoint missing meta key 'networks': {path}"),
-    "networks_unknown": (swap(b"\nnetworks = predictor\n", b"\nnetworks = predictor foo\n"),
-                         NETWORKS.format(value="predictor foo")),
-    "networks_repeated": (swap(b"\nnetworks = predictor\n", b"\nnetworks = predictor predictor\n"),
-                          NETWORKS.format(value="predictor predictor")),
-    "networks_out_of_order": (swap(b"\nnetworks = predictor\n", b"\nnetworks = predictor generator\n"),
-                              NETWORKS.format(value="predictor generator")),
-    "d_all_with_generator": (swap(b"\nnetworks = predictor\n", b"\nnetworks = generator predictor\n"),
-                             "checkpoint meta mode = d_all has no generator network: {path}"),
 }
 CASES = sorted(CORRUPTIONS)
 
 
-@pytest.mark.parametrize("case", CASES, ids=[f"v4-{case}" for case in CASES])
+@pytest.mark.parametrize("case", CASES, ids=[f"v5-{case}" for case in CASES])
 def test_corrupt_checkpoint_is_a_data_error(art, tmp_path, capsys, case):
     corrupt, message = CORRUPTIONS[case]
     bad = tmp_path / "ck.txt"
@@ -258,7 +249,7 @@ def test_long_meta_line_loads_and_scores_like_the_original(art, tmp_path, capsys
     padded.write_bytes(path.read_bytes().replace(b"\n", b"\npad = " + b"x" * 100_000 + b"\n", 1))
     (model, meta), (loaded, loaded_meta) = load_checkpoint(str(path)), load_checkpoint(str(padded))
     assert loaded_meta == {**meta, "pad": "x" * 100_000}
-    for name in ("generator", "predictor", "complement"):
+    for name in ("generator", "predictor"):
         a, b = getattr(model, name).flat, getattr(loaded, name).flat
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
     reports = []
@@ -277,6 +268,23 @@ def test_non_integer_vocabulary_support_is_a_data_error(art, capsys):
         path.write_text(original.replace("1\t3\t", "1\tthree\t"))
         assert eval_code(art) == 2
         assert "vocab.tsv:2: " in capsys.readouterr().err
+    finally:
+        path.write_text(original)
+
+
+@pytest.mark.parametrize("command", [["eval"], ["export-rules"], ["export-rules", "--aggregate"]])
+def test_vocabulary_index_out_of_place_is_a_data_error(art, capsys, command):
+    """The first two lines swapped, and the third index ``x``: each a data error at its line."""
+    path = art / REL / "vocab.tsv"
+    original = path.read_text()
+    lines = original.splitlines(keepends=True)
+    args = [*command, "--artifacts", str(art), "--relation", REL, "--mode", "game_mlp", "--d", "2"]
+    try:
+        for text, message in ((lines[1] + lines[0] + "".join(lines[2:]), "1: expected index 0, not '1'"),
+                              ("".join(lines[:2]) + "x" + "".join(lines[2:])[1:], "3: expected index 2, not 'x'")):
+            path.write_text(text)
+            assert main(args) == 2
+            assert f"data error: {path}:{message}\n" in capsys.readouterr().err
     finally:
         path.write_text(original)
 

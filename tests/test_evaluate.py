@@ -7,7 +7,8 @@ from kgchains import evaluate, game
 from kgchains.chains import EncodedTask, Instance
 from kgchains.errors import DataError
 from kgchains.evaluate import evaluate_task, run_mode
-from kgchains.game import ALL_MODES, GameModel, TrainConfig, build_model, train_mode
+from kgchains.game import ALL_MODES, GameModel, TrainConfig, build_model, score_instances, train_mode
+from kgchains.metrics import mean_average_precision
 from kgchains.neural import DenseParams
 
 from splits import split_of
@@ -76,10 +77,10 @@ def test_empty_test_set_errors():
 
 def test_global_grouping():
     model = scripted_model([1.0, 0.0, 0.0, 0.0])
-    instances = [inst("a", 1, [0]), inst("b", 0, [1])]
-    report = evaluate_task(model, split_of(instances), group_by="global")
-    assert report.skipped == 0  # one group; by head, "b" would be skipped
-    assert report.map == 1.0
+    split = split_of([inst("a", 1, [0]), inst("b", 0, [1])])
+    scores = score_instances(model, split.availability)
+    assert mean_average_precision(split.heads, scores, split.labels, "global") == (1.0, 0)  # one group
+    assert evaluate_task(model, split).skipped == 1  # by head, "b" has no positive
 
 
 def make_task(seed=0, n=120, d_input=8):

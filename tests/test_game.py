@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kgchains import game
 from kgchains.chains import EncodedTask, Instance
 from kgchains.errors import DataError
-from kgchains.evaluate import evaluate_task
 from kgchains.game import (
     MODE_ALL_CHAINS,
     MODE_GAME,
@@ -21,6 +20,7 @@ from kgchains.game import (
     select_top_d,
     train_mode,
 )
+from kgchains.metrics import mean_average_precision
 from kgchains.neural import DenseParams
 from kgchains.util import STREAM_SAMPLE, stream_rng
 
@@ -318,7 +318,34 @@ def test_zero_epochs_returns_initial_model():
     fresh = build_model(data.size, 1, 1.0, "mlp", seed=1)
     for (w1, _), (w2, _) in zip(result.model.predictor.layers, fresh.predictor.layers):
         assert np.array_equal(w1, w2)
-    assert result.best_dev_map == pytest.approx(evaluate_task(fresh, data.dev, group_by="global").map)
+    dev_map, _ = mean_average_precision(data.dev.heads, game.score_instances(fresh, data.dev.availability),
+                                        data.dev.labels, "global")
+    assert result.best_dev_map == pytest.approx(dev_map)
+
+
+@pytest.mark.parametrize("mode", game.ALL_MODES)
+def test_training_returns_the_networks_scoring_reads(mode):
+    """The best-dev copy of every mode holds the generator, if its mode has one, and the predictor; the
+    complement, which only training reads, is not kept."""
+    result = train_mode(make_planted_task(), TrainConfig(epochs=2, seed=4), mode, 2)
+    assert result.model.complement is None and result.model.predictor is not None
+    assert (result.model.generator is None) == (mode == MODE_ALL_CHAINS)
+
+
+@pytest.mark.parametrize("mode, networks, message", [
+    (MODE_GAME, {"generator": None}, "mode = game needs a generator network"),
+    (MODE_ALL_CHAINS, {"generator": "generator"}, "mode = d_all has no generator network"),
+    (MODE_ALL_CHAINS, {"complement": "predictor"}, "mode = d_all has no complement network"),
+    (MODE_GAME, {"complement": "generator"}, "input_dim = 6 needs complement layer shapes"),
+])
+def test_a_model_holds_the_networks_of_its_mode(mode, networks, message):
+    """A game model may lack the complement, but not the generator; a d_all model has the predictor alone."""
+    built = build_model(6, 2, 1.0, "mlp", seed=0)
+    game.GameModel(6, 2, 1.0, "mlp", MODE_GAME, built.predictor, built.generator)  # no complement
+    nets = {"generator": built.generator if mode == MODE_GAME else None}
+    nets.update({name: source and getattr(built, source) for name, source in networks.items()})
+    with pytest.raises(ValueError, match=f"^{message}"):
+        game.GameModel(6, 2, 1.0, "mlp", mode, built.predictor, **nets)
 
 
 def test_training_is_deterministic():

@@ -79,13 +79,13 @@ BAD = {
     "triples": [b"a\tx_inv_inv\tb", b"a\t\tb", b"\tr\tb", b"a\tr\t", b"a\tr\tb\tc"],
     "pairs": [b"a\tb\t2", b"a\tb\t01", b"a\tb\t", b"a\t\t1", b"\tb\t1", b"a\tb\t1\t0", b"a\tb\t\xd9\xa3"],
     "vocabulary": ["0\t٣\tx".encode(), "0\t７\tx".encode(), b"0\t\tx", b"0\t1a\tx", b"0\t+1\tx", b"0\t 1\tx",
-                   b"0\t1_0\tx", b"0\t1\tx\ty", b"0\t1"],
+                   b"0\t1_0\tx", b"0\t1\tx\ty", b"0\t1", b"x\t1\tx", b"00\t1\tx", b"-0\t1\tx", "٠\t1\tx".encode()],
     "cache": [b"h\tt\t1", b"h\tt\t1\t0110\tx", b"h\tt\t2\t0110", b"h\tt\t\t0110", b"h\tt\t01\t0110",
               b"h\tt\t1\t01x0", "h\tt\t1\t01é0".encode(), b"h\tt\t1\t0\x0010", b"h\tt\t1\t011",
               b"h\tt\t1\t01101", b"h\tt\t1\t", b"\t\t\t", b"#\tt\t1\t0110"],
 }
 SKIPPED = [b"", b"#", b"# a\tr\tb", b"#\t\t\t"]  # blank, or comments in triples and pairs
-ROW = {"triples": b"a\tr\tb", "pairs": b"a\tb\t1", "vocabulary": b"0\t12\tr->s", "cache": b"h\tt\t1\t0110"}
+ROW = {"triples": b"a\tr\tb", "pairs": b"a\tb\t1", "vocabulary": b"%d\t12\tr->s", "cache": b"h\tt\t1\t0110"}
 
 
 def kind(name):
@@ -93,14 +93,28 @@ def kind(name):
     return name.split(" ")[0]
 
 
+def rows(name, n):
+    """``n`` good lines of the format, a vocabulary's indexed 0 to n - 1."""
+    row = ROW[kind(name)]
+    return [row % i if b"%d" in row else row for i in range(n)]
+
+
 @st.composite
 def files(draw, name):
     """Good lines, with zero to two bad lines and up to three blank or comment lines among them, each ending
-    in LF, CRLF or a lone CR, the last one maybe not at all."""
-    lines = [draw(GOOD[kind(name)].map("\t".join)).encode() for _ in range(draw(st.integers(0, 6)))]
+    in LF, CRLF or a lone CR, the last one maybe not at all. A vocabulary's good lines may be renumbered, each
+    index its line's row, as the writer numbers them."""
+    lines = [(draw(GOOD[kind(name)].map("\t".join)).encode(), True) for _ in range(draw(st.integers(0, 6)))]
     for pool, most in ((COMMON_BAD + BAD[kind(name)], 2), (SKIPPED, 3)):
         for _ in range(draw(st.integers(0, most))):
-            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(pool)))
+            lines.insert(draw(st.integers(0, len(lines))), (draw(st.sampled_from(pool)), False))
+    row = 0
+    renumber = kind(name) == "vocabulary" and draw(st.booleans())
+    for i, (line, good) in enumerate(lines):
+        if renumber and good:
+            lines[i] = (b"%d" % row + line[line.index(b"\t") :], good)
+        row += line != b""  # a blank line is no row
+    lines = [line for line, _ in lines]
     ends = [draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in lines]
     raw = b"".join(line + end for line, end in zip(lines, ends))
     return raw if draw(st.booleans()) else raw.rstrip(b"\r\n")
@@ -118,10 +132,10 @@ def test_each_format_reads_as_its_line_reader(tmp_path, name, data):
 @pytest.mark.parametrize("name", FORMATS)
 def test_good_files_read_as_their_line_reader(tmp_path, name):
     """A file of good lines after comment (or bad ones), blank, CR and CRLF lines, of every format."""
-    row = ROW[kind(name)]
+    a, b, c, d = rows(name, 4)
     skipped = b"# a comment\r\n" if kind(name) in ("triples", "pairs") else b""
     path = tmp_path / "file.tsv"
-    path.write_bytes(skipped + b"\r\n\n\r" + row + b"\r\n" + row + b"\r" + row + b"\n\n" + row)
+    path.write_bytes(skipped + b"\r\n\n\r" + a + b"\r\n" + b + b"\r" + c + b"\n\n" + d)
     assert same_outcome(name, path)
 
 
@@ -130,7 +144,7 @@ def test_good_files_read_as_their_line_reader(tmp_path, name):
 def test_a_byte_that_is_not_utf8_is_the_error_at_any_size(tmp_path, name, size):
     """A bad first line and an undecodable last byte: the byte is reported, in a file under or over the 8 KB a
     text-mode reader decodes at a time."""
-    row = ROW[kind(name)] + b"\n"
+    row = rows(name, 1)[0] + b"\n"
     path = tmp_path / "file.tsv"
     path.write_bytes(b"bad line\n" + row * (size // len(row)) + b"\xff\n")
     assert path.stat().st_size > size - len(row)
@@ -143,7 +157,7 @@ def test_a_byte_that_is_not_utf8_is_the_error_at_any_size(tmp_path, name, size):
 def test_each_reader_opens_its_file_once(tmp_path, monkeypatch, name):
     """Also when it fails on the last line, which a reader that rescans for its message reads twice."""
     path = tmp_path / "file.tsv"
-    path.write_bytes((ROW[kind(name)] + b"\n") * 50 + b"a bad line\n")
+    path.write_bytes(b"".join(row + b"\n" for row in rows(name, 50)) + b"a bad line\n")
     opened = []
     real_open = builtins.open
     monkeypatch.setattr(builtins, "open", lambda *args, **kwargs: opened.append(args[0]) or real_open(*args, **kwargs))
