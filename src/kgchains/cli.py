@@ -1,8 +1,9 @@
 """Command-line pipeline: benchmark | extract | train | eval | export-rules.
 
 All machine-readable outputs are tab-separated with a schema comment line;
-identical inputs and seeds reproduce them byte for byte. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numeric failure.
+identical inputs and seeds reproduce them byte for byte, as verified at one
+BLAS thread count (OPENBLAS_NUM_THREADS=1). Exit codes: 0 success, 1 usage
+error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -75,11 +76,10 @@ def _read_config_file(path: str) -> list[list[str]]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
-            if not sep:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep or not key:  # "--" alone would end the options
                 raise UsageError(f"{path}:{lineno}: expected key=value")
-            value = value.strip()
-            injected.append([f"--{key.strip()}", *([value] if value else [])])
+            injected.append([f"--{key}", *([value] if value else [])])
     return injected
 
 

@@ -34,7 +34,6 @@ from .neural import (
     forward,
     init_dense,
     linear_dims,
-    losses_and_scores,
     mlp_dims,
     softmax,
 )
@@ -54,19 +53,12 @@ MODE_GAME_MLP = "game_mlp"
 MODE_GAME_LINEAR = "game_linear"
 MODE_SINGLE_CHAIN_GEN = "single_chain_gen"
 ALL_MODES = (MODE_GAME_MLP, MODE_GAME_LINEAR, MODE_ALL_CHAINS, MODE_SINGLE_CHAIN_GEN)
-# Top-d by argmax rounds up to TOP_ROUNDS positions on at least ROUNDS_MIN_SIZE entries, else
-# by one stable sort: on (256, D) chunks a sort costs about as much as 14 rounds at D = 182 and
-# 1000 (3 at D = 23), and below about 3,000 entries its lower fixed cost wins at d = 2.
+# Top-d by argmax rounds up to TOP_ROUNDS positions, else by one stable sort: on (256, D) chunks
+# a sort costs about as much as 14 rounds at D = 182 and 1000 (3 at D = 23).
 TOP_ROUNDS = 8
-ROUNDS_MIN_SIZE = 3000
 # Rows per network pass when scoring, so a large split never sits in
 # memory as one (N, 2D) generator output.
 SCORE_CHUNK = 256
-# Grouping for the per-epoch dev ranking used to pick the checkpoint.
-# Instance-level splitting scatters head groups, leaving mostly
-# singletons whose AP is 1 regardless of the model; a global ranking
-# keeps the selection signal informative.
-DEV_GROUP_BY = "global"
 # Momentum of the REINFORCE baseline, an exponential moving average of the batch-mean reward.
 BASELINE_MOMENTUM = 0.9
 
@@ -208,7 +200,7 @@ def top_order(probs: np.ndarray, availability: np.ndarray, d: int) -> np.ndarray
     as a stable sort of -probs puts them. The order of top-d selection and of exported rules; a prefix
     is the order for fewer positions. ``probs`` are above -1 or NaN, as probabilities are: the argmax
     rounds run over the probabilities, -1 where unavailable and -1.5 for NaN, each pick set to -inf."""
-    if d > TOP_ROUNDS or (0 < d and availability.size < ROUNDS_MIN_SIZE):
+    if d > TOP_ROUNDS:
         return np.where(availability > 0, -probs, np.inf).argsort(axis=-1, kind="stable")[..., :d]
     *lead, width = availability.shape
     order = np.empty((min(d, width), math.prod(lead)), np.intp)
@@ -399,14 +391,15 @@ def predict(model: GameModel, instance: Instance) -> float:
 def _dev_quality(model: GameModel, split: Split) -> tuple[float, float]:
     """(dev MAP, -dev cross-entropy) for checkpoint selection, from one scoring pass.
 
-    MAP is 0.0 when no dev group has a positive. Small dev rankings saturate
-    quickly, so exact MAP ties are common; the cross-entropy of the
-    predictor on its inference-time inputs keeps discriminating between
-    equally-ranked checkpoints.
+    Dev ranks as one group, one key for every row: a dev split cut by row scatters head groups
+    into singletons, whose AP is 1 whatever the model. MAP is 0.0 when dev has no positive.
+    Small dev rankings saturate quickly, so exact MAP ties are common; the cross-entropy of the
+    predictor on its inference-time inputs keeps discriminating between equally-ranked checkpoints.
     """
-    losses, scores = losses_and_scores(_logits(model, split.availability), split.labels)
+    logits = _logits(model, split.availability)
+    losses = cross_entropy(logits, split.labels)[0]
     try:
-        dev_map = mean_average_precision(split.heads, scores, split.labels, DEV_GROUP_BY)[0]
+        dev_map = mean_average_precision([None] * len(split), softmax(logits)[:, 1], split.labels)[0]
     except DataError:
         dev_map = 0.0
     return dev_map, -float(losses.sum()) / len(losses)

@@ -274,12 +274,17 @@ def load_task(tasks_dir: str, relation: str, graph: KnowledgeGraph, split_ratio:
 def write_dataset(out_dir: str, relation: str, triples: Iterable[tuple[str, str, str]],
                   train: Iterable[LabeledPair], test: Iterable[LabeledPair]) -> tuple[str, str]:
     """Write the layout that ``load_triples`` and ``load_task`` read: ``<out_dir>/graph.tsv``, one line a triple,
-    and ``<out_dir>/tasks/<relation>/{train,test}.pairs``; returns the graph file and the tasks root."""
+    and ``<out_dir>/tasks/<relation>/{train,test}.pairs``; returns the graph file and the tasks root. A line that
+    would start with ``#``, which both readers skip as a comment, is an error before any file is written."""
+    triples, splits = list(triples), (("train.pairs", list(train)), ("test.pairs", list(test)))
+    for head in itertools.chain((h for h, _, _ in triples), (p.head for _, pairs in splits for p in pairs)):
+        if head.startswith("#"):
+            raise DataError(f"entity {head!r} starts with '#': its lines would read as comments")
     graph_path = os.path.join(out_dir, "graph.tsv")
     tasks_dir = os.path.join(out_dir, "tasks")
     os.makedirs(os.path.join(tasks_dir, relation), exist_ok=True)
     write_lines(graph_path, (f"{h}\t{r}\t{t}" for h, r, t in triples))
-    for name, pairs in (("train.pairs", train), ("test.pairs", test)):
+    for name, pairs in splits:
         write_lines(os.path.join(tasks_dir, relation, name), (f"{p.head}\t{p.tail}\t{p.label}" for p in pairs))
     return graph_path, tasks_dir
 

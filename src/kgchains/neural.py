@@ -126,16 +126,6 @@ def cross_entropy(logits: np.ndarray, label: int | np.ndarray) -> tuple[float | 
     return (float(loss) if logits.ndim == 1 else loss), dlogits
 
 
-def losses_and_scores(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cross_entropy``'s per-row losses of (B, 2) logits and ``softmax``'s positive column,
-    bit for bit, from one shift and one exp, and without the gradient."""
-    shifted = _shifted(logits)
-    exp = np.exp(shifted)
-    total = exp[:, 0] + exp[:, 1]
-    shifted -= np.log(total)[:, None]
-    return -np.where(labels == 1, shifted[:, 1], shifted[:, 0]), exp[:, 1] / total
-
-
 def backward(
     params: DenseParams,
     cache: list[tuple[np.ndarray, np.ndarray]],

@@ -284,7 +284,7 @@ def test_map_oracle():
         keys = [i for i, g in enumerate(groups) for _ in g]
         scores = [score for g in groups for score, _ in g]
         labels = [label for g in groups for _, label in g]
-        actual, skipped = metrics.mean_average_precision(keys, scores, labels, "head")
+        actual, skipped = metrics.mean_average_precision(keys, scores, labels)
         assert abs(actual - expected) < 1e-9
         assert skipped == sum(1 for g in groups if not any(label for _, label in g))
         checked += 1

@@ -42,6 +42,7 @@ from map_oracle import group_results, map_score
 from selection_oracle import dense_head, selection_dout
 from splits import split_of
 from step_oracle import MOMENTUM, batches, instance_reward, mask_from_selected, sample_mask
+from step_oracle import dev_quality as oracle_dev_quality
 from step_oracle import train as oracle_train
 
 # -- per-instance reference ---------------------------------------------------
@@ -460,6 +461,36 @@ def test_training_matches_the_step_oracle_bit_for_bit(dim, batch_size, mode, tmp
         checkpoint.save_checkpoint(str(path), result.model, {"best_epoch": result.best_epoch})
         runs.append((path.read_bytes(), [s.as_line() for s in result.log], result.best_dev_map))
     assert runs[0] == runs[1]
+
+
+def dev_split(kind: str, dim: int):
+    """A dev split of ``planted`` rows: "tied" holds each row seven times with both labels, over two
+    SCORE_CHUNK chunks, and rows without chains; "one_row" is one positive row; "no_positive" has none."""
+    rows = planted(dim, d_input=dim).dev.availability
+    if kind == "one_row":
+        return split_of([Instance(0, 0, 1, rows[0])])
+    if kind == "no_positive":
+        return split_of([Instance(i, i, 0, row) for i, row in enumerate(rows)])
+    copies = [Instance(i, i, (i + copy) % 2, row) for copy in range(7) for i, row in enumerate(rows)]
+    return split_of(copies + [Instance(-1, -1, label, np.zeros(dim)) for label in (0, 1, 0)])
+
+
+@pytest.mark.parametrize("kind", ["tied", "one_row", "no_positive"])
+@pytest.mark.parametrize("mode", [game.MODE_GAME, game.MODE_ALL_CHAINS])
+def test_dev_quality_matches_the_step_oracle_bit_for_bit(mode, kind):
+    """Checkpoint selection's (dev MAP, -dev cross-entropy) is the oracle's: the eval path's loss,
+    scores and MAP over one ranking of all dev rows."""
+    dim = 23
+    model = game.build_model(dim, 2, 1.0, game.ARCH_MLP, seed=dim, mode=mode)
+    split = dev_split(kind, dim)
+    got, want = game._dev_quality(model, split), oracle_dev_quality(model, split)
+    assert [type(v) for v in got] == [float, float]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    if kind == "tied":
+        assert len(split) > game.SCORE_CHUNK
+        assert len(set(game.score_instances(model, split.availability).tolist())) < len(split)
+    if kind == "no_positive":
+        assert got[0] == 0.0
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)

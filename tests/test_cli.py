@@ -610,6 +610,22 @@ def test_adapt_deeppath_rejects_an_empty_kb_field(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_adapt_deeppath_rejects_an_entity_that_would_read_as_a_comment(tmp_path, capsys):
+    """graph.tsv and .pairs readers skip a line that starts with ``#``, so an entity there is an error, not a
+    triple and a positive pair that ``extract`` would silently drop."""
+    kb = tmp_path / "kb.txt"
+    kb.write_text("a r b\nb r c\n#x r y\ny r a\n")
+    task_dir = tmp_path / "task"
+    task_dir.mkdir()
+    (task_dir / "train.pairs").write_text("thing$a,thing$c: -\nthing$#x,thing$y: +\n")
+    (task_dir / "test.pairs").write_text("thing$b,thing$c: -\n")
+    out = tmp_path / "out"
+    assert run(["adapt-deeppath", "--kb", str(kb), "--task-dir", str(task_dir), "--relation", "r",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: entity '#x' starts with '#': its lines would read as comments\n"
+    assert not out.exists()
+
+
 def test_adapt_deeppath_output_bytes(tmp_path):
     """KB lines in file order, a duplicate kept; ``thing$`` stripped; sort_test.pairs over test.pairs;
     a pair with an entity missing from the KB skipped."""
@@ -715,6 +731,9 @@ def test_export_rules_out_writes_what_stdout_prints(trained, tmp_path, capsys, f
     [
         (["train", "--config", "{tmp}/nosuch.cfg"], "config file not found: {tmp}/nosuch.cfg"),
         (["train", "--config", "{tmp}/bad.cfg"], "{tmp}/bad.cfg:2: expected key=value"),
+        # an empty key would inject "--", which ends the options and swallows the explicit flags
+        (["train", "--config", "{tmp}/empty-key.cfg", "--artifacts", "art", "--relation", "target", "--epochs", "1"],
+         "{tmp}/empty-key.cfg:1: expected key=value"),
         (["train", "--config"], "--config requires a path"),
         (["--config", "{tmp}/good.cfg"], "--config cannot supply the subcommand"),
         (["eval", "--artifacts", "a", "--relation", "target", "--mode", "game_mlp", "--mode", "d_all",
@@ -722,12 +741,13 @@ def test_export_rules_out_writes_what_stdout_prints(trained, tmp_path, capsys, f
         (["eval", "--artifacts", "a", "--relation", "target", "--mode", "game_mlp", "--mode", "d_all",
           "--checkpoint", "ck.txt"], "--checkpoint only applies to a single relation and mode"),
     ],
-    ids=["config-missing", "config-line-without-equals", "config-without-path", "config-alone",
+    ids=["config-missing", "config-line-without-equals", "config-empty-key", "config-without-path", "config-alone",
          "eval-d-twice-three-modes", "eval-checkpoint-two-modes"],
 )
 def test_config_and_eval_flag_errors_are_usage_errors(tmp_path, capsys, argv, message):
     (tmp_path / "bad.cfg").write_text("# a comment\nepochs 3\n")
     (tmp_path / "good.cfg").write_text("epochs = 3\n")
+    (tmp_path / "empty-key.cfg").write_text(" = foo\n")
     assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
     assert capsys.readouterr().err == f"usage error: {message.format(tmp=tmp_path)}\n"
 

@@ -79,7 +79,7 @@ def test_global_grouping():
     model = scripted_model([1.0, 0.0, 0.0, 0.0])
     split = split_of([inst("a", 1, [0]), inst("b", 0, [1])])
     scores = score_instances(model, split.availability)
-    assert mean_average_precision(split.heads, scores, split.labels, "global") == (1.0, 0)  # one group
+    assert mean_average_precision([None] * len(split), scores, split.labels) == (1.0, 0)  # one group
     assert evaluate_task(model, split).skipped == 1  # by head, "b" has no positive
 
 

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -187,22 +186,18 @@ def test_top_order_and_top_d_equal_the_stable_argsort(data):
         probs = np.where(avail > 0, probs, 0.0)
     d = data.draw(st.integers(0, game.TOP_ROUNDS + 5))  # d >= width too, and both ranking paths
     wider = d + data.draw(st.integers(0, 4))
-    # small matrices are sorted; with no size floor they take the argmax rounds too
-    for min_size in (game.ROUNDS_MIN_SIZE, 0):
-        with mock.patch.object(game, "ROUNDS_MIN_SIZE", min_size):
-            for p, a in [(probs, avail)] + list(zip(probs, avail)):  # a matrix and its single rows
-                order = game.top_order(p, a, d)
-                assert order.dtype == np.intp
-                assert np.array_equal(order, topd_oracle.top_order(p, a, d))
-                expected = topd_oracle.top_d(p, a, d)
-                # the top-d of a longer order's prefix
-                assert np.array_equal(game._top_d(game.top_order(p, a, wider), a, d), expected)
-                assert np.array_equal(game.select_top_d(p, a, d).selected, expected)
+    for p, a in [(probs, avail)] + list(zip(probs, avail)):  # a matrix and its single rows
+        order = game.top_order(p, a, d)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, topd_oracle.top_order(p, a, d))
+        expected = topd_oracle.top_d(p, a, d)
+        # the top-d of a longer order's prefix
+        assert np.array_equal(game._top_d(game.top_order(p, a, wider), a, d), expected)
+        assert np.array_equal(game.select_top_d(p, a, d).selected, expected)
 
 
 @pytest.mark.parametrize("width", [23, 182])
 def test_top_order_equals_the_stable_argsort_on_scoring_chunks(width):
-    assert game.SCORE_CHUNK * width >= game.ROUNDS_MIN_SIZE  # argmax rounds up to TOP_ROUNDS
     rng = np.random.default_rng(width)
     avail = (rng.random((game.SCORE_CHUNK, width)) < 0.1).astype(float)
     avail[:5] = 0.0  # rows without chains
@@ -318,8 +313,8 @@ def test_zero_epochs_returns_initial_model():
     fresh = build_model(data.size, 1, 1.0, "mlp", seed=1)
     for (w1, _), (w2, _) in zip(result.model.predictor.layers, fresh.predictor.layers):
         assert np.array_equal(w1, w2)
-    dev_map, _ = mean_average_precision(data.dev.heads, game.score_instances(fresh, data.dev.availability),
-                                        data.dev.labels, "global")
+    dev_map, _ = mean_average_precision([None] * len(data.dev), game.score_instances(fresh, data.dev.availability),
+                                        data.dev.labels)
     assert result.best_dev_map == pytest.approx(dev_map)
 
 

@@ -31,7 +31,7 @@ def map_of(*groups):
     keys = [i for i, items in enumerate(groups) for _ in items]
     scores = [score for items in groups for score, _ in items]
     labels = [label for items in groups for _, label in items]
-    return mean_average_precision(keys, scores, labels, "head")
+    return mean_average_precision(keys, scores, labels)
 
 
 def ap(items):
@@ -87,9 +87,8 @@ def test_map_all_skipped_errors():
 
 
 def test_map_of_nothing_errors():
-    for group_by in ("head", "global"):
-        with pytest.raises(DataError, match="no group with a positive item"):
-            mean_average_precision([], [], [], group_by)
+    with pytest.raises(DataError, match="no group with a positive item"):
+        mean_average_precision([], [], [])
 
 
 def test_map_matches_brute_force_on_random_groups():
@@ -133,11 +132,9 @@ def test_grouping_by_head_and_global():
     scores = [0.1, 0.2, 0.3]
     labels = [1, 0, 0]
     # by head: a ranks (0.3, 0) over (0.1, 1); b has no positive
-    assert mean_average_precision(keys, scores, labels, "head") == (0.5, 1)
-    # global: one ranking of all three, the keys unread
-    assert mean_average_precision(None, scores, labels, "global") == (1 / 3, 0)
-    with pytest.raises(ValueError, match="unknown grouping: 'tail'"):
-        mean_average_precision(keys, scores, labels, "tail")
+    assert mean_average_precision(keys, scores, labels) == (0.5, 1)
+    # global: one key for every item, one ranking of all three
+    assert mean_average_precision([None] * 3, scores, labels) == (1 / 3, 0)
 
 
 def test_map_mean_adds_left_to_right_on_every_python():
@@ -164,7 +161,6 @@ def test_group_sums_add_left_to_right():
         differ += float(np.sum(terms)) != functools.reduce(operator.add, terms.tolist())
         expected = map_oracle.evaluate([0] * n, scores, labels)
         assert mean_average_precision([0] * n, scores, labels) == expected
-        assert mean_average_precision(None, scores, labels, "global") == expected
     assert differ  # the cases tell a pairwise sum apart
 
 
@@ -195,13 +191,15 @@ def test_map_equals_the_per_group_oracle(items, group_by, bad, at):
     labels = np.array([label for _, _, label in items], dtype=np.int64)
     if bad is not None and items:
         scores[at % len(items)] = bad
+    # the oracle's global mode is the reference for one key on every item
+    ranked = keys if group_by == "head" else [0] * len(keys)
     try:
         expected = map_oracle.evaluate(keys, scores, labels, group_by)
     except DataError as err:
         with pytest.raises(DataError) as got:
-            mean_average_precision(keys, scores, labels, group_by)
+            mean_average_precision(ranked, scores, labels)
         assert str(got.value) == str(err)
         return
-    got = mean_average_precision(keys, scores, labels, group_by)
+    got = mean_average_precision(ranked, scores, labels)
     assert type(got[0]) is float and type(got[1]) is int
     assert (np.float64(got[0]).view(np.int64), got[1]) == (np.float64(expected[0]).view(np.int64), expected[1])
